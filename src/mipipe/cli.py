@@ -21,7 +21,7 @@ from .config import (
     pipeline_config_from_dict,
     pipeline_config_to_dict,
 )
-from .data_model import SplitSpec, load_archive, save_archive, split
+from .data_model import SplitSpec, TrialSet, load_archive, save_archive, split
 from .errors import ArchiveError, ConfigError, RankDeficientError
 from .pipeline import cross_validate, run_adaptive, run_static
 from .synthgen import generate, synth_config_from_dict
@@ -74,12 +74,29 @@ def _write_manifest(out_path, command: str, args, config_doc: dict, seed) -> Non
     _write_report(out_path.with_name(out_path.name + ".manifest.json"), manifest)
 
 
-def _load_pipeline_config(args, seed) -> PipelineConfig:
+def _load_inputs(args, seed) -> tuple[PipelineConfig, TrialSet]:
+    """The pipeline config and the archive, with every configured channel
+    index checked against the archive's channel count."""
     doc = _read_json(args.config) if args.config else {}
     config = pipeline_config_from_dict(doc)
     if seed is not None:
         config = config.replace(ensemble=replace(config.ensemble, seed=seed))
-    return config
+    data = load_archive(args.data)
+    channel_sets = [config.channels]
+    if config.search is not None:
+        channel_sets += config.search.channel_sets
+    for channels in channel_sets:
+        if channels is None:
+            continue
+        if not channels:
+            raise ConfigError("channel sets must name at least one channel")
+        for c in channels:
+            if not 0 <= c < data.n_channels:
+                raise ConfigError(
+                    f"channel index {c} out of range for an archive of "
+                    f"{data.n_channels} channels"
+                )
+    return config, data
 
 
 def cmd_synth(args) -> int:
@@ -97,8 +114,7 @@ def cmd_synth(args) -> int:
 
 def cmd_crossval(args) -> int:
     seed = _resolve_seed(args.seed)
-    config = _load_pipeline_config(args, seed)
-    data = load_archive(args.data)
+    config, data = _load_inputs(args, seed)
     labeled = [t for t in data if t.label is not None]
     if args.folds < 2 or args.folds > len(labeled):
         raise ConfigError(
@@ -119,8 +135,7 @@ def cmd_crossval(args) -> int:
 
 def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
-    config = _load_pipeline_config(args, seed)
-    data = load_archive(args.data)
+    config, data = _load_inputs(args, seed)
     if not 0 < args.train_fraction < 1:
         raise ConfigError(
             f"--train-fraction must be in (0, 1), got {args.train_fraction}"
@@ -149,8 +164,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_fractions(args) -> int:
     seed = _resolve_seed(args.seed)
-    config = _load_pipeline_config(args, seed)
-    data = load_archive(args.data)
+    config, data = _load_inputs(args, seed)
     fractions = [float(f) for f in args.fractions.split(",")]
     methods = [m.strip() for m in args.methods.split(",")]
     for f in fractions:

@@ -176,6 +176,15 @@ def _trial_filename(session_id: int, trial_index: int) -> str:
 
 def save_archive(trial_set: TrialSet, path) -> None:
     """Write a trial archive directory (meta.json + one CSV per trial)."""
+    seen = set()
+    for trial in trial_set:
+        key = (trial.session_id, trial.trial_index)
+        if key in seen:
+            raise ArchiveError(
+                f"two trials share session {key[0]} and trial index {key[1]}; "
+                f"they would be written to one file"
+            )
+        seen.add(key)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     sessions: dict[int, list[dict]] = {}

@@ -65,37 +65,40 @@ class CspModel:
         return self.filters.shape[1]
 
 
-def _normalized_covariance(trial_data: np.ndarray) -> np.ndarray:
-    cov = trial_data @ trial_data.T
-    tr = np.trace(cov)
-    if tr <= 0:
+def mean_normalized_covariance(covs: np.ndarray) -> np.ndarray:
+    """Mean over trials of X X^T / tr(X X^T), given the stacked X X^T."""
+    traces = np.trace(covs, axis1=1, axis2=2)
+    if np.any(traces <= 0):
         raise ValueError("trial has zero total variance")
-    return cov / tr
+    return np.mean(covs / traces[:, None, None], axis=0)
 
 
 def class_covariance(trials: Sequence[Trial]) -> np.ndarray:
     """Mean over trials of the trace-normalized covariance X X^T / tr."""
-    return np.mean([_normalized_covariance(t.data) for t in trials], axis=0)
+    return mean_normalized_covariance(np.array([t.data @ t.data.T for t in trials]))
 
 
 def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) -> CspModel:
-    """Simultaneously diagonalize the two class covariances.
-
-    Whitens the composite covariance, eigendecomposes the whitened class -1
-    covariance and keeps the top-m / bottom-m eigenvectors mapped back through
-    the whitening transform.
-    """
+    """CSP from two classes of trials; see `csp_from_covariances`."""
     if not class_neg or not class_pos:
         raise ValueError("both classes must be nonempty")
     n_ch = class_neg[0].n_channels
     for t in list(class_neg) + list(class_pos):
         if t.n_channels != n_ch:
             raise ValueError("mismatched channel counts across trials")
+    return csp_from_covariances(class_covariance(class_neg), class_covariance(class_pos), m)
+
+
+def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -> CspModel:
+    """Simultaneously diagonalize the two class covariances.
+
+    Whitens the composite covariance, eigendecomposes the whitened class -1
+    covariance and keeps the top-m / bottom-m eigenvectors mapped back through
+    the whitening transform.
+    """
+    n_ch = cov_neg.shape[0]
     if 2 * m > n_ch:
         raise ValueError(f"2m = {2 * m} filters exceed {n_ch} channels")
-
-    cov_neg = class_covariance(class_neg)
-    cov_pos = class_covariance(class_pos)
     composite = cov_neg + cov_pos
 
     d, u = eigh(composite)
@@ -121,18 +124,34 @@ def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) 
     return CspModel(filters=filters, eigenvalues=lam, m=m)
 
 
+def csp_log_shares(model: CspModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log variance share log(vH / (vH + vF)) of the class -1 projections, and
+    the total vH + vF, for a trial or an (n_trials, n_channels, n_samples)
+    batch. Unchecked: pass both to `check_csp_shares`."""
+    variances = (model.filters @ x).var(axis=-1)
+    var_h = variances[..., : model.m].sum(axis=-1)
+    var_f = variances[..., model.m:].sum(axis=-1)
+    total = var_h + var_f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(var_h / total), total
+
+
+def check_csp_shares(shares: np.ndarray, totals: np.ndarray) -> None:
+    """Raise for the first trial with zero total variance or a non-finite share."""
+    bad = np.flatnonzero((totals <= 0) | ~np.isfinite(shares))
+    if len(bad):
+        if totals[bad[0]] <= 0:
+            raise ValueError("zero total variance after spatial filtering")
+        raise ValueError("feature vector contains non-finite values")
+
+
 def csp_feature(model: CspModel, trial: Trial) -> FeatureVector:
     """Log variance share of the class -1 projections: log(vH / (vH + vF))."""
     if trial.n_channels != model.n_channels:
         raise ValueError("trial channel count does not match CSP model")
-    projected = model.filters @ trial.data
-    variances = projected.var(axis=1)
-    var_h = variances[: model.m].sum()
-    var_f = variances[model.m:].sum()
-    total = var_h + var_f
-    if total <= 0:
-        raise ValueError("zero total variance after spatial filtering")
-    return FeatureVector(np.array([np.log(var_h / total)]), "csp")
+    share, total = csp_log_shares(model, trial.data)
+    check_csp_shares(np.atleast_1d(share), np.atleast_1d(total))
+    return FeatureVector(np.array([share]), "csp")
 
 
 def ar_from_autocovariance(r: np.ndarray, p: int) -> ArCoefficients:

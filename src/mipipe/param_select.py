@@ -13,12 +13,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import LdaModel, fit_lda, lda_score
+from .classify import LdaModel, fit_lda
 from .config import PipelineConfig, SearchSpace
-from .data_model import Trial, TrialSet
+from .data_model import TrialSet
 from .errors import CriterionUndefinedError
-from .features import csp_feature, fit_csp
-from .preprocess import bandpass_zero_phase, crop
+from .features import (
+    check_csp_shares,
+    csp_from_covariances,
+    csp_log_shares,
+    mean_normalized_covariance,
+)
+from .preprocess import _window_indices, bandpass_array
 
 N_BINS = 40
 FEASIBILITY_THRESHOLD = 0.15
@@ -85,17 +90,6 @@ class SearchResult:
     winner_index: int
 
 
-def _prep_trials(ts: TrialSet, band, window, channels) -> list[Trial]:
-    fs = ts.sampling_rate_hz
-    out = []
-    for t in ts:
-        data = t.data if channels is None else t.data[list(channels)]
-        trial = Trial(data, t.label, t.session_id, t.trial_index)
-        trial = bandpass_zero_phase(trial, fs, *band)
-        out.append(crop(trial, fs, *window))
-    return out
-
-
 def _stratified_folds(labels: np.ndarray, max_folds: int = 10) -> list[np.ndarray]:
     """Deterministic round-robin fold assignment within each class."""
     neg = np.flatnonzero(labels == -1)
@@ -110,37 +104,107 @@ def _stratified_folds(labels: np.ndarray, max_folds: int = 10) -> list[np.ndarra
     return [np.array(sorted(f)) for f in folds]
 
 
-def _fit_and_score(train_trials, train_labels, score_trials, m):
-    neg = [t for t, y in zip(train_trials, train_labels) if y == -1]
-    pos = [t for t, y in zip(train_trials, train_labels) if y == 1]
-    model = fit_csp(neg, pos, m)
-    feats = [csp_feature(model, t) for t in train_trials]
-    lda = fit_lda(feats, train_labels)
+class _BandBatches:
+    """Band-passed train and test batches of the current band only.
+
+    Each set is band-passed once per band and channel subset (filtering a
+    subset is not bitwise the same as subsetting the filtered channels), and
+    the previous band's batches are dropped before the next band is filtered.
+    Train covariances are kept per window, for every `m` of the window.
+    """
+
+    def __init__(self, train: TrialSet, test: TrialSet):
+        self.sets = (train, test)
+        self.band = None
+        self.filtered: dict = {}
+        self.covariances: dict = {}
+
+    def crop(self, band, window, channels):
+        """Views of the train and test batches cropped to `window`, and the
+        train trials' X X^T. Errors come in the order a per-trial pipeline
+        meets them: train band, train window, test band, test window."""
+        if band != self.band:
+            self.filtered.clear()
+            self.covariances.clear()
+            self.band = band
+        views = []
+        for which, ts in enumerate(self.sets):
+            key = (which, channels)
+            if key not in self.filtered:
+                rows = slice(None) if channels is None else list(channels)
+                # a list, so bandpass_array stacks it once and filters in place
+                self.filtered[key] = bandpass_array(
+                    [t.data[rows] for t in ts], ts.sampling_rate_hz, *band
+                )
+            x = self.filtered[key]
+            i0, i1 = _window_indices(x.shape[-1], ts.sampling_rate_hz, *window)
+            views.append(x[..., i0:i1])
+        key = (window, channels)
+        if key not in self.covariances:
+            contiguous = np.ascontiguousarray(views[0])
+            self.covariances[key] = contiguous @ contiguous.transpose(0, 2, 1)
+        return views[0], views[1], self.covariances[key]
+
+
+def _unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
+    lda = fit_lda(features[:, None], labels)
     # unit-norm hyperplane: scores become signed distances, so fold models
     # and the full-fit model land on one comparable scale
     norm = float(np.linalg.norm(lda.w))
-    lda = LdaModel(w=lda.w / norm, b=lda.b / norm)
-    return [lda_score(lda, csp_feature(model, t)) for t in score_trials]
+    return LdaModel(w=lda.w / norm, b=lda.b / norm)
 
 
-def candidate_scores(
-    train: TrialSet, test: TrialSet, band, window, channels, m
-) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-fold train scores and full-fit test scores for one candidate."""
-    train_trials = _prep_trials(train, band, window, channels)
-    test_trials = _prep_trials(test, band, window, channels)
-    labels = np.array([t.label for t in train.trials])
+def _fit(train_x, covs, labels, fit, m):
+    """CSP and unit-norm LDA fitted on train trials `fit`, and the log
+    variance shares of every train trial under that CSP."""
+    y = labels[fit]
+    csp = csp_from_covariances(
+        mean_normalized_covariance(covs[fit[y == -1]]),
+        mean_normalized_covariance(covs[fit[y == 1]]),
+        m,
+    )
+    shares, totals = csp_log_shares(csp, train_x)
+    check_csp_shares(shares[fit], totals[fit])
+    return csp, _unit_lda(shares[fit], y), shares, totals
 
-    train_scores = np.empty(len(train_trials))
-    for fold in _stratified_folds(labels):
-        mask = np.ones(len(train_trials), dtype=bool)
+
+def candidate_scores(train_x, test_x, covs, labels, folds, m) -> tuple[np.ndarray, np.ndarray]:
+    """Out-of-fold train scores and full-fit test scores for one candidate.
+
+    train_x and test_x are band-passed, cropped (n_trials, n_channels,
+    n_samples) batches; covs holds X X^T of each train trial.
+    """
+    n = len(train_x)
+    train_scores = np.empty(n)
+    for fold in folds:
+        mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        fit_part = [train_trials[i] for i in np.flatnonzero(mask)]
-        scores = _fit_and_score(fit_part, labels[mask], [train_trials[i] for i in fold], m)
-        train_scores[fold] = scores
+        _, lda, shares, totals = _fit(train_x, covs, labels, np.flatnonzero(mask), m)
+        check_csp_shares(shares[fold], totals[fold])
+        train_scores[fold] = shares[fold, None] @ lda.w + lda.b
 
-    test_scores = np.array(_fit_and_score(train_trials, labels, test_trials, m))
-    return train_scores, test_scores
+    csp, lda, _, _ = _fit(train_x, covs, labels, np.arange(n), m)
+    shares, totals = csp_log_shares(csp, test_x)
+    check_csp_shares(shares, totals)
+    return train_scores, shares[:, None] @ lda.w + lda.b
+
+
+def _candidate_rho(batches, labels, band, window, channels, m, feasibility_threshold):
+    """One candidate's table entries; its views of the band's batches end
+    with this call, so dropping a band frees its memory."""
+    train_x, test_x, covs = batches.crop(band, window, channels)
+    tr_scores, te_scores = candidate_scores(
+        train_x, test_x, covs, labels, _stratified_folds(labels), m
+    )
+    pooled = np.r_[tr_scores, te_scores]
+    lo, hi = float(pooled.min()), float(pooled.max())
+    if not hi > lo:
+        raise CriterionUndefinedError("criterion undefined: all scores identical")
+    rho = pdf_correlation(
+        estimate_pdf(tr_scores, (lo, hi)), estimate_pdf(te_scores, (lo, hi))
+    )
+    penalty = class_balance_penalty(te_scores)
+    return {"rho": rho, "penalty": penalty, "feasible": penalty <= feasibility_threshold}
 
 
 def grid_search(
@@ -164,9 +228,11 @@ def grid_search(
     if -1 not in labels or 1 not in labels:
         raise ValueError("training set must contain both classes")
 
-    candidates = list(itertools.product(
+    candidates = itertools.product(
         space.bands_hz, space.windows_s, space.channel_sets, space.m_values
-    ))
+    )
+    batches = _BandBatches(train, test_unlabeled)
+    labels = np.array(labels)
     table = []
     failures = []
     for band, window, channels, m in candidates:
@@ -176,23 +242,9 @@ def grid_search(
             "rho": None, "penalty": None, "feasible": False, "error": None,
         }
         try:
-            tr_scores, te_scores = candidate_scores(
-                train, test_unlabeled, band, window, channels, m
-            )
-            pooled = np.r_[tr_scores, te_scores]
-            lo, hi = float(pooled.min()), float(pooled.max())
-            if not hi > lo:
-                raise CriterionUndefinedError(
-                    "criterion undefined: all scores identical"
-                )
-            rho = pdf_correlation(
-                estimate_pdf(tr_scores, (lo, hi)), estimate_pdf(te_scores, (lo, hi))
-            )
-            penalty = class_balance_penalty(te_scores)
-            row.update(
-                rho=rho, penalty=penalty,
-                feasible=penalty <= feasibility_threshold,
-            )
+            row.update(_candidate_rho(
+                batches, labels, band, window, channels, m, feasibility_threshold
+            ))
         except CriterionUndefinedError as exc:
             row["error"] = str(exc)
         except ValueError as exc:

@@ -11,6 +11,7 @@ import numpy as np
 from .classify import BaggingEnsemble, bagging_predict, fit_bagging
 from .config import PipelineConfig
 from .data_model import SplitSpec, Trial, TrialSet, split
+from .errors import ConfigError
 from .features import (
     FeatureVector,
     ar_feature,
@@ -59,6 +60,13 @@ class CspExtractor:
     """Band-pass + crop, then log variance-share of fitted spatial filters."""
 
     def __init__(self, config: PipelineConfig, fs_hz: float):
+        missing = [name for name in ("band_hz", "window_s")
+                   if getattr(config.preprocess, name) is None]
+        if missing:
+            raise ConfigError(
+                f"method {config.method!r} needs preprocess."
+                + " and preprocess.".join(missing)
+            )
         self.config = config
         self.fs_hz = fs_hz
         self.model = None

@@ -52,12 +52,28 @@ def bandpass_ba(fs_hz: float, low_hz: float, high_hz: float):
 
 
 def bandpass_array(x: np.ndarray, fs_hz: float, low_hz: float, high_hz: float) -> np.ndarray:
-    """Zero-phase band-pass of an array along its last axis."""
-    x = np.asarray(x, float)
+    """Zero-phase band-pass of an array along its last axis.
+
+    Any leading shape is accepted, e.g. a batch of trials or a list of
+    equally shaped trial arrays. The filter is designed once and each 2-D
+    slab (one trial) is filtered on its own, because filtfilt allocates about
+    nine times its input in temporaries. A list or tuple is stacked into a
+    new array that is then filtered in place, so the batch exists once.
+    """
+    batch = np.asarray(x, float)
+    ba = bandpass_ba(fs_hz, low_hz, high_hz)
+    if batch.ndim <= 2:
+        return _demeaned_zero_phase(ba, batch)
+    out = batch if isinstance(x, (list, tuple)) else np.empty_like(batch)
+    for idx in np.ndindex(batch.shape[:-2]):
+        out[idx] = _demeaned_zero_phase(ba, batch[idx])
+    return out
+
+
+def _demeaned_zero_phase(ba, x: np.ndarray) -> np.ndarray:
     # the band-pass has zero DC gain; removing the mean up front avoids
     # edge transients from large offsets
-    x = x - x.mean(axis=-1, keepdims=True)
-    return _zero_phase(bandpass_ba(fs_hz, low_hz, high_hz), x)
+    return _zero_phase(ba, x - x.mean(axis=-1, keepdims=True))
 
 
 def lowpass_array(x: np.ndarray, fs_hz: float, cutoff_hz: float) -> np.ndarray:
@@ -114,11 +130,8 @@ def baseline_correct(trial: Trial, fs_hz: float, window_s: tuple[float, float]) 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Preprocessing chain parameters; unset stages are skipped.
-
-    Applied in order: spatial reference, band-pass, low-pass, baseline
-    correction, crop.
-    """
+    """Preprocessing parameters. The CSP chain uses band_hz and window_s;
+    no extractor reads the other fields yet."""
 
     band_hz: tuple[float, float] | None = None
     lowpass_hz: float | None = None
@@ -132,16 +145,3 @@ class PreprocessConfig:
         if self.band_hz is not None and not self.band_hz[0] < self.band_hz[1]:
             raise ValueError("band_hz must satisfy low < high")
 
-
-def apply_preprocess(trial: Trial, fs_hz: float, config: PreprocessConfig) -> Trial:
-    if config.spatial_ref == "CAR":
-        trial = common_average_reference(trial)
-    if config.band_hz is not None:
-        trial = bandpass_zero_phase(trial, fs_hz, *config.band_hz)
-    if config.lowpass_hz is not None:
-        trial = lowpass_zero_phase(trial, fs_hz, config.lowpass_hz)
-    if config.baseline_window_s is not None:
-        trial = baseline_correct(trial, fs_hz, config.baseline_window_s)
-    if config.window_s is not None:
-        trial = crop(trial, fs_hz, *config.window_s)
-    return trial

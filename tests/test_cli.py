@@ -213,6 +213,50 @@ class TestRun:
         assert len(doc["predicted_labels"]) == 20
 
 
+class TestConfigAgainstArchive:
+    """Config the archive cannot honour exits 2 with a one-line message."""
+
+    def run(self, archive, tmp_path, doc, command="run"):
+        cfg = write_json(tmp_path / "pipeline.json", {**FAST_PIPELINE_DOC, **doc})
+        args = [command, "--data", str(archive), "--config", cfg,
+                "--report", str(tmp_path / "out.json")]
+        if command == "run":
+            args += ["--train-fraction", "0.5"]
+        return main(args)
+
+    @pytest.mark.parametrize("command", ["run", "crossval", "fig1"])
+    def test_channel_out_of_range(self, archive, tmp_path, capsys, command):
+        code = self.run(archive, tmp_path, {"channels": [0, 9]}, command=command)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "channel index 9" in err and "4 channels" in err
+        assert "Traceback" not in err
+
+    def test_search_channel_set_out_of_range(self, archive, tmp_path, capsys):
+        search = {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]],
+                  "channel_sets": [None, [0, 9]]}
+        code = self.run(archive, tmp_path, {"search": search})
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "channel index 9" in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("method", ["csp", "combined"])
+    def test_missing_csp_parameters(self, archive, tmp_path, capsys, method):
+        code = self.run(archive, tmp_path, {"method": method, "preprocess": {}})
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "preprocess.band_hz" in err and "preprocess.window_s" in err
+        assert "Traceback" not in err
+
+    def test_sweep_supplies_csp_parameters(self, archive, tmp_path):
+        search = {"bands_hz": [[8, 10], [12, 14]], "windows_s": [[0.5, 4.5]]}
+        code = self.run(archive, tmp_path, {"preprocess": {}, "search": search})
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert doc["chosen"][0]["window_s"] == [0.5, 4.5]
+
+
 class TestFig1:
     def test_table_rows(self, archive, tmp_path, fast_config):
         report = tmp_path / "fig1.json"

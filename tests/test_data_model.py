@@ -57,6 +57,14 @@ def test_roundtrip_small(tmp_path, rng):
         assert a.label == b.label
 
 
+def test_save_rejects_duplicate_trial_keys(tmp_path, rng):
+    trials = [make_trial(rng.normal(size=(2, 4)), label=1, trial_index=i % 2)
+              for i in range(4)]
+    with pytest.raises(ArchiveError, match="session 1 and trial index 0"):
+        save_archive(make_set(trials), tmp_path / "arch")
+    assert not (tmp_path / "arch").exists()
+
+
 def test_roundtrip_unlabeled_null(tmp_path):
     ts = make_set([make_trial(np.ones((2, 4)), label=None)])
     save_archive(ts, tmp_path / "arch")

@@ -1,18 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from mipipe.classify import LdaModel, fit_lda, lda_score
 from mipipe.config import PipelineConfig, SearchSpace
-from mipipe.data_model import SplitSpec, split
+from mipipe.data_model import SplitSpec, Trial, split
 from mipipe.errors import CriterionUndefinedError
+from mipipe.features import csp_feature, fit_csp
 from mipipe.param_select import (
     FEASIBILITY_THRESHOLD,
     N_BINS,
     PdfEstimate,
+    _stratified_folds,
     class_balance_penalty,
     estimate_pdf,
     grid_search,
     pdf_correlation,
 )
+from mipipe.preprocess import bandpass_zero_phase, crop
 from mipipe.synthgen import SynthConfig, generate
 
 
@@ -227,3 +233,95 @@ class TestGridSearch:
         assert r1.rho == r2.rho
         for a, b in zip(r1.table, r2.table):
             assert a == b
+
+
+# --- per-trial oracle: the search as written before it was batched by band ---
+
+def _oracle_prep(ts, band, window, channels):
+    out = []
+    for t in ts:
+        data = t.data if channels is None else t.data[list(channels)]
+        trial = Trial(data, t.label, t.session_id, t.trial_index)
+        trial = bandpass_zero_phase(trial, ts.sampling_rate_hz, *band)
+        out.append(crop(trial, ts.sampling_rate_hz, *window))
+    return out
+
+
+def _oracle_fit_and_score(train_trials, train_labels, score_trials, m):
+    neg = [t for t, y in zip(train_trials, train_labels) if y == -1]
+    pos = [t for t, y in zip(train_trials, train_labels) if y == 1]
+    model = fit_csp(neg, pos, m)
+    lda = fit_lda([csp_feature(model, t) for t in train_trials], train_labels)
+    norm = float(np.linalg.norm(lda.w))
+    lda = LdaModel(w=lda.w / norm, b=lda.b / norm)
+    return [lda_score(lda, csp_feature(model, t)) for t in score_trials]
+
+
+def _oracle_scores(train, test, band, window, channels, m):
+    train_trials = _oracle_prep(train, band, window, channels)
+    test_trials = _oracle_prep(test, band, window, channels)
+    labels = np.array([t.label for t in train.trials])
+    train_scores = np.empty(len(train_trials))
+    for fold in _stratified_folds(labels):
+        mask = np.ones(len(train_trials), dtype=bool)
+        mask[fold] = False
+        fit_part = [train_trials[i] for i in np.flatnonzero(mask)]
+        train_scores[fold] = _oracle_fit_and_score(
+            fit_part, labels[mask], [train_trials[i] for i in fold], m
+        )
+    test_scores = np.array(_oracle_fit_and_score(train_trials, labels, test_trials, m))
+    return train_scores, test_scores
+
+
+def oracle_table(train, test, space):
+    table = []
+    for band, window, channels, m in itertools.product(
+        space.bands_hz, space.windows_s, space.channel_sets, space.m_values
+    ):
+        row = {
+            "band_hz": band, "window_s": window, "channels": channels, "m": m,
+            "rho": None, "penalty": None, "feasible": False, "error": None,
+        }
+        try:
+            tr, te = _oracle_scores(train, test, band, window, channels, m)
+            pooled = np.r_[tr, te]
+            lo, hi = float(pooled.min()), float(pooled.max())
+            if not hi > lo:
+                raise CriterionUndefinedError("criterion undefined: all scores identical")
+            rho = pdf_correlation(estimate_pdf(tr, (lo, hi)), estimate_pdf(te, (lo, hi)))
+            penalty = class_balance_penalty(te)
+            row.update(rho=rho, penalty=penalty, feasible=penalty <= FEASIBILITY_THRESHOLD)
+        except ValueError as exc:
+            row["error"] = str(exc)
+        table.append(row)
+    return table
+
+
+class TestBatchedSearchMatchesOracle:
+    # every axis of the grid, plus a failure at each stage: an invalid band
+    # at 100 Hz, a window past the 5 s trial, and 2m > channels for m=2 on
+    # the two-channel subset
+    SPACE = SearchSpace(
+        bands_hz=((12.0, 14.0), (45.0, 55.0), (8.0, 30.0)),
+        windows_s=((0.5, 2.5), (3.0, 6.0), (1.0, 4.5)),
+        channel_sets=(None, (0, 3)),
+        m_values=(1, 2),
+    )
+
+    def test_table_rows_equal_oracle(self):
+        train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
+        test = test.without_labels()
+        result = grid_search(train, test, self.SPACE)
+        expected = oracle_table(train, test, self.SPACE)
+        assert len(result.table) == len(expected) == 36
+        for got, want in zip(result.table, expected):
+            assert got == want
+
+        errors = {(r["band_hz"], r["window_s"], r["channels"], r["m"]): r["error"]
+                  for r in result.table}
+        # band before window before CSP
+        assert "invalid band" in errors[((45.0, 55.0), (3.0, 6.0), (0, 3), 2)]
+        assert "window" in errors[((12.0, 14.0), (3.0, 6.0), (0, 3), 2)]
+        assert "exceed" in errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 2)]
+        assert errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 1)] is None
+        assert errors[((8.0, 30.0), (1.0, 4.5), None, 2)] is None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mipipe.preprocess import (
+    bandpass_array,
     bandpass_zero_phase,
     baseline_correct,
     common_average_reference,
@@ -50,6 +51,19 @@ def test_bandpass_attenuates_stopband():
     ratio = np.sqrt(np.mean(interior(out.data[0]) ** 2) /
                     np.mean(interior(trial.data[0]) ** 2))
     assert ratio < 0.05
+
+
+def test_bandpass_batch_equals_per_trial(rng):
+    batch = rng.normal(size=(2, 3, 4, 300)) + 5.0
+    out = bandpass_array(batch, FS, 8.0, 30.0)
+    assert out.shape == batch.shape
+    for idx in np.ndindex(batch.shape[:-2]):
+        assert np.array_equal(out[idx], bandpass_array(batch[idx], FS, 8.0, 30.0))
+    # a list of trials is stacked once and filtered in place; the input stays
+    trials = list(batch[0])
+    kept = [t.copy() for t in trials]
+    assert np.array_equal(bandpass_array(trials, FS, 8.0, 30.0), out[0])
+    assert all(np.array_equal(a, b) for a, b in zip(trials, kept))
 
 
 def test_bandpass_invalid_band():
