@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -142,38 +140,3 @@ def bagging_predict(ensemble: BaggingEnsemble, x) -> int:
     if votes < 0:
         return -1
     return 1 if scores.mean() >= 0 else -1
-
-
-def save_model(model, path) -> None:
-    """Serialize an LdaModel or BaggingEnsemble to JSON."""
-    if isinstance(model, LdaModel):
-        doc = {"kind": "lda", "w": model.w.tolist(), "b": model.b}
-    elif isinstance(model, BaggingEnsemble):
-        doc = {
-            "kind": "bagging",
-            "rounds": model.rounds,
-            "subset_fraction": model.subset_fraction,
-            "seed": model.seed,
-            "components": [
-                {"w": c.w.tolist(), "b": c.b} for c in model.components
-            ],
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_model(path):
-    doc = json.loads(Path(path).read_text())
-    if doc["kind"] == "lda":
-        return LdaModel(w=np.array(doc["w"]), b=doc["b"])
-    if doc["kind"] == "bagging":
-        return BaggingEnsemble(
-            components=tuple(
-                LdaModel(w=np.array(c["w"]), b=c["b"]) for c in doc["components"]
-            ),
-            subset_fraction=doc["subset_fraction"],
-            rounds=doc["rounds"],
-            seed=doc["seed"],
-        )
-    raise ValueError(f"unknown model kind {doc.get('kind')!r}")

@@ -170,6 +170,23 @@ def split(trial_set: TrialSet, spec: SplitSpec) -> tuple[TrialSet, TrialSet]:
     return train, test
 
 
+def stratified_folds(labels: np.ndarray, k: int, seed: int | None = None) -> list[np.ndarray]:
+    """Deal each class's trial indices (-1 first, then +1) round-robin over
+    k folds: in index order when seed is None, else in the order of a
+    permutation seeded by `seed`. Each fold is sorted; empty folds are
+    dropped. Callers check the fold count against the class sizes."""
+    labels = np.asarray(labels)
+    rng = None if seed is None else np.random.default_rng(seed)
+    out = [[] for _ in range(k)]
+    for label in (-1, 1):
+        block = np.flatnonzero(labels == label)
+        if rng is not None:
+            block = rng.permutation(block)
+        for i, idx in enumerate(block):
+            out[i % k].append(idx)
+    return [np.array(sorted(f)) for f in out if f]
+
+
 def _trial_filename(session_id: int, trial_index: int) -> str:
     return f"s{session_id:02d}_t{trial_index:03d}.csv"
 

@@ -89,6 +89,17 @@ def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) 
     return csp_from_covariances(class_covariance(class_neg), class_covariance(class_pos), m)
 
 
+def csp_from_trial_covariances(covs: np.ndarray, labels, m: int = 1) -> CspModel:
+    """CSP from each trial's X X^T, stacked, and its label (-1 or +1)."""
+    labels = np.asarray(labels)
+    neg, pos = covs[labels == -1], covs[labels == 1]
+    if not len(neg) or not len(pos):
+        raise ValueError("both classes must be nonempty")
+    return csp_from_covariances(
+        mean_normalized_covariance(neg), mean_normalized_covariance(pos), m
+    )
+
+
 def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -> CspModel:
     """Simultaneously diagonalize the two class covariances.
 

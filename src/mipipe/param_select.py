@@ -15,15 +15,14 @@ import numpy as np
 
 from .classify import LdaModel, fit_lda
 from .config import PipelineConfig, SearchSpace
-from .data_model import TrialSet
+from .data_model import TrialSet, stratified_folds
 from .errors import CriterionUndefinedError
 from .features import (
     check_csp_shares,
-    csp_from_covariances,
+    csp_from_trial_covariances,
     csp_log_shares,
-    mean_normalized_covariance,
 )
-from .preprocess import _window_indices, bandpass_array
+from .preprocess import Chain, _window_indices, preprocess_trials
 
 N_BINS = 40
 FEASIBILITY_THRESHOLD = 0.15
@@ -90,18 +89,12 @@ class SearchResult:
     winner_index: int
 
 
-def _stratified_folds(labels: np.ndarray, max_folds: int = 10) -> list[np.ndarray]:
-    """Deterministic round-robin fold assignment within each class."""
-    neg = np.flatnonzero(labels == -1)
-    pos = np.flatnonzero(labels == 1)
-    n_folds = min(max_folds, len(neg), len(pos))
+def _search_folds(labels: np.ndarray, max_folds: int = 10) -> list[np.ndarray]:
+    """Deterministic round-robin folds, as many as the smaller class allows."""
+    n_folds = min(max_folds, int((labels == -1).sum()), int((labels == 1).sum()))
     if n_folds < 2:
         raise ValueError("too few labeled trials per class for cross-validation")
-    folds = [[] for _ in range(n_folds)]
-    for block in (neg, pos):
-        for i, idx in enumerate(block):
-            folds[i % n_folds].append(idx)
-    return [np.array(sorted(f)) for f in folds]
+    return stratified_folds(labels, n_folds)
 
 
 class _BandBatches:
@@ -131,10 +124,9 @@ class _BandBatches:
         for which, ts in enumerate(self.sets):
             key = (which, channels)
             if key not in self.filtered:
-                rows = slice(None) if channels is None else list(channels)
-                # a list, so bandpass_array stacks it once and filters in place
-                self.filtered[key] = bandpass_array(
-                    [t.data[rows] for t in ts], ts.sampling_rate_hz, *band
+                self.filtered[key] = preprocess_trials(
+                    [t.data for t in ts], ts.sampling_rate_hz,
+                    Chain(channels=channels, band_hz=band),
                 )
             x = self.filtered[key]
             i0, i1 = _window_indices(x.shape[-1], ts.sampling_rate_hz, *window)
@@ -158,11 +150,7 @@ def _fit(train_x, covs, labels, fit, m):
     """CSP and unit-norm LDA fitted on train trials `fit`, and the log
     variance shares of every train trial under that CSP."""
     y = labels[fit]
-    csp = csp_from_covariances(
-        mean_normalized_covariance(covs[fit[y == -1]]),
-        mean_normalized_covariance(covs[fit[y == 1]]),
-        m,
-    )
+    csp = csp_from_trial_covariances(covs[fit], y, m)
     shares, totals = csp_log_shares(csp, train_x)
     check_csp_shares(shares[fit], totals[fit])
     return csp, _unit_lda(shares[fit], y), shares, totals
@@ -194,7 +182,7 @@ def _candidate_rho(batches, labels, band, window, channels, m, feasibility_thres
     with this call, so dropping a band frees its memory."""
     train_x, test_x, covs = batches.crop(band, window, channels)
     tr_scores, te_scores = candidate_scores(
-        train_x, test_x, covs, labels, _stratified_folds(labels), m
+        train_x, test_x, covs, labels, _search_folds(labels), m
     )
     pooled = np.r_[tr_scores, te_scores]
     lo, hi = float(pooled.min()), float(pooled.max())
@@ -228,8 +216,10 @@ def grid_search(
     if -1 not in labels or 1 not in labels:
         raise ValueError("training set must contain both classes")
 
+    # a None channel set means the base config's channels
+    channel_sets = [base.channels if cs is None else cs for cs in space.channel_sets]
     candidates = itertools.product(
-        space.bands_hz, space.windows_s, space.channel_sets, space.m_values
+        space.bands_hz, space.windows_s, channel_sets, space.m_values
     )
     batches = _BandBatches(train, test_unlabeled)
     labels = np.array(labels)

@@ -10,25 +10,22 @@ import numpy as np
 
 from .classify import BaggingEnsemble, bagging_predict, fit_bagging
 from .config import PipelineConfig
-from .data_model import SplitSpec, Trial, TrialSet, split
+from .data_model import SplitSpec, Trial, TrialSet, split, stratified_folds
 from .errors import ConfigError
 from .features import (
     FeatureVector,
-    ar_feature,
-    csp_feature,
+    check_csp_shares,
+    csp_from_trial_covariances,
+    csp_log_shares,
     fisher_scores,
-    fit_csp,
-    lrp_feature,
+    fit_ar,
     select_channels,
 )
 from .param_select import grid_search
-from .preprocess import (
-    bandpass_zero_phase,
-    baseline_correct,
-    common_average_reference,
-    crop,
-    lowpass_zero_phase,
-)
+from .preprocess import Chain, preprocess_trials
+# not used here: perfbench/selftest.py checks that the tracer rebinds this
+# name in pipeline, so it stays importable until that test picks another
+from .preprocess import bandpass_zero_phase  # noqa: F401
 
 
 def combine_features(parts: Sequence[FeatureVector]) -> FeatureVector:
@@ -56,8 +53,29 @@ def evaluate(predicted: Sequence[int], true: Sequence[int]):
     return accuracy, confusion
 
 
-class CspExtractor:
+class _Extractor:
+    """A feature extractor in two steps. `prepare` runs the method's chains
+    over a trial set once and keeps per trial what any fit needs, reading no
+    label. `fit_rows(prepared, rows, labels)`, with one label per prepared
+    trial, and `transform_rows(prepared, rows)` then work on row indices of
+    what `prepare` returned, so every cross-validation fold shares one
+    preparation. `fit` and `transform` prepare and use whole trials."""
+
+    method = ""
+
+    def fit(self, trials: Sequence[Trial], labels: Sequence[int]):
+        prepared = self.prepare([t.data for t in trials])
+        return self.fit_rows(prepared, np.arange(len(trials)), np.asarray(labels))
+
+    def transform(self, trial: Trial) -> FeatureVector:
+        values = self.transform_rows(self.prepare([trial.data]), [0])[0]
+        return FeatureVector(values, self.method)
+
+
+class CspExtractor(_Extractor):
     """Band-pass + crop, then log variance-share of fitted spatial filters."""
+
+    method = "csp"
 
     def __init__(self, config: PipelineConfig, fs_hz: float):
         missing = [name for name in ("band_hz", "window_s")
@@ -69,97 +87,127 @@ class CspExtractor:
             )
         self.config = config
         self.fs_hz = fs_hz
+        self.chain = Chain(channels=config.channels, band_hz=config.preprocess.band_hz,
+                           window_s=config.preprocess.window_s)
         self.model = None
 
-    def _prep(self, trial: Trial) -> Trial:
-        cfg = self.config
-        if cfg.channels is not None:
-            trial = trial.with_data(trial.data[list(cfg.channels)])
-        trial = bandpass_zero_phase(trial, self.fs_hz, *cfg.preprocess.band_hz)
-        return crop(trial, self.fs_hz, *cfg.preprocess.window_s)
+    def prepare(self, trials: Sequence[np.ndarray]):
+        """The band-passed, cropped (n_trials, n_channels, n_samples) batch
+        and each trial's X X^T."""
+        x = preprocess_trials(trials, self.fs_hz, self.chain)
+        return x, x @ x.transpose(0, 2, 1)
 
-    def fit(self, trials: Sequence[Trial], labels: Sequence[int]):
-        prepped = [self._prep(t) for t in trials]
-        neg = [t for t, y in zip(prepped, labels) if y == -1]
-        pos = [t for t, y in zip(prepped, labels) if y == 1]
-        self.model = fit_csp(neg, pos, self.config.m)
+    def fit_rows(self, prepared, rows, labels):
+        _, covs = prepared
+        self.model = csp_from_trial_covariances(covs[rows], labels[rows], self.config.m)
         return self
 
-    def transform(self, trial: Trial) -> FeatureVector:
-        return csp_feature(self.model, self._prep(trial))
+    def transform_rows(self, prepared, rows) -> np.ndarray:
+        x, _ = prepared
+        # trial by trial, so the projections' temporaries stay one trial big
+        shares, totals = np.array([csp_log_shares(self.model, x[i]) for i in rows]).T
+        check_csp_shares(shares, totals)
+        return shares[:, None]
 
 
-class ArExtractor:
+class ArExtractor(_Extractor):
     """CAR + broad band-pass + crop, Fisher channel pick on log band power,
     then concatenated per-channel AR parameters."""
 
+    method = "ar"
+
     def __init__(self, config: PipelineConfig, fs_hz: float):
         self.config = config
         self.fs_hz = fs_hz
+        self.chain = Chain(car=True, band_hz=config.ar_band_hz,
+                           window_s=config.preprocess.window_s)
         self.selected = None
 
-    def _prep(self, trial: Trial) -> Trial:
-        cfg = self.config
-        trial = common_average_reference(trial)
-        trial = bandpass_zero_phase(trial, self.fs_hz, *cfg.ar_band_hz)
-        window = cfg.preprocess.window_s
-        if window is not None:
-            trial = crop(trial, self.fs_hz, *window)
-        return trial
+    def prepare(self, trials: Sequence[np.ndarray]):
+        """Per trial and channel, the log band power followed by
+        [a_1..a_p, sigma^2]: (n_trials, n_channels, p + 2). Where a channel's
+        AR fit fails its parameters are NaN, and the error is kept, one dict
+        per trial, to be raised only if that channel is selected."""
+        order = self.config.ar_order
+        errors = []
 
-    def fit(self, trials: Sequence[Trial], labels: Sequence[int]):
+        def summarise(x):
+            row = np.full((len(x), order + 2), np.nan)
+            row[:, 0] = np.log(x.var(axis=1))
+            failed = {}
+            for c, series in enumerate(x):
+                try:
+                    model = fit_ar(series, order)
+                except ValueError as exc:
+                    failed[c] = exc
+                else:
+                    row[c, 1:] = np.r_[model.a, model.noise_variance]
+            errors.append(failed)
+            return row
+
+        return preprocess_trials(trials, self.fs_hz, self.chain, summarise), errors
+
+    def fit_rows(self, prepared, rows, labels):
         if self.config.channels is not None:
             self.selected = list(self.config.channels)
             return self
-        prepped = [self._prep(t) for t in trials]
-        log_power = np.array([np.log(t.data.var(axis=1)) for t in prepped])
-        scores = fisher_scores(log_power, labels)
+        table, _ = prepared
+        scores = fisher_scores(table[rows, :, 0], labels[rows])
         self.selected = select_channels(scores, min(self.config.n_select, len(scores)))
         return self
 
-    def transform(self, trial: Trial) -> FeatureVector:
-        return ar_feature(self._prep(trial), self.selected, self.config.ar_order)
+    def transform_rows(self, prepared, rows) -> np.ndarray:
+        if not len(self.selected):
+            raise ValueError("no channels selected")
+        table, errors = prepared
+        values = table[rows][:, self.selected, 1:].reshape(len(rows), -1)
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if len(bad):
+            failed = errors[rows[bad[0]]]
+            for c in self.selected:
+                if c in failed:
+                    raise ValueError(f"channel {c}: {failed[c]}") from failed[c]
+            raise ValueError("feature vector contains non-finite values")
+        return values
 
 
-class LrpExtractor:
+class LrpExtractor(_Extractor):
     """Low-pass + baseline correction, Fisher channel pick on windowed means,
     then the per-channel mean over the feature window."""
 
+    method = "lrp"
+
     def __init__(self, config: PipelineConfig, fs_hz: float):
         self.config = config
         self.fs_hz = fs_hz
+        self.chain = Chain(lowpass_hz=config.lrp_lowpass_hz,
+                           baseline_s=config.lrp_baseline_window_s,
+                           window_s=config.lrp_feature_window_s)
         self.selected = None
 
-    def _prep(self, trial: Trial) -> Trial:
-        cfg = self.config
-        trial = lowpass_zero_phase(trial, self.fs_hz, cfg.lrp_lowpass_hz)
-        return baseline_correct(trial, self.fs_hz, cfg.lrp_baseline_window_s)
+    def prepare(self, trials: Sequence[np.ndarray]) -> np.ndarray:
+        """Each channel's mean over the feature window: (n_trials, n_channels)."""
+        return preprocess_trials(trials, self.fs_hz, self.chain,
+                                 lambda x: x.mean(axis=1))
 
-    def _all_channel_means(self, trial: Trial) -> np.ndarray:
-        prepped = self._prep(trial)
-        return lrp_feature(
-            prepped, range(prepped.n_channels), self.fs_hz,
-            self.config.lrp_feature_window_s,
-        ).values
-
-    def fit(self, trials: Sequence[Trial], labels: Sequence[int]):
+    def fit_rows(self, prepared, rows, labels):
         if self.config.channels is not None:
             self.selected = list(self.config.channels)
             return self
-        means = np.array([self._all_channel_means(t) for t in trials])
-        scores = fisher_scores(means, labels)
+        scores = fisher_scores(prepared[rows], labels[rows])
         self.selected = select_channels(scores, min(self.config.n_select, len(scores)))
         return self
 
-    def transform(self, trial: Trial) -> FeatureVector:
-        return lrp_feature(
-            self._prep(trial), self.selected, self.fs_hz,
-            self.config.lrp_feature_window_s,
-        )
+    def transform_rows(self, prepared, rows) -> np.ndarray:
+        if not len(self.selected):
+            raise ValueError("no channels selected")
+        return prepared[np.ix_(rows, self.selected)]
 
 
-class CombinedExtractor:
+class CombinedExtractor(_Extractor):
     """Each method with its own preprocessing chain; features concatenated."""
+
+    method = "combined"
 
     def __init__(self, config: PipelineConfig, fs_hz: float):
         self.parts = [
@@ -168,10 +216,17 @@ class CombinedExtractor:
             LrpExtractor(config, fs_hz),
         ]
 
-    def fit(self, trials, labels):
-        for part in self.parts:
-            part.fit(trials, labels)
+    def prepare(self, trials: Sequence[np.ndarray]) -> list:
+        return [part.prepare(trials) for part in self.parts]
+
+    def fit_rows(self, prepared, rows, labels):
+        for part, part_prepared in zip(self.parts, prepared):
+            part.fit_rows(part_prepared, rows, labels)
         return self
+
+    def transform_rows(self, prepared, rows) -> np.ndarray:
+        return np.hstack([part.transform_rows(part_prepared, rows)
+                          for part, part_prepared in zip(self.parts, prepared)])
 
     def transform(self, trial: Trial) -> FeatureVector:
         return combine_features([p.transform(trial) for p in self.parts])
@@ -189,61 +244,73 @@ def make_extractor(config: PipelineConfig, fs_hz: float):
     return _EXTRACTORS[config.method](config, fs_hz)
 
 
-def fit_pipeline(train: TrialSet, config: PipelineConfig):
-    """Fit feature extractor and bagged classifier on a labeled TrialSet."""
-    labels = [t.label for t in train.trials]
+def _labels(trial_set: TrialSet, message: str) -> np.ndarray:
+    labels = trial_set.labels
     if any(y is None for y in labels):
-        raise ValueError("training set contains unlabeled trials")
-    extractor = make_extractor(config, train.sampling_rate_hz).fit(train.trials, labels)
-    features = [extractor.transform(t) for t in train.trials]
-    ensemble = fit_bagging(
-        features, labels,
+        raise ValueError(message)
+    return np.array(labels)
+
+
+def _prepare(extractor, trial_set: TrialSet):
+    return extractor.prepare([t.data for t in trial_set.trials])
+
+
+def _fit_rows(extractor, prepared, rows, labels, config: PipelineConfig) -> BaggingEnsemble:
+    """Fit `extractor`, then the bagged classifier, on the prepared `rows`."""
+    extractor.fit_rows(prepared, rows, labels)
+    return fit_bagging(
+        extractor.transform_rows(prepared, rows), labels[rows],
         rounds=config.ensemble.rounds,
         subset_fraction=config.ensemble.subset_fraction,
         seed=config.ensemble.seed,
     )
-    return extractor, ensemble
+
+
+def fit_pipeline(train: TrialSet, config: PipelineConfig):
+    """Fit feature extractor and bagged classifier on a labeled TrialSet."""
+    labels = _labels(train, "training set contains unlabeled trials")
+    extractor = make_extractor(config, train.sampling_rate_hz)
+    prepared = _prepare(extractor, train)
+    return extractor, _fit_rows(extractor, prepared, np.arange(len(train)), labels, config)
 
 
 def predict_set(extractor, ensemble: BaggingEnsemble, trial_set: TrialSet) -> np.ndarray:
+    """Predictions for each trial, each prepared on its own as it comes."""
     return np.array([
         bagging_predict(ensemble, extractor.transform(t)) for t in trial_set
     ])
 
 
-def _stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    neg = np.flatnonzero(labels == -1)
-    pos = np.flatnonzero(labels == 1)
-    if len(neg) < 2 or len(pos) < 2:
+def _cv_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
+    if (labels == -1).sum() < 2 or (labels == 1).sum() < 2:
         raise ValueError("too few trials per class for cross-validation")
     if folds < 2 or folds > len(labels):
         raise ValueError(f"cannot build {folds} folds from {len(labels)} trials")
-    out = [[] for _ in range(folds)]
-    for block in (neg, pos):
-        for i, idx in enumerate(rng.permutation(block)):
-            out[i % folds].append(idx)
-    return [np.array(sorted(f)) for f in out if f]
+    return stratified_folds(labels, folds, seed)
+
+
+def _cross_validate(extractor, prepared, labels, fold_list, config) -> tuple[float, float]:
+    accuracies = []
+    for fold in fold_list:
+        mask = np.ones(len(labels), dtype=bool)
+        mask[fold] = False
+        ensemble = _fit_rows(extractor, prepared, np.flatnonzero(mask), labels, config)
+        features = extractor.transform_rows(prepared, fold)
+        predicted = np.array([bagging_predict(ensemble, f) for f in features])
+        accuracy, _ = evaluate(predicted, labels[fold])
+        accuracies.append(accuracy)
+    return float(np.mean(accuracies)), float(np.std(accuracies))
 
 
 def cross_validate(
     train: TrialSet, config: PipelineConfig, folds: int = 10, seed: int = 0
 ) -> tuple[float, float]:
-    """Stratified k-fold with the full pipeline refit inside every fold."""
-    labels = np.array([t.label for t in train.trials])
-    if any(y is None for y in train.labels):
-        raise ValueError("cross-validation needs a fully labeled set")
-    accuracies = []
-    for fold in _stratified_folds(labels, folds, seed):
-        mask = np.ones(len(train), dtype=bool)
-        mask[fold] = False
-        fit_set = train.replace_trials([train.trials[i] for i in np.flatnonzero(mask)])
-        held = train.replace_trials([train.trials[i] for i in fold])
-        extractor, ensemble = fit_pipeline(fit_set, config)
-        predicted = predict_set(extractor, ensemble, held)
-        accuracy, _ = evaluate(predicted, labels[fold])
-        accuracies.append(accuracy)
-    return float(np.mean(accuracies)), float(np.std(accuracies))
+    """Stratified k-fold with the full pipeline refit inside every fold. The
+    set is prepared once, and each fold fits and predicts on its rows."""
+    labels = _labels(train, "cross-validation needs a fully labeled set")
+    fold_list = _cv_folds(labels, folds, seed)
+    extractor = make_extractor(config, train.sampling_rate_hz)
+    return _cross_validate(extractor, _prepare(extractor, train), labels, fold_list, config)
 
 
 @dataclass
@@ -302,13 +369,36 @@ def _score_predictions(report: EvalReport, predicted, trials):
             report.per_session[sid] = None
 
 
+def _usable_folds(train: TrialSet, folds: int) -> int:
+    labels = np.array(train.labels)
+    return min(folds, int((labels == -1).sum()), int((labels == 1).sum()))
+
+
 def _train_cv(report: EvalReport, train: TrialSet, config, folds, seed):
-    labels = np.array([t.label for t in train.trials])
-    usable_folds = min(folds, int((labels == -1).sum()), int((labels == 1).sum()))
+    usable_folds = _usable_folds(train, folds)
     if usable_folds >= 2:
         mean, std = cross_validate(train, config, usable_folds, seed)
         report.train_accuracy_mean = mean
         report.train_accuracy_std = std
+
+
+def _fit_with_cv(report: EvalReport, train: TrialSet, config, folds, seed):
+    """Prepare the train set once; cross-validate on it when each class has
+    two trials or more, as `_train_cv` does, then fit on all of it."""
+    usable_folds = _usable_folds(train, folds)
+    fold_list = []
+    if usable_folds >= 2:
+        labels = _labels(train, "cross-validation needs a fully labeled set")
+        fold_list = _cv_folds(labels, usable_folds, seed)
+    else:
+        labels = _labels(train, "training set contains unlabeled trials")
+    extractor = make_extractor(config, train.sampling_rate_hz)
+    prepared = _prepare(extractor, train)
+    if fold_list:
+        report.train_accuracy_mean, report.train_accuracy_std = _cross_validate(
+            extractor, prepared, labels, fold_list, config
+        )
+    return extractor, _fit_rows(extractor, prepared, np.arange(len(train)), labels, config)
 
 
 def run_static(
@@ -324,8 +414,7 @@ def run_static(
         result = grid_search(train, test.without_labels(), config.search, base=config)
         config = result.config
         report.chosen.append(_chosen_entry("static", result))
-    _train_cv(report, train, config, folds, cv_seed)
-    extractor, ensemble = fit_pipeline(train, config)
+    extractor, ensemble = _fit_with_cv(report, train, config, folds, cv_seed)
     predicted = predict_set(extractor, ensemble, test)
     _score_predictions(report, predicted, test.trials)
     return report

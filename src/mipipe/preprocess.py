@@ -6,7 +6,9 @@ reflect padding so interior samples are free of edge transients.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import signal
@@ -26,8 +28,30 @@ def _settle_samples(a: np.ndarray, tol: float = 1e-13) -> int:
     return int(np.ceil(np.log(tol) / np.log(r_max)))
 
 
-def _zero_phase(ba: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    b, a = ba
+class FilterDesign(NamedTuple):
+    """Butterworth coefficients, read-only, and the settle length of the
+    slowest pole (`_settle_samples`)."""
+
+    b: np.ndarray
+    a: np.ndarray
+    settle: int
+
+
+@functools.lru_cache(maxsize=256)
+def _butter(btype: str, order: int, fs_hz: float, edges_hz: tuple[float, ...]) -> FilterDesign:
+    """One memoised design: every trial of a chain, and every search
+    candidate of a band, uses the same few filters. The arrays are shared
+    by all callers, so they are made read-only."""
+    nyq = fs_hz / 2.0
+    wn = [e / nyq for e in edges_hz] if len(edges_hz) > 1 else edges_hz[0] / nyq
+    b, a = signal.butter(order, wn, btype=btype)
+    b.flags.writeable = False
+    a.flags.writeable = False
+    return FilterDesign(b, a, _settle_samples(a))
+
+
+def _zero_phase(design: FilterDesign, x: np.ndarray) -> np.ndarray:
+    b, a, settle = design
     min_len = 3 * max(len(a), len(b))
     if x.shape[-1] <= min_len:
         raise ValueError(
@@ -36,44 +60,41 @@ def _zero_phase(ba: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
         )
     # Gustafsson edge handling: forward-backward equals backward-forward,
     # which keeps interior samples transient-free on short epochs
-    irlen = min(_settle_samples(a), x.shape[-1] - 1)
+    irlen = min(settle, x.shape[-1] - 1)
     return signal.filtfilt(b, a, x, axis=-1, method="gust", irlen=irlen)
 
 
-def bandpass_ba(fs_hz: float, low_hz: float, high_hz: float):
+def bandpass_ba(fs_hz: float, low_hz: float, high_hz: float) -> FilterDesign:
+    """The (memoised) band-pass design for a band in Hz."""
     nyq = fs_hz / 2.0
     if not 0 < low_hz < high_hz < nyq:
         raise ValueError(
             f"invalid band ({low_hz}, {high_hz}) Hz for fs={fs_hz} Hz"
         )
-    return signal.butter(
-        BANDPASS_ORDER // 2, [low_hz / nyq, high_hz / nyq], btype="bandpass"
-    )
+    return _butter("bandpass", BANDPASS_ORDER // 2, fs_hz, (low_hz, high_hz))
 
 
 def bandpass_array(x: np.ndarray, fs_hz: float, low_hz: float, high_hz: float) -> np.ndarray:
     """Zero-phase band-pass of an array along its last axis.
 
-    Any leading shape is accepted, e.g. a batch of trials or a list of
-    equally shaped trial arrays. The filter is designed once and each 2-D
-    slab (one trial) is filtered on its own, because filtfilt allocates about
-    nine times its input in temporaries. A list or tuple is stacked into a
-    new array that is then filtered in place, so the batch exists once.
+    Any leading shape is accepted, e.g. a batch of trials. Each 2-D slab
+    (one trial) is filtered on its own, because filtfilt allocates about
+    nine times its input in temporaries.
     """
     batch = np.asarray(x, float)
-    ba = bandpass_ba(fs_hz, low_hz, high_hz)
+    design = bandpass_ba(fs_hz, low_hz, high_hz)
     if batch.ndim <= 2:
-        return _demeaned_zero_phase(ba, batch)
-    out = batch if isinstance(x, (list, tuple)) else np.empty_like(batch)
+        return _demeaned_zero_phase(design, batch)
+    out = np.empty_like(batch)
     for idx in np.ndindex(batch.shape[:-2]):
-        out[idx] = _demeaned_zero_phase(ba, batch[idx])
+        out[idx] = _demeaned_zero_phase(design, batch[idx])
     return out
 
 
-def _demeaned_zero_phase(ba, x: np.ndarray) -> np.ndarray:
+def _demeaned_zero_phase(design: FilterDesign, x: np.ndarray) -> np.ndarray:
     # the band-pass has zero DC gain; removing the mean up front avoids
     # edge transients from large offsets
-    return _zero_phase(ba, x - x.mean(axis=-1, keepdims=True))
+    return _zero_phase(design, x - x.mean(axis=-1, keepdims=True))
 
 
 def lowpass_array(x: np.ndarray, fs_hz: float, cutoff_hz: float) -> np.ndarray:
@@ -81,8 +102,8 @@ def lowpass_array(x: np.ndarray, fs_hz: float, cutoff_hz: float) -> np.ndarray:
     nyq = fs_hz / 2.0
     if not 0 < cutoff_hz < nyq:
         raise ValueError(f"invalid cutoff {cutoff_hz} Hz for fs={fs_hz} Hz")
-    ba = signal.butter(LOWPASS_ORDER, cutoff_hz / nyq, btype="lowpass")
-    return _zero_phase(ba, np.asarray(x, float))
+    design = _butter("lowpass", LOWPASS_ORDER, fs_hz, (cutoff_hz,))
+    return _zero_phase(design, np.asarray(x, float))
 
 
 def bandpass_zero_phase(trial: Trial, fs_hz: float, low_hz: float, high_hz: float) -> Trial:
@@ -95,9 +116,13 @@ def lowpass_zero_phase(trial: Trial, fs_hz: float, cutoff_hz: float) -> Trial:
 
 def common_average_reference(trial: Trial) -> Trial:
     """Subtract the instantaneous mean over channels from every channel."""
-    if trial.n_channels < 2:
+    return trial.with_data(_car(trial.data))
+
+
+def _car(x: np.ndarray) -> np.ndarray:
+    if x.shape[0] < 2:
         raise ValueError("common average reference needs >= 2 channels")
-    return trial.with_data(trial.data - trial.data.mean(axis=0, keepdims=True))
+    return x - x.mean(axis=0, keepdims=True)
 
 
 def _window_indices(n_samples: int, fs_hz: float, start_s: float, end_s: float):
@@ -117,15 +142,74 @@ def _window_indices(n_samples: int, fs_hz: float, start_s: float, end_s: float):
 
 def crop(trial: Trial, fs_hz: float, start_s: float, end_s: float) -> Trial:
     """Keep samples with start_s <= k/fs < end_s (sample k at time k/fs)."""
-    i0, i1 = _window_indices(trial.n_samples, fs_hz, start_s, end_s)
-    return trial.with_data(trial.data[:, i0:i1])
+    return trial.with_data(_crop(trial.data, fs_hz, (start_s, end_s)))
+
+
+def _crop(x: np.ndarray, fs_hz: float, window_s: tuple[float, float]) -> np.ndarray:
+    i0, i1 = _window_indices(x.shape[-1], fs_hz, *window_s)
+    return x[..., i0:i1]
 
 
 def baseline_correct(trial: Trial, fs_hz: float, window_s: tuple[float, float]) -> Trial:
     """Per channel, subtract the mean over the baseline window."""
-    i0, i1 = _window_indices(trial.n_samples, fs_hz, window_s[0], window_s[1])
-    baseline = trial.data[:, i0:i1].mean(axis=1, keepdims=True)
-    return trial.with_data(trial.data - baseline)
+    return trial.with_data(_baseline(trial.data, fs_hz, window_s))
+
+
+def _baseline(x: np.ndarray, fs_hz: float, window_s: tuple[float, float]) -> np.ndarray:
+    return x - _crop(x, fs_hz, window_s).mean(axis=-1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class Chain:
+    """One method's preprocessing, as data. `preprocess` runs the steps in
+    this order and skips those left as None or False."""
+
+    channels: tuple[int, ...] | None = None
+    car: bool = False
+    band_hz: tuple[float, float] | None = None
+    lowpass_hz: float | None = None
+    baseline_s: tuple[float, float] | None = None
+    window_s: tuple[float, float] | None = None
+
+
+def preprocess(x: np.ndarray, fs_hz: float, chain: Chain) -> np.ndarray:
+    """Run `chain` over one trial's (channels, samples) array.
+
+    The result is C-contiguous, like the data of a `Trial`, so every later
+    reduction sees the same memory layout as it does on a prepared `Trial`.
+    """
+    if chain.channels is not None:
+        x = x[list(chain.channels)]
+    if chain.car:
+        x = _car(x)
+    if chain.band_hz is not None:
+        x = bandpass_array(x, fs_hz, *chain.band_hz)
+    if chain.lowpass_hz is not None:
+        x = lowpass_array(x, fs_hz, chain.lowpass_hz)
+    if chain.baseline_s is not None:
+        x = _baseline(x, fs_hz, chain.baseline_s)
+    if chain.window_s is not None:
+        x = _crop(x, fs_hz, chain.window_s)
+    return np.ascontiguousarray(x)
+
+
+def preprocess_trials(trials: Sequence[np.ndarray], fs_hz: float, chain: Chain,
+                      reduce=None) -> np.ndarray:
+    """`reduce(preprocess(x))` of each trial array (the preprocessed array
+    itself when `reduce` is None), written into one preallocated
+    (n_trials, ...) array. Trials are processed one at a time, so only one
+    trial's filter temporaries are alive at once."""
+    if not len(trials):
+        raise ValueError("no trials to preprocess")
+    out = None
+    for i, x in enumerate(trials):
+        row = preprocess(x, fs_hz, chain)
+        if reduce is not None:
+            row = reduce(row)
+        if out is None:
+            out = np.empty((len(trials),) + np.shape(row))
+        out[i] = row
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,10 @@ from mipipe.classify import (
     BaggingEnsemble,
     LdaModel,
     bagging_predict,
-    bagging_scores,
     fit_bagging,
     fit_lda,
     lda_predict,
     lda_score,
-    load_model,
-    save_model,
 )
 
 
@@ -180,25 +177,3 @@ class TestBagging:
             for c in ensemble.components
         ])
         assert ens_acc >= comp_acc
-
-
-class TestSerialization:
-    def test_lda_roundtrip(self, tmp_path, rng):
-        x, y = symmetric_clusters(rng)
-        model = fit_lda(x, y)
-        save_model(model, tmp_path / "lda.json")
-        back = load_model(tmp_path / "lda.json")
-        assert np.max(np.abs(back.w - model.w)) <= 1e-12
-        assert abs(back.b - model.b) <= 1e-12
-
-    def test_bagging_roundtrip(self, tmp_path, rng):
-        x, y = symmetric_clusters(rng, n=20)
-        ensemble = fit_bagging(x, y, rounds=7, subset_fraction=0.4, seed=11)
-        save_model(ensemble, tmp_path / "ens.json")
-        back = load_model(tmp_path / "ens.json")
-        assert back.rounds == 7
-        assert back.subset_fraction == 0.4
-        assert back.seed == 11
-        probes = rng.normal(size=(20, 2))
-        for p in probes:
-            assert np.max(np.abs(bagging_scores(back, p) - bagging_scores(ensemble, p))) <= 1e-12

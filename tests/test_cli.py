@@ -249,6 +249,20 @@ class TestConfigAgainstArchive:
         assert "preprocess.band_hz" in err and "preprocess.window_s" in err
         assert "Traceback" not in err
 
+    def test_search_keeps_configured_channels(self, archive, tmp_path):
+        # a search without channel_sets searches (and fits on) the config's
+        # channels, so it predicts what a run at the chosen band does
+        band = {"preprocess": {"band_hz": [12, 14], "window_s": [0.5, 4.5]}}
+        search = {"search": {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]]}}
+        docs = {}
+        for name, doc in (("searched", search), ("fixed", band)):
+            out = tmp_path / name
+            out.mkdir()
+            assert self.run(archive, out, {"channels": [0, 1], **doc}) == EXIT_OK
+            docs[name] = json.loads((out / "out.json").read_text())
+        assert docs["searched"]["chosen"][0]["channels"] == [0, 1]
+        assert docs["searched"]["predicted_labels"] == docs["fixed"]["predicted_labels"]
+
     def test_sweep_supplies_csp_parameters(self, archive, tmp_path):
         search = {"bands_hz": [[8, 10], [12, 14]], "windows_s": [[0.5, 4.5]]}
         code = self.run(archive, tmp_path, {"preprocess": {}, "search": search})

@@ -10,6 +10,7 @@ from mipipe.data_model import (
     load_archive,
     save_archive,
     split,
+    stratified_folds,
 )
 from mipipe.errors import ArchiveError
 from mipipe.synthgen import SynthConfig, generate
@@ -179,3 +180,32 @@ def test_split_degenerate_errors():
         SplitSpec(0.0, "prefix")
     with pytest.raises(ValueError):
         SplitSpec(0.5, "bogus")
+
+
+# Fold lists of the two helpers stratified_folds replaced: the search's
+# round-robin one (seed None, k capped by the smaller class) and
+# cross-validation's seeded permutation.
+ALTERNATING = [-1, 1] * 5
+BLOCKS = [-1] * 4 + [1] * 7
+MIXED = [1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, 1, -1]
+
+
+@pytest.mark.parametrize("labels,k,seed,expected", [
+    (ALTERNATING, 5, None, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]),
+    (ALTERNATING, 3, None, [[0, 1, 6, 7], [2, 3, 8, 9], [4, 5]]),
+    (BLOCKS, 4, None, [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7]]),
+    (BLOCKS, 3, None, [[0, 3, 4, 7, 10], [1, 5, 8], [2, 6, 9]]),
+    (MIXED, 6, None, [[0, 2, 11], [1, 4], [3, 5], [6, 7], [8, 10], [9, 12]]),
+    (MIXED, 3, None, [[0, 2, 6, 7, 11], [1, 4, 8, 10], [3, 5, 9, 12]]),
+    (ALTERNATING, 3, 0, [[0, 1, 4, 9], [2, 3, 7, 8], [5, 6]]),
+    (ALTERNATING, 4, 7, [[1, 4, 5, 6], [0, 3], [8, 9], [2, 7]]),
+    (BLOCKS, 3, 0, [[2, 3, 4, 8, 10], [0, 7, 9], [1, 5, 6]]),
+    (BLOCKS, 4, 7, [[0, 4, 9], [2, 6, 10], [1, 5, 8], [3, 7]]),
+    (MIXED, 3, 0, [[3, 7, 8, 10, 11], [0, 2, 5, 9], [1, 4, 6, 12]]),
+    (MIXED, 4, 7, [[1, 4, 8, 12], [5, 6, 7, 11], [2, 3, 9], [0, 10]]),
+    # more folds than either class fills: the empty ones are dropped
+    ([-1, -1, 1, 1, 1], 5, 1, [[0, 2], [1, 3], [4]]),
+])
+def test_stratified_folds_pinned(labels, k, seed, expected):
+    folds = stratified_folds(np.array(labels), k, seed)
+    assert [f.tolist() for f in folds] == expected

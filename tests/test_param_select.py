@@ -12,7 +12,7 @@ from mipipe.param_select import (
     FEASIBILITY_THRESHOLD,
     N_BINS,
     PdfEstimate,
-    _stratified_folds,
+    _search_folds,
     class_balance_penalty,
     estimate_pdf,
     grid_search,
@@ -262,7 +262,7 @@ def _oracle_scores(train, test, band, window, channels, m):
     test_trials = _oracle_prep(test, band, window, channels)
     labels = np.array([t.label for t in train.trials])
     train_scores = np.empty(len(train_trials))
-    for fold in _stratified_folds(labels):
+    for fold in _search_folds(labels):
         mask = np.ones(len(train_trials), dtype=bool)
         mask[fold] = False
         fit_part = [train_trials[i] for i in np.flatnonzero(mask)]

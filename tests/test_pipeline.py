@@ -241,3 +241,125 @@ def test_predict_set_matches_manual(rng):
     predicted = predict_set(extractor, ensemble, test)
     assert predicted.shape == (len(test),)
     assert set(np.unique(predicted)) <= {-1, 1}
+
+
+# --- per-trial reference: the Trial-by-Trial chains the extractors replaced --
+
+def _reference_transform(method, config, fs, trials, labels):
+    """Fit one method trial by trial; return its transform (Trial -> array)."""
+    from mipipe.features import (ar_feature, csp_feature, fisher_scores, fit_csp,
+                                 lrp_feature, select_channels)
+    from mipipe.preprocess import (bandpass_zero_phase, baseline_correct,
+                                   common_average_reference, crop, lowpass_zero_phase)
+
+    if method == "combined":
+        parts = [_reference_transform(m, config, fs, trials, labels)
+                 for m in ("csp", "ar", "lrp")]
+        return lambda t: np.concatenate([part(t) for part in parts])
+
+    def pick(values):
+        if config.channels is not None:
+            return list(config.channels)
+        scores = fisher_scores(np.array(values), labels)
+        return select_channels(scores, min(config.n_select, len(scores)))
+
+    if method == "csp":
+        def prep(t):
+            if config.channels is not None:
+                t = t.with_data(t.data[list(config.channels)])
+            t = bandpass_zero_phase(t, fs, *config.preprocess.band_hz)
+            return crop(t, fs, *config.preprocess.window_s)
+        prepped = [prep(t) for t in trials]
+        model = fit_csp([p for p, y in zip(prepped, labels) if y == -1],
+                        [p for p, y in zip(prepped, labels) if y == 1], config.m)
+        return lambda t: csp_feature(model, prep(t)).values
+    if method == "ar":
+        def prep(t):
+            t = bandpass_zero_phase(common_average_reference(t), fs, *config.ar_band_hz)
+            return crop(t, fs, *config.preprocess.window_s)
+        selected = pick([np.log(prep(t).data.var(axis=1)) for t in trials])
+        return lambda t: ar_feature(prep(t), selected, config.ar_order).values
+
+    def prep(t):
+        t = lowpass_zero_phase(t, fs, config.lrp_lowpass_hz)
+        return baseline_correct(t, fs, config.lrp_baseline_window_s)
+    window = config.lrp_feature_window_s
+    selected = pick([lrp_feature(prep(t), range(t.n_channels), fs, window).values
+                     for t in trials])
+    return lambda t: lrp_feature(prep(t), selected, fs, window).values
+
+
+def _reference_fit(config, fs, trials, labels):
+    from mipipe.classify import bagging_predict, fit_bagging
+
+    transform = _reference_transform(config.method, config, fs, trials, labels)
+    ensemble = fit_bagging([transform(t) for t in trials], labels,
+                           rounds=config.ensemble.rounds,
+                           subset_fraction=config.ensemble.subset_fraction,
+                           seed=config.ensemble.seed)
+    return lambda t: bagging_predict(ensemble, transform(t))
+
+
+def _reference_cross_validate(ts, config, folds, seed):
+    from mipipe.data_model import stratified_folds
+
+    labels = np.array(ts.labels)
+    accuracies = []
+    for fold in stratified_folds(labels, folds, seed):
+        fit = [i for i in range(len(ts)) if i not in set(fold.tolist())]
+        predict = _reference_fit(config, ts.sampling_rate_hz,
+                                 [ts.trials[i] for i in fit], [ts.trials[i].label for i in fit])
+        accuracy, _ = evaluate([predict(ts.trials[i]) for i in fold], labels[fold])
+        accuracies.append(accuracy)
+    return float(np.mean(accuracies)), float(np.std(accuracies))
+
+
+@pytest.mark.parametrize("channels", [None, (0, 2)])
+@pytest.mark.parametrize("method", ["csp", "ar", "lrp", "combined"])
+def test_prepared_once_equals_per_trial_reference(method, channels):
+    ts = easy_set(seed=8, trials_per_session=30, lrp_slope_uv_per_s=2.0)
+    config = quiet_config(method, channels=channels)
+    # features of every trial, from an extractor fitted on some rows only
+    fit = np.arange(3, len(ts))
+    extractor = make_extractor(config, ts.sampling_rate_hz)
+    prepared = extractor.prepare([t.data for t in ts.trials])
+    extractor.fit_rows(prepared, fit, np.array(ts.labels))
+    transform = _reference_transform(method, config, ts.sampling_rate_hz,
+                                     [ts.trials[i] for i in fit],
+                                     [ts.trials[i].label for i in fit])
+    expected = np.array([transform(t) for t in ts.trials])
+    assert np.array_equal(extractor.transform_rows(prepared, np.arange(len(ts))), expected)
+    assert np.array_equal(extractor.transform(ts.trials[0]).values, expected[0])
+
+    assert cross_validate(ts, config, folds=5, seed=3) == \
+        _reference_cross_validate(ts, config, 5, 3)
+
+    train, test = split(ts, SplitSpec(0.5, "prefix"))
+    report = run_static(train, test, config, folds=4, cv_seed=1)
+    predict = _reference_fit(config, ts.sampling_rate_hz, train.trials, train.labels)
+    assert (report.train_accuracy_mean, report.train_accuracy_std) == \
+        _reference_cross_validate(train, config, 4, 1)
+    assert report.predicted_labels == [predict(t) for t in test.trials]
+
+
+@pytest.mark.parametrize("method,chains", [("csp", 1), ("combined", 3)])
+def test_each_trial_filtered_once_per_chain(monkeypatch, method, chains):
+    from mipipe import preprocess
+
+    ts = easy_set(seed=9, trials_per_session=40, lrp_slope_uv_per_s=2.0)
+    config = quiet_config(method)
+    calls = []
+    zero_phase = preprocess._zero_phase
+
+    def counting(design, x):
+        calls.append(x.shape)
+        return zero_phase(design, x)
+
+    monkeypatch.setattr(preprocess, "_zero_phase", counting)
+    if method == "csp":
+        cross_validate(ts, config, folds=5)
+        assert len(calls) == len(ts)
+        calls.clear()
+    train, test = split(ts, SplitSpec(0.2, "prefix"))
+    run_static(train, test, config, folds=5)
+    assert len(calls) == chains * len(ts)

@@ -59,7 +59,7 @@ def test_bandpass_batch_equals_per_trial(rng):
     assert out.shape == batch.shape
     for idx in np.ndindex(batch.shape[:-2]):
         assert np.array_equal(out[idx], bandpass_array(batch[idx], FS, 8.0, 30.0))
-    # a list of trials is stacked once and filtered in place; the input stays
+    # a list of equally shaped trials is stacked; the input stays
     trials = list(batch[0])
     kept = [t.copy() for t in trials]
     assert np.array_equal(bandpass_array(trials, FS, 8.0, 30.0), out[0])
@@ -209,3 +209,20 @@ def test_shape_and_metadata_preserved(rng):
         out = op(trial)
         assert out.data.shape == trial.data.shape
         assert (out.label, out.session_id, out.trial_index) == (1, 2, 5)
+
+
+def test_filter_designs_are_cached_read_only_butter():
+    from scipy import signal
+
+    from mipipe.preprocess import bandpass_ba, _butter
+
+    design = bandpass_ba(250.0, 8.0, 30.0)
+    b, a = signal.butter(2, [8.0 / 125.0, 30.0 / 125.0], btype="bandpass")
+    assert np.array_equal(design.b, b) and np.array_equal(design.a, a)
+    assert bandpass_ba(250.0, 8.0, 30.0) is design
+    low = _butter("lowpass", 4, FS, (1.5,))
+    b, a = signal.butter(4, 1.5 / (FS / 2.0), btype="lowpass")
+    assert np.array_equal(low.b, b) and np.array_equal(low.a, a)
+    for arr in (design.b, design.a, low.b, low.a):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
