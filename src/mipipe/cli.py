@@ -23,7 +23,7 @@ from .config import (
 )
 from .data_model import SplitSpec, TrialSet, load_archive, save_archive, split
 from .errors import ArchiveError, ConfigError, RankDeficientError
-from .pipeline import cross_validate, run_adaptive, run_static
+from .pipeline import cross_validate, run_adaptive, run_static, sweep_fractions
 from .synthgen import generate, synth_config_from_dict
 
 EXIT_OK = 0
@@ -37,9 +37,12 @@ def _read_json(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"unparseable config file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return doc
 
 
 def _resolve_seed(flag_seed) -> int | None:
@@ -170,20 +173,7 @@ def cmd_sweep_fractions(args) -> int:
     for f in fractions:
         if not 0 < f < 1:
             raise ConfigError(f"fraction {f} outside (0, 1)")
-    rows = []
-    for method in methods:
-        method_config = config.replace(method=method)
-        for fraction in fractions:
-            train, test = split(data, SplitSpec(fraction, "prefix"))
-            report = run_static(train, test, method_config)
-            rows.append({
-                "method": method,
-                "train_fraction": fraction,
-                "n_train": len(train),
-                "n_test": len(test),
-                "test_accuracy": report.test_accuracy,
-                "train_accuracy_mean": report.train_accuracy_mean,
-            })
+    rows = sweep_fractions(data, config, methods, fractions)
     doc = {"rows": rows, "config": pipeline_config_to_dict(config)}
     _write_report(args.report, doc)
     _write_manifest(args.report, "fig1", args, doc["config"], seed)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 from .preprocess import PreprocessConfig
@@ -107,20 +107,29 @@ def _pair(value, name):
     return (float(value[0]), float(value[1]))
 
 
+def _object(doc, where: str, cls) -> dict:
+    """`doc`, checked to be a JSON object whose keys are fields of `cls`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
+    return doc
+
+
 def preprocess_from_dict(doc: dict) -> PreprocessConfig:
+    doc = _object(doc, "preprocess", PreprocessConfig)
     try:
         return PreprocessConfig(
             band_hz=_pair(doc.get("band_hz"), "band_hz"),
-            lowpass_hz=doc.get("lowpass_hz"),
-            spatial_ref=doc.get("spatial_ref", "none"),
             window_s=_pair(doc.get("window_s"), "window_s"),
-            baseline_window_s=_pair(doc.get("baseline_window_s"), "baseline_window_s"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def search_from_dict(doc: dict) -> SearchSpace:
+    doc = _object(doc, "search", SearchSpace)
     channel_sets = doc.get("channel_sets")
     if channel_sets is None:
         channel_sets = (None,)
@@ -138,16 +147,9 @@ def search_from_dict(doc: dict) -> SearchSpace:
 
 def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
     """Build a PipelineConfig from parsed JSON, naming the offending field."""
-    known = {
-        "method", "preprocess", "m", "ar_order", "ar_band_hz", "lrp_lowpass_hz",
-        "lrp_baseline_window_s", "lrp_feature_window_s", "n_select", "channels",
-        "ensemble", "adapt", "search",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    doc = _object(doc, "config", PipelineConfig)
     try:
-        ens = doc.get("ensemble", {})
+        ens = _object(doc.get("ensemble", {}), "ensemble", EnsembleConfig)
         return PipelineConfig(
             method=doc.get("method", "csp"),
             preprocess=preprocess_from_dict(doc.get("preprocess", {

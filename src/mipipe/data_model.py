@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -191,6 +192,34 @@ def _trial_filename(session_id: int, trial_index: int) -> str:
     return f"s{session_id:02d}_t{trial_index:03d}.csv"
 
 
+# rows per `%` call when writing a matrix file, so long trials stay bounded
+WRITE_BLOCK_ROWS = 4096
+
+
+def _write_matrix(fpath: Path, x: np.ndarray) -> None:
+    """Write a (samples, channels) matrix as CSV, byte for byte what
+    ``np.savetxt(fpath, x, fmt="%.17g", delimiter=",")`` writes (%.17g
+    round-trips float64 exactly), with one `%` per block of rows."""
+    row = ",".join(["%.17g"] * x.shape[1]) + "\n"
+    with open(fpath, "w") as fh:
+        for i in range(0, len(x), WRITE_BLOCK_ROWS):
+            block = x[i:i + WRITE_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _read_matrix(fpath: Path) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fpath, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ArchiveError(f"{fpath}: unreadable matrix file: {exc}") from exc
+    if data.size == 0:
+        raise ArchiveError(f"{fpath}: empty matrix file")
+    return data
+
+
 def save_archive(trial_set: TrialSet, path) -> None:
     """Write a trial archive directory (meta.json + one CSV per trial)."""
     seen = set()
@@ -211,8 +240,7 @@ def save_archive(trial_set: TrialSet, path) -> None:
         sessions.setdefault(trial.session_id, []).append(
             {"file": fname, "label": label}
         )
-        # %.17g round-trips float64 exactly
-        np.savetxt(path / fname, trial.data.T, fmt="%.17g", delimiter=",")
+        _write_matrix(path / fname, trial.data.T)
     meta = {
         "version": ARCHIVE_VERSION,
         "sampling_rate_hz": trial_set.sampling_rate_hz,
@@ -222,6 +250,39 @@ def save_archive(trial_set: TrialSet, path) -> None:
         ],
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=2))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_meta(meta, meta_path: Path) -> None:
+    """Raise ArchiveError naming `meta_path` unless `meta` has every key of
+    the archive format, each of the right JSON type."""
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ArchiveError(f"{meta_path}: {what}")
+
+    need(isinstance(meta, dict), "must hold a JSON object")
+    need(meta.get("version") == ARCHIVE_VERSION,
+         f"unknown format version {meta.get('version')!r}")
+    labels = meta.get("channel_labels")
+    need(isinstance(labels, list) and all(isinstance(c, str) for c in labels),
+         "channel_labels must be a list of strings")
+    rate = meta.get("sampling_rate_hz")
+    need(isinstance(rate, (int, float)) and not isinstance(rate, bool)
+         and math.isfinite(rate) and rate > 0,
+         "sampling_rate_hz must be a positive number")
+    sessions = meta.get("sessions")
+    need(isinstance(sessions, list), "sessions must be a list")
+    for session in sessions:
+        need(isinstance(session, dict) and _is_int(session.get("id"))
+             and isinstance(session.get("trials"), list),
+             "each session needs an integer id and a list of trials")
+        for entry in session["trials"]:
+            need(isinstance(entry, dict) and isinstance(entry.get("file"), str)
+                 and "label" in entry and isinstance(entry["label"], (str, type(None))),
+                 "each trial entry needs a file name and a label (string or null)")
 
 
 def load_archive(path) -> TrialSet:
@@ -234,10 +295,7 @@ def load_archive(path) -> TrialSet:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"unparseable metadata file {meta_path}: {exc}") from exc
-    if meta.get("version") != ARCHIVE_VERSION:
-        raise ArchiveError(
-            f"{meta_path}: unknown format version {meta.get('version')!r}"
-        )
+    _check_meta(meta, meta_path)
     channel_labels = meta["channel_labels"]
     n_ch = len(channel_labels)
     trials = []
@@ -247,7 +305,7 @@ def load_archive(path) -> TrialSet:
             fpath = path / entry["file"]
             if not fpath.exists():
                 raise ArchiveError(f"missing trial file {fpath}")
-            data = np.loadtxt(fpath, delimiter=",", ndmin=2)
+            data = _read_matrix(fpath)
             if data.shape[1] != n_ch:
                 raise ArchiveError(
                     f"{fpath}: {data.shape[1]} columns but metadata declares "
@@ -262,7 +320,10 @@ def load_archive(path) -> TrialSet:
                 label = int(raw)
             else:
                 raise ArchiveError(f"{fpath}: unknown label {raw!r} in metadata")
-            trials.append(Trial(data.T, label, sid, idx))
+            try:
+                trials.append(Trial(data.T, label, sid, idx))
+            except ValueError as exc:
+                raise ArchiveError(f"{fpath}: {exc}") from exc
     try:
         return TrialSet(tuple(trials), meta["sampling_rate_hz"], channel_labels)
     except ValueError as exc:

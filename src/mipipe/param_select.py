@@ -22,7 +22,7 @@ from .features import (
     csp_from_trial_covariances,
     csp_log_shares,
 )
-from .preprocess import Chain, _window_indices, preprocess_trials
+from .preprocess import Chain, PreprocessConfig, _window_indices, preprocess_trials
 
 N_BINS = 40
 FEASIBILITY_THRESHOLD = 0.15
@@ -256,13 +256,7 @@ def grid_search(
         )
 
     config = base.replace(
-        preprocess=base.preprocess.__class__(
-            band_hz=winner["band_hz"],
-            lowpass_hz=base.preprocess.lowpass_hz,
-            spatial_ref=base.preprocess.spatial_ref,
-            window_s=winner["window_s"],
-            baseline_window_s=base.preprocess.baseline_window_s,
-        ),
+        preprocess=PreprocessConfig(band_hz=winner["band_hz"], window_s=winner["window_s"]),
         m=winner["m"],
         channels=winner["channels"],
     )

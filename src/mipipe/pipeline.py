@@ -56,12 +56,25 @@ def evaluate(predicted: Sequence[int], true: Sequence[int]):
 class _Extractor:
     """A feature extractor in two steps. `prepare` runs the method's chains
     over a trial set once and keeps per trial what any fit needs, reading no
-    label. `fit_rows(prepared, rows, labels)`, with one label per prepared
-    trial, and `transform_rows(prepared, rows)` then work on row indices of
-    what `prepare` returned, so every cross-validation fold shares one
-    preparation. `fit` and `transform` prepare and use whole trials."""
+    label. `fit_rows(prepared, rows, labels)`, with `labels` indexed by row,
+    and `transform_rows(prepared, rows)` then work on row indices of what
+    `prepare` returned, so every cross-validation fold, fit and prediction
+    shares one preparation. `fit` and `transform` prepare and use whole
+    trials."""
 
     method = ""
+
+    def part_key(self):
+        """What `prepare` reads besides the trials and their sampling rate."""
+        return type(self), self.chain
+
+    def prepare_shared(self, trials: Sequence[np.ndarray], cache: dict):
+        """`prepare(trials)`, made once per distinct part: `cache` holds the
+        preparations of this one list of trials by `part_key`."""
+        key = self.part_key()
+        if key not in cache:
+            cache[key] = self.prepare(trials)
+        return cache[key]
 
     def fit(self, trials: Sequence[Trial], labels: Sequence[int]):
         prepared = self.prepare([t.data for t in trials])
@@ -122,6 +135,9 @@ class ArExtractor(_Extractor):
         self.chain = Chain(car=True, band_hz=config.ar_band_hz,
                            window_s=config.preprocess.window_s)
         self.selected = None
+
+    def part_key(self):
+        return type(self), self.chain, self.config.ar_order
 
     def prepare(self, trials: Sequence[np.ndarray]):
         """Per trial and channel, the log band power followed by
@@ -219,6 +235,9 @@ class CombinedExtractor(_Extractor):
     def prepare(self, trials: Sequence[np.ndarray]) -> list:
         return [part.prepare(trials) for part in self.parts]
 
+    def prepare_shared(self, trials: Sequence[np.ndarray], cache: dict) -> list:
+        return [part.prepare_shared(trials, cache) for part in self.parts]
+
     def fit_rows(self, prepared, rows, labels):
         for part, part_prepared in zip(self.parts, prepared):
             part.fit_rows(part_prepared, rows, labels)
@@ -275,10 +294,15 @@ def fit_pipeline(train: TrialSet, config: PipelineConfig):
 
 
 def predict_set(extractor, ensemble: BaggingEnsemble, trial_set: TrialSet) -> np.ndarray:
-    """Predictions for each trial, each prepared on its own as it comes."""
-    return np.array([
-        bagging_predict(ensemble, extractor.transform(t)) for t in trial_set
-    ])
+    """Predictions for each trial of a set, prepared once."""
+    rows = np.arange(len(trial_set))
+    prepared = _prepare(extractor, trial_set) if len(rows) else None
+    return _predict_rows(extractor, ensemble, prepared, rows)
+
+
+def _predict_rows(extractor, ensemble: BaggingEnsemble, prepared, rows) -> np.ndarray:
+    features = extractor.transform_rows(prepared, rows) if len(rows) else []
+    return np.array([bagging_predict(ensemble, f) for f in features])
 
 
 def _cv_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
@@ -295,8 +319,7 @@ def _cross_validate(extractor, prepared, labels, fold_list, config) -> tuple[flo
         mask = np.ones(len(labels), dtype=bool)
         mask[fold] = False
         ensemble = _fit_rows(extractor, prepared, np.flatnonzero(mask), labels, config)
-        features = extractor.transform_rows(prepared, fold)
-        predicted = np.array([bagging_predict(ensemble, f) for f in features])
+        predicted = _predict_rows(extractor, ensemble, prepared, fold)
         accuracy, _ = evaluate(predicted, labels[fold])
         accuracies.append(accuracy)
     return float(np.mean(accuracies)), float(np.std(accuracies))
@@ -382,23 +405,28 @@ def _train_cv(report: EvalReport, train: TrialSet, config, folds, seed):
         report.train_accuracy_std = std
 
 
-def _fit_with_cv(report: EvalReport, train: TrialSet, config, folds, seed):
-    """Prepare the train set once; cross-validate on it when each class has
-    two trials or more, as `_train_cv` does, then fit on all of it."""
+def _fit_predict(train: TrialSet, test: TrialSet, config: PipelineConfig, cache: dict,
+                 folds: int = 0, cv_seed: int = 0):
+    """Fit on `train` and predict `test`, prepared together: in `cache`, rows
+    [0, len(train)) are the train trials and the rest the test trials. When
+    each class has two trials or more, and `folds` is 2 or more, the train
+    rows are cross-validated first, as `_train_cv` does. Returns the
+    predictions and the cross-validated (mean, std), or None."""
     usable_folds = _usable_folds(train, folds)
     fold_list = []
     if usable_folds >= 2:
         labels = _labels(train, "cross-validation needs a fully labeled set")
-        fold_list = _cv_folds(labels, usable_folds, seed)
+        fold_list = _cv_folds(labels, usable_folds, cv_seed)
     else:
         labels = _labels(train, "training set contains unlabeled trials")
     extractor = make_extractor(config, train.sampling_rate_hz)
-    prepared = _prepare(extractor, train)
+    prepared = extractor.prepare_shared([t.data for t in train.trials + test.trials], cache)
+    cv = None
     if fold_list:
-        report.train_accuracy_mean, report.train_accuracy_std = _cross_validate(
-            extractor, prepared, labels, fold_list, config
-        )
-    return extractor, _fit_rows(extractor, prepared, np.arange(len(train)), labels, config)
+        cv = _cross_validate(extractor, prepared, labels, fold_list, config)
+    ensemble = _fit_rows(extractor, prepared, np.arange(len(train)), labels, config)
+    test_rows = np.arange(len(train), len(train) + len(test))
+    return _predict_rows(extractor, ensemble, prepared, test_rows), cv
 
 
 def run_static(
@@ -408,16 +436,52 @@ def run_static(
     folds: int = 10,
     cv_seed: int = 0,
 ) -> EvalReport:
-    """Optional transductive search, then fit on train and predict test."""
+    """Optional transductive search, then fit on train and predict test.
+    Train and test trials are prepared together, once per chain."""
+    return _run_static(train, test, config, {}, folds, cv_seed)
+
+
+def _run_static(train, test, config, cache, folds=10, cv_seed=0) -> EvalReport:
+    """`run_static`, preparing through `cache` (see `_fit_predict`)."""
     report = EvalReport(method=config.method)
     if config.search is not None:
         result = grid_search(train, test.without_labels(), config.search, base=config)
         config = result.config
         report.chosen.append(_chosen_entry("static", result))
-    extractor, ensemble = _fit_with_cv(report, train, config, folds, cv_seed)
-    predicted = predict_set(extractor, ensemble, test)
+    predicted, cv = _fit_predict(train, test, config, cache, folds, cv_seed)
+    if cv is not None:
+        report.train_accuracy_mean, report.train_accuracy_std = cv
     _score_predictions(report, predicted, test.trials)
     return report
+
+
+def sweep_fractions(
+    data: TrialSet,
+    config: PipelineConfig,
+    methods: Sequence[str],
+    fractions: Sequence[float],
+) -> list[dict]:
+    """The fig1 table: `run_static` on the prefix split at each training
+    fraction, for each method, one row per pair. The train then test trials
+    of every such split are the whole recording in order, so each distinct
+    part (`part_key`) is prepared once over it and shared by all methods and
+    fractions; a searched chain is prepared when a split first chooses it."""
+    cache: dict = {}
+    rows = []
+    for method in methods:
+        method_config = config.replace(method=method)
+        for fraction in fractions:
+            train, test = split(data, SplitSpec(fraction, "prefix"))
+            report = _run_static(train, test, method_config, cache)
+            rows.append({
+                "method": method,
+                "train_fraction": fraction,
+                "n_train": len(train),
+                "n_test": len(test),
+                "test_accuracy": report.test_accuracy,
+                "train_accuracy_mean": report.train_accuracy_mean,
+            })
+    return rows
 
 
 def run_adaptive(
@@ -455,8 +519,8 @@ def run_adaptive(
                                  base=config)
             cfg = result.config
             report.chosen.append(_chosen_entry(phase, result))
-        extractor, ensemble = fit_pipeline(train_ts, cfg)
-        return predict_set(extractor, ensemble, block)
+        predicted, _ = _fit_predict(train_ts, block, cfg, {})
+        return predicted
 
     session1_rest = [t for t in rest.trials if t.session_id == sessions[0]]
     if session1_rest:

@@ -214,18 +214,13 @@ def preprocess_trials(trials: Sequence[np.ndarray], fs_hz: float, chain: Chain,
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Preprocessing parameters. The CSP chain uses band_hz and window_s;
-    no extractor reads the other fields yet."""
+    """The CSP chain's band and window; the AR chain crops to the same
+    window."""
 
     band_hz: tuple[float, float] | None = None
-    lowpass_hz: float | None = None
-    spatial_ref: str = "none"  # "none" or "CAR"
     window_s: tuple[float, float] | None = None
-    baseline_window_s: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.spatial_ref not in ("none", "CAR"):
-            raise ValueError(f"unknown spatial_ref {self.spatial_ref!r}")
         if self.band_hz is not None and not self.band_hz[0] < self.band_hz[1]:
             raise ValueError("band_hz must satisfy low < high")
 

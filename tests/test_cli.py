@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -291,6 +292,64 @@ class TestFig1:
                      "--report", str(tmp_path / "fig1.json")])
         assert code == EXIT_CONFIG
         assert "1.5" in capsys.readouterr().err
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+    return err
+
+
+class TestTypedErrors:
+    """Malformed configs exit 2, malformed archives 3, each with one line."""
+
+    @pytest.fixture
+    def copy(self, archive, tmp_path):
+        out = tmp_path / "arch"
+        shutil.copytree(archive, out)
+        return out
+
+    @pytest.mark.parametrize("command", ["synth", "crossval"])
+    @pytest.mark.parametrize("doc", [[1, 2], 3, "csp", None])
+    def test_config_not_an_object(self, archive, tmp_path, capsys, command, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        if command == "synth":
+            args = ["synth", "--out", str(tmp_path / "new"), "--config", cfg]
+        else:
+            args = ["crossval", "--data", str(archive), "--config", cfg,
+                    "--report", str(tmp_path / "cv.json")]
+        assert main(args) == EXIT_CONFIG
+        assert "must hold a JSON object" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m.pop("channel_labels"),
+        lambda m: m.pop("sessions"),
+        lambda m: m.pop("sampling_rate_hz"),
+        lambda m: m["sessions"][0]["trials"][3].pop("file"),
+        lambda m: m["sessions"][0]["trials"][3].pop("label"),
+        lambda m: m["sessions"][0].pop("id"),
+        lambda m: m.update(sampling_rate_hz="100"),
+        lambda m: m.update(channel_labels="C3"),
+        lambda m: m["sessions"][0].update(trials={}),
+    ], ids=["no_channel_labels", "no_sessions", "no_rate", "no_file", "no_label",
+            "no_session_id", "rate_string", "labels_string", "trials_object"])
+    def test_meta_schema(self, copy, tmp_path, capsys, mutate):
+        meta_path = copy / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        mutate(meta)
+        meta_path.write_text(json.dumps(meta))
+        code = main(["crossval", "--data", str(copy), "--report", str(tmp_path / "cv.json")])
+        assert code == EXIT_IO
+        assert "meta.json" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("content", ["1,2,3,x\n", "1,2,3,4\n1,2\n", ""],
+                             ids=["non_numeric", "ragged", "empty"])
+    def test_unparseable_matrix_file(self, copy, tmp_path, capsys, content):
+        (copy / "s01_t005.csv").write_text(content)
+        code = main(["crossval", "--data", str(copy), "--report", str(tmp_path / "cv.json")])
+        assert code == EXIT_IO
+        assert "s01_t005.csv" in one_line_error(capsys)
 
 
 class TestParser:

@@ -1,0 +1,35 @@
+import pytest
+
+from mipipe.config import pipeline_config_from_dict, pipeline_config_to_dict
+from mipipe.errors import ConfigError
+
+SEARCH = {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]]}
+
+
+@pytest.mark.parametrize("doc,where,names", [
+    ({"preprocess": {"band_hz": [12, 14], "band": [1, 2], "spatial_ref": "CAR"}},
+     "preprocess", ["band", "spatial_ref"]),
+    ({"preprocess": {"lowpass_hz": 5, "baseline_window_s": [0, 0.5]}},
+     "preprocess", ["baseline_window_s", "lowpass_hz"]),
+    ({"ensemble": {"rounds": 3, "round": 3}}, "ensemble", ["round"]),
+    ({"search": {**SEARCH, "band_hz": [[8, 10]]}}, "search", ["band_hz"]),
+    ({"m": 1, "bogus": 2}, "config", ["bogus"]),
+])
+def test_unknown_keys_rejected_by_name(doc, where, names):
+    with pytest.raises(ConfigError) as info:
+        pipeline_config_from_dict(doc)
+    assert str(info.value) == f"unknown {where} fields: {names}"
+
+
+@pytest.mark.parametrize("key", ["preprocess", "ensemble", "search"])
+def test_sub_object_must_be_an_object(key):
+    with pytest.raises(ConfigError, match=f"{key} must be a JSON object"):
+        pipeline_config_from_dict({key: [1, 2]})
+
+
+def test_echo_holds_only_fields_the_pipeline_reads():
+    config = pipeline_config_from_dict({"search": SEARCH})
+    doc = pipeline_config_to_dict(config)
+    assert doc["preprocess"] == {"band_hz": (12.0, 14.0), "window_s": (0.5, 4.5)}
+    assert set(doc["ensemble"]) == {"rounds", "subset_fraction", "seed"}
+    assert set(doc["search"]) == {"bands_hz", "windows_s", "channel_sets", "m_values"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mipipe.data_model import (
+    WRITE_BLOCK_ROWS,
     SplitSpec,
     Trial,
     TrialSet,
@@ -11,6 +12,7 @@ from mipipe.data_model import (
     save_archive,
     split,
     stratified_folds,
+    _write_matrix,
 )
 from mipipe.errors import ArchiveError
 from mipipe.synthgen import SynthConfig, generate
@@ -130,6 +132,19 @@ def test_nonfinite_value_names_file(tmp_path):
     bad.write_text(bad.read_text().replace("1", "nan", 1))
     with pytest.raises(ArchiveError, match=r"s01_t000\.csv"):
         load_archive(tmp_path / "arch")
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(0).normal(scale=30.0, size=(1250, 8)),
+    np.random.default_rng(1).normal(size=(2 * WRITE_BLOCK_ROWS + 3, 1)),  # 3 blocks
+    np.array([[-0.0, 0.0, 5e-324],
+              [-2.2250738585072014e-308, 1e-310, 1.7976931348623157e308],
+              [-1e300, 1.0 / 3.0, 123456789.0]]),
+], ids=["random", "one_channel", "signed_zero_subnormal_huge"])
+def test_matrix_file_bytes_equal_savetxt(tmp_path, x):
+    _write_matrix(tmp_path / "fast.csv", x)
+    np.savetxt(tmp_path / "ref.csv", x, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _dummy_set(n, sessions=1):

@@ -13,6 +13,7 @@ from mipipe.pipeline import (
     predict_set,
     run_adaptive,
     run_static,
+    sweep_fractions,
 )
 from mipipe.synthgen import SynthConfig, generate
 
@@ -363,3 +364,58 @@ def test_each_trial_filtered_once_per_chain(monkeypatch, method, chains):
     train, test = split(ts, SplitSpec(0.2, "prefix"))
     run_static(train, test, config, folds=5)
     assert len(calls) == chains * len(ts)
+
+
+@pytest.mark.parametrize("channels", [None, (0, 2)])
+def test_sweep_fractions_equals_per_split_reference(channels):
+    ts = easy_set(seed=10, trials_per_session=30, lrp_slope_uv_per_s=2.0)
+    config = quiet_config(channels=channels)
+    methods, fractions = ["csp", "ar", "lrp", "combined"], [0.3, 0.6]
+    expected = []
+    for method in methods:
+        method_config = config.replace(method=method)
+        for fraction in fractions:
+            train, test = split(ts, SplitSpec(fraction, "prefix"))
+            labels = np.array(train.labels)
+            folds = min(10, (labels == -1).sum(), (labels == 1).sum())
+            predict = _reference_fit(method_config, ts.sampling_rate_hz,
+                                     train.trials, train.labels)
+            accuracy, _ = evaluate([predict(t) for t in test.trials], test.labels)
+            expected.append({
+                "method": method, "train_fraction": fraction,
+                "n_train": len(train), "n_test": len(test),
+                "test_accuracy": accuracy,
+                "train_accuracy_mean": _reference_cross_validate(
+                    train, method_config, folds, 0)[0],
+            })
+    assert sweep_fractions(ts, config, methods, fractions) == expected
+
+
+def test_sweep_fractions_prepares_each_chain_once(monkeypatch):
+    from mipipe import pipeline, preprocess
+
+    ts = easy_set(seed=11, trials_per_session=30, lrp_slope_uv_per_s=2.0)
+    filtered, ar_fits = [], []
+    zero_phase, fit_ar = preprocess._zero_phase, pipeline.fit_ar
+
+    def counting_zero_phase(design, x):
+        filtered.append(x.shape)
+        return zero_phase(design, x)
+
+    def counting_fit_ar(series, p):
+        ar_fits.append(len(series))
+        return fit_ar(series, p)
+
+    monkeypatch.setattr(preprocess, "_zero_phase", counting_zero_phase)
+    monkeypatch.setattr(pipeline, "fit_ar", counting_fit_ar)
+    # csp, ar and lrp chains; combined reuses all three
+    sweep_fractions(ts, quiet_config(), ["csp", "ar", "lrp", "combined"], [0.3, 0.6])
+    assert len(filtered) == 3 * len(ts)
+    assert len(ar_fits) == len(ts) * ts.n_channels
+
+    filtered.clear()
+    ar_fits.clear()
+    train, test = split(ts, SplitSpec(0.2, "prefix"))
+    run_static(train, test, quiet_config("ar"), folds=5)
+    assert len(filtered) == len(ts)
+    assert len(ar_fits) == len(ts) * ts.n_channels
