@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
+from .data_model import _is_int
 from .errors import ConfigError
 from .preprocess import PreprocessConfig
 
@@ -81,7 +82,6 @@ class PipelineConfig:
     n_select: int = 2
     channels: tuple[int, ...] | None = None
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    adapt: bool = False
     search: SearchSpace | None = None
 
     def __post_init__(self):
@@ -105,6 +105,14 @@ def _pair(value, name):
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{name} must be a [low, high] pair")
     return (float(value[0]), float(value[1]))
+
+
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer (a bool is not), else a ConfigError
+    naming the field."""
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _object(doc, where: str, cls) -> dict:
@@ -135,13 +143,14 @@ def search_from_dict(doc: dict) -> SearchSpace:
         channel_sets = (None,)
     else:
         channel_sets = tuple(
-            None if cs is None else tuple(int(c) for c in cs) for cs in channel_sets
+            None if cs is None else tuple(json_int(c, "search.channel_sets") for c in cs)
+            for cs in channel_sets
         )
     return SearchSpace(
         bands_hz=tuple(_pair(b, "band candidate") for b in doc["bands_hz"]),
         windows_s=tuple(_pair(w, "window candidate") for w in doc["windows_s"]),
         channel_sets=channel_sets,
-        m_values=tuple(int(m) for m in doc.get("m_values", (1,))),
+        m_values=tuple(json_int(m, "search.m_values") for m in doc.get("m_values", (1,))),
     )
 
 
@@ -155,23 +164,22 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
             preprocess=preprocess_from_dict(doc.get("preprocess", {
                 "band_hz": [12.0, 14.0], "window_s": [0.5, 4.5],
             })),
-            m=int(doc.get("m", 1)),
-            ar_order=int(doc.get("ar_order", 7)),
+            m=json_int(doc.get("m", 1), "m"),
+            ar_order=json_int(doc.get("ar_order", 7), "ar_order"),
             ar_band_hz=_pair(doc.get("ar_band_hz", (8.0, 35.0)), "ar_band_hz"),
             lrp_lowpass_hz=float(doc.get("lrp_lowpass_hz", 1.5)),
             lrp_baseline_window_s=_pair(
                 doc.get("lrp_baseline_window_s", (0.0, 0.5)), "lrp_baseline_window_s"),
             lrp_feature_window_s=_pair(
                 doc.get("lrp_feature_window_s", (0.5, 1.5)), "lrp_feature_window_s"),
-            n_select=int(doc.get("n_select", 2)),
+            n_select=json_int(doc.get("n_select", 2), "n_select"),
             channels=None if doc.get("channels") is None
-            else tuple(int(c) for c in doc["channels"]),
+            else tuple(json_int(c, "channels") for c in doc["channels"]),
             ensemble=EnsembleConfig(
-                rounds=int(ens.get("rounds", 50)),
+                rounds=json_int(ens.get("rounds", 50), "ensemble.rounds"),
                 subset_fraction=float(ens.get("subset_fraction", 0.5)),
-                seed=int(ens.get("seed", 0)),
+                seed=json_int(ens.get("seed", 0), "ensemble.seed"),
             ),
-            adapt=bool(doc.get("adapt", False)),
             search=None if doc.get("search") is None else search_from_dict(doc["search"]),
         )
     except (TypeError, ValueError, KeyError) as exc:

@@ -10,10 +10,9 @@ import numpy as np
 
 from .classify import BaggingEnsemble, bagging_predict, fit_bagging
 from .config import PipelineConfig
-from .data_model import SplitSpec, Trial, TrialSet, split, stratified_folds
+from .data_model import SplitSpec, TrialSet, split, stratified_folds
 from .errors import ConfigError
 from .features import (
-    FeatureVector,
     check_csp_shares,
     csp_from_trial_covariances,
     csp_log_shares,
@@ -26,15 +25,6 @@ from .preprocess import Chain, preprocess_trials
 # not used here: perfbench/selftest.py checks that the tracer rebinds this
 # name in pipeline, so it stays importable until that test picks another
 from .preprocess import bandpass_zero_phase  # noqa: F401
-
-
-def combine_features(parts: Sequence[FeatureVector]) -> FeatureVector:
-    """Concatenate per-method feature vectors into one combined vector."""
-    if not parts:
-        raise ValueError("no feature vectors to combine")
-    if len(parts) == 1:
-        return parts[0]
-    return FeatureVector(np.concatenate([p.values for p in parts]), "combined")
 
 
 def evaluate(predicted: Sequence[int], true: Sequence[int]):
@@ -59,8 +49,7 @@ class _Extractor:
     label. `fit_rows(prepared, rows, labels)`, with `labels` indexed by row,
     and `transform_rows(prepared, rows)` then work on row indices of what
     `prepare` returned, so every cross-validation fold, fit and prediction
-    shares one preparation. `fit` and `transform` prepare and use whole
-    trials."""
+    shares one preparation."""
 
     method = ""
 
@@ -75,14 +64,6 @@ class _Extractor:
         if key not in cache:
             cache[key] = self.prepare(trials)
         return cache[key]
-
-    def fit(self, trials: Sequence[Trial], labels: Sequence[int]):
-        prepared = self.prepare([t.data for t in trials])
-        return self.fit_rows(prepared, np.arange(len(trials)), np.asarray(labels))
-
-    def transform(self, trial: Trial) -> FeatureVector:
-        values = self.transform_rows(self.prepare([trial.data]), [0])[0]
-        return FeatureVector(values, self.method)
 
 
 class CspExtractor(_Extractor):
@@ -247,9 +228,6 @@ class CombinedExtractor(_Extractor):
         return np.hstack([part.transform_rows(part_prepared, rows)
                           for part, part_prepared in zip(self.parts, prepared)])
 
-    def transform(self, trial: Trial) -> FeatureVector:
-        return combine_features([p.transform(trial) for p in self.parts])
-
 
 _EXTRACTORS = {
     "csp": CspExtractor,
@@ -270,10 +248,6 @@ def _labels(trial_set: TrialSet, message: str) -> np.ndarray:
     return np.array(labels)
 
 
-def _prepare(extractor, trial_set: TrialSet):
-    return extractor.prepare([t.data for t in trial_set.trials])
-
-
 def _fit_rows(extractor, prepared, rows, labels, config: PipelineConfig) -> BaggingEnsemble:
     """Fit `extractor`, then the bagged classifier, on the prepared `rows`."""
     extractor.fit_rows(prepared, rows, labels)
@@ -283,21 +257,6 @@ def _fit_rows(extractor, prepared, rows, labels, config: PipelineConfig) -> Bagg
         subset_fraction=config.ensemble.subset_fraction,
         seed=config.ensemble.seed,
     )
-
-
-def fit_pipeline(train: TrialSet, config: PipelineConfig):
-    """Fit feature extractor and bagged classifier on a labeled TrialSet."""
-    labels = _labels(train, "training set contains unlabeled trials")
-    extractor = make_extractor(config, train.sampling_rate_hz)
-    prepared = _prepare(extractor, train)
-    return extractor, _fit_rows(extractor, prepared, np.arange(len(train)), labels, config)
-
-
-def predict_set(extractor, ensemble: BaggingEnsemble, trial_set: TrialSet) -> np.ndarray:
-    """Predictions for each trial of a set, prepared once."""
-    rows = np.arange(len(trial_set))
-    prepared = _prepare(extractor, trial_set) if len(rows) else None
-    return _predict_rows(extractor, ensemble, prepared, rows)
 
 
 def _predict_rows(extractor, ensemble: BaggingEnsemble, prepared, rows) -> np.ndarray:
@@ -333,7 +292,8 @@ def cross_validate(
     labels = _labels(train, "cross-validation needs a fully labeled set")
     fold_list = _cv_folds(labels, folds, seed)
     extractor = make_extractor(config, train.sampling_rate_hz)
-    return _cross_validate(extractor, _prepare(extractor, train), labels, fold_list, config)
+    prepared = extractor.prepare([t.data for t in train.trials])
+    return _cross_validate(extractor, prepared, labels, fold_list, config)
 
 
 @dataclass
@@ -373,18 +333,23 @@ def _chosen_entry(phase: str, result) -> dict:
     }
 
 
-def _score_predictions(report: EvalReport, predicted, trials):
-    """Fill accuracy fields from whatever true labels are available."""
+def _truth(trial_set: TrialSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's true label (0 where it has none) and session id."""
+    return (np.array([0 if t.label is None else t.label for t in trial_set.trials]),
+            np.array([t.session_id for t in trial_set.trials]))
+
+
+def _score_predictions(report: EvalReport, predicted, true, sessions):
+    """Fill accuracy fields from whatever true labels are available: `true`
+    holds 0 for a trial with none, `sessions` each trial's session id."""
     report.predicted_labels = [int(p) for p in predicted]
-    true = np.array([t.label if t.label is not None else 0 for t in trials])
     labeled = true != 0
     if labeled.any():
         acc, confusion = evaluate(predicted[labeled], true[labeled])
         report.test_accuracy = acc
         report.confusion = confusion.tolist()
-    for sid in sorted({t.session_id for t in trials}):
-        in_session = np.array([t.session_id == sid for t in trials])
-        usable = in_session & labeled
+    for sid in sorted(set(sessions.tolist())):
+        usable = (sessions == sid) & labeled
         if usable.any():
             acc, _ = evaluate(predicted[usable], true[usable])
             report.per_session[sid] = acc
@@ -392,40 +357,34 @@ def _score_predictions(report: EvalReport, predicted, trials):
             report.per_session[sid] = None
 
 
-def _usable_folds(train: TrialSet, folds: int) -> int:
-    labels = np.array(train.labels)
+def _usable_folds(labels: np.ndarray, folds: int) -> int:
     return min(folds, int((labels == -1).sum()), int((labels == 1).sum()))
 
 
 def _train_cv(report: EvalReport, train: TrialSet, config, folds, seed):
-    usable_folds = _usable_folds(train, folds)
+    usable_folds = _usable_folds(np.array(train.labels), folds)
     if usable_folds >= 2:
         mean, std = cross_validate(train, config, usable_folds, seed)
         report.train_accuracy_mean = mean
         report.train_accuracy_std = std
 
 
-def _fit_predict(train: TrialSet, test: TrialSet, config: PipelineConfig, cache: dict,
-                 folds: int = 0, cv_seed: int = 0):
-    """Fit on `train` and predict `test`, prepared together: in `cache`, rows
-    [0, len(train)) are the train trials and the rest the test trials. When
-    each class has two trials or more, and `folds` is 2 or more, the train
+def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
+                 config: PipelineConfig, cache: dict, folds: int = 0, cv_seed: int = 0):
+    """Fit on rows [0, len(labels)) of `data` under `labels`, then predict
+    `test_rows`. `cache` holds the preparations of `data`'s trials by
+    `part_key`, so each part is prepared once however many fits share it.
+    When each class has two trials or more, and `folds` is 2 or more, the fit
     rows are cross-validated first, as `_train_cv` does. Returns the
     predictions and the cross-validated (mean, std), or None."""
-    usable_folds = _usable_folds(train, folds)
-    fold_list = []
-    if usable_folds >= 2:
-        labels = _labels(train, "cross-validation needs a fully labeled set")
-        fold_list = _cv_folds(labels, usable_folds, cv_seed)
-    else:
-        labels = _labels(train, "training set contains unlabeled trials")
-    extractor = make_extractor(config, train.sampling_rate_hz)
-    prepared = extractor.prepare_shared([t.data for t in train.trials + test.trials], cache)
+    usable_folds = _usable_folds(labels, folds)
+    fold_list = _cv_folds(labels, usable_folds, cv_seed) if usable_folds >= 2 else []
+    extractor = make_extractor(config, data.sampling_rate_hz)
+    prepared = extractor.prepare_shared([t.data for t in data.trials], cache)
     cv = None
     if fold_list:
         cv = _cross_validate(extractor, prepared, labels, fold_list, config)
-    ensemble = _fit_rows(extractor, prepared, np.arange(len(train)), labels, config)
-    test_rows = np.arange(len(train), len(train) + len(test))
+    ensemble = _fit_rows(extractor, prepared, np.arange(len(labels)), labels, config)
     return _predict_rows(extractor, ensemble, prepared, test_rows), cv
 
 
@@ -442,16 +401,22 @@ def run_static(
 
 
 def _run_static(train, test, config, cache, folds=10, cv_seed=0) -> EvalReport:
-    """`run_static`, preparing through `cache` (see `_fit_predict`)."""
+    """`run_static`, preparing through `cache` the train then test trials
+    (see `_fit_predict`)."""
     report = EvalReport(method=config.method)
     if config.search is not None:
         result = grid_search(train, test.without_labels(), config.search, base=config)
         config = result.config
         report.chosen.append(_chosen_entry("static", result))
-    predicted, cv = _fit_predict(train, test, config, cache, folds, cv_seed)
+    labels = _labels(train, "cross-validation needs a fully labeled set"
+                     if _usable_folds(np.array(train.labels), folds) >= 2
+                     else "training set contains unlabeled trials")
+    data = train.replace_trials(train.trials + test.trials)
+    predicted, cv = _fit_predict(data, labels, np.arange(len(train), len(data)),
+                                 config, cache, folds, cv_seed)
     if cv is not None:
         report.train_accuracy_mean, report.train_accuracy_std = cv
-    _score_predictions(report, predicted, test.trials)
+    _score_predictions(report, predicted, *_truth(test))
     return report
 
 
@@ -495,47 +460,45 @@ def run_adaptive(
 
     The initial labeled set (within session 1) classifies the rest of session
     1; each later session is classified after extending the training set with
-    all previously predicted trials under their frozen pseudo-labels.
+    all previously predicted trials under their frozen pseudo-labels. The
+    training set and every block are a prefix of the recording in order, so
+    without a search every block fits and predicts rows of one preparation of
+    the recording; with one, each block's chosen chain is prepared over the
+    rows up to the block's end.
     """
     sessions = data.session_ids
     if len(sessions) < 2:
         raise ValueError("adaptive classification needs >= 2 sessions")
-    train0, rest = split(data, initial_train)
+    train0, _ = split(data, initial_train)
     if any(t.session_id != sessions[0] for t in train0.trials):
         raise ValueError("initial training set must lie within the first session")
 
     report = EvalReport(method=config.method)
     _train_cv(report, train0, config, folds, cv_seed)
 
-    pseudo: list[Trial] = []
-    predicted_all: list[int] = []
-    target_trials: list[Trial] = []
-
-    def classify_block(train_trials, block: TrialSet, phase: str):
-        train_ts = data.replace_trials(train_trials)
-        cfg = config
+    true, session_of = _truth(data)
+    labels = _labels(train0, "training set contains unlabeled trials")
+    cache: dict = {}
+    for sid in sessions:
+        # each block runs to the end of its session; the first is the rest
+        # of session 1, skipped when the initial set covers all of it
+        end = int(np.searchsorted(session_of, sid, side="right"))
+        if end == len(labels):
+            continue
+        rows = np.arange(len(labels), end)
+        cfg, fit_data, fit_cache = config, data, cache
         if config.search is not None:
-            result = grid_search(train_ts, block.without_labels(), config.search,
-                                 base=config)
+            train = data.replace_trials(
+                [t.with_label(int(y)) for t, y in zip(data.trials, labels)])
+            block = data.replace_trials(data.trials[len(labels):end]).without_labels()
+            result = grid_search(train, block, config.search, base=config)
             cfg = result.config
+            phase = "session1" if sid == sessions[0] else f"session{sid}"
             report.chosen.append(_chosen_entry(phase, result))
-        predicted, _ = _fit_predict(train_ts, block, cfg, {})
-        return predicted
+            fit_data, fit_cache = data.replace_trials(data.trials[:end]), {}
+        predicted, _ = _fit_predict(fit_data, labels, rows, cfg, fit_cache)
+        labels = np.concatenate([labels, predicted])
 
-    session1_rest = [t for t in rest.trials if t.session_id == sessions[0]]
-    if session1_rest:
-        block = data.replace_trials(session1_rest)
-        predicted = classify_block(list(train0.trials), block, "session1")
-        pseudo.extend(t.with_label(int(p)) for t, p in zip(session1_rest, predicted))
-        predicted_all.extend(int(p) for p in predicted)
-        target_trials.extend(session1_rest)
-
-    for sid in sessions[1:]:
-        block = data.session(sid)
-        predicted = classify_block(list(train0.trials) + pseudo, block, f"session{sid}")
-        pseudo.extend(t.with_label(int(p)) for t, p in zip(block.trials, predicted))
-        predicted_all.extend(int(p) for p in predicted)
-        target_trials.extend(block.trials)
-
-    _score_predictions(report, np.array(predicted_all), target_trials)
+    k = len(train0)
+    _score_predictions(report, labels[k:], true[k:], session_of[k:])
     return report

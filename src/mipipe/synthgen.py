@@ -8,10 +8,11 @@ from session to session, plus white sensor noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import json_int
 from .data_model import Trial, TrialSet
 from .errors import ConfigError
 from .preprocess import bandpass_array, lowpass_array
@@ -122,6 +123,10 @@ def synth_config_from_dict(doc: dict) -> SynthConfig:
     if unknown:
         raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
     kwargs = dict(doc)
+    # field types are strings here (from __future__ import annotations)
+    for f in fields(SynthConfig):
+        if f.type == "int" and f.name in kwargs:
+            json_int(kwargs[f.name], f.name)
     for key in ("rhythm_band_hz",):
         if key in kwargs:
             kwargs[key] = tuple(float(x) for x in kwargs[key])

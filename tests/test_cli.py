@@ -322,6 +322,32 @@ class TestTypedErrors:
         assert main(args) == EXIT_CONFIG
         assert "must hold a JSON object" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("command,doc,name", [
+        ("synth", {"n_channels": 4.0}, "n_channels"),
+        ("synth", {"seed": 1.5}, "seed"),
+        ("synth", {"trials_per_session": True}, "trials_per_session"),
+        ("crossval", {"m": True}, "m"),
+        ("crossval", {"ar_order": "7"}, "ar_order"),
+        ("crossval", {"n_select": 2.0}, "n_select"),
+        ("crossval", {"ensemble": {"rounds": 50.9}}, "ensemble.rounds"),
+        ("crossval", {"ensemble": {"seed": 0.5}}, "ensemble.seed"),
+        ("crossval", {"channels": [0, 1.0]}, "channels"),
+        ("crossval", {"search": {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]],
+                                 "channel_sets": [[0, "1"]]}}, "search.channel_sets"),
+        ("crossval", {"search": {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]],
+                                 "m_values": [1.5]}}, "search.m_values"),
+    ])
+    def test_integer_fields_reject_other_values(self, archive, tmp_path, capsys,
+                                                command, doc, name):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        if command == "synth":
+            args = ["synth", "--out", str(tmp_path / "new"), "--config", cfg]
+        else:
+            args = ["crossval", "--data", str(archive), "--config", cfg,
+                    "--report", str(tmp_path / "cv.json")]
+        assert main(args) == EXIT_CONFIG
+        assert f"{name} must be an integer" in one_line_error(capsys)
+
     @pytest.mark.parametrize("mutate", [
         lambda m: m.pop("channel_labels"),
         lambda m: m.pop("sessions"),

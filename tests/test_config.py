@@ -14,6 +14,7 @@ SEARCH = {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]]}
     ({"ensemble": {"rounds": 3, "round": 3}}, "ensemble", ["round"]),
     ({"search": {**SEARCH, "band_hz": [[8, 10]]}}, "search", ["band_hz"]),
     ({"m": 1, "bogus": 2}, "config", ["bogus"]),
+    ({"adapt": True}, "config", ["adapt"]),
 ])
 def test_unknown_keys_rejected_by_name(doc, where, names):
     with pytest.raises(ConfigError) as info:

@@ -3,14 +3,10 @@ import pytest
 
 from mipipe.config import EnsembleConfig, PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, split
-from mipipe.features import FeatureVector
 from mipipe.pipeline import (
-    combine_features,
     cross_validate,
     evaluate,
-    fit_pipeline,
     make_extractor,
-    predict_set,
     run_adaptive,
     run_static,
     sweep_fractions,
@@ -66,25 +62,12 @@ class TestEvaluate:
             evaluate([1, 1], [1, 2])
 
 
-class TestCombineFeatures:
-    def test_concatenation_order(self):
-        a = FeatureVector(np.array([1.0, 2.0, 3.0]), "csp")
-        b = FeatureVector(np.array([4.0, 5.0]), "ar")
-        combined = combine_features([a, b])
-        assert combined.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert combined.method == "combined"
-
-    def test_single_passthrough(self):
-        a = FeatureVector(np.array([1.0]), "lrp")
-        assert combine_features([a]) is a
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            combine_features([])
-
-    def test_dimensions_add(self, rng):
-        parts = [FeatureVector(rng.normal(size=k), "x") for k in (2, 16, 2)]
-        assert len(combine_features(parts).values) == 20
+def fitted_extractor(ts, config):
+    """An extractor fitted on every row of `ts`, and its preparation."""
+    extractor = make_extractor(config, ts.sampling_rate_hz)
+    prepared = extractor.prepare([t.data for t in ts.trials])
+    extractor.fit_rows(prepared, np.arange(len(ts)), np.array(ts.labels))
+    return extractor, prepared
 
 
 class TestExtractors:
@@ -96,17 +79,12 @@ class TestExtractors:
     ])
     def test_feature_dimensions(self, method, expected_dim):
         ts = easy_set(lrp_slope_uv_per_s=2.0)
-        config = quiet_config(method)
-        extractor = make_extractor(config, ts.sampling_rate_hz)
-        extractor.fit(ts.trials, [t.label for t in ts.trials])
-        vec = extractor.transform(ts.trials[0])
-        assert vec.values.shape == (expected_dim,)
+        extractor, prepared = fitted_extractor(ts, quiet_config(method))
+        assert extractor.transform_rows(prepared, np.array([0])).shape == (1, expected_dim)
 
     def test_explicit_channels_respected(self):
         ts = easy_set()
-        config = quiet_config("ar", channels=(0, 3))
-        extractor = make_extractor(config, ts.sampling_rate_hz)
-        extractor.fit(ts.trials, [t.label for t in ts.trials])
+        extractor, _ = fitted_extractor(ts, quiet_config("ar", channels=(0, 3)))
         assert list(extractor.selected) == [0, 3]
 
 
@@ -178,8 +156,8 @@ class TestRunStatic:
     def test_fit_pipeline_rejects_unlabeled_train(self):
         ts = easy_set()
         broken = ts.replace_trials([t.with_label(None) for t in ts.trials])
-        with pytest.raises(ValueError):
-            fit_pipeline(broken, quiet_config())
+        with pytest.raises(ValueError, match="training set contains unlabeled trials"):
+            run_static(broken, ts, quiet_config())
 
 
 class TestRunAdaptive:
@@ -233,15 +211,6 @@ class TestRunAdaptive:
         assert doc["method"] == "csp"
         assert doc["per_session"].keys() == {"1", "2"}
         assert len(doc["predicted_labels"]) == 30
-
-
-def test_predict_set_matches_manual(rng):
-    ts = easy_set(seed=7)
-    train, test = split(ts, SplitSpec(0.5, "prefix"))
-    extractor, ensemble = fit_pipeline(train, quiet_config())
-    predicted = predict_set(extractor, ensemble, test)
-    assert predicted.shape == (len(test),)
-    assert set(np.unique(predicted)) <= {-1, 1}
 
 
 # --- per-trial reference: the Trial-by-Trial chains the extractors replaced --
@@ -330,7 +299,6 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
                                      [ts.trials[i].label for i in fit])
     expected = np.array([transform(t) for t in ts.trials])
     assert np.array_equal(extractor.transform_rows(prepared, np.arange(len(ts))), expected)
-    assert np.array_equal(extractor.transform(ts.trials[0]).values, expected[0])
 
     assert cross_validate(ts, config, folds=5, seed=3) == \
         _reference_cross_validate(ts, config, 5, 3)
@@ -419,3 +387,61 @@ def test_sweep_fractions_prepares_each_chain_once(monkeypatch):
     run_static(train, test, quiet_config("ar"), folds=5)
     assert len(filtered) == len(ts)
     assert len(ar_fits) == len(ts) * ts.n_channels
+
+
+@pytest.mark.parametrize("channels", [None, (0, 2)])
+@pytest.mark.parametrize("method", ["csp", "ar", "lrp", "combined"])
+def test_run_adaptive_equals_per_block_reference(method, channels):
+    ts = easy_set(seed=12, n_sessions=3, trials_per_session=12, lrp_slope_uv_per_s=2.0)
+    config = quiet_config(method, channels=channels)
+    k = 6
+    report = run_adaptive(ts, SplitSpec(k / len(ts), "prefix"), config, folds=5)
+
+    # the rest of session 1, then each later session, fitted trial by trial
+    # on the initial split plus the frozen pseudo-labels before it
+    fs = ts.sampling_rate_hz
+    train0 = ts.replace_trials(ts.trials[:k])
+    labels = list(train0.labels)
+    for end in (12, 24, 36):
+        predict = _reference_fit(config, fs, ts.trials[:len(labels)], labels)
+        labels += [predict(t) for t in ts.trials[len(labels):end]]
+    predicted, true = labels[k:], ts.labels[k:]
+
+    assert report.predicted_labels == predicted
+    accuracy, confusion = evaluate(predicted, true)
+    assert (report.test_accuracy, report.confusion) == (accuracy, confusion.tolist())
+    assert report.per_session == {
+        sid: evaluate(predicted[lo - k:hi - k], true[lo - k:hi - k])[0]
+        for sid, lo, hi in ((1, k, 12), (2, 12, 24), (3, 24, 36))
+    }
+    assert (report.train_accuracy_mean, report.train_accuracy_std) == \
+        _reference_cross_validate(train0, config, 3, 0)
+
+
+@pytest.mark.parametrize("method,chains,fits_ar", [
+    ("csp", 1, False), ("ar", 1, True), ("combined", 3, True),
+])
+def test_run_adaptive_prepares_the_archive_once(monkeypatch, method, chains, fits_ar):
+    from mipipe import pipeline, preprocess
+
+    ts = easy_set(seed=13, n_sessions=4, trials_per_session=12, lrp_slope_uv_per_s=2.0)
+    filtered, ar_fits = [], []
+    zero_phase, fit_ar = preprocess._zero_phase, pipeline.fit_ar
+
+    def counting_zero_phase(design, x):
+        filtered.append(x.shape)
+        return zero_phase(design, x)
+
+    def counting_fit_ar(series, p):
+        ar_fits.append(len(series))
+        return fit_ar(series, p)
+
+    monkeypatch.setattr(preprocess, "_zero_phase", counting_zero_phase)
+    monkeypatch.setattr(pipeline, "fit_ar", counting_fit_ar)
+    n, k = len(ts), 8
+    report = run_adaptive(ts, SplitSpec(k / n, "prefix"), quiet_config(method), folds=5)
+    assert len(report.predicted_labels) == n - k
+    # the initial cross-validation prepares the k labelled trials, and every
+    # block indexes one preparation of all n
+    assert len(filtered) == chains * (n + k)
+    assert len(ar_fits) == ((n + k) * ts.n_channels if fits_ar else 0)

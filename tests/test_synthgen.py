@@ -4,7 +4,7 @@ import pytest
 from mipipe.config import EnsembleConfig, PipelineConfig
 from mipipe.data_model import SplitSpec, split
 from mipipe.errors import ConfigError
-from mipipe.pipeline import fit_pipeline, predict_set
+from mipipe.pipeline import run_static
 from mipipe.preprocess import bandpass_array
 from mipipe.synthgen import SynthConfig, generate, synth_config_from_dict
 
@@ -14,10 +14,7 @@ def classify_split(ts, method="csp", **config_kwargs):
     config = PipelineConfig(
         method=method, ensemble=EnsembleConfig(rounds=5, seed=0), **config_kwargs
     )
-    extractor, ensemble = fit_pipeline(train, config)
-    predicted = predict_set(extractor, ensemble, test)
-    true = np.array([t.label for t in test.trials])
-    return 100.0 * float(np.mean(predicted == true))
+    return run_static(train, test, config, folds=0).test_accuracy
 
 
 def test_shapes_labels_and_sessions():
