@@ -481,7 +481,7 @@ def run_adaptive(
     cache: dict = {}
     for sid in sessions:
         # each block runs to the end of its session; the first is the rest
-        # of session 1, skipped when the initial set covers all of it
+        # of the first session, skipped when the initial set covers all of it
         end = int(np.searchsorted(session_of, sid, side="right"))
         if end == len(labels):
             continue
@@ -493,8 +493,7 @@ def run_adaptive(
             block = data.replace_trials(data.trials[len(labels):end]).without_labels()
             result = grid_search(train, block, config.search, base=config)
             cfg = result.config
-            phase = "session1" if sid == sessions[0] else f"session{sid}"
-            report.chosen.append(_chosen_entry(phase, result))
+            report.chosen.append(_chosen_entry(f"session{sid}", result))
             fit_data, fit_cache = data.replace_trials(data.trials[:end]), {}
         predicted, _ = _fit_predict(fit_data, labels, rows, cfg, fit_cache)
         labels = np.concatenate([labels, predicted])

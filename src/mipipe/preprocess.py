@@ -1,7 +1,11 @@
 """Temporal filtering, spatial referencing, epoch cropping and baseline removal.
 
-All filters are Butterworth, applied forward-backward for zero phase, with
-reflect padding so interior samples are free of edge transients.
+All filters are Butterworth, applied forward-backward for zero phase with
+Gustafsson's initial conditions, so interior samples are free of edge
+transients. The design and the filter are numpy ports of scipy's
+`signal.butter` and `signal.filtfilt(method="gust")` that give the same bits;
+of scipy only `linalg.lstsq` is used, since importing `scipy.signal` costs a
+process more than a second.
 """
 
 from __future__ import annotations
@@ -11,12 +15,17 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import signal
+from scipy import linalg
 
 from .data_model import Trial
 
 BANDPASS_ORDER = 4  # transfer-function order; doubled by forward-backward pass
 LOWPASS_ORDER = 4
+# values (rows x samples) filtered at once: a block pays the Python loop over
+# samples once for all its rows, and a chain's temporaries come to about six
+# blocks (some 25 MB)
+BLOCK_VALUES = 1 << 19
+_CHUNK_SAMPLES = 32  # samples whose products b * x are formed in one call
 
 
 def _settle_samples(a: np.ndarray, tol: float = 1e-13) -> int:
@@ -37,6 +46,56 @@ class FilterDesign(NamedTuple):
     settle: int
 
 
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """scipy.signal's `poly`: the monic polynomial with these roots, one
+    convolution per root, made real when the roots pair up as conjugates."""
+    coeffs = np.ones((1,), dtype=roots.dtype)
+    one = np.ones_like(roots[0])
+    for root in roots:
+        coeffs = np.convolve(coeffs, np.stack((one, -root)), mode="full")
+    if np.iscomplexobj(coeffs):
+        roots = np.asarray(roots, dtype=np.complex128)
+        if np.all(np.sort(np.imag(roots)) == np.sort(np.imag(np.conj(roots)))):
+            coeffs = np.asarray(np.real(coeffs), copy=True)
+    return coeffs
+
+
+def _butter_ba(order: int, wn, btype: str) -> tuple[np.ndarray, np.ndarray]:
+    """`signal.butter(order, wn, btype)` for "lowpass" and "bandpass", in
+    scipy's operation order: the analog prototype (`buttap`), the
+    frequency transform (`lp2lp_zpk` or `lp2bp_zpk`), `bilinear_zpk`, then
+    `zpk2tf`."""
+    wn = np.asarray(wn, dtype=np.float64)
+    z = np.asarray([], dtype=np.float64)
+    p = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=np.float64)
+                / (2 * order))
+    k = 1.0
+    fs = 2.0
+    warped = 2 * fs * np.tan(np.pi * wn / fs)
+    if btype == "lowpass":
+        wo = float(warped)
+        degree = len(p) - len(z)
+        z, p, k = wo * z, wo * p, k * wo**degree
+    else:  # bandpass
+        bw = float(warped[1] - warped[0])
+        wo = float(np.sqrt(warped[0] * warped[1]))
+        degree = len(p) - len(z)
+        z_lp = (z * bw / 2).astype(np.complex128)
+        p_lp = (p * bw / 2).astype(np.complex128)
+        z = np.concatenate((z_lp + np.sqrt(z_lp**2 - wo**2),
+                            z_lp - np.sqrt(z_lp**2 - wo**2), np.zeros(degree)))
+        p = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2),
+                            p_lp - np.sqrt(p_lp**2 - wo**2)))
+        k = k * bw**degree
+    degree = len(p) - len(z)
+    fs2 = 2.0 * fs
+    k = k * np.real(np.prod(fs2 - z) / np.prod(fs2 - p))
+    z = np.concatenate(((fs2 + z) / (fs2 - z), -np.ones(degree)))
+    p = (fs2 + p) / (fs2 - p)
+    k = np.atleast_1d(np.asarray(k, dtype=np.result_type(np.real(z), np.real(p), k)))
+    return np.multiply(k, _poly(z)), np.atleast_1d(_poly(p))
+
+
 @functools.lru_cache(maxsize=256)
 def _butter(btype: str, order: int, fs_hz: float, edges_hz: tuple[float, ...]) -> FilterDesign:
     """One memoised design: every trial of a chain, and every search
@@ -44,24 +103,153 @@ def _butter(btype: str, order: int, fs_hz: float, edges_hz: tuple[float, ...]) -
     by all callers, so they are made read-only."""
     nyq = fs_hz / 2.0
     wn = [e / nyq for e in edges_hz] if len(edges_hz) > 1 else edges_hz[0] / nyq
-    b, a = signal.butter(order, wn, btype=btype)
+    b, a = _butter_ba(order, wn, btype)
+    # scipy's lfilter divides b and a by a[0], and `_lfilter` does not
+    assert a[0] == 1.0 and len(b) == len(a)
     b.flags.writeable = False
     a.flags.writeable = False
     return FilterDesign(b, a, _settle_samples(a))
 
 
-def _zero_phase(design: FilterDesign, x: np.ndarray) -> np.ndarray:
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi=None) -> None:
+    """`signal.lfilter(b, a, x, zi=zi)` of a (rows, samples) array, in place,
+    in the operation order of scipy's direct form II transposed loop:
+
+        y = z[0] + b[0] x;  z[i] = (z[i+1] + b[i+1] x) - a[i+1] y
+
+    and for the last state z[n-1] = b[n] x - a[n] y. Each row is filtered on
+    its own, so batching rows changes no bit. The loop runs over samples
+    with every row at once, on chunks of samples transposed to (samples,
+    rows).
+    """
+    order = len(a) - 1
+    rows, n = x.shape
+    z = np.zeros((order, rows))
+    if zi is not None:
+        z[...] = zi
+    # scalar coefficients keep every call below on numpy's fast
+    # contiguous-times-scalar path, which broadcasting an array would leave
+    b_coeffs, a_coeffs = [float(v) for v in b], [float(v) for v in a[1:]]
+    work = np.empty((min(_CHUNK_SAMPLES, n), order + 1, rows))
+    x_t = np.empty((len(work), rows))
+    a_y = np.empty((order, rows))
+    a_terms = list(zip(a_y, a_coeffs))
+    # per sample of a chunk: the state terms, the output and the update terms
+    steps = [(w[:order], w[0], w[1:]) for w in work]
+    for k0 in range(0, n, len(work)):
+        chunk = x[:, k0:k0 + len(work)]
+        terms, chunk_t = work[:chunk.shape[1]], x_t[:chunk.shape[1]]
+        chunk_t[...] = chunk.T
+        for i, coeff in enumerate(b_coeffs):
+            np.multiply(chunk_t, coeff, out=terms[:, i])
+        for state_terms, y, update_terms in steps[:len(terms)]:
+            np.add(state_terms, z, out=state_terms)
+            for a_y_i, coeff in a_terms:
+                np.multiply(y, coeff, out=a_y_i)
+            np.subtract(update_terms, a_y, out=z)
+        chunk[...] = terms[:, 0].T
+
+
+@functools.lru_cache(maxsize=64)
+def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
+    """Gustafsson's M and W (`signal._filtfilt_gust`) for m edge samples,
+    over the whole signal when `whole`; read-only, shared by all callers."""
+    b, a = np.array(b), np.array(a)
+    order = len(a) - 1
+    # Obs propagates an initial state to the output under zero input
+    obs = np.zeros((m, order))
+    zi = np.zeros((order, 1))
+    zi[0] = 1
+    impulse = np.zeros((1, m))
+    _lfilter(b, a, impulse, zi)
+    obs[:, 0] = impulse[0]
+    for k in range(1, order):
+        obs[k:, k] = obs[:-k, 0]
+    obs_r = obs[::-1]
+    s = obs[::-1].copy()
+    _lfilter(b, a, s.T)
+    s_r = s[::-1]
+    if whole:
+        big_m = np.hstack((s_r - obs, obs_r - s))
+        w = np.hstack((s_r, obs_r))
+    else:
+        big_m = np.zeros((2 * m, 2 * order))
+        big_m[:m, :order] = s_r - obs
+        big_m[m:, order:] = obs_r - s
+        w = np.zeros((2 * m, 2 * order))
+        w[:m, :order] = s_r
+        w[m:, order:] = obs_r
+    big_m.flags.writeable = False
+    w.flags.writeable = False
+    return big_m, w
+
+
+def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int,
+                series: bool) -> np.ndarray:
+    """Gustafsson's forward-backward filter of (rows, samples); items of
+    `width` rows (1-D rows if `series`) each get their own initial
+    conditions."""
+    b, a, _ = design
+    r, n = rows.shape
+    big_m, w = _gust_matrices(tuple(b), tuple(a), m, m == n)
+    # forward passes of x and of x reversed as one call, then the second
+    # passes of both, in place: afterwards the top half is y_fb and the
+    # bottom half y_bf reversed
+    buf = np.empty((2 * r, n))
+    buf[:r] = rows
+    buf[r:] = rows[:, ::-1]
+    _lfilter(b, a, buf)
+    _lfilter(b, a, buf[:, ::-1])
+    y_fb, y_bf = buf[:r], buf[r:, ::-1]
+    if m == n:
+        delta = y_bf - y_fb
+    else:
+        delta = np.concatenate((y_bf[:, :m] - y_fb[:, :m], y_bf[:, -m:] - y_fb[:, -m:]),
+                               axis=-1)
+    # one least-squares solve and one W product per item, shaped as scipy
+    # shapes them for one item: LAPACK's and BLAS's bits depend on how many
+    # columns share a call
+    for c0 in range(0, r, width):
+        if series:
+            wic = linalg.lstsq(big_m, delta[c0])[0].dot(w.T)
+        else:
+            wic = linalg.lstsq(big_m, delta[c0:c0 + width].T)[0].T.dot(w.T)
+        item = y_fb[c0:c0 + width]
+        if m == n:
+            item += wic
+        else:
+            item[..., :m] += wic[..., :m]
+            item[..., -m:] += wic[..., -m:]
+    return y_fb
+
+
+def _zero_phase(design: FilterDesign, x: np.ndarray, series: bool = False) -> np.ndarray:
+    """`signal.filtfilt(b, a, item, method="gust", irlen=...)` of every item
+    of `x` along its last axis, bit for bit, as a new C-contiguous array. An
+    item is a 2-D trial (the last two axes), or a 1-D row when x is 1-D or
+    `series` is set. Blocks of about BLOCK_VALUES values are filtered at once.
+    """
     b, a, settle = design
+    n = x.shape[-1]
     min_len = 3 * max(len(a), len(b))
-    if x.shape[-1] <= min_len:
+    if n <= min_len:
         raise ValueError(
-            f"trial too short for zero-phase filtering: {x.shape[-1]} samples, "
+            f"trial too short for zero-phase filtering: {n} samples, "
             f"need > {min_len}"
         )
     # Gustafsson edge handling: forward-backward equals backward-forward,
     # which keeps interior samples transient-free on short epochs
-    irlen = min(settle, x.shape[-1] - 1)
-    return signal.filtfilt(b, a, x, axis=-1, method="gust", irlen=irlen)
+    irlen = min(settle, n - 1)
+    m = n if n <= 2 * irlen else irlen
+    series = series or x.ndim == 1
+    width = 1 if series else x.shape[-2]
+    rows = x.reshape(-1, n)
+    out = np.empty(rows.shape)
+    step = width * max(1, BLOCK_VALUES // (width * n))
+    for r0 in range(0, len(rows), step):
+        block = rows[r0:r0 + step]
+        out[r0:r0 + len(block)] = _gust_block(design, block, m, width, series)
+    return out.reshape(x.shape)
 
 
 def bandpass_ba(fs_hz: float, low_hz: float, high_hz: float) -> FilterDesign:
@@ -74,36 +262,31 @@ def bandpass_ba(fs_hz: float, low_hz: float, high_hz: float) -> FilterDesign:
     return _butter("bandpass", BANDPASS_ORDER // 2, fs_hz, (low_hz, high_hz))
 
 
+def lowpass_ba(fs_hz: float, cutoff_hz: float) -> FilterDesign:
+    """The (memoised) low-pass design for a cut-off in Hz."""
+    if not 0 < cutoff_hz < fs_hz / 2.0:
+        raise ValueError(f"invalid cutoff {cutoff_hz} Hz for fs={fs_hz} Hz")
+    return _butter("lowpass", LOWPASS_ORDER, fs_hz, (cutoff_hz,))
+
+
 def bandpass_array(x: np.ndarray, fs_hz: float, low_hz: float, high_hz: float) -> np.ndarray:
     """Zero-phase band-pass of an array along its last axis.
 
-    Any leading shape is accepted, e.g. a batch of trials. Each 2-D slab
-    (one trial) is filtered on its own, because filtfilt allocates about
-    nine times its input in temporaries.
+    Any leading shape is accepted, e.g. a batch of trials; each 2-D slab
+    (one trial) comes out as it would alone.
     """
-    batch = np.asarray(x, float)
-    design = bandpass_ba(fs_hz, low_hz, high_hz)
-    if batch.ndim <= 2:
-        return _demeaned_zero_phase(design, batch)
-    out = np.empty_like(batch)
-    for idx in np.ndindex(batch.shape[:-2]):
-        out[idx] = _demeaned_zero_phase(design, batch[idx])
-    return out
+    return _demeaned_zero_phase(bandpass_ba(fs_hz, low_hz, high_hz), np.asarray(x, float))
 
 
-def _demeaned_zero_phase(design: FilterDesign, x: np.ndarray) -> np.ndarray:
+def _demeaned_zero_phase(design: FilterDesign, x: np.ndarray, series: bool = False) -> np.ndarray:
     # the band-pass has zero DC gain; removing the mean up front avoids
     # edge transients from large offsets
-    return _zero_phase(design, x - x.mean(axis=-1, keepdims=True))
+    return _zero_phase(design, x - x.mean(axis=-1, keepdims=True), series)
 
 
 def lowpass_array(x: np.ndarray, fs_hz: float, cutoff_hz: float) -> np.ndarray:
     """Zero-phase low-pass of an array along its last axis."""
-    nyq = fs_hz / 2.0
-    if not 0 < cutoff_hz < nyq:
-        raise ValueError(f"invalid cutoff {cutoff_hz} Hz for fs={fs_hz} Hz")
-    design = _butter("lowpass", LOWPASS_ORDER, fs_hz, (cutoff_hz,))
-    return _zero_phase(design, np.asarray(x, float))
+    return _zero_phase(lowpass_ba(fs_hz, cutoff_hz), np.asarray(x, float))
 
 
 def bandpass_zero_phase(trial: Trial, fs_hz: float, low_hz: float, high_hz: float) -> Trial:
@@ -120,9 +303,9 @@ def common_average_reference(trial: Trial) -> Trial:
 
 
 def _car(x: np.ndarray) -> np.ndarray:
-    if x.shape[0] < 2:
+    if x.shape[-2] < 2:
         raise ValueError("common average reference needs >= 2 channels")
-    return x - x.mean(axis=0, keepdims=True)
+    return x - x.mean(axis=-2, keepdims=True)
 
 
 def _window_indices(n_samples: int, fs_hz: float, start_s: float, end_s: float):
@@ -173,13 +356,14 @@ class Chain:
 
 
 def preprocess(x: np.ndarray, fs_hz: float, chain: Chain) -> np.ndarray:
-    """Run `chain` over one trial's (channels, samples) array.
+    """Run `chain` over a (..., channels, samples) array: one trial, or a
+    block of trials, each of which comes out as it would alone.
 
     The result is C-contiguous, like the data of a `Trial`, so every later
     reduction sees the same memory layout as it does on a prepared `Trial`.
     """
     if chain.channels is not None:
-        x = x[list(chain.channels)]
+        x = x[..., list(chain.channels), :]
     if chain.car:
         x = _car(x)
     if chain.band_hz is not None:
@@ -197,18 +381,20 @@ def preprocess_trials(trials: Sequence[np.ndarray], fs_hz: float, chain: Chain,
                       reduce=None) -> np.ndarray:
     """`reduce(preprocess(x))` of each trial array (the preprocessed array
     itself when `reduce` is None), written into one preallocated
-    (n_trials, ...) array. Trials are processed one at a time, so only one
-    trial's filter temporaries are alive at once."""
+    (n_trials, ...) array. Trials go through the chain in stacked blocks of
+    about BLOCK_VALUES values, so only one block's temporaries are alive at
+    once; `reduce` still sees one trial at a time."""
     if not len(trials):
         raise ValueError("no trials to preprocess")
+    step = max(1, BLOCK_VALUES // np.size(trials[0]))
     out = None
-    for i, x in enumerate(trials):
-        row = preprocess(x, fs_hz, chain)
+    for i0 in range(0, len(trials), step):
+        block = preprocess(np.stack(trials[i0:i0 + step]), fs_hz, chain)
         if reduce is not None:
-            row = reduce(row)
+            block = [reduce(x) for x in block]
         if out is None:
-            out = np.empty((len(trials),) + np.shape(row))
-        out[i] = row
+            out = np.empty((len(trials),) + np.shape(block[0]))
+        out[i0:i0 + len(block)] = block
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .config import json_int
 from .data_model import Trial, TrialSet
 from .errors import ConfigError
-from .preprocess import bandpass_array, lowpass_array
+from .preprocess import _demeaned_zero_phase, _zero_phase, bandpass_ba, lowpass_ba
 
 IMAGERY_ONSET_S = 0.5
 RHYTHM_AMPLITUDE_UV = 10.0
@@ -65,12 +65,14 @@ def _rotation(n: int, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _rhythm_source(rng, n, fs, lo, hi):
-    band = bandpass_array(rng.normal(size=n), fs, lo, hi)
-    band /= max(band.std(), 1e-12)
-    # slow positive envelope keeps the source amplitude-modulated noise
+def _rhythm_sources(band_noise, envelope_noise, fs, lo, hi):
+    """Band-limited noise with a slow positive envelope: amplitude-modulated
+    rhythm sources, one per row. The rows are filtered as one batch of 1-D
+    series, each exactly as it would be alone."""
+    band = _demeaned_zero_phase(bandpass_ba(fs, lo, hi), band_noise, series=True)
+    band /= np.maximum(band.std(axis=-1, keepdims=True), 1e-12)
     env_cut = min(1.0, fs / 4)
-    envelope = 1.0 + 0.4 * lowpass_array(rng.normal(size=n), fs, env_cut)
+    envelope = 1.0 + 0.4 * _zero_phase(lowpass_ba(fs, env_cut), envelope_noise, series=True)
     return band * np.clip(envelope, 0.2, None)
 
 
@@ -93,24 +95,39 @@ def generate(config: SynthConfig) -> TrialSet:
     center, width = config.rhythm_band_hz
     lo, hi = center - width / 2, center + width / 2
 
+    # every random draw first, in the order of a trial-by-trial generator:
+    # per trial, band then envelope noise of each rhythm source, then the
+    # sensor noise; the sources of all trials are then filtered together
+    n_trials = config.n_sessions * config.trials_per_session
+    band_noise = np.empty((n_trials, 2, n))
+    envelope_noise = np.empty((n_trials, 2, n))
+    sensor_noise = []
+    for trial in range(n_trials):
+        for i in (0, 1):
+            band_noise[trial, i] = rng.normal(size=n)
+            envelope_noise[trial, i] = rng.normal(size=n)
+        if config.noise_sigma_uv > 0:
+            sensor_noise.append(rng.normal(size=(n_ch, n)))
+    rhythms = RHYTHM_AMPLITUDE_UV * _rhythm_sources(
+        band_noise.reshape(-1, n), envelope_noise.reshape(-1, n), fs, lo, hi
+    ).reshape(n_trials, 2, n)
+
     trials = []
     for session in range(1, config.n_sessions + 1):
         rot = _rotation(n_ch, config.session_drift * (session - 1), u, v)
         session_mixing = rot @ mixing
         for index in range(config.trials_per_session):
+            trial = len(trials)
             label = -1 if index % 2 == 0 else 1
             src = np.empty((3, n))
-            for i in (0, 1):
-                src[i] = RHYTHM_AMPLITUDE_UV * _rhythm_source(rng, n, fs, lo, hi)
-                attenuated = (i == 0 and label == -1) or (i == 1 and label == 1)
-                if attenuated:
-                    src[i, imagery] *= 1.0 - config.erd_depth
+            src[:2] = rhythms[trial]
+            src[0 if label == -1 else 1, imagery] *= 1.0 - config.erd_depth
             src[2] = label * config.lrp_slope_uv_per_s * np.clip(
                 t - IMAGERY_ONSET_S, 0.0, None
             )
             data = session_mixing @ src
             if config.noise_sigma_uv > 0:
-                data = data + config.noise_sigma_uv * rng.normal(size=(n_ch, n))
+                data = data + config.noise_sigma_uv * sensor_noise[trial]
             trials.append(Trial(data, label, session, index))
 
     labels = tuple(f"ch{i}" for i in range(n_ch))

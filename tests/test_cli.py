@@ -390,3 +390,18 @@ class TestParser:
     def test_missing_required_argument(self, capsys):
         assert main(["run", "--train-fraction", "0.5"]) == 2
         capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # importing scipy.signal costs a process over a second; a fresh
+    # interpreter must get through `import mipipe.cli` without it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mipipe
+
+    env = {**os.environ, "PYTHONPATH": str(Path(mipipe.__file__).parents[1])}
+    code = "import mipipe.cli, sys; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

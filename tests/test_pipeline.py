@@ -204,6 +204,19 @@ class TestRunAdaptive:
         phases = [c["phase"] for c in report.chosen]
         assert phases == ["session1", "session2"]
 
+    def test_search_phases_name_the_session_ids(self):
+        from mipipe.data_model import Trial
+
+        space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
+        ts = easy_set(n_sessions=2, trials_per_session=20, seed=5)
+        renumbered = ts.replace_trials([
+            Trial(t.data, t.label, t.session_id + 2, t.trial_index) for t in ts.trials
+        ])
+        report = run_adaptive(renumbered, SplitSpec(0.25, "prefix"),
+                              quiet_config(search=space), folds=5)
+        assert [c["phase"] for c in report.chosen] == ["session3", "session4"]
+        assert report.per_session.keys() == {3, 4}
+
     def test_report_roundtrips_to_dict(self):
         ts = easy_set(n_sessions=2, trials_per_session=20, seed=6)
         report = run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config(), folds=5)
@@ -311,27 +324,34 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
     assert report.predicted_labels == [predict(t) for t in test.trials]
 
 
-@pytest.mark.parametrize("method,chains", [("csp", 1), ("combined", 3)])
-def test_each_trial_filtered_once_per_chain(monkeypatch, method, chains):
+def count_filtered_trials(monkeypatch) -> list:
+    """Patch the zero-phase filter to record how many trials each call
+    filters: a 3-D block its leading length, a 2-D trial one."""
     from mipipe import preprocess
 
-    ts = easy_set(seed=9, trials_per_session=40, lrp_slope_uv_per_s=2.0)
-    config = quiet_config(method)
-    calls = []
+    counts = []
     zero_phase = preprocess._zero_phase
 
-    def counting(design, x):
-        calls.append(x.shape)
-        return zero_phase(design, x)
+    def counting(design, x, *args):
+        counts.append({3: len(x), 2: 1}[x.ndim])
+        return zero_phase(design, x, *args)
 
     monkeypatch.setattr(preprocess, "_zero_phase", counting)
+    return counts
+
+
+@pytest.mark.parametrize("method,chains", [("csp", 1), ("combined", 3)])
+def test_each_trial_filtered_once_per_chain(monkeypatch, method, chains):
+    ts = easy_set(seed=9, trials_per_session=40, lrp_slope_uv_per_s=2.0)
+    config = quiet_config(method)
+    filtered = count_filtered_trials(monkeypatch)
     if method == "csp":
         cross_validate(ts, config, folds=5)
-        assert len(calls) == len(ts)
-        calls.clear()
+        assert sum(filtered) == len(ts)
+        filtered.clear()
     train, test = split(ts, SplitSpec(0.2, "prefix"))
     run_static(train, test, config, folds=5)
-    assert len(calls) == chains * len(ts)
+    assert sum(filtered) == chains * len(ts)
 
 
 @pytest.mark.parametrize("channels", [None, (0, 2)])
@@ -360,32 +380,27 @@ def test_sweep_fractions_equals_per_split_reference(channels):
 
 
 def test_sweep_fractions_prepares_each_chain_once(monkeypatch):
-    from mipipe import pipeline, preprocess
+    from mipipe import pipeline
 
     ts = easy_set(seed=11, trials_per_session=30, lrp_slope_uv_per_s=2.0)
-    filtered, ar_fits = [], []
-    zero_phase, fit_ar = preprocess._zero_phase, pipeline.fit_ar
-
-    def counting_zero_phase(design, x):
-        filtered.append(x.shape)
-        return zero_phase(design, x)
+    filtered, ar_fits = count_filtered_trials(monkeypatch), []
+    fit_ar = pipeline.fit_ar
 
     def counting_fit_ar(series, p):
         ar_fits.append(len(series))
         return fit_ar(series, p)
 
-    monkeypatch.setattr(preprocess, "_zero_phase", counting_zero_phase)
     monkeypatch.setattr(pipeline, "fit_ar", counting_fit_ar)
     # csp, ar and lrp chains; combined reuses all three
     sweep_fractions(ts, quiet_config(), ["csp", "ar", "lrp", "combined"], [0.3, 0.6])
-    assert len(filtered) == 3 * len(ts)
+    assert sum(filtered) == 3 * len(ts)
     assert len(ar_fits) == len(ts) * ts.n_channels
 
     filtered.clear()
     ar_fits.clear()
     train, test = split(ts, SplitSpec(0.2, "prefix"))
     run_static(train, test, quiet_config("ar"), folds=5)
-    assert len(filtered) == len(ts)
+    assert sum(filtered) == len(ts)
     assert len(ar_fits) == len(ts) * ts.n_channels
 
 
@@ -422,26 +437,21 @@ def test_run_adaptive_equals_per_block_reference(method, channels):
     ("csp", 1, False), ("ar", 1, True), ("combined", 3, True),
 ])
 def test_run_adaptive_prepares_the_archive_once(monkeypatch, method, chains, fits_ar):
-    from mipipe import pipeline, preprocess
+    from mipipe import pipeline
 
     ts = easy_set(seed=13, n_sessions=4, trials_per_session=12, lrp_slope_uv_per_s=2.0)
-    filtered, ar_fits = [], []
-    zero_phase, fit_ar = preprocess._zero_phase, pipeline.fit_ar
-
-    def counting_zero_phase(design, x):
-        filtered.append(x.shape)
-        return zero_phase(design, x)
+    filtered, ar_fits = count_filtered_trials(monkeypatch), []
+    fit_ar = pipeline.fit_ar
 
     def counting_fit_ar(series, p):
         ar_fits.append(len(series))
         return fit_ar(series, p)
 
-    monkeypatch.setattr(preprocess, "_zero_phase", counting_zero_phase)
     monkeypatch.setattr(pipeline, "fit_ar", counting_fit_ar)
     n, k = len(ts), 8
     report = run_adaptive(ts, SplitSpec(k / n, "prefix"), quiet_config(method), folds=5)
     assert len(report.predicted_labels) == n - k
     # the initial cross-validation prepares the k labelled trials, and every
     # block indexes one preparation of all n
-    assert len(filtered) == chains * (n + k)
+    assert sum(filtered) == chains * (n + k)
     assert len(ar_fits) == ((n + k) * ts.n_channels if fits_ar else 0)

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipipe.preprocess import (
+    _zero_phase,
     bandpass_array,
+    bandpass_ba,
     bandpass_zero_phase,
     baseline_correct,
     common_average_reference,
     crop,
+    lowpass_ba,
     lowpass_zero_phase,
 )
 
@@ -226,3 +231,124 @@ def test_filter_designs_are_cached_read_only_butter():
     for arr in (design.b, design.a, low.b, low.a):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# --- bitwise oracles: the numpy design and filter against scipy.signal ------
+
+GRID_FS = (100.0, 128.0, 250.0, 256.0, 500.0, 1000.0, 1024.0, 2000.0)
+
+
+def _edges(fs):
+    """Band edges across the range, with some near DC and near Nyquist."""
+    nyq = fs / 2.0
+    return (
+        [(0.05, 0.4), (0.5, 4.0), (8.0, 30.0), (12.0, 14.0), (13.25, 15.5),
+         (0.01, 0.99 * nyq), (0.9 * nyq, 0.999 * nyq), (0.6 * nyq, 0.7 * nyq)],
+        [0.01, 0.5, 1.0, 1.5, 7.3, 30.0, 0.5 * nyq, 0.999 * nyq],
+    )
+
+
+@pytest.mark.parametrize("fs", GRID_FS)
+def test_design_equals_scipy_butter_bitwise(fs):
+    from scipy import signal
+
+    from mipipe.preprocess import _butter
+
+    nyq = fs / 2.0
+    bands, cutoffs = _edges(fs)
+    for lo, hi in bands:
+        design = _butter("bandpass", 2, fs, (lo, hi))
+        b, a = signal.butter(2, [lo / nyq, hi / nyq], btype="bandpass")
+        assert np.array_equal(design.b, b) and np.array_equal(design.a, a), (lo, hi)
+    for cutoff in cutoffs:
+        design = _butter("lowpass", 4, fs, (cutoff,))
+        b, a = signal.butter(4, cutoff / nyq, btype="lowpass")
+        assert np.array_equal(design.b, b) and np.array_equal(design.a, a), cutoff
+
+
+def _scipy_zero_phase(design, x):
+    """The reference: scipy's Gustafsson filtfilt of each 1-D series or
+    2-D trial on its own."""
+    from scipy import signal
+
+    irlen = min(design.settle, x.shape[-1] - 1)
+    if x.ndim <= 2:
+        return signal.filtfilt(design.b, design.a, x, method="gust", irlen=irlen)
+    return np.array([_scipy_zero_phase(design, t) for t in x])
+
+
+# Gustafsson's method fits the initial conditions on m edge samples, where m
+# is the settle length, or all n samples when n <= 2 * settle; the shapes
+# below have both m < n and m == n for every design
+ORACLE_DESIGNS = {
+    "band 12-14": lambda: bandpass_ba(FS, 12.0, 14.0),  # settles in 704 samples
+    "band 8-30": lambda: bandpass_ba(FS, 8.0, 30.0),  # 104
+    "low 1.5": lambda: lowpass_ba(FS, 1.5),  # 831
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DESIGNS)
+@pytest.mark.parametrize("shape", [
+    (150,), (300,), (2000,),  # 1-D series
+    (1, 500), (3, 300), (8, 1250), (8, 2000),  # trials of 1-8 channels
+    (5, 1, 400), (4, 2, 200), (7, 3, 500), (33, 8, 300), (4, 6, 1800),  # blocks
+])
+def test_zero_phase_equals_scipy_filtfilt_bitwise(rng, name, shape):
+    design = ORACLE_DESIGNS[name]()
+    x = 4.0 * rng.normal(size=shape) + 1.5
+    out = _zero_phase(design, x)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, _scipy_zero_phase(design, x))
+
+
+@pytest.mark.parametrize("block_values", [1, 1000, 1 << 30])
+def test_zero_phase_blocks_and_series(monkeypatch, rng, block_values):
+    from mipipe import preprocess
+
+    monkeypatch.setattr(preprocess, "BLOCK_VALUES", block_values)
+    design = bandpass_ba(FS, 8.0, 30.0)
+    trials = rng.normal(size=(9, 4, 400))
+    assert np.array_equal(preprocess._zero_phase(design, trials),
+                          _scipy_zero_phase(design, trials))
+    # series: each row its own 1-D problem, unlike the rows of one trial
+    series = rng.normal(size=(11, 900))
+    expected = np.array([_scipy_zero_phase(design, row) for row in series])
+    assert np.array_equal(preprocess._zero_phase(design, series, series=True), expected)
+
+
+def test_zero_phase_non_contiguous_input(rng):
+    design = lowpass_ba(FS, 1.5)
+    base = rng.normal(size=(6, 900, 5))
+    x = base.transpose(0, 2, 1)[:, ::2, ::-1]  # (6, 3, 900), no unit stride
+    out = _zero_phase(design, x)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, _scipy_zero_phase(design, np.ascontiguousarray(x)))
+
+
+def test_preprocess_trials_blocks_equal_one_at_a_time(monkeypatch, rng):
+    from mipipe import preprocess
+
+    trials = list(rng.normal(size=(7, 4, 500)))
+    chains = [
+        preprocess.Chain(channels=(2, 0), band_hz=(12.0, 14.0), window_s=(0.5, 4.5)),
+        preprocess.Chain(car=True, band_hz=(8.0, 35.0), window_s=(0.5, 4.5)),
+        preprocess.Chain(lowpass_hz=1.5, baseline_s=(0.0, 0.5), window_s=(2.0, 4.0)),
+    ]
+    for chain in chains:
+        alone = [preprocess.preprocess(x, FS, chain) for x in trials]
+        for block_values in (1, 4 * 500 * 3):
+            monkeypatch.setattr(preprocess, "BLOCK_VALUES", block_values)
+            assert np.array_equal(preprocess.preprocess_trials(trials, FS, chain), alone)
+
+
+@given(
+    n_items=st.integers(1, 4), width=st.integers(0, 5), n=st.integers(16, 700),
+    low=st.floats(0.2, 40.0), span=st.floats(0.2, 9.0), seed=st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_zero_phase_equals_scipy_property(n_items, width, n, low, span, seed):
+    # width 0 draws a 1-D series
+    design = bandpass_ba(FS, low, min(low + span, 49.5))
+    shape = (n_items, width, n) if width else (n,)
+    x = np.random.default_rng(seed).normal(size=shape)
+    assert np.array_equal(_zero_phase(design, x), _scipy_zero_phase(design, x))
