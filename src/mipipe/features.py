@@ -3,11 +3,13 @@ and Fisher-score channel selection."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
+from scipy.linalg import LinAlgError, toeplitz
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .data_model import Trial
 from .errors import RankDeficientError
@@ -65,17 +67,24 @@ class CspModel:
         return self.filters.shape[1]
 
 
-def mean_normalized_covariance(covs: np.ndarray) -> np.ndarray:
-    """Mean over trials of X X^T / tr(X X^T), given the stacked X X^T."""
+def trace_normalized(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each stacked X X^T divided by its trace, and the traces. Unchecked: a
+    zero trace gives non-finite entries, which `_class_mean` refuses."""
     traces = np.trace(covs, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return covs / traces[:, None, None], traces
+
+
+def _class_mean(unit: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Mean of trace-normalized covariances, once every trace is positive."""
     if np.any(traces <= 0):
         raise ValueError("trial has zero total variance")
-    return np.mean(covs / traces[:, None, None], axis=0)
+    return np.mean(unit, axis=0)
 
 
 def class_covariance(trials: Sequence[Trial]) -> np.ndarray:
     """Mean over trials of the trace-normalized covariance X X^T / tr."""
-    return mean_normalized_covariance(np.array([t.data @ t.data.T for t in trials]))
+    return _class_mean(*trace_normalized(np.array([t.data @ t.data.T for t in trials])))
 
 
 def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) -> CspModel:
@@ -89,15 +98,41 @@ def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) 
     return csp_from_covariances(class_covariance(class_neg), class_covariance(class_pos), m)
 
 
-def csp_from_trial_covariances(covs: np.ndarray, labels, m: int = 1) -> CspModel:
-    """CSP from each trial's X X^T, stacked, and its label (-1 or +1)."""
+def csp_from_normalized(unit: np.ndarray, traces: np.ndarray, labels, m: int = 1) -> CspModel:
+    """CSP from each trial's X X^T, stacked, divided by its trace and the
+    traces (`trace_normalized`), and its label (-1 or +1). Many fits over
+    rows of one stack can so normalize it once."""
     labels = np.asarray(labels)
-    neg, pos = covs[labels == -1], covs[labels == 1]
-    if not len(neg) or not len(pos):
+    neg, pos = labels == -1, labels == 1
+    if not neg.any() or not pos.any():
         raise ValueError("both classes must be nonempty")
     return csp_from_covariances(
-        mean_normalized_covariance(neg), mean_normalized_covariance(pos), m
+        _class_mean(unit[neg], traces[neg]), _class_mean(unit[pos], traces[pos]), m
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _syevr_work(n: int) -> tuple[int, int]:
+    """`dsyevr`'s work sizes for an n x n matrix, queried once."""
+    work, iwork, info = dsyevr_lwork(n, lower=True)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return int(work), int(iwork)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`linalg.eigh(a)` of a symmetric float matrix: the same `dsyevr` call,
+    with the work size queried once per size."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, liwork = _syevr_work(a.shape[0])
+    w, v, _, _, info = dsyevr(a, compute_v=1, lower=True, lwork=lwork,
+                              liwork=liwork, overwrite_a=False)
+    if info < -1:
+        raise LinAlgError(f"Illegal value in argument {-info} of internal dsyevr")
+    if info != 0:
+        raise LinAlgError("Internal Error.")
+    return w, v
 
 
 def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -> CspModel:
@@ -112,7 +147,7 @@ def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -
         raise ValueError(f"2m = {2 * m} filters exceed {n_ch} channels")
     composite = cov_neg + cov_pos
 
-    d, u = eigh(composite)
+    d, u = _eigh(composite)
     if d[0] < 1e-10 * d[-1]:
         raise RankDeficientError(
             f"composite covariance is rank deficient (eigenvalue ratio "
@@ -120,7 +155,7 @@ def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -
         )
     whitener = (u / np.sqrt(d)).T  # rows whiten the composite
 
-    lam, b = eigh(whitener @ cov_neg @ whitener.T)
+    lam, b = _eigh(whitener @ cov_neg @ whitener.T)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     filters = (b[:, order].T @ whitener)
@@ -139,9 +174,15 @@ def csp_log_shares(model: CspModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Log variance share log(vH / (vH + vF)) of the class -1 projections, and
     the total vH + vF, for a trial or an (n_trials, n_channels, n_samples)
     batch. Unchecked: pass both to `check_csp_shares`."""
-    variances = (model.filters @ x).var(axis=-1)
-    var_h = variances[..., : model.m].sum(axis=-1)
-    var_f = variances[..., model.m:].sum(axis=-1)
+    return projection_log_shares(model.filters @ x, model.m)
+
+
+def projection_log_shares(projections: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`csp_log_shares` of (..., 2m, n_samples) CSP projections, whose first
+    m rows are the class -1 filters'."""
+    variances = projections.var(axis=-1)
+    var_h = variances[..., :m].sum(axis=-1)
+    var_f = variances[..., m:].sum(axis=-1)
     total = var_h + var_f
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(var_h / total), total

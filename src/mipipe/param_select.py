@@ -19,10 +19,18 @@ from .data_model import TrialSet, stratified_folds
 from .errors import CriterionUndefinedError
 from .features import (
     check_csp_shares,
-    csp_from_trial_covariances,
+    csp_from_normalized,
     csp_log_shares,
+    projection_log_shares,
+    trace_normalized,
 )
-from .preprocess import Chain, PreprocessConfig, _window_indices, preprocess_trials
+from .preprocess import (
+    BLOCK_VALUES,
+    Chain,
+    PreprocessConfig,
+    _window_indices,
+    preprocess_trials,
+)
 
 N_BINS = 40
 FEASIBILITY_THRESHOLD = 0.15
@@ -100,42 +108,48 @@ def _search_folds(labels: np.ndarray, max_folds: int = 10) -> list[np.ndarray]:
 class _BandBatches:
     """Band-passed train and test batches of the current band only.
 
-    Each set is band-passed once per band and channel subset (filtering a
-    subset is not bitwise the same as subsetting the filtered channels), and
-    the previous band's batches are dropped before the next band is filtered.
-    Train covariances are kept per window, for every `m` of the window.
+    Train and test are band-passed as one batch, once per band and channel
+    subset (filtering a subset is not bitwise the same as subsetting the
+    filtered channels), and the previous band's batch is dropped before the
+    next band is filtered. Each trial is filtered alone whatever block it
+    shares, so the rows are bitwise what filtering each set apart gives.
+    Per window, the train trials' X X^T divided by their traces are kept for
+    every fold and `m` of the window.
     """
 
     def __init__(self, train: TrialSet, test: TrialSet):
-        self.sets = (train, test)
+        shapes = [(ts.n_channels, ts.n_samples, ts.sampling_rate_hz) for ts in (train, test)]
+        if shapes[0] != shapes[1]:
+            raise ValueError("train and test sets differ: " + ", ".join(
+                f"{name} has {c} channels x {n} samples at {fs} Hz"
+                for name, (c, n, fs) in zip(("train", "test"), shapes)))
+        self.rows = [t.data for t in train.trials + test.trials]
+        self.n_train = len(train)
+        self.fs_hz = train.sampling_rate_hz
         self.band = None
         self.filtered: dict = {}
-        self.covariances: dict = {}
+        self.normalized: dict = {}
 
     def crop(self, band, window, channels):
-        """Views of the train and test batches cropped to `window`, and the
-        train trials' X X^T. Errors come in the order a per-trial pipeline
-        meets them: train band, train window, test band, test window."""
+        """Views of the train and test rows cropped to `window`, and
+        `trace_normalized` of the train rows' X X^T. The first error is the
+        one a per-trial pipeline meets: band, then window."""
         if band != self.band:
             self.filtered.clear()
-            self.covariances.clear()
+            self.normalized.clear()
             self.band = band
-        views = []
-        for which, ts in enumerate(self.sets):
-            key = (which, channels)
-            if key not in self.filtered:
-                self.filtered[key] = preprocess_trials(
-                    [t.data for t in ts], ts.sampling_rate_hz,
-                    Chain(channels=channels, band_hz=band),
-                )
-            x = self.filtered[key]
-            i0, i1 = _window_indices(x.shape[-1], ts.sampling_rate_hz, *window)
-            views.append(x[..., i0:i1])
+        if channels not in self.filtered:
+            self.filtered[channels] = preprocess_trials(
+                self.rows, self.fs_hz, Chain(channels=channels, band_hz=band)
+            )
+        x = self.filtered[channels]
+        i0, i1 = _window_indices(x.shape[-1], self.fs_hz, *window)
+        train_x, test_x = x[:self.n_train, ..., i0:i1], x[self.n_train:, ..., i0:i1]
         key = (window, channels)
-        if key not in self.covariances:
-            contiguous = np.ascontiguousarray(views[0])
-            self.covariances[key] = contiguous @ contiguous.transpose(0, 2, 1)
-        return views[0], views[1], self.covariances[key]
+        if key not in self.normalized:
+            contiguous = np.ascontiguousarray(train_x)
+            self.normalized[key] = trace_normalized(contiguous @ contiguous.transpose(0, 2, 1))
+        return train_x, test_x, self.normalized[key]
 
 
 def _unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
@@ -146,33 +160,48 @@ def _unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     return LdaModel(w=lda.w / norm, b=lda.b / norm)
 
 
-def _fit(train_x, covs, labels, fit, m):
-    """CSP and unit-norm LDA fitted on train trials `fit`, and the log
-    variance shares of every train trial under that CSP."""
-    y = labels[fit]
-    csp = csp_from_trial_covariances(covs[fit], y, m)
-    shares, totals = csp_log_shares(csp, train_x)
-    check_csp_shares(shares[fit], totals[fit])
-    return csp, _unit_lda(shares[fit], y), shares, totals
-
-
-def candidate_scores(train_x, test_x, covs, labels, folds, m) -> tuple[np.ndarray, np.ndarray]:
+def candidate_scores(train_x, test_x, normalized, labels, folds, m) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold train scores and full-fit test scores for one candidate.
 
     train_x and test_x are band-passed, cropped (n_trials, n_channels,
-    n_samples) batches; covs holds X X^T of each train trial.
+    n_samples) batches; normalized is `trace_normalized` of the train
+    trials' X X^T. Each fold, then the full fit, gets its CSP, its checks
+    and its LDA in that order, as if fitted alone; only the projection of
+    the train trials is shared, by as many fits at once as keep it within
+    BLOCK_VALUES values. So the first error raised is a lone fit's.
     """
     n = len(train_x)
-    train_scores = np.empty(n)
+    fits = []
     for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        _, lda, shares, totals = _fit(train_x, covs, labels, np.flatnonzero(mask), m)
-        check_csp_shares(shares[fold], totals[fold])
-        train_scores[fold] = shares[fold, None] @ lda.w + lda.b
+        fits.append((np.flatnonzero(mask), fold))
+    fits.append((np.arange(n), None))  # the full fit, scored on the test set
+    group = max(1, BLOCK_VALUES // (n * 2 * m * train_x.shape[-1]))
+    train_scores = np.empty(n)
+    for g0 in range(0, len(fits), group):
+        csps, error = [], None
+        for fit, _ in fits[g0:g0 + group]:
+            try:
+                csps.append(csp_from_normalized(
+                    normalized[0][fit], normalized[1][fit], labels[fit], m))
+            except ValueError as exc:  # raised once the fits before it are checked
+                error = exc
+                break
+        if csps:
+            filters = np.stack([csp.filters for csp in csps])[:, None]
+            shares, totals = projection_log_shares(filters @ train_x, m)
+            for (fit, fold), share, total in zip(fits[g0:], shares, totals):
+                check_csp_shares(share[fit], total[fit])
+                lda = _unit_lda(share[fit], labels[fit])
+                if fold is not None:
+                    check_csp_shares(share[fold], total[fold])
+                    train_scores[fold] = share[fold, None] @ lda.w + lda.b
+        if error is not None:
+            raise error
 
-    csp, lda, _, _ = _fit(train_x, covs, labels, np.arange(n), m)
-    shares, totals = csp_log_shares(csp, test_x)
+    # the last fit checked, with `lda`, is the full fit
+    shares, totals = csp_log_shares(csps[-1], test_x)
     check_csp_shares(shares, totals)
     return train_scores, shares[:, None] @ lda.w + lda.b
 
@@ -180,9 +209,9 @@ def candidate_scores(train_x, test_x, covs, labels, folds, m) -> tuple[np.ndarra
 def _candidate_rho(batches, labels, band, window, channels, m, feasibility_threshold):
     """One candidate's table entries; its views of the band's batches end
     with this call, so dropping a band frees its memory."""
-    train_x, test_x, covs = batches.crop(band, window, channels)
+    train_x, test_x, normalized = batches.crop(band, window, channels)
     tr_scores, te_scores = candidate_scores(
-        train_x, test_x, covs, labels, _search_folds(labels), m
+        train_x, test_x, normalized, labels, _search_folds(labels), m
     )
     pooled = np.r_[tr_scores, te_scores]
     lo, hi = float(pooled.min()), float(pooled.max())
@@ -212,7 +241,9 @@ def grid_search(
         base = PipelineConfig()
     if len(test_unlabeled) == 0:
         raise ValueError("test set is empty")
-    labels = [t.label for t in train.trials]
+    labels = train.labels
+    if None in labels:
+        raise ValueError("training set contains unlabeled trials")
     if -1 not in labels or 1 not in labels:
         raise ValueError("training set must contain both classes")
 

@@ -14,11 +14,12 @@ from .data_model import SplitSpec, TrialSet, split, stratified_folds
 from .errors import ConfigError
 from .features import (
     check_csp_shares,
-    csp_from_trial_covariances,
+    csp_from_normalized,
     csp_log_shares,
     fisher_scores,
     fit_ar,
     select_channels,
+    trace_normalized,
 )
 from .param_select import grid_search
 from .preprocess import Chain, preprocess_trials
@@ -86,14 +87,14 @@ class CspExtractor(_Extractor):
         self.model = None
 
     def prepare(self, trials: Sequence[np.ndarray]):
-        """The band-passed, cropped (n_trials, n_channels, n_samples) batch
-        and each trial's X X^T."""
+        """The band-passed, cropped (n_trials, n_channels, n_samples) batch,
+        and each trial's X X^T divided by its trace, with the traces."""
         x = preprocess_trials(trials, self.fs_hz, self.chain)
-        return x, x @ x.transpose(0, 2, 1)
+        return x, trace_normalized(x @ x.transpose(0, 2, 1))
 
     def fit_rows(self, prepared, rows, labels):
-        _, covs = prepared
-        self.model = csp_from_trial_covariances(covs[rows], labels[rows], self.config.m)
+        unit, traces = prepared[1]
+        self.model = csp_from_normalized(unit[rows], traces[rows], labels[rows], self.config.m)
         return self
 
     def transform_rows(self, prepared, rows) -> np.ndarray:

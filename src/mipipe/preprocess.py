@@ -4,8 +4,8 @@ All filters are Butterworth, applied forward-backward for zero phase with
 Gustafsson's initial conditions, so interior samples are free of edge
 transients. The design and the filter are numpy ports of scipy's
 `signal.butter` and `signal.filtfilt(method="gust")` that give the same bits;
-of scipy only `linalg.lstsq` is used, since importing `scipy.signal` costs a
-process more than a second.
+of scipy only LAPACK's `dgelsd` is used (the driver of `linalg.lstsq`), since
+importing `scipy.signal` costs a process more than a second.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 
 from .data_model import Trial
 
@@ -184,6 +185,31 @@ def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
     return big_m, w
 
 
+_EPS = float(np.finfo(np.float64).eps)  # lstsq's default `cond`
+
+
+@functools.lru_cache(maxsize=64)
+def _gelsd_work(rows: int, cols: int, nrhs: int) -> tuple[int, int]:
+    """`dgelsd`'s work sizes for one problem shape, queried once."""
+    work, iwork, info = dgelsd_lwork(rows, cols, nrhs, _EPS)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return int(work), int(iwork)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`linalg.lstsq(a, b)[0]` for a tall `a` (rows > columns): the same
+    `dgelsd` call, with the work size queried once per shape."""
+    rows, cols = a.shape
+    lwork, iwork = _gelsd_work(rows, cols, 1 if b.ndim == 1 else b.shape[1])
+    x, _, _, info = dgelsd(a, b, lwork, iwork, _EPS, False, False)
+    if info > 0:
+        raise LinAlgError("SVD did not converge in Linear Least Squares")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gelsd")
+    return x[:cols]
+
+
 def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int,
                 series: bool) -> np.ndarray:
     """Gustafsson's forward-backward filter of (rows, samples); items of
@@ -206,14 +232,16 @@ def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int,
     else:
         delta = np.concatenate((y_bf[:, :m] - y_fb[:, :m], y_bf[:, -m:] - y_fb[:, -m:]),
                                axis=-1)
+    if not (np.isfinite(big_m).all() and np.isfinite(delta).all()):
+        raise ValueError("array must not contain infs or NaNs")
     # one least-squares solve and one W product per item, shaped as scipy
     # shapes them for one item: LAPACK's and BLAS's bits depend on how many
     # columns share a call
     for c0 in range(0, r, width):
         if series:
-            wic = linalg.lstsq(big_m, delta[c0])[0].dot(w.T)
+            wic = _lstsq(big_m, delta[c0]).dot(w.T)
         else:
-            wic = linalg.lstsq(big_m, delta[c0:c0 + width].T)[0].T.dot(w.T)
+            wic = _lstsq(big_m, delta[c0:c0 + width].T).T.dot(w.T)
         item = y_fb[c0:c0 + width]
         if m == n:
             item += wic

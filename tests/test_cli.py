@@ -4,7 +4,9 @@ import shutil
 import pytest
 
 from mipipe.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from mipipe.data_model import load_archive
+from mipipe.data_model import load_archive, save_archive
+
+from conftest import count_filtered_trials
 
 SYNTH_DOC = {
     "n_channels": 4,
@@ -202,6 +204,19 @@ class TestRun:
         doc = json.loads(report.read_text())
         assert len(doc["chosen"]) == 1
         assert doc["chosen"][0]["band_hz"] in ([8, 10], [12, 14])
+
+    def test_sweep_refuses_unlabeled_train_trial_before_searching(
+            self, archive, tmp_path, monkeypatch, capsys):
+        ts = load_archive(archive)
+        save_archive(ts.replace_trials(
+            (ts.trials[0].with_label(None),) + ts.trials[1:]), tmp_path / "arch")
+        filtered = count_filtered_trials(monkeypatch)
+        code = main(["run", "--data", str(tmp_path / "arch"), "--sweep",
+                     "--train-fraction", "0.5", "--report", str(tmp_path / "run.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "training set contains unlabeled trials" in err
+        assert filtered == []
 
     def test_by_session_split(self, multisession_archive, tmp_path, fast_config):
         report = tmp_path / "run.json"

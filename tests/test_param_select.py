@@ -5,7 +5,7 @@ import pytest
 
 from mipipe.classify import LdaModel, fit_lda, lda_score
 from mipipe.config import PipelineConfig, SearchSpace
-from mipipe.data_model import SplitSpec, Trial, split
+from mipipe.data_model import SplitSpec, Trial, TrialSet, split
 from mipipe.errors import CriterionUndefinedError
 from mipipe.features import csp_feature, fit_csp
 from mipipe.param_select import (
@@ -20,6 +20,8 @@ from mipipe.param_select import (
 )
 from mipipe.preprocess import bandpass_zero_phase, crop
 from mipipe.synthgen import SynthConfig, generate
+
+from conftest import count_filtered_trials
 
 
 def uniform_edges(lo=-1.0, hi=1.0):
@@ -225,6 +227,51 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="both classes"):
             grid_search(one_class, test.without_labels(), SPACE)
 
+    def test_unlabeled_train_trial_errors_before_filtering(self, monkeypatch):
+        train, test = planted_sets(seed=0, trials_per_session=80)
+        train = train.replace_trials(
+            (train.trials[0].with_label(None),) + train.trials[1:]
+        )
+        filtered = count_filtered_trials(monkeypatch)
+        with pytest.raises(ValueError, match="training set contains unlabeled trials"):
+            grid_search(train, test.without_labels(), SPACE)
+        assert filtered == []
+
+    def test_train_test_shape_mismatch_errors(self):
+        train, test = planted_sets(seed=0, trials_per_session=80)
+        fs = test.sampling_rate_hz
+        mismatched = {
+            "channels": TrialSet(
+                tuple(t.with_data(t.data[:4]) for t in test.trials), fs,
+                test.channel_labels[:4]),
+            "samples": test.replace_trials(
+                t.with_data(t.data[:, :-10]) for t in test.trials),
+            "rate": TrialSet(test.trials, 2 * fs, test.channel_labels),
+        }
+        expected = {
+            "channels": "test has 4 channels x 500 samples at 100.0 Hz",
+            "samples": "test has 5 channels x 490 samples at 100.0 Hz",
+            "rate": "test has 5 channels x 500 samples at 200.0 Hz",
+        }
+        for name, other in mismatched.items():
+            with pytest.raises(ValueError) as exc:
+                grid_search(train, other.without_labels(), SPACE)
+            assert str(exc.value) == (
+                "train and test sets differ: train has 5 channels x 500 samples "
+                f"at 100.0 Hz, {expected[name]}"
+            )
+
+    def test_each_trial_filtered_once_per_band_and_channel_set(self, monkeypatch):
+        train, test = planted_sets(seed=2, trials_per_session=60)
+        space = SearchSpace(
+            bands_hz=SPACE.bands_hz, windows_s=((0.5, 2.5), (1.0, 4.5)),
+            channel_sets=(None, (0, 3)), m_values=(1, 2),
+        )
+        filtered = count_filtered_trials(monkeypatch)
+        grid_search(train, test.without_labels(), space)
+        # one call per (band, channel set), over the train and test rows
+        assert filtered == [len(train) + len(test)] * (3 * 2)
+
     def test_deterministic(self):
         train, test = planted_sets(seed=5, trials_per_session=80)
         r1 = grid_search(train, test.without_labels(), SPACE)
@@ -308,8 +355,21 @@ class TestBatchedSearchMatchesOracle:
         m_values=(1, 2),
     )
 
-    def test_table_rows_equal_oracle(self):
+    @pytest.mark.parametrize("flat_fold", [None, 0, 3])
+    def test_table_rows_equal_oracle(self, flat_fold):
         train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
+        if flat_fold is not None:
+            # a train trial flat (all zero) on the (0, 3) subset, held out in
+            # fold 0 or in a later fold. Held out in fold 0, that fold fits
+            # and then fails on it, while every later fold's CSP fails; held
+            # out later, fold 0's CSP fails. Either way the first error a
+            # per-trial search meets must be the one reported.
+            row = int(_search_folds(np.array(train.labels))[flat_fold][0])
+            data = train.trials[row].data.copy()
+            data[[0, 3]] = 0.0
+            trials = list(train.trials)
+            trials[row] = trials[row].with_data(data)
+            train = train.replace_trials(trials)
         test = test.without_labels()
         result = grid_search(train, test, self.SPACE)
         expected = oracle_table(train, test, self.SPACE)
@@ -322,6 +382,12 @@ class TestBatchedSearchMatchesOracle:
         # band before window before CSP
         assert "invalid band" in errors[((45.0, 55.0), (3.0, 6.0), (0, 3), 2)]
         assert "window" in errors[((12.0, 14.0), (3.0, 6.0), (0, 3), 2)]
-        assert "exceed" in errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 2)]
-        assert errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 1)] is None
         assert errors[((8.0, 30.0), (1.0, 4.5), None, 2)] is None
+        subset = errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 1)]
+        if flat_fold is None:
+            assert "exceed" in errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 2)]
+            assert subset is None
+        elif flat_fold == 0:
+            assert subset == "zero total variance after spatial filtering"
+        else:
+            assert subset == "trial has zero total variance"

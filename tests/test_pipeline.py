@@ -13,6 +13,8 @@ from mipipe.pipeline import (
 )
 from mipipe.synthgen import SynthConfig, generate
 
+from conftest import count_filtered_trials
+
 FAST_ENSEMBLE = EnsembleConfig(rounds=5, subset_fraction=0.5, seed=0)
 
 
@@ -322,22 +324,6 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
     assert (report.train_accuracy_mean, report.train_accuracy_std) == \
         _reference_cross_validate(train, config, 4, 1)
     assert report.predicted_labels == [predict(t) for t in test.trials]
-
-
-def count_filtered_trials(monkeypatch) -> list:
-    """Patch the zero-phase filter to record how many trials each call
-    filters: a 3-D block its leading length, a 2-D trial one."""
-    from mipipe import preprocess
-
-    counts = []
-    zero_phase = preprocess._zero_phase
-
-    def counting(design, x, *args):
-        counts.append({3: len(x), 2: 1}[x.ndim])
-        return zero_phase(design, x, *args)
-
-    monkeypatch.setattr(preprocess, "_zero_phase", counting)
-    return counts
 
 
 @pytest.mark.parametrize("method,chains", [("csp", 1), ("combined", 3)])

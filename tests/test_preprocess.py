@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from mipipe.preprocess import (
+    _gust_matrices,
+    _lstsq,
     _zero_phase,
     bandpass_array,
     bandpass_ba,
@@ -352,3 +355,26 @@ def test_zero_phase_equals_scipy_property(n_items, width, n, low, span, seed):
     shape = (n_items, width, n) if width else (n,)
     x = np.random.default_rng(seed).normal(size=shape)
     assert np.array_equal(_zero_phase(design, x), _scipy_zero_phase(design, x))
+
+
+def test_lstsq_equals_scipy_bitwise(rng):
+    # random tall systems with 1-D and 2-D right-hand sides (a transposed
+    # view, as the filter passes them), then Gustafsson's M at the edges and
+    # over the whole signal (m == n)
+    systems = []
+    for _ in range(100):
+        cols = int(rng.integers(2, 17))
+        a = rng.normal(size=(int(rng.integers(cols + 1, 300)), cols))
+        systems.append((a, rng.normal(size=len(a))))
+        systems.append((a, rng.normal(size=(int(rng.integers(1, 9)), len(a))).T))
+    for design in (bandpass_ba(FS, 8.0, 12.0), lowpass_ba(FS, 1.5)):
+        key = (tuple(design.b), tuple(design.a))
+        for m, whole in ((40, False), (13, True), (200, True)):
+            big_m, _ = _gust_matrices(*key, m, whole)
+            systems.append((big_m, rng.normal(size=len(big_m))))
+            systems.append((big_m, rng.normal(size=(8, len(big_m))).T))
+    for a, b in systems:
+        assert np.array_equal(_lstsq(a, b), linalg.lstsq(a, b)[0])
+    # the finiteness check scipy makes is kept
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        bandpass_array(np.r_[np.zeros(50), np.inf, np.zeros(49)], FS, 8.0, 12.0)
