@@ -355,21 +355,7 @@ class TestBatchedSearchMatchesOracle:
         m_values=(1, 2),
     )
 
-    @pytest.mark.parametrize("flat_fold", [None, 0, 3])
-    def test_table_rows_equal_oracle(self, flat_fold):
-        train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
-        if flat_fold is not None:
-            # a train trial flat (all zero) on the (0, 3) subset, held out in
-            # fold 0 or in a later fold. Held out in fold 0, that fold fits
-            # and then fails on it, while every later fold's CSP fails; held
-            # out later, fold 0's CSP fails. Either way the first error a
-            # per-trial search meets must be the one reported.
-            row = int(_search_folds(np.array(train.labels))[flat_fold][0])
-            data = train.trials[row].data.copy()
-            data[[0, 3]] = 0.0
-            trials = list(train.trials)
-            trials[row] = trials[row].with_data(data)
-            train = train.replace_trials(trials)
+    def _errors_after_matching_oracle(self, train, test):
         test = test.without_labels()
         result = grid_search(train, test, self.SPACE)
         expected = oracle_table(train, test, self.SPACE)
@@ -383,11 +369,31 @@ class TestBatchedSearchMatchesOracle:
         assert "invalid band" in errors[((45.0, 55.0), (3.0, 6.0), (0, 3), 2)]
         assert "window" in errors[((12.0, 14.0), (3.0, 6.0), (0, 3), 2)]
         assert errors[((8.0, 30.0), (1.0, 4.5), None, 2)] is None
+        return errors
+
+    def test_table_rows_equal_oracle(self):
+        train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
+        errors = self._errors_after_matching_oracle(train, test)
+        assert "exceed" in errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 2)]
+        assert errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 1)] is None
+
+    @pytest.mark.parametrize("flat_fold", [0, 3])
+    def test_table_rows_equal_oracle_with_flat_trial(self, flat_fold):
+        # a train trial flat (all zero) on the (0, 3) subset, held out in
+        # fold 0 or in a later fold. Held out in fold 0, that fold fits
+        # and then fails on it, while every later fold's CSP fails; held
+        # out later, fold 0's CSP fails. Either way the first error a
+        # per-trial search meets must be the one reported.
+        train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
+        row = int(_search_folds(np.array(train.labels))[flat_fold][0])
+        data = train.trials[row].data.copy()
+        data[[0, 3]] = 0.0
+        trials = list(train.trials)
+        trials[row] = trials[row].with_data(data)
+        train = train.replace_trials(trials)
+        errors = self._errors_after_matching_oracle(train, test)
         subset = errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 1)]
-        if flat_fold is None:
-            assert "exceed" in errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 2)]
-            assert subset is None
-        elif flat_fold == 0:
+        if flat_fold == 0:
             assert subset == "zero total variance after spatial filtering"
         else:
             assert subset == "trial has zero total variance"
