@@ -118,10 +118,6 @@ class TrialSet:
     def session_ids(self) -> list[int]:
         return sorted({t.session_id for t in self.trials})
 
-    def session(self, session_id: int) -> "TrialSet":
-        """Subset containing one session, order preserved."""
-        return self.replace_trials([t for t in self.trials if t.session_id == session_id])
-
     def replace_trials(self, trials) -> "TrialSet":
         return TrialSet(tuple(trials), self.sampling_rate_hz, self.channel_labels)
 

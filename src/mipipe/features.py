@@ -1,5 +1,5 @@
-"""Feature extractors: CSP, autoregressive coefficients, slow-potential means,
-and Fisher-score channel selection."""
+"""Feature extractors: CSP, autoregressive coefficients and Fisher-score
+channel selection."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, toeplitz
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork
+from numpy.linalg import LinAlgError
 
 from .data_model import Trial
 from .errors import RankDeficientError
@@ -112,12 +111,16 @@ def csp_from_normalized(unit: np.ndarray, traces: np.ndarray, labels, m: int = 1
 
 
 @functools.lru_cache(maxsize=64)
-def _syevr_work(n: int) -> tuple[int, int]:
-    """`dsyevr`'s work sizes for an n x n matrix, queried once."""
+def _syevr_work(n: int):
+    """LAPACK's `dsyevr` and its work sizes for an n x n matrix, queried
+    once. scipy is imported here, at the first CSP fit, so a process that
+    fits none never loads it."""
+    from scipy.linalg.lapack import dsyevr, dsyevr_lwork
+
     work, iwork, info = dsyevr_lwork(n, lower=True)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: {info}")
-    return int(work), int(iwork)
+    return dsyevr, int(work), int(iwork)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +128,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with the work size queried once per size."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    lwork, liwork = _syevr_work(a.shape[0])
+    dsyevr, lwork, liwork = _syevr_work(a.shape[0])
     w, v, _, _, info = dsyevr(a, compute_v=1, lower=True, lwork=lwork,
                               liwork=liwork, overwrite_a=False)
     if info < -1:
@@ -213,7 +216,8 @@ def ar_from_autocovariance(r: np.ndarray, p: int) -> ArCoefficients:
         raise ValueError(f"need autocovariances r(0..{p}), got {len(r)}")
     if r[0] <= 0:
         raise ValueError("zero-variance series: autocovariance r(0) <= 0")
-    big_r = toeplitz(r[:p])
+    lags = np.arange(p)
+    big_r = r[np.abs(lags[:, None] - lags)]  # the Toeplitz matrix of r(0..p-1)
     try:
         a_fwd = np.linalg.solve(big_r, r[1 : p + 1])
     except np.linalg.LinAlgError as exc:
@@ -233,36 +237,6 @@ def fit_ar(series: np.ndarray, p: int = DEFAULT_AR_ORDER) -> ArCoefficients:
     if r[0] <= 0:
         raise ValueError("constant series: cannot fit AR model")
     return ar_from_autocovariance(r, p)
-
-
-def ar_feature(trial: Trial, channels: Sequence[int], p: int = DEFAULT_AR_ORDER) -> FeatureVector:
-    """Concatenated per-channel AR parameters: [a_1..a_p sigma^2] per channel."""
-    if not len(channels):
-        raise ValueError("no channels selected")
-    parts = []
-    for c in channels:
-        try:
-            model = fit_ar(trial.data[c], p)
-        except ValueError as exc:
-            raise ValueError(f"channel {c}: {exc}") from exc
-        parts.append(np.r_[model.a, model.noise_variance])
-    return FeatureVector(np.concatenate(parts), "ar")
-
-
-def lrp_feature(
-    trial: Trial,
-    channels: Sequence[int],
-    fs_hz: float,
-    feature_window_s: tuple[float, float] = (0.5, 1.5),
-) -> FeatureVector:
-    """Per selected channel, the mean amplitude inside the feature window."""
-    from .preprocess import _window_indices
-
-    if not len(channels):
-        raise ValueError("no channels selected")
-    i0, i1 = _window_indices(trial.n_samples, fs_hz, *feature_window_s)
-    means = trial.data[list(channels), i0:i1].mean(axis=1)
-    return FeatureVector(means, "lrp")
 
 
 def fisher_scores(values: np.ndarray, labels: Sequence[int]) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import LdaModel, fit_lda
+from .classify import SHRINKAGE, LdaModel
 from .config import PipelineConfig, SearchSpace
 from .data_model import TrialSet, stratified_folds
 from .errors import CriterionUndefinedError
@@ -105,6 +105,19 @@ def _search_folds(labels: np.ndarray, max_folds: int = 10) -> list[np.ndarray]:
     return stratified_folds(labels, n_folds)
 
 
+def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Each search fold's fit rows and held-out rows, then the full fit's
+    rows with None; one list serves every candidate of a search."""
+    n = len(labels)
+    fits = []
+    for fold in _search_folds(labels):
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        fits.append((np.flatnonzero(mask), fold))
+    fits.append((np.arange(n), None))  # the full fit, scored on the test set
+    return fits
+
+
 class _BandBatches:
     """Band-passed train and test batches of the current band only.
 
@@ -153,30 +166,41 @@ class _BandBatches:
 
 
 def _unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
-    lda = fit_lda(features[:, None], labels)
-    # unit-norm hyperplane: scores become signed distances, so fold models
-    # and the full-fit model land on one comparable scale
-    norm = float(np.linalg.norm(lda.w))
-    return LdaModel(w=lda.w / norm, b=lda.b / norm)
+    """`fit_lda` of one feature, scaled to a unit-norm hyperplane, so scores
+    become signed distances and fold models and the full-fit model land on
+    one comparable scale. With one feature the ridge-regularised solve is a
+    division; the means and the scatter are `fit_lda`'s numpy calls, and its
+    checks raise the same errors in the same order."""
+    x = features[:, None]
+    neg, pos = x[labels == -1], x[labels == 1]
+    if len(neg) == 0 or len(pos) == 0:
+        raise ValueError("both classes must be present")
+    mu_neg, mu_pos = neg.mean(axis=0), pos.mean(axis=0)
+    scatter = np.zeros((1, 1))
+    for block, mu in ((neg, mu_neg), (pos, mu_pos)):
+        centered = block - mu
+        scatter += centered.T @ centered
+    tr = scatter[0, 0]
+    w = (mu_pos - mu_neg) / (scatter[0] + SHRINKAGE * (tr if tr > 0 else 1.0))
+    if not np.any(w):
+        raise ValueError("classes have identical means: no discriminant direction")
+    b = -float(w @ (mu_pos + mu_neg) / 2.0)
+    norm = float(np.sqrt(w @ w))
+    return LdaModel(w=w / norm, b=b / norm)
 
 
-def candidate_scores(train_x, test_x, normalized, labels, folds, m) -> tuple[np.ndarray, np.ndarray]:
+def candidate_scores(train_x, test_x, normalized, labels, fits, m) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold train scores and full-fit test scores for one candidate.
 
     train_x and test_x are band-passed, cropped (n_trials, n_channels,
     n_samples) batches; normalized is `trace_normalized` of the train
-    trials' X X^T. Each fold, then the full fit, gets its CSP, its checks
-    and its LDA in that order, as if fitted alone; only the projection of
-    the train trials is shared, by as many fits at once as keep it within
-    BLOCK_VALUES values. So the first error raised is a lone fit's.
+    trials' X X^T; fits is `_fold_fits` of the labels. Each fold, then the
+    full fit, gets its CSP, its checks and its LDA in that order, as if
+    fitted alone; only the projection of the train trials is shared, by as
+    many fits at once as keep it within BLOCK_VALUES values. So the first
+    error raised is a lone fit's.
     """
     n = len(train_x)
-    fits = []
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        fits.append((np.flatnonzero(mask), fold))
-    fits.append((np.arange(n), None))  # the full fit, scored on the test set
     group = max(1, BLOCK_VALUES // (n * 2 * m * train_x.shape[-1]))
     train_scores = np.empty(n)
     for g0 in range(0, len(fits), group):
@@ -206,12 +230,12 @@ def candidate_scores(train_x, test_x, normalized, labels, folds, m) -> tuple[np.
     return train_scores, shares[:, None] @ lda.w + lda.b
 
 
-def _candidate_rho(batches, labels, band, window, channels, m, feasibility_threshold):
+def _candidate_rho(batches, labels, fits, band, window, channels, m, feasibility_threshold):
     """One candidate's table entries; its views of the band's batches end
     with this call, so dropping a band frees its memory."""
     train_x, test_x, normalized = batches.crop(band, window, channels)
     tr_scores, te_scores = candidate_scores(
-        train_x, test_x, normalized, labels, _search_folds(labels), m
+        train_x, test_x, normalized, labels, fits, m
     )
     pooled = np.r_[tr_scores, te_scores]
     lo, hi = float(pooled.min()), float(pooled.max())
@@ -254,6 +278,7 @@ def grid_search(
     )
     batches = _BandBatches(train, test_unlabeled)
     labels = np.array(labels)
+    fits = _fold_fits(labels)
     table = []
     failures = []
     for band, window, channels, m in candidates:
@@ -264,7 +289,7 @@ def grid_search(
         }
         try:
             row.update(_candidate_rho(
-                batches, labels, band, window, channels, m, feasibility_threshold
+                batches, labels, fits, band, window, channels, m, feasibility_threshold
             ))
         except CriterionUndefinedError as exc:
             row["error"] = str(exc)

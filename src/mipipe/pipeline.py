@@ -409,9 +409,7 @@ def _run_static(train, test, config, cache, folds=10, cv_seed=0) -> EvalReport:
         result = grid_search(train, test.without_labels(), config.search, base=config)
         config = result.config
         report.chosen.append(_chosen_entry("static", result))
-    labels = _labels(train, "cross-validation needs a fully labeled set"
-                     if _usable_folds(np.array(train.labels), folds) >= 2
-                     else "training set contains unlabeled trials")
+    labels = _labels(train, "training set contains unlabeled trials")
     data = train.replace_trials(train.trials + test.trials)
     predicted, cv = _fit_predict(data, labels, np.arange(len(train), len(data)),
                                  config, cache, folds, cv_seed)

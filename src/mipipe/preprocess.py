@@ -3,9 +3,9 @@
 All filters are Butterworth, applied forward-backward for zero phase with
 Gustafsson's initial conditions, so interior samples are free of edge
 transients. The design and the filter are numpy ports of scipy's
-`signal.butter` and `signal.filtfilt(method="gust")` that give the same bits;
-of scipy only LAPACK's `dgelsd` is used (the driver of `linalg.lstsq`), since
-importing `scipy.signal` costs a process more than a second.
+`signal.butter` and `signal.filtfilt(method="gust")` that give the same bits.
+Gustafsson's least-squares solve is numpy's `lstsq`, the same LAPACK `dgelsd`
+call with scipy's default `cond`, so this module imports no scipy at all.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 
 from .data_model import Trial
 
@@ -185,29 +183,13 @@ def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
     return big_m, w
 
 
-_EPS = float(np.finfo(np.float64).eps)  # lstsq's default `cond`
-
-
-@functools.lru_cache(maxsize=64)
-def _gelsd_work(rows: int, cols: int, nrhs: int) -> tuple[int, int]:
-    """`dgelsd`'s work sizes for one problem shape, queried once."""
-    work, iwork, info = dgelsd_lwork(rows, cols, nrhs, _EPS)
-    if info != 0:
-        raise ValueError(f"Internal work array size computation failed: {info}")
-    return int(work), int(iwork)
+_EPS = float(np.finfo(np.float64).eps)  # scipy's default `cond` for lstsq
 
 
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`linalg.lstsq(a, b)[0]` for a tall `a` (rows > columns): the same
-    `dgelsd` call, with the work size queried once per shape."""
-    rows, cols = a.shape
-    lwork, iwork = _gelsd_work(rows, cols, 1 if b.ndim == 1 else b.shape[1])
-    x, _, _, info = dgelsd(a, b, lwork, iwork, _EPS, False, False)
-    if info > 0:
-        raise LinAlgError("SVD did not converge in Linear Least Squares")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gelsd")
-    return x[:cols]
+    """`scipy.linalg.lstsq(a, b)[0]` for a tall `a` (rows > columns): numpy
+    makes the same `dgelsd` call, given scipy's `cond`."""
+    return np.linalg.lstsq(a, b, rcond=_EPS)[0]
 
 
 def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int,
@@ -321,15 +303,6 @@ def bandpass_zero_phase(trial: Trial, fs_hz: float, low_hz: float, high_hz: floa
     return trial.with_data(bandpass_array(trial.data, fs_hz, low_hz, high_hz))
 
 
-def lowpass_zero_phase(trial: Trial, fs_hz: float, cutoff_hz: float) -> Trial:
-    return trial.with_data(lowpass_array(trial.data, fs_hz, cutoff_hz))
-
-
-def common_average_reference(trial: Trial) -> Trial:
-    """Subtract the instantaneous mean over channels from every channel."""
-    return trial.with_data(_car(trial.data))
-
-
 def _car(x: np.ndarray) -> np.ndarray:
     if x.shape[-2] < 2:
         raise ValueError("common average reference needs >= 2 channels")
@@ -351,19 +324,9 @@ def _window_indices(n_samples: int, fs_hz: float, start_s: float, end_s: float):
     return i0, i0 + count
 
 
-def crop(trial: Trial, fs_hz: float, start_s: float, end_s: float) -> Trial:
-    """Keep samples with start_s <= k/fs < end_s (sample k at time k/fs)."""
-    return trial.with_data(_crop(trial.data, fs_hz, (start_s, end_s)))
-
-
 def _crop(x: np.ndarray, fs_hz: float, window_s: tuple[float, float]) -> np.ndarray:
     i0, i1 = _window_indices(x.shape[-1], fs_hz, *window_s)
     return x[..., i0:i1]
-
-
-def baseline_correct(trial: Trial, fs_hz: float, window_s: tuple[float, float]) -> Trial:
-    """Per channel, subtract the mean over the baseline window."""
-    return trial.with_data(_baseline(trial.data, fs_hz, window_s))
 
 
 def _baseline(x: np.ndarray, fs_hz: float, window_s: tuple[float, float]) -> np.ndarray:

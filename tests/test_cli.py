@@ -218,6 +218,20 @@ class TestRun:
         assert "training set contains unlabeled trials" in err
         assert filtered == []
 
+    def test_unlabeled_train_trial_is_one_message_with_and_without_sweep(
+            self, archive, tmp_path, fast_config, capsys):
+        ts = load_archive(archive)
+        save_archive(ts.replace_trials(
+            (ts.trials[0].with_label(None),) + ts.trials[1:]), tmp_path / "arch")
+        lines = []
+        for sweep in ([], ["--sweep"]):
+            code = main(["run", "--data", str(tmp_path / "arch"), *sweep,
+                         "--train-fraction", "0.5", "--config", fast_config,
+                         "--report", str(tmp_path / "run.json")])
+            assert code == EXIT_CONFIG
+            lines.append(capsys.readouterr().err.splitlines())
+        assert lines[0] == lines[1] == ["config error: training set contains unlabeled trials"]
+
     def test_by_session_split(self, multisession_archive, tmp_path, fast_config):
         report = tmp_path / "run.json"
         code = main(["run", "--data", str(multisession_archive),
@@ -407,9 +421,8 @@ class TestParser:
         capsys.readouterr()
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # importing scipy.signal costs a process over a second; a fresh
-    # interpreter must get through `import mipipe.cli` without it
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """stdout of `code` run with `args` in a fresh interpreter."""
     import os
     import subprocess
     import sys
@@ -418,5 +431,39 @@ def test_cli_import_leaves_scipy_signal_out():
     import mipipe
 
     env = {**os.environ, "PYTHONPATH": str(Path(mipipe.__file__).parents[1])}
-    code = "import mipipe.cli, sys; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          timeout=300, capture_output=True, text=True).stdout
+
+
+SCIPY_LOADED = ("import sys; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # importing scipy costs a process about 0.2 s (scipy.signal over a
+    # second); a fresh interpreter must get through `import mipipe.cli`
+    # without any of it
+    assert _fresh_interpreter("import mipipe.cli; " + SCIPY_LOADED) == "[]\n"
+
+
+SYNTH_THEN_CROSSVAL = """
+import sys
+from mipipe.cli import main
+arch, synth, config, report = sys.argv[1:]
+assert main(["synth", "--out", arch, "--config", synth]) == 0
+assert main(["crossval", "--data", arch, "--config", config, "--folds", "5",
+             "--report", report]) == 0
+"""
+
+
+@pytest.mark.parametrize("method, loaded", [("lrp", False), ("csp", True)])
+def test_scipy_is_loaded_only_to_fit_a_csp(tmp_path, method, loaded):
+    # scipy's `dsyevr` is imported at the first CSP fit; `synth` and the
+    # other methods never load scipy
+    out = _fresh_interpreter(
+        SYNTH_THEN_CROSSVAL + SCIPY_LOADED, str(tmp_path / "arch"),
+        write_json(tmp_path / "synth.json", SYNTH_DOC),
+        write_json(tmp_path / "pipeline.json", {**FAST_PIPELINE_DOC, "method": method}),
+        str(tmp_path / "cv.json"))
+    assert ("'scipy.linalg" in out) is loaded
+    assert (out == "[]\n") is not loaded

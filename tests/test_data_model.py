@@ -18,6 +18,7 @@ from mipipe.errors import ArchiveError
 from mipipe.synthgen import SynthConfig, generate
 
 from conftest import make_set, make_trial
+from oracle import session
 
 
 def test_trial_validation():
@@ -91,7 +92,7 @@ def test_roundtrip_synthetic_multisession(tmp_path):
     back = load_archive(tmp_path / "arch")
     assert back.session_ids == [1, 2, 3, 4]
     for sid in back.session_ids:
-        assert len(back.session(sid)) == 60
+        assert len(session(back, sid)) == 60
     for a, b in zip(ts, back):
         assert np.max(np.abs(a.data - b.data)) <= 1e-9
         assert (a.label, a.session_id, a.trial_index) == (b.label, b.session_id, b.trial_index)

