@@ -68,22 +68,19 @@ class CspModel:
 
 def trace_normalized(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each stacked X X^T divided by its trace, and the traces. Unchecked: a
-    zero trace gives non-finite entries, which `_class_mean` refuses."""
+    zero trace gives non-finite entries, which `class_covariance` and
+    `csp_fits` refuse."""
     traces = np.trace(covs, axis1=1, axis2=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return covs / traces[:, None, None], traces
 
 
-def _class_mean(unit: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    """Mean of trace-normalized covariances, once every trace is positive."""
+def class_covariance(trials: Sequence[Trial]) -> np.ndarray:
+    """Mean over trials of the trace-normalized covariance X X^T / tr."""
+    unit, traces = trace_normalized(np.array([t.data @ t.data.T for t in trials]))
     if np.any(traces <= 0):
         raise ValueError("trial has zero total variance")
     return np.mean(unit, axis=0)
-
-
-def class_covariance(trials: Sequence[Trial]) -> np.ndarray:
-    """Mean over trials of the trace-normalized covariance X X^T / tr."""
-    return _class_mean(*trace_normalized(np.array([t.data @ t.data.T for t in trials])))
 
 
 def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) -> CspModel:
@@ -97,17 +94,27 @@ def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) 
     return csp_from_covariances(class_covariance(class_neg), class_covariance(class_pos), m)
 
 
-def csp_from_normalized(unit: np.ndarray, traces: np.ndarray, labels, m: int = 1) -> CspModel:
-    """CSP from each trial's X X^T, stacked, divided by its trace and the
-    traces (`trace_normalized`), and its label (-1 or +1). Many fits over
-    rows of one stack can so normalize it once."""
-    labels = np.asarray(labels)
-    neg, pos = labels == -1, labels == 1
-    if not neg.any() or not pos.any():
+def _by_count(rows):
+    """Per distinct row count k, the fits with k rows and their rows, (fits, k)."""
+    sizes: dict = {}
+    for f, r in enumerate(rows):
+        sizes.setdefault(len(r), []).append(f)
+    return [(np.array(s), np.array([rows[f] for f in s], dtype=np.intp)) for s in sizes.values()]
+
+
+def csp_fits(unit: np.ndarray, traces: np.ndarray, neg_rows, pos_rows, m: int = 1):
+    """`csp_stack` of fits over rows of one `trace_normalized` stack, fit f's
+    classes being rows neg_rows[f] and pos_rows[f]. Each class mean is one
+    np.add.reduce per row count, summing in one fit's np.mean order."""
+    if not all(len(rows) for rows in (*neg_rows, *pos_rows)):
         raise ValueError("both classes must be nonempty")
-    return csp_from_covariances(
-        _class_mean(unit[neg], traces[neg]), _class_mean(unit[pos], traces[pos]), m
-    )
+    if np.any(traces[np.concatenate([*neg_rows, *pos_rows])] <= 0):
+        raise ValueError("trial has zero total variance")
+    means = np.empty((2, len(neg_rows)) + unit.shape[1:])
+    for c, rows in enumerate((neg_rows, pos_rows)):
+        for fits, stacked in _by_count(rows):
+            means[c, fits] = np.add.reduce(unit[stacked], axis=1) / stacked.shape[1]
+    return csp_stack(means[0], means[1], m)
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,38 +146,46 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -> CspModel:
-    """Simultaneously diagonalize the two class covariances.
+    """Simultaneously diagonalize the two class covariances: the one-fit
+    case of `csp_stack`."""
+    filters, eigenvalues = csp_stack(cov_neg[None], cov_pos[None], m)
+    return CspModel(filters=filters[0], eigenvalues=eigenvalues[0], m=m)
 
-    Whitens the composite covariance, eigendecomposes the whitened class -1
-    covariance and keeps the top-m / bottom-m eigenvectors mapped back through
-    the whitening transform.
+
+def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
+    """CSP filters (fits, 2m, c) and their class -1 shares (fits, 2m) of
+    stacked (fits, c, c) class covariances. Whitens each composite
+    covariance, eigendecomposes the whitened class -1 covariance and keeps
+    the top-m / bottom-m eigenvectors mapped back through the whitening
+    transform. Only these steps run fit by fit; the first failing fit raises.
     """
-    n_ch = cov_neg.shape[0]
+    n_fit, n_ch = cov_neg.shape[:2]
     if 2 * m > n_ch:
         raise ValueError(f"2m = {2 * m} filters exceed {n_ch} channels")
     composite = cov_neg + cov_pos
+    scaled = np.empty((n_fit, n_ch, n_ch))  # u / sqrt(d), whose transpose whitens
+    lam = np.empty((n_fit, n_ch))
+    vecs = np.empty((n_fit, n_ch, n_ch))
+    for f in range(n_fit):
+        d, u = _eigh(composite[f])
+        if d[0] < 1e-10 * d[-1]:
+            raise RankDeficientError(
+                f"composite covariance is rank deficient (eigenvalue ratio "
+                f"{d[0] / d[-1]:.2e} below 1e-10)"
+            )
+        scaled[f] = u / np.sqrt(d)
+        whitener = scaled[f].T
+        lam[f], vecs[f] = _eigh(whitener @ cov_neg[f] @ whitener.T)
 
-    d, u = _eigh(composite)
-    if d[0] < 1e-10 * d[-1]:
-        raise RankDeficientError(
-            f"composite covariance is rank deficient (eigenvalue ratio "
-            f"{d[0] / d[-1]:.2e} below 1e-10)"
-        )
-    whitener = (u / np.sqrt(d)).T  # rows whiten the composite
-
-    lam, b = _eigh(whitener @ cov_neg @ whitener.T)
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    filters = (b[:, order].T @ whitener)
-
+    order = np.argsort(lam, axis=-1)[:, ::-1]
     keep = np.r_[0:m, n_ch - m:n_ch]
-    filters = filters[keep]
-    lam = lam[keep]
-    # eigenvectors are sign-ambiguous; make the largest coefficient positive
-    for row in filters:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1
-    return CspModel(filters=filters, eigenvalues=lam, m=m)
+    lam = np.take_along_axis(lam, order, axis=-1)[:, keep]
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    filters = (vecs.transpose(0, 2, 1) @ scaled.transpose(0, 2, 1))[:, keep]
+    # eigenvectors are sign-ambiguous; make each row's largest coefficient positive
+    peak = np.take_along_axis(filters, np.abs(filters).argmax(axis=-1)[..., None], axis=-1)
+    filters[peak[..., 0] < 0] *= -1
+    return filters, lam
 
 
 def csp_log_shares(model: CspModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,9 @@ from .config import PipelineConfig, SearchSpace
 from .data_model import TrialSet, stratified_folds
 from .errors import CriterionUndefinedError
 from .features import (
+    _by_count,
     check_csp_shares,
-    csp_from_normalized,
-    csp_log_shares,
+    csp_fits,
     projection_log_shares,
     trace_normalized,
 )
@@ -105,16 +105,14 @@ def _search_folds(labels: np.ndarray, max_folds: int = 10) -> list[np.ndarray]:
     return stratified_folds(labels, n_folds)
 
 
-def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Each search fold's fit rows and held-out rows, then the full fit's
-    rows with None; one list serves every candidate of a search."""
-    n = len(labels)
+def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Each search fold's fit, then the full fit, which holds out no row and
+    is scored on the test set, as (rows, class -1 rows, class +1 rows,
+    held-out rows); one list serves every candidate of a search."""
     fits = []
-    for fold in _search_folds(labels):
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        fits.append((np.flatnonzero(mask), fold))
-    fits.append((np.arange(n), None))  # the full fit, scored on the test set
+    for fold in _search_folds(labels) + [np.array([], dtype=np.intp)]:
+        rows = np.setdiff1d(np.arange(len(labels)), fold)
+        fits.append((rows, rows[labels[rows] == -1], rows[labels[rows] == 1], fold))
     return fits
 
 
@@ -165,78 +163,91 @@ class _BandBatches:
         return train_x, test_x, self.normalized[key]
 
 
-def _unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
-    """`fit_lda` of one feature, scaled to a unit-norm hyperplane, so scores
-    become signed distances and fold models and the full-fit model land on
-    one comparable scale. With one feature the ridge-regularised solve is a
-    division; the means and the scatter are `fit_lda`'s numpy calls, and its
-    checks raise the same errors in the same order."""
-    x = features[:, None]
-    neg, pos = x[labels == -1], x[labels == 1]
-    if len(neg) == 0 or len(pos) == 0:
-        raise ValueError("both classes must be present")
-    mu_neg, mu_pos = neg.mean(axis=0), pos.mean(axis=0)
-    scatter = np.zeros((1, 1))
-    for block, mu in ((neg, mu_neg), (pos, mu_pos)):
-        centered = block - mu
-        scatter += centered.T @ centered
-    tr = scatter[0, 0]
-    w = (mu_pos - mu_neg) / (scatter[0] + SHRINKAGE * (tr if tr > 0 else 1.0))
-    if not np.any(w):
-        raise ValueError("classes have identical means: no discriminant direction")
-    b = -float(w @ (mu_pos + mu_neg) / 2.0)
-    norm = float(np.sqrt(w @ w))
-    return LdaModel(w=w / norm, b=b / norm)
+def _unit_ldas(shares: np.ndarray, neg_rows, pos_rows):
+    """w and b of `fit_lda` of one feature for each fit f, whose classes are
+    shares[f, neg_rows[f]] and shares[f, pos_rows[f]], scaled to a unit-norm
+    hyperplane so every fit scores signed distances. With one feature the
+    ridge-regularised solve is a division; means and scatter sum in
+    `fit_lda`'s order, one stacked reduction per class and row count. The
+    first fit that fails raises `fit_lda`'s or `LdaModel`'s error."""
+    mu = np.empty((2, len(shares)))
+    scatter = np.zeros(len(shares))
+    with np.errstate(all="ignore"):  # a failed fit raises below
+        for c, rows in enumerate((neg_rows, pos_rows)):
+            for fits, stacked in _by_count(rows):
+                x = shares[fits[:, None], stacked]
+                mu[c, fits] = np.add.reduce(x, axis=1) / x.shape[1]
+                centered = (x - mu[c, fits, None])[:, None]
+                scatter[fits] += (centered @ centered.transpose(0, 2, 1))[:, 0, 0]
+        w = (mu[1] - mu[0]) / (scatter + SHRINKAGE * np.where(scatter > 0, scatter, 1.0))
+        # `+ 0.0` is the zero a dot product starts from (-0.0 becomes 0.0)
+        b = -((w * (mu[1] + mu[0]) + 0.0) / 2.0)
+        unit_w, unit_b = w / np.sqrt(w * w), b / np.sqrt(w * w)
+    for f in np.flatnonzero(~(np.isfinite(unit_w) & np.isfinite(unit_b) & (unit_w != 0))):
+        if not len(neg_rows[f]) or not len(pos_rows[f]):
+            raise ValueError("both classes must be present")
+        if w[f] == 0:
+            raise ValueError("classes have identical means: no discriminant direction")
+        LdaModel(w=unit_w[f:f + 1], b=float(unit_b[f]))
+    return unit_w, unit_b
 
 
-def candidate_scores(train_x, test_x, normalized, labels, fits, m) -> tuple[np.ndarray, np.ndarray]:
+def _check_shares(shares: np.ndarray, totals: np.ndarray, rows) -> None:
+    """`check_csp_shares` of each fit f's rows rows[f], in fit order."""
+    if not np.all((totals > 0) & np.isfinite(shares)):
+        for share, total, r in zip(shares, totals, rows):
+            check_csp_shares(share[r], total[r])
+
+
+def _fit_group(fits, train_x, normalized, m):
+    """The stacked CSP filters, train shares and unit LDAs of `fits`. Each
+    fit is checked in a lone fit's order; the error may be any fit's."""
+    rows, neg, pos, held_out = zip(*fits)
+    filters, _ = csp_fits(*normalized, neg, pos, m)
+    shares, totals = projection_log_shares(filters[:, None] @ train_x, m)
+    _check_shares(shares, totals, rows)
+    w, b = _unit_ldas(shares, neg, pos)
+    _check_shares(shares, totals, held_out)
+    return filters, shares, w, b
+
+
+def candidate_scores(train_x, test_x, normalized, fits, m) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold train scores and full-fit test scores for one candidate.
 
     train_x and test_x are band-passed, cropped (n_trials, n_channels,
     n_samples) batches; normalized is `trace_normalized` of the train
-    trials' X X^T; fits is `_fold_fits` of the labels. Each fold, then the
-    full fit, gets its CSP, its checks and its LDA in that order, as if
-    fitted alone; only the projection of the train trials is shared, by as
-    many fits at once as keep it within BLOCK_VALUES values. So the first
-    error raised is a lone fit's.
+    trials' X X^T; fits is `_fold_fits` of their labels. Fits are scored on
+    stacks, in groups whose train projections fit in BLOCK_VALUES values.
+    If a group fails, its fits are refitted alone in fold order, so the
+    error raised is the first that fitting the folds one by one meets.
     """
     n = len(train_x)
     group = max(1, BLOCK_VALUES // (n * 2 * m * train_x.shape[-1]))
     train_scores = np.empty(n)
     for g0 in range(0, len(fits), group):
-        csps, error = [], None
-        for fit, _ in fits[g0:g0 + group]:
-            try:
-                csps.append(csp_from_normalized(
-                    normalized[0][fit], normalized[1][fit], labels[fit], m))
-            except ValueError as exc:  # raised once the fits before it are checked
-                error = exc
-                break
-        if csps:
-            filters = np.stack([csp.filters for csp in csps])[:, None]
-            shares, totals = projection_log_shares(filters @ train_x, m)
-            for (fit, fold), share, total in zip(fits[g0:], shares, totals):
-                check_csp_shares(share[fit], total[fit])
-                lda = _unit_lda(share[fit], labels[fit])
-                if fold is not None:
-                    check_csp_shares(share[fold], total[fold])
-                    train_scores[fold] = share[fold, None] @ lda.w + lda.b
-        if error is not None:
-            raise error
+        part = fits[g0:g0 + group]
+        try:
+            filters, shares, w, b = _fit_group(part, train_x, normalized, m)
+        except ValueError:
+            for fit in part:
+                _fit_group([fit], train_x, normalized, m)
+            raise
+        held_out = [fit[3] for fit in part]
+        at = np.concatenate(held_out)
+        fit = np.repeat(np.arange(len(part)), [len(r) for r in held_out])
+        train_scores[at] = shares[fit, at] * w[fit] + 0.0 + b[fit]
 
-    # the last fit checked, with `lda`, is the full fit
-    shares, totals = csp_log_shares(csps[-1], test_x)
+    # the last group ends with the full fit
+    shares, totals = projection_log_shares(filters[-1] @ test_x, m)
     check_csp_shares(shares, totals)
-    return train_scores, shares[:, None] @ lda.w + lda.b
+    return train_scores, shares * w[-1] + 0.0 + b[-1]
 
 
-def _candidate_rho(batches, labels, fits, band, window, channels, m, feasibility_threshold):
+def _candidate_rho(batches, fits, band, window, channels, m, feasibility_threshold):
     """One candidate's table entries; its views of the band's batches end
     with this call, so dropping a band frees its memory."""
     train_x, test_x, normalized = batches.crop(band, window, channels)
-    tr_scores, te_scores = candidate_scores(
-        train_x, test_x, normalized, labels, fits, m
-    )
+    tr_scores, te_scores = candidate_scores(train_x, test_x, normalized, fits, m)
     pooled = np.r_[tr_scores, te_scores]
     lo, hi = float(pooled.min()), float(pooled.max())
     if not hi > lo:
@@ -277,8 +288,7 @@ def grid_search(
         space.bands_hz, space.windows_s, channel_sets, space.m_values
     )
     batches = _BandBatches(train, test_unlabeled)
-    labels = np.array(labels)
-    fits = _fold_fits(labels)
+    fits = _fold_fits(np.array(labels))
     table = []
     failures = []
     for band, window, channels, m in candidates:
@@ -289,19 +299,21 @@ def grid_search(
         }
         try:
             row.update(_candidate_rho(
-                batches, labels, fits, band, window, channels, m, feasibility_threshold
+                batches, fits, band, window, channels, m, feasibility_threshold
             ))
         except CriterionUndefinedError as exc:
             row["error"] = str(exc)
         except ValueError as exc:
             row["error"] = str(exc)
-            failures.append(f"band={band} window={window} m={m}: {exc}")
+            failures.append(f"band={band} window={window} channels={channels} m={m}: {exc}")
         table.append(row)
 
     scored = [(i, r) for i, r in enumerate(table) if r["rho"] is not None]
     if not scored:
         raise ValueError(
-            "all candidates failed:\n" + "\n".join(failures or ["(flat histograms)"])
+            f"all candidates failed: {len(failures)} of {len(table)} raised an error; "
+            f"first: {failures[0]}" if failures else
+            "all candidates failed: flat histograms"
         )
     feasible = [(i, r) for i, r in scored if r["feasible"]]
     if feasible:

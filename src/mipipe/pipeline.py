@@ -13,8 +13,9 @@ from .config import PipelineConfig
 from .data_model import SplitSpec, TrialSet, split, stratified_folds
 from .errors import ConfigError
 from .features import (
+    CspModel,
     check_csp_shares,
-    csp_from_normalized,
+    csp_fits,
     csp_log_shares,
     fisher_scores,
     fit_ar,
@@ -93,8 +94,10 @@ class CspExtractor(_Extractor):
         return x, trace_normalized(x @ x.transpose(0, 2, 1))
 
     def fit_rows(self, prepared, rows, labels):
-        unit, traces = prepared[1]
-        self.model = csp_from_normalized(unit[rows], traces[rows], labels[rows], self.config.m)
+        fit = labels[rows]
+        filters, eigenvalues = csp_fits(*prepared[1], [rows[fit == -1]], [rows[fit == 1]],
+                                        self.config.m)
+        self.model = CspModel(filters=filters[0], eigenvalues=eigenvalues[0], m=self.config.m)
         return self
 
     def transform_rows(self, prepared, rows) -> np.ndarray:

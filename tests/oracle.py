@@ -1,7 +1,8 @@
 """Trial-at-a-time steps that the package no longer calls, kept as
-references for the tests: each one runs on one `Trial` what the batched
-chains in `mipipe.preprocess` and the extractors in `mipipe.pipeline` run
-on stacked arrays."""
+references for the tests: each one runs on one `Trial`, or for one fit,
+what the batched chains in `mipipe.preprocess`, the extractors in
+`mipipe.pipeline` and the search in `mipipe.param_select` run on stacked
+arrays."""
 
 from __future__ import annotations
 
@@ -9,9 +10,27 @@ from typing import Sequence
 
 import numpy as np
 
+from mipipe.classify import SHRINKAGE, LdaModel
 from mipipe.data_model import Trial, TrialSet
-from mipipe.features import DEFAULT_AR_ORDER, FeatureVector, fit_ar
-from mipipe.preprocess import _baseline, _car, _crop, _window_indices, lowpass_array
+from mipipe.errors import RankDeficientError
+from mipipe.features import (
+    DEFAULT_AR_ORDER,
+    CspModel,
+    FeatureVector,
+    _eigh,
+    check_csp_shares,
+    csp_log_shares,
+    fit_ar,
+    projection_log_shares,
+)
+from mipipe.preprocess import (
+    BLOCK_VALUES,
+    _baseline,
+    _car,
+    _crop,
+    _window_indices,
+    lowpass_array,
+)
 
 
 def lowpass_zero_phase(trial: Trial, fs_hz: float, cutoff_hz: float) -> Trial:
@@ -64,3 +83,108 @@ def lrp_feature(
 def session(trial_set: TrialSet, session_id: int) -> TrialSet:
     """Subset containing one session, order preserved."""
     return trial_set.replace_trials([t for t in trial_set.trials if t.session_id == session_id])
+
+
+def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -> CspModel:
+    """`mipipe.features.csp_stack` for one pair of class covariances."""
+    n_ch = cov_neg.shape[0]
+    if 2 * m > n_ch:
+        raise ValueError(f"2m = {2 * m} filters exceed {n_ch} channels")
+    composite = cov_neg + cov_pos
+
+    d, u = _eigh(composite)
+    if d[0] < 1e-10 * d[-1]:
+        raise RankDeficientError(
+            f"composite covariance is rank deficient (eigenvalue ratio "
+            f"{d[0] / d[-1]:.2e} below 1e-10)"
+        )
+    whitener = (u / np.sqrt(d)).T  # rows whiten the composite
+
+    lam, b = _eigh(whitener @ cov_neg @ whitener.T)
+    order = np.argsort(lam)[::-1]
+    lam = lam[order]
+    filters = (b[:, order].T @ whitener)
+
+    keep = np.r_[0:m, n_ch - m:n_ch]
+    filters = filters[keep]
+    lam = lam[keep]
+    # eigenvectors are sign-ambiguous; make the largest coefficient positive
+    for row in filters:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1
+    return CspModel(filters=filters, eigenvalues=lam, m=m)
+
+
+def _class_mean(unit: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Mean of trace-normalized covariances, once every trace is positive."""
+    if np.any(traces <= 0):
+        raise ValueError("trial has zero total variance")
+    return np.mean(unit, axis=0)
+
+
+def csp_from_normalized(unit: np.ndarray, traces: np.ndarray, labels, m: int = 1) -> CspModel:
+    """`mipipe.features.csp_fits` for one fit, with np.mean class means."""
+    labels = np.asarray(labels)
+    neg, pos = labels == -1, labels == 1
+    if not neg.any() or not pos.any():
+        raise ValueError("both classes must be nonempty")
+    return csp_from_covariances(
+        _class_mean(unit[neg], traces[neg]), _class_mean(unit[pos], traces[pos]), m
+    )
+
+
+def unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
+    """`fit_lda` of one feature in closed form, scaled to a unit-norm
+    hyperplane: the search's LDA for one fit."""
+    x = features[:, None]
+    neg, pos = x[labels == -1], x[labels == 1]
+    if len(neg) == 0 or len(pos) == 0:
+        raise ValueError("both classes must be present")
+    mu_neg, mu_pos = neg.mean(axis=0), pos.mean(axis=0)
+    scatter = np.zeros((1, 1))
+    for block, mu in ((neg, mu_neg), (pos, mu_pos)):
+        centered = block - mu
+        scatter += centered.T @ centered
+    tr = scatter[0, 0]
+    w = (mu_pos - mu_neg) / (scatter[0] + SHRINKAGE * (tr if tr > 0 else 1.0))
+    if not np.any(w):
+        raise ValueError("classes have identical means: no discriminant direction")
+    b = -float(w @ (mu_pos + mu_neg) / 2.0)
+    norm = float(np.sqrt(w @ w))
+    return LdaModel(w=w / norm, b=b / norm)
+
+
+def candidate_scores(train_x, test_x, normalized, labels, fits, m, block_values=BLOCK_VALUES):
+    """`mipipe.param_select.candidate_scores` fit by fit: each fold, then
+    the full fit, gets its CSP, its checks and its LDA in that order, as if
+    fitted alone; only the projection of the train trials is shared, by as
+    many fits at once as keep it within `block_values` values. If a fold's
+    CSP raises, the earlier fits of its group are checked first. The full
+    fit, last, holds out no row."""
+    fits = [(rows, held_out) for rows, _, _, held_out in fits]
+    n = len(train_x)
+    group = max(1, block_values // (n * 2 * m * train_x.shape[-1]))
+    train_scores = np.empty(n)
+    for g0 in range(0, len(fits), group):
+        csps, error = [], None
+        for fit, _ in fits[g0:g0 + group]:
+            try:
+                csps.append(csp_from_normalized(
+                    normalized[0][fit], normalized[1][fit], labels[fit], m))
+            except ValueError as exc:
+                error = exc
+                break
+        if csps:
+            filters = np.stack([csp.filters for csp in csps])[:, None]
+            shares, totals = projection_log_shares(filters @ train_x, m)
+            for (fit, fold), share, total in zip(fits[g0:], shares, totals):
+                check_csp_shares(share[fit], total[fit])
+                lda = unit_lda(share[fit], labels[fit])
+                check_csp_shares(share[fold], total[fold])
+                train_scores[fold] = share[fold, None] @ lda.w + lda.b
+        if error is not None:
+            raise error
+
+    shares, totals = csp_log_shares(csps[-1], test_x)
+    check_csp_shares(shares, totals)
+    return train_scores, shares[:, None] @ lda.w + lda.b

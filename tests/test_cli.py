@@ -271,6 +271,19 @@ class TestConfigAgainstArchive:
         assert "channel index 9" in err
         assert not (tmp_path / "out.json").exists()
 
+    def test_search_in_which_every_candidate_fails_is_one_line(
+            self, archive, tmp_path, capsys):
+        # both bands reach past the 50 Hz Nyquist frequency of the archive
+        search = {"bands_hz": [[60, 70], [55, 58]], "windows_s": [[0.5, 2.5], [0.5, 4.5]]}
+        code = self.run(archive, tmp_path, {"search": search})
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: all candidates failed: 4 of 4 raised an error; "
+                              "first: band=(60.0, 70.0) window=(0.5, 2.5) ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("method", ["csp", "combined"])
     def test_missing_csp_parameters(self, archive, tmp_path, capsys, method):
         code = self.run(archive, tmp_path, {"method": method, "preprocess": {}})

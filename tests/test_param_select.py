@@ -3,17 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
+from mipipe import features, param_select
 from mipipe.classify import LdaModel, fit_lda, lda_score
 from mipipe.config import PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, Trial, TrialSet, split
 from mipipe.errors import CriterionUndefinedError
-from mipipe.features import csp_feature, fit_csp
+from mipipe.features import csp_feature, csp_stack, fit_csp
 from mipipe.param_select import (
     FEASIBILITY_THRESHOLD,
     N_BINS,
     PdfEstimate,
+    _BandBatches,
+    _fold_fits,
     _search_folds,
-    _unit_lda,
+    _unit_ldas,
+    candidate_scores,
     class_balance_penalty,
     estimate_pdf,
     grid_search,
@@ -22,6 +26,7 @@ from mipipe.param_select import (
 from mipipe.preprocess import bandpass_zero_phase
 from mipipe.synthgen import SynthConfig, generate
 
+import oracle
 from conftest import count_filtered_trials
 from oracle import crop
 
@@ -296,9 +301,16 @@ class TestGridSearch:
 
 # --- per-trial oracle: the search as written before it was batched by band ---
 
+def unit_lda(features, labels):
+    """`_unit_ldas` of one fit."""
+    w, b = _unit_ldas(features[None], [np.flatnonzero(labels == -1)],
+                      [np.flatnonzero(labels == 1)])
+    return LdaModel(w=w, b=float(b[0]))
+
+
 class TestUnitLda:
-    """The search's one-feature LDA in closed form against `fit_lda` and
-    the normalisation it replaced."""
+    """The search's one-feature LDA, vectorised over fits, against
+    `fit_lda` and the normalisation it replaced."""
 
     @staticmethod
     def reference(features, labels):
@@ -306,15 +318,32 @@ class TestUnitLda:
         norm = float(np.linalg.norm(lda.w))
         return LdaModel(w=lda.w / norm, b=lda.b / norm)
 
-    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-    def test_bitwise_equal_to_fit_lda_normalised(self, rng, scale):
-        for _ in range(300):
+    @staticmethod
+    def random_sets(rng, scale, count=300):
+        for _ in range(count):
             n = int(rng.integers(2, 130))
             labels = rng.permutation(np.r_[-1, 1, rng.choice([-1, 1], size=n - 2)])
-            features = scale * (rng.normal(size=n) - 0.3 * labels * rng.uniform())
-            got, want = _unit_lda(features, labels), self.reference(features, labels)
+            yield scale * (rng.normal(size=n) - 0.3 * labels * rng.uniform()), labels
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_bitwise_equal_to_fit_lda_normalised(self, rng, scale):
+        for features, labels in self.random_sets(rng, scale):
+            got, want = unit_lda(features, labels), self.reference(features, labels)
             assert got.w.shape == want.w.shape == (1,)
             assert np.array_equal(got.w, want.w) and got.b == want.b
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_all_fits_at_once_equal_each_fit_alone(self, rng, scale):
+        # 300 fits of many class sizes in one call, padded to one width
+        sets = list(self.random_sets(rng, scale))
+        shares = np.zeros((len(sets), max(len(f) for f, _ in sets)))
+        for f, (features, _) in enumerate(sets):
+            shares[f, :len(features)] = features
+        w, b = _unit_ldas(shares, [np.flatnonzero(y == -1) for _, y in sets],
+                          [np.flatnonzero(y == 1) for _, y in sets])
+        for f, (features, labels) in enumerate(sets):
+            want = self.reference(features, labels)
+            assert w[f] == want.w[0] and b[f] == want.b
 
     @pytest.mark.parametrize("features, labels, match", [
         ([1.0, 2.0, 1.0, 2.0], [-1, -1, 1, 1], "identical means"),
@@ -323,9 +352,149 @@ class TestUnitLda:
     ])
     def test_same_errors_as_fit_lda(self, features, labels, match):
         features, labels = np.array(features), np.array(labels)
-        for fit in (_unit_lda, self.reference):
+        for fit in (unit_lda, self.reference):
             with pytest.raises(ValueError, match=match):
                 fit(features, labels)
+
+    def test_first_failing_fit_raises(self):
+        fine, same_means = [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0, 2.0]
+        rows = [np.array([0, 1]), np.array([2, 3]), np.array([], dtype=int)]
+        cases = [
+            ([fine, same_means, fine], [rows[0]] * 3, [rows[1]] * 3, "identical means"),
+            ([fine, fine, same_means], [rows[0]] * 3, [rows[1], rows[2], rows[1]],
+             "both classes must be present"),
+        ]
+        for shares, neg, pos, match in cases:
+            with pytest.raises(ValueError, match=match):
+                _unit_ldas(np.array(shares), neg, pos)
+
+
+def test_csp_stack_equals_each_fit_alone(rng):
+    # class covariances as the search forms them, of 2-8 channels, with
+    # m = 1 and 2; one stacked call per shape
+    for n_ch in range(2, 9):
+        x = rng.normal(size=(40, n_ch, 60)) * rng.uniform(0.5, 2.0, size=(1, n_ch, 1))
+        unit, _ = features.trace_normalized(x @ x.transpose(0, 2, 1))
+        picks = [rng.permutation(40) for _ in range(12)]
+        cov_neg = np.array([unit[p[:15]].mean(axis=0) for p in picks])
+        cov_pos = np.array([unit[p[15:]].mean(axis=0) for p in picks])
+        for m in (1, 2)[:n_ch // 2]:
+            filters, lam = csp_stack(cov_neg, cov_pos, m)
+            for f in range(12):
+                want = oracle.csp_from_covariances(cov_neg[f], cov_pos[f], m)
+                assert np.array_equal(filters[f], want.filters)
+                assert np.array_equal(lam[f], want.eigenvalues)
+
+
+def test_csp_stack_raises_for_the_first_failing_fit():
+    eye, rank_one, nan = np.eye(3) / 3, np.diag([1.0, 0.0, 0.0]), np.full((3, 3), np.nan)
+    with pytest.raises(ValueError, match="rank deficient"):
+        csp_stack(np.array([eye, rank_one, eye]), np.array([eye, rank_one, nan]), 1)
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        csp_stack(np.array([eye, eye, rank_one]), np.array([eye, nan, rank_one]), 1)
+    with pytest.raises(ValueError, match="^2m = 4 filters exceed 3 channels$"):
+        csp_stack(np.array([eye]), np.array([eye]), 2)
+
+
+def unbalanced_batches(channels):
+    """Cropped train and test batches of a planted set with 33 trials of
+    class -1 and 17 of class +1: ten folds whose fits hold 29 or 30 trials
+    of class -1 and 15 or 16 of class +1, and the full fit 33 and 17."""
+    train, test = planted_sets(seed=7, trials_per_session=200, fraction=0.4)
+    counts = {-1: 0, 1: 0}
+    keep = []
+    for t in train.trials:
+        counts[t.label] += 1
+        if counts[t.label] <= {-1: 33, 1: 17}[t.label]:
+            keep.append(t)
+    train = train.replace_trials(keep)
+    labels = np.array(train.labels)
+    batches = _BandBatches(train, test.without_labels())
+    return batches.crop((12.0, 14.0), (0.5, 3.5), channels), labels
+
+
+class TestStackedScoresMatchPerFit:
+    """`candidate_scores` against the fit-by-fit reference in `oracle`."""
+
+    @pytest.mark.parametrize("channels", [None, (0, 2, 3, 4)])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("per_group", [None, 3])
+    def test_scores_equal_reference(self, monkeypatch, channels, m, per_group):
+        (train_x, test_x, normalized), labels = unbalanced_batches(channels)
+        fits = _fold_fits(labels)
+        assert len(fits) == 11
+        assert len({len(neg) for _, neg, _, _ in fits}) == 3
+        assert len({len(pos) for _, _, pos, _ in fits}) == 3
+        block = param_select.BLOCK_VALUES
+        if per_group is not None:  # several groups: 3, 3, 3 and 2 fits
+            block = per_group * len(train_x) * 2 * m * train_x.shape[-1]
+            monkeypatch.setattr(param_select, "BLOCK_VALUES", block)
+        got = candidate_scores(train_x, test_x, normalized, fits, m)
+        want = oracle.candidate_scores(train_x, test_x, normalized, labels, fits, m, block)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("broken", ["trial", "projection", "test trial"])
+    @pytest.mark.parametrize("flat_fold", [0, 4])
+    @pytest.mark.parametrize("scale", [0.0, np.nan])
+    def test_first_error_equals_reference(self, monkeypatch, broken, flat_fold, scale):
+        # one trial zeroed or made NaN: a train trial held out in fold 0 or
+        # in the second group of fits, in its trace and projections or in
+        # its projections only, or a test trial, which only the full fit in
+        # the last group projects
+        (train_x, test_x, normalized), labels = unbalanced_batches((0, 2, 3))
+        fits = _fold_fits(labels)
+        row = fits[flat_fold][3][0]
+        train_x, test_x = train_x.copy(), test_x.copy()
+        unit, traces = (a.copy() for a in normalized)
+        if broken == "test trial":
+            test_x[row] *= scale
+        else:
+            train_x[row] *= scale
+        if broken == "trial":
+            unit[row] *= scale
+            traces[row] *= scale
+        block = 3 * len(train_x) * 2 * train_x.shape[-1]
+        monkeypatch.setattr(param_select, "BLOCK_VALUES", block)
+        messages = []
+        for scores in (lambda: candidate_scores(train_x, test_x, (unit, traces), fits, 1),
+                       lambda: oracle.candidate_scores(
+                           train_x, test_x, (unit, traces), labels, fits, 1, block)):
+            with pytest.raises(ValueError) as exc:
+                scores()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0] in {
+            "trial has zero total variance",
+            "array must not contain infs or NaNs",
+            "zero total variance after spatial filtering",
+            "feature vector contains non-finite values",
+        }
+
+
+def test_ten_fold_candidate_makes_two_eigendecompositions_per_fit(monkeypatch):
+    (train_x, test_x, normalized), labels = unbalanced_batches(None)
+    fits = _fold_fits(labels)
+    eigh_calls, projected = [], []
+    eigh, project = features._eigh, param_select.projection_log_shares
+
+    def counting_eigh(a):
+        eigh_calls.append(a.shape)
+        return eigh(a)
+
+    def counting_projection(projections, m):
+        projected.append(projections.shape)
+        return project(projections, m)
+
+    monkeypatch.setattr(features, "_eigh", counting_eigh)
+    monkeypatch.setattr(param_select, "projection_log_shares", counting_projection)
+    n, n_ch, n_samples = train_x.shape
+    monkeypatch.setattr(param_select, "BLOCK_VALUES", 4 * n * 2 * n_samples)
+    candidate_scores(train_x, test_x, normalized, fits, 1)
+    assert len(eigh_calls) == 22  # two dsyevr calls per fit, 10 folds and the full fit
+    # one projection per group of 4, 4 and 3 fits, then the test trials'
+    assert projected == [(4, n, 2, n_samples), (4, n, 2, n_samples),
+                         (3, n, 2, n_samples), (len(test_x), 2, n_samples)]
 
 
 def _oracle_prep(ts, band, window, channels):
