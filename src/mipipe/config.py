@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .data_model import _is_int
@@ -99,20 +100,34 @@ class PipelineConfig:
         return replace(self, **kwargs)
 
 
-def _pair(value, name):
-    if value is None:
-        return None
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{name} must be a [low, high] pair")
-    return (float(value[0]), float(value[1]))
-
-
 def json_int(value, name: str) -> int:
     """`value` if it is a JSON integer (a bool is not), else a ConfigError
     naming the field."""
     if not _is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def json_number(value, name: str):
+    """`value` if it is a finite JSON number (not a bool), else a ConfigError."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def json_pair(value, name: str) -> tuple[float, float]:
+    """`value`, a list of two JSON numbers, as floats; else a ConfigError."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
+    return (float(json_number(value[0], name)), float(json_number(value[1], name)))
+
+
+def _pair(value, name):
+    return None if value is None else json_pair(value, name)
 
 
 def _object(doc, where: str, cls) -> dict:
@@ -136,21 +151,26 @@ def preprocess_from_dict(doc: dict) -> PreprocessConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _search_list(doc: dict, name: str, default=None) -> list:
+    """The JSON list `doc[name]`, or `default` if it is absent or null."""
+    value = default if doc.get(name) is None else doc[name]
+    if not isinstance(value, list):
+        raise ConfigError(f"search.{name} is missing" if value is None
+                          else f"search.{name} must be a list, got {value!r}")
+    return value
+
+
 def search_from_dict(doc: dict) -> SearchSpace:
     doc = _object(doc, "search", SearchSpace)
-    channel_sets = doc.get("channel_sets")
-    if channel_sets is None:
-        channel_sets = (None,)
-    else:
-        channel_sets = tuple(
-            None if cs is None else tuple(json_int(c, "search.channel_sets") for c in cs)
-            for cs in channel_sets
-        )
     return SearchSpace(
-        bands_hz=tuple(_pair(b, "band candidate") for b in doc["bands_hz"]),
-        windows_s=tuple(_pair(w, "window candidate") for w in doc["windows_s"]),
-        channel_sets=channel_sets,
-        m_values=tuple(json_int(m, "search.m_values") for m in doc.get("m_values", (1,))),
+        bands_hz=tuple(_pair(b, "band candidate") for b in _search_list(doc, "bands_hz")),
+        windows_s=tuple(_pair(w, "window candidate") for w in _search_list(doc, "windows_s")),
+        channel_sets=tuple(
+            None if cs is None else tuple(json_int(c, "search.channel_sets") for c in cs)
+            for cs in _search_list(doc, "channel_sets", [None])
+        ),
+        m_values=tuple(json_int(m, "search.m_values")
+                       for m in _search_list(doc, "m_values", [1])),
     )
 
 
@@ -182,14 +202,11 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
             ),
             search=None if doc.get("search") is None else search_from_dict(doc["search"]),
         )
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid pipeline config: {exc}") from exc
 
 
 def pipeline_config_to_dict(config: PipelineConfig) -> dict:
-    doc = asdict(config)
-    if config.search is None:
-        doc["search"] = None
-    return doc
+    return asdict(config)

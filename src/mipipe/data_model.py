@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +18,45 @@ from .errors import ArchiveError
 
 ARCHIVE_VERSION = 1
 
-VALID_LABELS = (-1, 1, None)  # -1 = hand, +1 = foot, None = unlabeled
+
+def _read_only(values, dtype) -> np.ndarray:
+    """`values` as a read-only C-contiguous array of `dtype`: an array that
+    already is one is taken as it is, shared; anything else is copied."""
+    a = np.asarray(values, dtype)
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, dtype, order="C")
+        a.flags.writeable = False
+    return a
+
+
+def _checked_rows(data, labels, sessions, indices) -> list[np.ndarray]:
+    """A batch of trials and per trial its label (0 for none), session id and
+    trial index, checked and made read-only (see `_read_only`)."""
+    data = _read_only(data, np.float64)
+    if data.ndim != 3 or len(data) and (data.shape[1] < 1 or data.shape[2] < 2):
+        raise ValueError(
+            f"trial data must be channels x samples with >=1 channel and "
+            f">=2 samples, got shape {data.shape[1:]}"
+        )
+    if not np.isfinite(data).all():
+        raise ValueError("trial data contains non-finite values")
+    labels, sessions, indices = (_read_only(a, np.int64) for a in (labels, sessions, indices))
+    if not labels.shape == sessions.shape == indices.shape == (len(data),):
+        raise ValueError("labels, sessions and trial_indices need one entry per trial")
+    bad = labels[~np.isin(labels, (-1, 0, 1))]
+    if len(bad):
+        raise ValueError(f"label must be -1, +1 or None, got {int(bad[0])!r}")
+    if (sessions < 1).any():
+        raise ValueError("session_id must be >= 1")
+    if (indices < 0).any():
+        raise ValueError("trial_index must be >= 0")
+    return [data, labels, sessions, indices]
 
 
 @dataclass(frozen=True)
 class Trial:
-    """One multichannel EEG epoch (channels x samples, microvolts)."""
+    """One multichannel EEG epoch (channels x samples, microvolts); its label
+    is -1 (hand), +1 (foot) or None (unlabeled)."""
 
     data: np.ndarray
     label: int | None = None
@@ -31,98 +64,90 @@ class Trial:
     trial_index: int = 0
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 2:
-            raise ValueError(
-                f"trial data must be channels x samples with >=1 channel and "
-                f">=2 samples, got shape {data.shape}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("trial data contains non-finite values")
-        if self.label not in VALID_LABELS:
+        if self.label not in (-1, 1, None):
             raise ValueError(f"label must be -1, +1 or None, got {self.label!r}")
-        if self.session_id < 1:
-            raise ValueError("session_id must be >= 1")
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be >= 0")
-        data = data.copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        data, *_ = _checked_rows(np.asarray(self.data, dtype=float)[None], [self.label or 0],
+                                 [self.session_id], [self.trial_index])
+        object.__setattr__(self, "data", data[0])
 
     @property
     def n_channels(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
     def with_data(self, data: np.ndarray) -> "Trial":
         """Same metadata, new signal matrix."""
         return Trial(data, self.label, self.session_id, self.trial_index)
 
-    def with_label(self, label: int | None) -> "Trial":
-        return Trial(self.data, label, self.session_id, self.trial_index)
+
+# the per-trial arrays of a TrialSet, indexed like its data
+_ROW_FIELDS = ("data", "labels", "sessions", "trial_indices")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialSet:
-    """An ordered, shape-homogeneous collection of trials."""
+    """An ordered batch of equally shaped trials: one read-only, C-contiguous
+    (n_trials, n_channels, n_samples) float64 array, and per trial its label
+    (-1 or +1, 0 for none), session id and trial index."""
 
-    trials: tuple[Trial, ...]
+    data: np.ndarray
+    labels: np.ndarray
+    sessions: np.ndarray
+    trial_indices: np.ndarray
     sampling_rate_hz: float
     channel_labels: tuple[str, ...]
 
     def __post_init__(self):
-        trials = tuple(self.trials)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
+        rows = _checked_rows(*(getattr(self, name) for name in _ROW_FIELDS))
         if self.sampling_rate_hz <= 0:
             raise ValueError("sampling_rate_hz must be positive")
-        if trials:
-            n_ch = trials[0].n_channels
-            n_s = trials[0].n_samples
-            for t in trials:
-                if t.n_channels != n_ch or t.n_samples != n_s:
-                    raise ValueError(
-                        "all trials must share channel and sample counts"
-                    )
-            if len(self.channel_labels) != n_ch:
-                raise ValueError(
-                    f"channel_labels has {len(self.channel_labels)} entries "
-                    f"for {n_ch} channels"
-                )
-            sids = [t.session_id for t in trials]
-            if any(b < a for a, b in zip(sids, sids[1:])):
-                raise ValueError("session_ids must be nondecreasing")
+        channel_labels = tuple(self.channel_labels)
+        if len(channel_labels) != rows[0].shape[1]:
+            raise ValueError(
+                f"channel_labels has {len(channel_labels)} entries "
+                f"for {rows[0].shape[1]} channels"
+            )
+        if (np.diff(rows[2]) < 0).any():
+            raise ValueError("session_ids must be nondecreasing")
+        for name, value in zip(_ROW_FIELDS, rows):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "channel_labels", channel_labels)
 
     def __len__(self) -> int:
-        return len(self.trials)
+        return len(self.data)
 
-    def __iter__(self):
-        return iter(self.trials)
+    def __getitem__(self, rows) -> "TrialSet":
+        """The trials at `rows`; a slice of rows shares this set's arrays."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
 
     @property
     def n_channels(self) -> int:
-        return self.trials[0].n_channels if self.trials else len(self.channel_labels)
+        return self.data.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return self.trials[0].n_samples if self.trials else 0
-
-    @property
-    def labels(self) -> list[int | None]:
-        return [t.label for t in self.trials]
+        return self.data.shape[2]
 
     @property
     def session_ids(self) -> list[int]:
-        return sorted({t.session_id for t in self.trials})
-
-    def replace_trials(self, trials) -> "TrialSet":
-        return TrialSet(tuple(trials), self.sampling_rate_hz, self.channel_labels)
+        """The distinct session ids, in order."""
+        return np.unique(self.sessions).tolist()
 
     def without_labels(self) -> "TrialSet":
-        return self.replace_trials([t.with_label(None) for t in self.trials])
+        return replace(self, labels=np.zeros(len(self), np.int64))
+
+
+def join(train: TrialSet, test: TrialSet) -> TrialSet:
+    """The trials of `train`, then those of `test`, copied into one set."""
+    shapes = [(ts.n_channels, ts.n_samples, ts.sampling_rate_hz) for ts in (train, test)]
+    if shapes[0] != shapes[1]:
+        raise ValueError("train and test sets differ: " + ", ".join(
+            f"{name} has {c} channels x {n} samples at {fs} Hz"
+            for name, (c, n, fs) in zip(("train", "test"), shapes)))
+    rows = {}
+    for name in _ROW_FIELDS:
+        rows[name] = np.concatenate([getattr(train, name), getattr(test, name)])
+        rows[name].flags.writeable = False
+    return replace(train, **rows)
 
 
 @dataclass(frozen=True)
@@ -139,8 +164,8 @@ class SplitSpec:
             raise ValueError(f"unknown split mode {self.mode!r}")
 
 
-def split(trial_set: TrialSet, spec: SplitSpec) -> tuple[TrialSet, TrialSet]:
-    """Partition into (train, test) preserving recording order.
+def split_count(trial_set: TrialSet, spec: SplitSpec) -> int:
+    """The number of trials `split` puts in the train set.
 
     Prefix mode takes the first ceil(fraction * N) trials; by_session mode
     takes the smallest number of whole leading sessions covering that count.
@@ -148,23 +173,23 @@ def split(trial_set: TrialSet, spec: SplitSpec) -> tuple[TrialSet, TrialSet]:
     n = len(trial_set)
     if n == 0:
         raise ValueError("cannot split an empty TrialSet")
-    target = math.ceil(spec.train_fraction * n)
-    if spec.mode == "prefix":
-        k = target
-    else:
-        k = 0
-        for sid in trial_set.session_ids:
-            k += sum(1 for t in trial_set.trials if t.session_id == sid)
-            if k >= target:
-                break
+    k = math.ceil(spec.train_fraction * n)
+    if spec.mode == "by_session":
+        # to the end of the session of the last trial the count covers
+        k = int(np.searchsorted(trial_set.sessions, trial_set.sessions[k - 1], side="right"))
     if k == 0 or k >= n:
         raise ValueError(
             f"train_fraction {spec.train_fraction} yields a degenerate split "
             f"({k} train of {n} trials)"
         )
-    train = trial_set.replace_trials(trial_set.trials[:k])
-    test = trial_set.replace_trials(trial_set.trials[k:])
-    return train, test
+    return k
+
+
+def split(trial_set: TrialSet, spec: SplitSpec) -> tuple[TrialSet, TrialSet]:
+    """Partition into (train, test) preserving recording order, as views of
+    `trial_set`'s rows (see `split_count`)."""
+    k = split_count(trial_set, spec)
+    return trial_set[:k], trial_set[k:]
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int | None = None) -> list[np.ndarray]:
@@ -218,25 +243,20 @@ def _read_matrix(fpath: Path) -> np.ndarray:
 
 def save_archive(trial_set: TrialSet, path) -> None:
     """Write a trial archive directory (meta.json + one CSV per trial)."""
-    seen = set()
-    for trial in trial_set:
-        key = (trial.session_id, trial.trial_index)
-        if key in seen:
-            raise ArchiveError(
-                f"two trials share session {key[0]} and trial index {key[1]}; "
-                f"they would be written to one file"
-            )
-        seen.add(key)
+    keys = list(zip(trial_set.sessions.tolist(), trial_set.trial_indices.tolist()))
+    if len(set(keys)) < len(keys):
+        sid, index = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ArchiveError(f"two trials share session {sid} and trial index {index}; "
+                           f"they would be written to one file")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     sessions: dict[int, list[dict]] = {}
-    for trial in trial_set:
-        fname = _trial_filename(trial.session_id, trial.trial_index)
-        label = None if trial.label is None else f"{trial.label:+d}"
-        sessions.setdefault(trial.session_id, []).append(
-            {"file": fname, "label": label}
+    for x, label, (sid, index) in zip(trial_set.data, trial_set.labels.tolist(), keys):
+        fname = _trial_filename(sid, index)
+        sessions.setdefault(sid, []).append(
+            {"file": fname, "label": f"{label:+d}" if label else None}
         )
-        _write_matrix(path / fname, trial.data.T)
+        _write_matrix(path / fname, x.T)
     meta = {
         "version": ARCHIVE_VERSION,
         "sampling_rate_hz": trial_set.sampling_rate_hz,
@@ -294,33 +314,33 @@ def load_archive(path) -> TrialSet:
     _check_meta(meta, meta_path)
     channel_labels = meta["channel_labels"]
     n_ch = len(channel_labels)
-    trials = []
-    for session in meta["sessions"]:
-        sid = session["id"]
-        for idx, entry in enumerate(session["trials"]):
-            fpath = path / entry["file"]
-            if not fpath.exists():
-                raise ArchiveError(f"missing trial file {fpath}")
-            data = _read_matrix(fpath)
-            if data.shape[1] != n_ch:
-                raise ArchiveError(
-                    f"{fpath}: {data.shape[1]} columns but metadata declares "
-                    f"{n_ch} channels"
-                )
-            if not np.all(np.isfinite(data)):
-                raise ArchiveError(f"{fpath}: non-finite value in matrix file")
-            raw = entry["label"]
-            if raw is None:
-                label = None
-            elif raw in ("-1", "+1", "1"):
-                label = int(raw)
-            else:
-                raise ArchiveError(f"{fpath}: unknown label {raw!r} in metadata")
-            try:
-                trials.append(Trial(data.T, label, sid, idx))
-            except ValueError as exc:
-                raise ArchiveError(f"{fpath}: {exc}") from exc
+    entries = [(session["id"], index, entry) for session in meta["sessions"]
+               for index, entry in enumerate(session["trials"])]
+    rows = np.zeros((3, len(entries)), np.int64)  # labels, sessions, trial indices
+    data = np.zeros((len(entries), n_ch, 0))
+    for row, (sid, index, entry) in enumerate(entries):
+        fpath = path / entry["file"]
+        if not fpath.exists():
+            raise ArchiveError(f"missing trial file {fpath}")
+        matrix = _read_matrix(fpath)
+        if matrix.shape[1] != n_ch:
+            raise ArchiveError(
+                f"{fpath}: {matrix.shape[1]} columns but metadata declares "
+                f"{n_ch} channels"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise ArchiveError(f"{fpath}: non-finite value in matrix file")
+        raw = entry["label"]
+        if raw not in (None, "-1", "+1", "1"):
+            raise ArchiveError(f"{fpath}: unknown label {raw!r} in metadata")
+        if row == 0:
+            data = np.empty((len(entries), n_ch, len(matrix)))
+        elif len(matrix) != data.shape[2]:
+            raise ArchiveError(f"{path}: all trials must share channel and sample counts")
+        data[row] = matrix.T
+        rows[:, row] = (0 if raw is None else int(raw), sid, index)
+    data.flags.writeable = False
     try:
-        return TrialSet(tuple(trials), meta["sampling_rate_hz"], channel_labels)
+        return TrialSet(data, *rows, meta["sampling_rate_hz"], channel_labels)
     except ValueError as exc:
         raise ArchiveError(f"{path}: {exc}") from exc

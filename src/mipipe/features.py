@@ -28,9 +28,6 @@ class FeatureVector:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class ArCoefficients:
@@ -46,10 +43,6 @@ class ArCoefficients:
         if self.noise_variance < 0:
             raise ValueError("noise variance must be >= 0")
         object.__setattr__(self, "a", a)
-
-    @property
-    def order(self) -> int:
-        return len(self.a)
 
 
 @dataclass(frozen=True)
@@ -84,14 +77,17 @@ def class_covariance(trials: Sequence[Trial]) -> np.ndarray:
 
 
 def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) -> CspModel:
-    """CSP from two classes of trials; see `csp_from_covariances`."""
+    """CSP from two classes of trials' mean trace-normalized covariances;
+    see `csp_stack`."""
     if not class_neg or not class_pos:
         raise ValueError("both classes must be nonempty")
     n_ch = class_neg[0].n_channels
     for t in list(class_neg) + list(class_pos):
         if t.n_channels != n_ch:
             raise ValueError("mismatched channel counts across trials")
-    return csp_from_covariances(class_covariance(class_neg), class_covariance(class_pos), m)
+    filters, eigenvalues = csp_stack(class_covariance(class_neg)[None],
+                                     class_covariance(class_pos)[None], m)
+    return CspModel(filters=filters[0], eigenvalues=eigenvalues[0], m=m)
 
 
 def _by_count(rows):
@@ -143,13 +139,6 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if info != 0:
         raise LinAlgError("Internal Error.")
     return w, v
-
-
-def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -> CspModel:
-    """Simultaneously diagonalize the two class covariances: the one-fit
-    case of `csp_stack`."""
-    filters, eigenvalues = csp_stack(cov_neg[None], cov_pos[None], m)
-    return CspModel(filters=filters[0], eigenvalues=eigenvalues[0], m=m)
 
 
 def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):

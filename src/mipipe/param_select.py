@@ -15,7 +15,7 @@ import numpy as np
 
 from .classify import SHRINKAGE, LdaModel
 from .config import PipelineConfig, SearchSpace
-from .data_model import TrialSet, stratified_folds
+from .data_model import TrialSet, join, stratified_folds
 from .errors import CriterionUndefinedError
 from .features import (
     _by_count,
@@ -117,26 +117,21 @@ def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, ...]]:
 
 
 class _BandBatches:
-    """Band-passed train and test batches of the current band only.
-
-    Train and test are band-passed as one batch, once per band and channel
-    subset (filtering a subset is not bitwise the same as subsetting the
-    filtered channels), and the previous band's batch is dropped before the
-    next band is filtered. Each trial is filtered alone whatever block it
-    shares, so the rows are bitwise what filtering each set apart gives.
-    Per window, the train trials' X X^T divided by their traces are kept for
-    every fold and `m` of the window.
+    """Band-passed batches of the current band only, of a recording whose
+    first `n_train` rows are the train trials and the rest the test trials:
+    all rows are band-passed as one batch, once per band and channel subset
+    (filtering a subset is not bitwise the same as subsetting the filtered
+    channels), and the previous band's batch is dropped before the next band
+    is filtered. Each trial is filtered alone whatever block it shares, so
+    the rows are bitwise what filtering each set apart gives. Per window, the
+    train trials' X X^T divided by their traces are kept for every fold and
+    `m` of the window.
     """
 
-    def __init__(self, train: TrialSet, test: TrialSet):
-        shapes = [(ts.n_channels, ts.n_samples, ts.sampling_rate_hz) for ts in (train, test)]
-        if shapes[0] != shapes[1]:
-            raise ValueError("train and test sets differ: " + ", ".join(
-                f"{name} has {c} channels x {n} samples at {fs} Hz"
-                for name, (c, n, fs) in zip(("train", "test"), shapes)))
-        self.rows = [t.data for t in train.trials + test.trials]
-        self.n_train = len(train)
-        self.fs_hz = train.sampling_rate_hz
+    def __init__(self, trials: np.ndarray, n_train: int, fs_hz: float):
+        self.rows = trials
+        self.n_train = n_train
+        self.fs_hz = fs_hz
         self.band = None
         self.filtered: dict = {}
         self.normalized: dict = {}
@@ -270,14 +265,24 @@ def grid_search(
 
     Feasible candidates (balance penalty <= threshold) compete on rho; if none
     is feasible the fallback objective is rho - penalty. Test labels are never
-    read. Ties break by enumeration order.
+    read. Ties break by enumeration order. The two sets are joined into one
+    (a copy); see `_grid_search`.
     """
+    return _grid_search(join(train, test_unlabeled).data, train.sampling_rate_hz,
+                        train.labels, space, base, feasibility_threshold)
+
+
+def _grid_search(trials: np.ndarray, fs_hz: float, labels: np.ndarray, space: SearchSpace,
+                 base: PipelineConfig | None = None,
+                 feasibility_threshold: float = FEASIBILITY_THRESHOLD) -> SearchResult:
+    """`grid_search` on one (n_trials, n_channels, n_samples) recording: its
+    first len(labels) rows are the train trials, under `labels` (0 where a
+    trial has none), and the rows after them the test trials."""
     if base is None:
         base = PipelineConfig()
-    if len(test_unlabeled) == 0:
+    if len(trials) == len(labels):
         raise ValueError("test set is empty")
-    labels = train.labels
-    if None in labels:
+    if not labels.all():
         raise ValueError("training set contains unlabeled trials")
     if -1 not in labels or 1 not in labels:
         raise ValueError("training set must contain both classes")
@@ -287,8 +292,8 @@ def grid_search(
     candidates = itertools.product(
         space.bands_hz, space.windows_s, channel_sets, space.m_values
     )
-    batches = _BandBatches(train, test_unlabeled)
-    fits = _fold_fits(np.array(labels))
+    batches = _BandBatches(trials, len(labels), fs_hz)
+    fits = _fold_fits(labels)
     table = []
     failures = []
     for band, window, channels, m in candidates:

@@ -3,14 +3,14 @@ and session-by-session semi-supervised adaptive classification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .classify import BaggingEnsemble, bagging_predict, fit_bagging
 from .config import PipelineConfig
-from .data_model import SplitSpec, TrialSet, split, stratified_folds
+from .data_model import SplitSpec, TrialSet, join, split_count, stratified_folds
 from .errors import ConfigError
 from .features import (
     CspModel,
@@ -22,7 +22,7 @@ from .features import (
     select_channels,
     trace_normalized,
 )
-from .param_select import grid_search
+from .param_select import _grid_search
 from .preprocess import Chain, preprocess_trials
 # not used here: perfbench/selftest.py checks that the tracer rebinds this
 # name in pipeline, so it stays importable until that test picks another
@@ -40,18 +40,17 @@ def evaluate(predicted: Sequence[int], true: Sequence[int]):
             raise ValueError(f"{name} labels must all be -1 or +1")
     accuracy = 100.0 * float(np.mean(predicted == true))
     confusion = np.zeros((2, 2), dtype=int)
-    for t_lab, p_lab in zip(true, predicted):
-        confusion[(t_lab + 1) // 2, (p_lab + 1) // 2] += 1
+    np.add.at(confusion, ((true + 1) // 2, (predicted + 1) // 2), 1)
     return accuracy, confusion
 
 
 class _Extractor:
     """A feature extractor in two steps. `prepare` runs the method's chains
-    over a trial set once and keeps per trial what any fit needs, reading no
-    label. `fit_rows(prepared, rows, labels)`, with `labels` indexed by row,
-    and `transform_rows(prepared, rows)` then work on row indices of what
-    `prepare` returned, so every cross-validation fold, fit and prediction
-    shares one preparation."""
+    once over a (n_trials, n_channels, n_samples) array and keeps per trial
+    what any fit needs, reading no label. `fit_rows(prepared, rows, labels)`,
+    with `labels` indexed by row, and `transform_rows(prepared, rows)` then
+    work on row indices of what `prepare` returned, so every cross-validation
+    fold, fit and prediction shares one preparation."""
 
     method = ""
 
@@ -59,13 +58,25 @@ class _Extractor:
         """What `prepare` reads besides the trials and their sampling rate."""
         return type(self), self.chain
 
-    def prepare_shared(self, trials: Sequence[np.ndarray], cache: dict):
+    def prepare_shared(self, trials: np.ndarray, cache: dict):
         """`prepare(trials)`, made once per distinct part: `cache` holds the
-        preparations of this one list of trials by `part_key`."""
+        preparations of this one array of trials by `part_key`."""
         key = self.part_key()
         if key not in cache:
             cache[key] = self.prepare(trials)
         return cache[key]
+
+    def _pick_channels(self, values: np.ndarray, labels: np.ndarray):
+        """Select the configured channels, else the n_select channels of
+        `values` (trials x channels) with the best Fisher scores."""
+        if self.config.channels is not None:
+            self.selected = list(self.config.channels)
+        else:
+            scores = fisher_scores(values, labels)
+            self.selected = select_channels(scores, min(self.config.n_select, len(scores)))
+        if not self.selected:
+            raise ValueError("no channels selected")
+        return self
 
 
 class CspExtractor(_Extractor):
@@ -87,7 +98,7 @@ class CspExtractor(_Extractor):
                            window_s=config.preprocess.window_s)
         self.model = None
 
-    def prepare(self, trials: Sequence[np.ndarray]):
+    def prepare(self, trials: np.ndarray):
         """The band-passed, cropped (n_trials, n_channels, n_samples) batch,
         and each trial's X X^T divided by its trace, with the traces."""
         x = preprocess_trials(trials, self.fs_hz, self.chain)
@@ -124,7 +135,7 @@ class ArExtractor(_Extractor):
     def part_key(self):
         return type(self), self.chain, self.config.ar_order
 
-    def prepare(self, trials: Sequence[np.ndarray]):
+    def prepare(self, trials: np.ndarray):
         """Per trial and channel, the log band power followed by
         [a_1..a_p, sigma^2]: (n_trials, n_channels, p + 2). Where a channel's
         AR fit fails its parameters are NaN, and the error is kept, one dict
@@ -149,17 +160,9 @@ class ArExtractor(_Extractor):
         return preprocess_trials(trials, self.fs_hz, self.chain, summarise), errors
 
     def fit_rows(self, prepared, rows, labels):
-        if self.config.channels is not None:
-            self.selected = list(self.config.channels)
-            return self
-        table, _ = prepared
-        scores = fisher_scores(table[rows, :, 0], labels[rows])
-        self.selected = select_channels(scores, min(self.config.n_select, len(scores)))
-        return self
+        return self._pick_channels(prepared[0][rows, :, 0], labels[rows])
 
     def transform_rows(self, prepared, rows) -> np.ndarray:
-        if not len(self.selected):
-            raise ValueError("no channels selected")
         table, errors = prepared
         values = table[rows][:, self.selected, 1:].reshape(len(rows), -1)
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
@@ -186,22 +189,15 @@ class LrpExtractor(_Extractor):
                            window_s=config.lrp_feature_window_s)
         self.selected = None
 
-    def prepare(self, trials: Sequence[np.ndarray]) -> np.ndarray:
+    def prepare(self, trials: np.ndarray) -> np.ndarray:
         """Each channel's mean over the feature window: (n_trials, n_channels)."""
         return preprocess_trials(trials, self.fs_hz, self.chain,
                                  lambda x: x.mean(axis=1))
 
     def fit_rows(self, prepared, rows, labels):
-        if self.config.channels is not None:
-            self.selected = list(self.config.channels)
-            return self
-        scores = fisher_scores(prepared[rows], labels[rows])
-        self.selected = select_channels(scores, min(self.config.n_select, len(scores)))
-        return self
+        return self._pick_channels(prepared[rows], labels[rows])
 
     def transform_rows(self, prepared, rows) -> np.ndarray:
-        if not len(self.selected):
-            raise ValueError("no channels selected")
         return prepared[np.ix_(rows, self.selected)]
 
 
@@ -217,10 +213,10 @@ class CombinedExtractor(_Extractor):
             LrpExtractor(config, fs_hz),
         ]
 
-    def prepare(self, trials: Sequence[np.ndarray]) -> list:
+    def prepare(self, trials: np.ndarray) -> list:
         return [part.prepare(trials) for part in self.parts]
 
-    def prepare_shared(self, trials: Sequence[np.ndarray], cache: dict) -> list:
+    def prepare_shared(self, trials: np.ndarray, cache: dict) -> list:
         return [part.prepare_shared(trials, cache) for part in self.parts]
 
     def fit_rows(self, prepared, rows, labels):
@@ -233,23 +229,12 @@ class CombinedExtractor(_Extractor):
                           for part, part_prepared in zip(self.parts, prepared)])
 
 
-_EXTRACTORS = {
-    "csp": CspExtractor,
-    "ar": ArExtractor,
-    "lrp": LrpExtractor,
-    "combined": CombinedExtractor,
-}
+_EXTRACTORS = {cls.method: cls for cls in (CspExtractor, ArExtractor, LrpExtractor,
+                                            CombinedExtractor)}
 
 
 def make_extractor(config: PipelineConfig, fs_hz: float):
     return _EXTRACTORS[config.method](config, fs_hz)
-
-
-def _labels(trial_set: TrialSet, message: str) -> np.ndarray:
-    labels = trial_set.labels
-    if any(y is None for y in labels):
-        raise ValueError(message)
-    return np.array(labels)
 
 
 def _fit_rows(extractor, prepared, rows, labels, config: PipelineConfig) -> BaggingEnsemble:
@@ -276,12 +261,11 @@ def _cv_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     return stratified_folds(labels, folds, seed)
 
 
-def _cross_validate(extractor, prepared, labels, fold_list, config) -> tuple[float, float]:
+def _cross_validate(extractor, prepared, rows, labels, fold_list, config) -> tuple[float, float]:
+    """Accuracy mean and std over the folds of `rows`; `labels` is by row."""
     accuracies = []
     for fold in fold_list:
-        mask = np.ones(len(labels), dtype=bool)
-        mask[fold] = False
-        ensemble = _fit_rows(extractor, prepared, np.flatnonzero(mask), labels, config)
+        ensemble = _fit_rows(extractor, prepared, np.setdiff1d(rows, fold), labels, config)
         predicted = _predict_rows(extractor, ensemble, prepared, fold)
         accuracy, _ = evaluate(predicted, labels[fold])
         accuracies.append(accuracy)
@@ -289,15 +273,19 @@ def _cross_validate(extractor, prepared, labels, fold_list, config) -> tuple[flo
 
 
 def cross_validate(
-    train: TrialSet, config: PipelineConfig, folds: int = 10, seed: int = 0
+    train: TrialSet, config: PipelineConfig, folds: int = 10, seed: int = 0, rows=None
 ) -> tuple[float, float]:
-    """Stratified k-fold with the full pipeline refit inside every fold. The
-    set is prepared once, and each fold fits and predicts on its rows."""
-    labels = _labels(train, "cross-validation needs a fully labeled set")
-    fold_list = _cv_folds(labels, folds, seed)
+    """Stratified k-fold over `rows` of `train` (all of them by default),
+    which must be labelled, with the full pipeline refit inside every fold.
+    All of `train` is prepared once, and each fold fits and predicts on its
+    rows."""
+    rows = np.arange(len(train)) if rows is None else rows
+    if not train.labels[rows].all():
+        raise ValueError("cross-validation needs a fully labeled set")
+    fold_list = [rows[f] for f in _cv_folds(train.labels[rows], folds, seed)]
     extractor = make_extractor(config, train.sampling_rate_hz)
-    prepared = extractor.prepare([t.data for t in train.trials])
-    return _cross_validate(extractor, prepared, labels, fold_list, config)
+    prepared = extractor.prepare(train.data)
+    return _cross_validate(extractor, prepared, rows, train.labels, fold_list, config)
 
 
 @dataclass
@@ -312,16 +300,9 @@ class EvalReport:
     chosen: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "train_accuracy_mean": self.train_accuracy_mean,
-            "train_accuracy_std": self.train_accuracy_std,
-            "test_accuracy": self.test_accuracy,
-            "per_session": {str(k): v for k, v in self.per_session.items()},
-            "confusion": self.confusion,
-            "predicted_labels": self.predicted_labels,
-            "chosen": self.chosen,
-        }
+        doc = asdict(self)
+        doc["per_session"] = {str(k): v for k, v in self.per_session.items()}
+        return doc
 
 
 def _chosen_entry(phase: str, result) -> dict:
@@ -337,12 +318,6 @@ def _chosen_entry(phase: str, result) -> dict:
     }
 
 
-def _truth(trial_set: TrialSet) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's true label (0 where it has none) and session id."""
-    return (np.array([0 if t.label is None else t.label for t in trial_set.trials]),
-            np.array([t.session_id for t in trial_set.trials]))
-
-
 def _score_predictions(report: EvalReport, predicted, true, sessions):
     """Fill accuracy fields from whatever true labels are available: `true`
     holds 0 for a trial with none, `sessions` each trial's session id."""
@@ -352,25 +327,14 @@ def _score_predictions(report: EvalReport, predicted, true, sessions):
         acc, confusion = evaluate(predicted[labeled], true[labeled])
         report.test_accuracy = acc
         report.confusion = confusion.tolist()
-    for sid in sorted(set(sessions.tolist())):
+    for sid in np.unique(sessions).tolist():
         usable = (sessions == sid) & labeled
-        if usable.any():
-            acc, _ = evaluate(predicted[usable], true[usable])
-            report.per_session[sid] = acc
-        else:
-            report.per_session[sid] = None
+        report.per_session[sid] = (evaluate(predicted[usable], true[usable])[0]
+                                   if usable.any() else None)
 
 
 def _usable_folds(labels: np.ndarray, folds: int) -> int:
     return min(folds, int((labels == -1).sum()), int((labels == 1).sum()))
-
-
-def _train_cv(report: EvalReport, train: TrialSet, config, folds, seed):
-    usable_folds = _usable_folds(np.array(train.labels), folds)
-    if usable_folds >= 2:
-        mean, std = cross_validate(train, config, usable_folds, seed)
-        report.train_accuracy_mean = mean
-        report.train_accuracy_std = std
 
 
 def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
@@ -379,16 +343,17 @@ def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
     `test_rows`. `cache` holds the preparations of `data`'s trials by
     `part_key`, so each part is prepared once however many fits share it.
     When each class has two trials or more, and `folds` is 2 or more, the fit
-    rows are cross-validated first, as `_train_cv` does. Returns the
-    predictions and the cross-validated (mean, std), or None."""
+    rows are cross-validated first. Returns the predictions and the
+    cross-validated (mean, std), or None."""
     usable_folds = _usable_folds(labels, folds)
     fold_list = _cv_folds(labels, usable_folds, cv_seed) if usable_folds >= 2 else []
     extractor = make_extractor(config, data.sampling_rate_hz)
-    prepared = extractor.prepare_shared([t.data for t in data.trials], cache)
+    prepared = extractor.prepare_shared(data.data, cache)
+    train_rows = np.arange(len(labels))
     cv = None
     if fold_list:
-        cv = _cross_validate(extractor, prepared, labels, fold_list, config)
-    ensemble = _fit_rows(extractor, prepared, np.arange(len(labels)), labels, config)
+        cv = _cross_validate(extractor, prepared, train_rows, labels, fold_list, config)
+    ensemble = _fit_rows(extractor, prepared, train_rows, labels, config)
     return _predict_rows(extractor, ensemble, prepared, test_rows), cv
 
 
@@ -399,26 +364,33 @@ def run_static(
     folds: int = 10,
     cv_seed: int = 0,
 ) -> EvalReport:
-    """Optional transductive search, then fit on train and predict test.
-    Train and test trials are prepared together, once per chain."""
-    return _run_static(train, test, config, {}, folds, cv_seed)
+    """Optional transductive search, then fit on train and predict test. The
+    two sets are joined (a copy) and prepared together, once per chain."""
+    return _run_static(join(train, test), len(train), config, {}, folds, cv_seed)
 
 
-def _run_static(train, test, config, cache, folds=10, cv_seed=0) -> EvalReport:
-    """`run_static`, preparing through `cache` the train then test trials
-    (see `_fit_predict`)."""
+def run_split(data: TrialSet, spec: SplitSpec, config: PipelineConfig,
+              folds: int = 10, cv_seed: int = 0) -> EvalReport:
+    """`run_static` on `split(data, spec)`, on the rows of `data` in place."""
+    return _run_static(data, split_count(data, spec), config, {}, folds, cv_seed)
+
+
+def _run_static(data, n_train, config, cache, folds=10, cv_seed=0) -> EvalReport:
+    """`run_static` with rows [0, n_train) of `data` for train and the rest
+    for test, preparing through `cache` (see `_fit_predict`)."""
     report = EvalReport(method=config.method)
+    labels = data.labels[:n_train]
     if config.search is not None:
-        result = grid_search(train, test.without_labels(), config.search, base=config)
+        result = _grid_search(data.data, data.sampling_rate_hz, labels, config.search, config)
         config = result.config
         report.chosen.append(_chosen_entry("static", result))
-    labels = _labels(train, "training set contains unlabeled trials")
-    data = train.replace_trials(train.trials + test.trials)
-    predicted, cv = _fit_predict(data, labels, np.arange(len(train), len(data)),
+    if not labels.all():
+        raise ValueError("training set contains unlabeled trials")
+    predicted, cv = _fit_predict(data, labels, np.arange(n_train, len(data)),
                                  config, cache, folds, cv_seed)
     if cv is not None:
         report.train_accuracy_mean, report.train_accuracy_std = cv
-    _score_predictions(report, predicted, *_truth(test))
+    _score_predictions(report, predicted, data.labels[n_train:], data.sessions[n_train:])
     return report
 
 
@@ -429,22 +401,22 @@ def sweep_fractions(
     fractions: Sequence[float],
 ) -> list[dict]:
     """The fig1 table: `run_static` on the prefix split at each training
-    fraction, for each method, one row per pair. The train then test trials
-    of every such split are the whole recording in order, so each distinct
-    part (`part_key`) is prepared once over it and shared by all methods and
-    fractions; a searched chain is prepared when a split first chooses it."""
+    fraction, for each method, one row per pair. Every split is rows of the
+    one recording, so each distinct part (`part_key`) is prepared once over
+    it and shared by all methods and fractions; a searched chain is prepared
+    when a split first chooses it."""
     cache: dict = {}
     rows = []
     for method in methods:
         method_config = config.replace(method=method)
         for fraction in fractions:
-            train, test = split(data, SplitSpec(fraction, "prefix"))
-            report = _run_static(train, test, method_config, cache)
+            n_train = split_count(data, SplitSpec(fraction, "prefix"))
+            report = _run_static(data, n_train, method_config, cache)
             rows.append({
                 "method": method,
                 "train_fraction": fraction,
-                "n_train": len(train),
-                "n_test": len(test),
+                "n_train": n_train,
+                "n_test": len(data) - n_train,
                 "test_accuracy": report.test_accuracy,
                 "train_accuracy_mean": report.train_accuracy_mean,
             })
@@ -471,35 +443,35 @@ def run_adaptive(
     sessions = data.session_ids
     if len(sessions) < 2:
         raise ValueError("adaptive classification needs >= 2 sessions")
-    train0, _ = split(data, initial_train)
-    if any(t.session_id != sessions[0] for t in train0.trials):
+    k = split_count(data, initial_train)
+    if (data.sessions[:k] != sessions[0]).any():
         raise ValueError("initial training set must lie within the first session")
 
     report = EvalReport(method=config.method)
-    _train_cv(report, train0, config, folds, cv_seed)
-
-    true, session_of = _truth(data)
-    labels = _labels(train0, "training set contains unlabeled trials")
+    labels = data.labels[:k]
+    usable_folds = _usable_folds(labels, folds)
+    if usable_folds >= 2:
+        report.train_accuracy_mean, report.train_accuracy_std = cross_validate(
+            data[:k], config, usable_folds, cv_seed)
+    if not labels.all():
+        raise ValueError("training set contains unlabeled trials")
     cache: dict = {}
     for sid in sessions:
         # each block runs to the end of its session; the first is the rest
         # of the first session, skipped when the initial set covers all of it
-        end = int(np.searchsorted(session_of, sid, side="right"))
+        end = int(np.searchsorted(data.sessions, sid, side="right"))
         if end == len(labels):
             continue
         rows = np.arange(len(labels), end)
         cfg, fit_data, fit_cache = config, data, cache
         if config.search is not None:
-            train = data.replace_trials(
-                [t.with_label(int(y)) for t, y in zip(data.trials, labels)])
-            block = data.replace_trials(data.trials[len(labels):end]).without_labels()
-            result = grid_search(train, block, config.search, base=config)
+            result = _grid_search(data.data[:end], data.sampling_rate_hz, labels,
+                                  config.search, base=config)
             cfg = result.config
             report.chosen.append(_chosen_entry(f"session{sid}", result))
-            fit_data, fit_cache = data.replace_trials(data.trials[:end]), {}
+            fit_data, fit_cache = data[:end], {}
         predicted, _ = _fit_predict(fit_data, labels, rows, cfg, fit_cache)
         labels = np.concatenate([labels, predicted])
 
-    k = len(train0)
-    _score_predictions(report, labels[k:], true[k:], session_of[k:])
+    _score_predictions(report, labels[k:], data.labels[k:], data.sessions[k:])
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -350,8 +350,8 @@ def preprocess(x: np.ndarray, fs_hz: float, chain: Chain) -> np.ndarray:
     """Run `chain` over a (..., channels, samples) array: one trial, or a
     block of trials, each of which comes out as it would alone.
 
-    The result is C-contiguous, like the data of a `Trial`, so every later
-    reduction sees the same memory layout as it does on a prepared `Trial`.
+    The result is C-contiguous, as a TrialSet's rows are, so every later
+    reduction sees the memory layout of a stored trial.
     """
     if chain.channels is not None:
         x = x[..., list(chain.channels), :]
@@ -368,19 +368,19 @@ def preprocess(x: np.ndarray, fs_hz: float, chain: Chain) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def preprocess_trials(trials: Sequence[np.ndarray], fs_hz: float, chain: Chain,
+def preprocess_trials(trials: np.ndarray, fs_hz: float, chain: Chain,
                       reduce=None) -> np.ndarray:
-    """`reduce(preprocess(x))` of each trial array (the preprocessed array
-    itself when `reduce` is None), written into one preallocated
-    (n_trials, ...) array. Trials go through the chain in stacked blocks of
-    about BLOCK_VALUES values, so only one block's temporaries are alive at
-    once; `reduce` still sees one trial at a time."""
+    """`reduce(preprocess(x))` of each trial x of a (n_trials, n_channels,
+    n_samples) array (the preprocessed trial itself when `reduce` is None),
+    written into one preallocated (n_trials, ...) array. Trials go through
+    the chain in blocks of about BLOCK_VALUES values, so only one block's
+    temporaries are alive at once; `reduce` still sees one trial at a time."""
     if not len(trials):
         raise ValueError("no trials to preprocess")
-    step = max(1, BLOCK_VALUES // np.size(trials[0]))
+    step = max(1, BLOCK_VALUES // trials[0].size)
     out = None
     for i0 in range(0, len(trials), step):
-        block = preprocess(np.stack(trials[i0:i0 + step]), fs_hz, chain)
+        block = preprocess(trials[i0:i0 + step], fs_hz, chain)
         if reduce is not None:
             block = [reduce(x) for x in block]
         if out is None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import json_int
-from .data_model import Trial, TrialSet
+from .config import json_int, json_number, json_pair
+from .data_model import TrialSet
 from .errors import ConfigError
 from .preprocess import _demeaned_zero_phase, _zero_phase, bandpass_ba, lowpass_ba
 
@@ -97,57 +97,53 @@ def generate(config: SynthConfig) -> TrialSet:
 
     # every random draw first, in the order of a trial-by-trial generator:
     # per trial, band then envelope noise of each rhythm source, then the
-    # sensor noise; the sources of all trials are then filtered together
+    # sensor noise (held in the output until the trial is mixed); the sources
+    # of all trials are then filtered together
     n_trials = config.n_sessions * config.trials_per_session
     band_noise = np.empty((n_trials, 2, n))
     envelope_noise = np.empty((n_trials, 2, n))
-    sensor_noise = []
+    data = np.empty((n_trials, n_ch, n))
     for trial in range(n_trials):
         for i in (0, 1):
             band_noise[trial, i] = rng.normal(size=n)
             envelope_noise[trial, i] = rng.normal(size=n)
         if config.noise_sigma_uv > 0:
-            sensor_noise.append(rng.normal(size=(n_ch, n)))
+            data[trial] = rng.normal(size=(n_ch, n))
     rhythms = RHYTHM_AMPLITUDE_UV * _rhythm_sources(
         band_noise.reshape(-1, n), envelope_noise.reshape(-1, n), fs, lo, hi
     ).reshape(n_trials, 2, n)
 
-    trials = []
-    for session in range(1, config.n_sessions + 1):
-        rot = _rotation(n_ch, config.session_drift * (session - 1), u, v)
-        session_mixing = rot @ mixing
-        for index in range(config.trials_per_session):
-            trial = len(trials)
-            label = -1 if index % 2 == 0 else 1
-            src = np.empty((3, n))
-            src[:2] = rhythms[trial]
-            src[0 if label == -1 else 1, imagery] *= 1.0 - config.erd_depth
-            src[2] = label * config.lrp_slope_uv_per_s * np.clip(
-                t - IMAGERY_ONSET_S, 0.0, None
-            )
-            data = session_mixing @ src
-            if config.noise_sigma_uv > 0:
-                data = data + config.noise_sigma_uv * sensor_noise[trial]
-            trials.append(Trial(data, label, session, index))
+    # trials alternate class -1, +1 within each session
+    labels = np.tile([-1, 1], n_trials // 2)
+    sessions, indices = np.divmod(np.arange(n_trials), config.trials_per_session)
+    session_mixing = [_rotation(n_ch, config.session_drift * s, u, v) @ mixing
+                      for s in range(config.n_sessions)]
+    for trial, (label, session) in enumerate(zip(labels.tolist(), sessions.tolist())):
+        src = np.empty((3, n))
+        src[:2] = rhythms[trial]
+        src[0 if label == -1 else 1, imagery] *= 1.0 - config.erd_depth
+        src[2] = label * config.lrp_slope_uv_per_s * np.clip(
+            t - IMAGERY_ONSET_S, 0.0, None
+        )
+        mixed = session_mixing[session] @ src
+        if config.noise_sigma_uv > 0:
+            mixed = mixed + config.noise_sigma_uv * data[trial]
+        data[trial] = mixed
 
-    labels = tuple(f"ch{i}" for i in range(n_ch))
-    return TrialSet(tuple(trials), fs, labels)
+    data.flags.writeable = False
+    return TrialSet(data, labels, sessions + 1, indices, fs,
+                    tuple(f"ch{i}" for i in range(n_ch)))
 
 
 def synth_config_from_dict(doc: dict) -> SynthConfig:
-    known = {f for f in SynthConfig.__dataclass_fields__}
-    unknown = set(doc) - known
+    unknown = set(doc) - set(SynthConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
     kwargs = dict(doc)
-    # field types are strings here (from __future__ import annotations)
+    # by field type, a string here (from __future__ import annotations); the
+    # one other type is rhythm_band_hz's pair
+    checks = {"int": json_int, "float": json_number}
     for f in fields(SynthConfig):
-        if f.type == "int" and f.name in kwargs:
-            json_int(kwargs[f.name], f.name)
-    for key in ("rhythm_band_hz",):
-        if key in kwargs:
-            kwargs[key] = tuple(float(x) for x in kwargs[key])
-    try:
-        return SynthConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid synth config: {exc}") from exc
+        if f.name in kwargs:
+            kwargs[f.name] = checks.get(f.type, json_pair)(kwargs[f.name], f.name)
+    return SynthConfig(**kwargs)

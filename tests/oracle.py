@@ -75,14 +75,14 @@ def lrp_feature(
     """Per selected channel, the mean amplitude inside the feature window."""
     if not len(channels):
         raise ValueError("no channels selected")
-    i0, i1 = _window_indices(trial.n_samples, fs_hz, *feature_window_s)
+    i0, i1 = _window_indices(trial.data.shape[1], fs_hz, *feature_window_s)
     means = trial.data[list(channels), i0:i1].mean(axis=1)
     return FeatureVector(means, "lrp")
 
 
 def session(trial_set: TrialSet, session_id: int) -> TrialSet:
     """Subset containing one session, order preserved."""
-    return trial_set.replace_trials([t for t in trial_set.trials if t.session_id == session_id])
+    return trial_set[trial_set.sessions == session_id]
 
 
 def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -> CspModel:

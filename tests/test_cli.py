@@ -6,7 +6,7 @@ import pytest
 from mipipe.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from mipipe.data_model import load_archive, save_archive
 
-from conftest import count_filtered_trials
+from conftest import as_trials, count_filtered_trials, replace_trials, with_label
 
 SYNTH_DOC = {
     "n_channels": 4,
@@ -208,8 +208,8 @@ class TestRun:
     def test_sweep_refuses_unlabeled_train_trial_before_searching(
             self, archive, tmp_path, monkeypatch, capsys):
         ts = load_archive(archive)
-        save_archive(ts.replace_trials(
-            (ts.trials[0].with_label(None),) + ts.trials[1:]), tmp_path / "arch")
+        save_archive(replace_trials(
+            ts, (with_label(as_trials(ts)[0], None),) + as_trials(ts)[1:]), tmp_path / "arch")
         filtered = count_filtered_trials(monkeypatch)
         code = main(["run", "--data", str(tmp_path / "arch"), "--sweep",
                      "--train-fraction", "0.5", "--report", str(tmp_path / "run.json")])
@@ -221,8 +221,8 @@ class TestRun:
     def test_unlabeled_train_trial_is_one_message_with_and_without_sweep(
             self, archive, tmp_path, fast_config, capsys):
         ts = load_archive(archive)
-        save_archive(ts.replace_trials(
-            (ts.trials[0].with_label(None),) + ts.trials[1:]), tmp_path / "arch")
+        save_archive(replace_trials(
+            ts, (with_label(as_trials(ts)[0], None),) + as_trials(ts)[1:]), tmp_path / "arch")
         lines = []
         for sweep in ([], ["--sweep"]):
             code = main(["run", "--data", str(tmp_path / "arch"), *sweep,
@@ -363,6 +363,22 @@ class TestTypedErrors:
                     "--report", str(tmp_path / "cv.json")]
         assert main(args) == EXIT_CONFIG
         assert "must hold a JSON object" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"rhythm_band_hz": 5}, "rhythm_band_hz must be a pair of numbers, got 5"),
+        ({"rhythm_band_hz": [13, 2, 1]}, "rhythm_band_hz must be a pair of numbers"),
+        ({"rhythm_band_hz": [13, "2"]}, "rhythm_band_hz must be a number, got '2'"),
+        ({"lrp_slope_uv_per_s": "x"}, "lrp_slope_uv_per_s must be a number, got 'x'"),
+        ({"fs_hz": True}, "fs_hz must be a number, got True"),
+        ({"noise_sigma_uv": None}, "noise_sigma_uv must be a number, got None"),
+        ({"trial_duration_s": float("inf")}, "trial_duration_s must be a number, got inf"),
+        ({"erd_depth": [0.5]}, "erd_depth must be a number, got [0.5]"),
+        ({"session_drift": 10 ** 400}, "session_drift must be a number, got 1000"),
+    ])
+    def test_synth_number_fields_reject_other_values(self, tmp_path, capsys, doc, message):
+        cfg = write_json(tmp_path / "synth.json", doc)
+        assert main(["synth", "--out", str(tmp_path / "new"), "--config", cfg]) == EXIT_CONFIG
+        assert f"config error: {message}" in one_line_error(capsys)
 
     @pytest.mark.parametrize("command,doc,name", [
         ("synth", {"n_channels": 4.0}, "n_channels"),

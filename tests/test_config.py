@@ -34,3 +34,24 @@ def test_echo_holds_only_fields_the_pipeline_reads():
     assert doc["preprocess"] == {"band_hz": (12.0, 14.0), "window_s": (0.5, 4.5)}
     assert set(doc["ensemble"]) == {"rounds", "subset_fraction", "seed"}
     assert set(doc["search"]) == {"bands_hz", "windows_s", "channel_sets", "m_values"}
+
+
+@pytest.mark.parametrize("search,message", [
+    ({"bands_hz": [[8, 12]]}, "search.windows_s is missing"),
+    ({"windows_s": [[0.5, 2.5]]}, "search.bands_hz is missing"),
+    ({"bands_hz": None, "windows_s": [[0.5, 2.5]]}, "search.bands_hz is missing"),
+    ({"bands_hz": 5, "windows_s": [[0.5, 2.5]]}, "search.bands_hz must be a list, got 5"),
+    ({"bands_hz": [[8, 12]], "windows_s": "0.5-2.5"},
+     "search.windows_s must be a list, got '0.5-2.5'"),
+    ({**SEARCH, "channel_sets": 3}, "search.channel_sets must be a list, got 3"),
+    ({**SEARCH, "m_values": 2}, "search.m_values must be a list, got 2"),
+])
+def test_search_fields_named_when_missing_or_not_lists(search, message):
+    with pytest.raises(ConfigError) as info:
+        pipeline_config_from_dict({"search": search})
+    assert str(info.value) == message
+
+
+def test_search_optional_fields_default():
+    space = pipeline_config_from_dict({"search": {**SEARCH, "channel_sets": None}}).search
+    assert (space.channel_sets, space.m_values) == ((None,), (1,))

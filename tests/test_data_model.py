@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mipipe.data_model import (
     SplitSpec,
     Trial,
     TrialSet,
+    join,
     load_archive,
     save_archive,
     split,
@@ -17,7 +19,7 @@ from mipipe.data_model import (
 from mipipe.errors import ArchiveError
 from mipipe.synthgen import SynthConfig, generate
 
-from conftest import make_set, make_trial
+from conftest import as_trials, make_set, make_trial
 from oracle import session
 
 
@@ -37,6 +39,9 @@ def test_trialset_rejects_mixed_shapes():
     t2 = make_trial(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         make_set([t1, t2])
+    with pytest.raises(ValueError, match="train has 2 channels x 4 samples at 100.0 Hz, "
+                                         "test has 3 channels x 4 samples"):
+        join(make_set([t1]), make_set([t2]))
 
 
 def test_trialset_rejects_decreasing_sessions():
@@ -44,6 +49,59 @@ def test_trialset_rejects_decreasing_sessions():
     t2 = make_trial(np.zeros((2, 4)), session_id=1)
     with pytest.raises(ValueError):
         make_set([t1, t2])
+
+
+def _set(n=3, **rows):
+    fields = {"data": np.zeros((n, 2, 4)), "labels": [1] * n, "sessions": [1] * n,
+              "trial_indices": range(n), "sampling_rate_hz": 100.0,
+              "channel_labels": ("a", "b")}
+    return TrialSet(**(fields | rows))
+
+
+@pytest.mark.parametrize("rows,message", [
+    ({"data": np.zeros((3, 2, 1))}, "trial data must be channels x samples"),
+    ({"data": np.zeros((3, 4))}, "trial data must be channels x samples with >=1 channel "
+                                 "and >=2 samples, got shape (4,)"),
+    ({"data": np.r_[np.zeros((2, 2, 4)), np.full((1, 2, 4), np.inf)]},
+     "trial data contains non-finite values"),
+    ({"labels": [1, 2, -1]}, "label must be -1, +1 or None, got 2"),
+    ({"labels": [1, 1]}, "one entry per trial"),
+    ({"sessions": [1, 0, 1]}, "session_id must be >= 1"),
+    ({"trial_indices": [0, -1, 2]}, "trial_index must be >= 0"),
+    ({"sampling_rate_hz": 0.0}, "sampling_rate_hz must be positive"),
+    ({"channel_labels": ("a",)}, "channel_labels has 1 entries for 2 channels"),
+    ({"sessions": [1, 2, 1]}, "session_ids must be nondecreasing"),
+])
+def test_trialset_validates_the_whole_array(rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _set(**rows)
+
+
+def test_trialset_arrays_are_read_only_and_unaliased(rng):
+    x = rng.normal(size=(3, 2, 4))
+    ts = _set(data=x)
+    x[0, 0, 0] = 99.0  # the caller's array was copied
+    assert ts.data[0, 0, 0] != 99.0
+    for name in ("data", "labels", "sessions", "trial_indices"):
+        value = getattr(ts, name)
+        assert not value.flags.writeable and value.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 0
+    assert ts.data.dtype == np.float64 and ts.labels.dtype == np.int64
+    # a read-only array is taken as it is
+    assert _set(data=ts.data).data is ts.data
+
+
+def test_split_and_without_labels_share_the_recording():
+    ts = generate(SynthConfig(n_channels=3, n_sessions=2, trials_per_session=10))
+    for spec in (SplitSpec(0.3, "prefix"), SplitSpec(0.3, "by_session")):
+        train, test = split(ts, spec)
+        assert np.shares_memory(train.data, ts.data)
+        assert np.shares_memory(test.data, ts.data)
+    blind = ts.without_labels()
+    assert blind.data is ts.data
+    assert not blind.labels.any() and ts.labels.all()
+    assert blind.sessions is ts.sessions
 
 
 def test_roundtrip_small(tmp_path, rng):
@@ -56,7 +114,7 @@ def test_roundtrip_small(tmp_path, rng):
     back = load_archive(tmp_path / "arch")
     assert len(back) == 2
     assert back.n_channels == 3
-    for a, b in zip(ts, back):
+    for a, b in zip(as_trials(ts), as_trials(back)):
         assert np.allclose(a.data, b.data, atol=1e-9)
         assert a.label == b.label
 
@@ -75,7 +133,7 @@ def test_roundtrip_unlabeled_null(tmp_path):
     meta = json.loads((tmp_path / "arch" / "meta.json").read_text())
     assert meta["sessions"][0]["trials"][0]["label"] is None
     back = load_archive(tmp_path / "arch")
-    assert back.trials[0].label is None
+    assert as_trials(back)[0].label is None
 
 
 def test_single_trial_archive_has_one_matrix_file(tmp_path):
@@ -93,7 +151,7 @@ def test_roundtrip_synthetic_multisession(tmp_path):
     assert back.session_ids == [1, 2, 3, 4]
     for sid in back.session_ids:
         assert len(session(back, sid)) == 60
-    for a, b in zip(ts, back):
+    for a, b in zip(as_trials(ts), as_trials(back)):
         assert np.max(np.abs(a.data - b.data)) <= 1e-9
         assert (a.label, a.session_id, a.trial_index) == (b.label, b.session_id, b.trial_index)
 
@@ -106,6 +164,16 @@ def test_channel_mismatch_names_file(tmp_path, rng):
     meta["channel_labels"] = ["a", "b"]  # declare 2 channels, files have 3
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ArchiveError, match=r"s01_t000\.csv"):
+        load_archive(tmp_path / "arch")
+
+
+def test_sample_count_mismatch_is_an_archive_error(tmp_path, rng):
+    ts = make_set([make_trial(rng.normal(size=(2, 6)), label=1, trial_index=i)
+                   for i in range(3)])
+    save_archive(ts, tmp_path / "arch")
+    short = tmp_path / "arch" / "s01_t001.csv"
+    short.write_text("".join(short.read_text().splitlines(keepends=True)[:4]))
+    with pytest.raises(ArchiveError, match="all trials must share channel and sample counts"):
         load_archive(tmp_path / "arch")
 
 
@@ -176,7 +244,7 @@ def test_by_session_split():
     train, test = split(ts, SplitSpec(0.25, "by_session"))
     assert len(train) == 60
     assert len(test) == 180
-    assert {t.session_id for t in train.trials} == {1}
+    assert set(train.sessions.tolist()) == {1}
 
 
 def test_split_is_ordered_partition():
@@ -184,8 +252,12 @@ def test_split_is_ordered_partition():
     for fraction in (0.1, 0.37, 0.5, 0.9):
         train, test = split(ts, SplitSpec(fraction, "prefix"))
         assert len(train) + len(test) == len(ts)
-        rejoined = list(train.trials) + list(test.trials)
-        assert all(a is b for a, b in zip(rejoined, ts.trials))
+        for name in ("data", "labels", "sessions", "trial_indices"):
+            rejoined = np.concatenate([getattr(train, name), getattr(test, name)])
+            assert np.array_equal(rejoined, getattr(ts, name))
+            # the halves are views of the set's rows, not copies
+            assert np.shares_memory(getattr(train, name), getattr(ts, name))
+            assert np.shares_memory(getattr(test, name), getattr(ts, name))
 
 
 def test_split_degenerate_errors():

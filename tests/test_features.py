@@ -18,7 +18,7 @@ from mipipe.features import (
     select_channels,
 )
 
-from conftest import make_trial
+from conftest import as_trials, make_trial
 from oracle import ar_feature, baseline_correct, crop, lowpass_zero_phase, lrp_feature
 
 
@@ -145,7 +145,7 @@ class TestCspFeature:
         ts = generate(SynthConfig(n_channels=4, trials_per_session=40,
                                   erd_depth=0.7, noise_sigma_uv=0.5, seed=2))
         prepped = [crop(bandpass_zero_phase(t, 100.0, 12.0, 14.0), 100.0, 0.5, 4.5)
-                   for t in ts]
+                   for t in as_trials(ts)]
         neg = [t for t in prepped if t.label == -1]
         pos = [t for t in prepped if t.label == 1]
         model = fit_csp(neg[:10], pos[:10], m=1)
@@ -204,14 +204,14 @@ class TestArFeature:
     def test_dimension_one_channel(self, rng):
         trial = make_trial(rng.normal(size=(3, 200)))
         f = ar_feature(trial, [0], p=7)
-        assert len(f) == 8
+        assert len(f.values) == 8
         assert f.method == "ar"
 
     def test_dimension_and_layout_two_channels(self, rng):
         trial = make_trial(rng.normal(size=(3, 200)))
         both = ar_feature(trial, [1, 2], p=7)
         first = ar_feature(trial, [1], p=7)
-        assert len(both) == 16
+        assert len(both.values) == 16
         assert np.array_equal(both.values[:8], first.values)
 
     def test_error_tagged_with_channel(self, rng):
@@ -244,11 +244,11 @@ class TestLrpFeature:
                                   erd_depth=0.0, lrp_slope_uv_per_s=5.0,
                                   noise_sigma_uv=0.1, seed=5))
         feats = []
-        for t in ts:
+        for t in as_trials(ts):
             p = baseline_correct(lowpass_zero_phase(t, 100.0, 1.5), 100.0, (0.0, 0.5))
             feats.append(lrp_feature(p, range(4), 100.0, (0.5, 1.5)).values)
         feats = np.array(feats)
-        labels = np.array([t.label for t in ts])
+        labels = ts.labels
         # the most drift-loaded channel separates the classes by sign
         scores = fisher_scores(feats, labels)
         best = int(np.argmax(scores))

@@ -6,7 +6,7 @@ import pytest
 from mipipe import features, param_select
 from mipipe.classify import LdaModel, fit_lda, lda_score
 from mipipe.config import PipelineConfig, SearchSpace
-from mipipe.data_model import SplitSpec, Trial, TrialSet, split
+from mipipe.data_model import SplitSpec, Trial, join, split
 from mipipe.errors import CriterionUndefinedError
 from mipipe.features import csp_feature, csp_stack, fit_csp
 from mipipe.param_select import (
@@ -27,7 +27,7 @@ from mipipe.preprocess import bandpass_zero_phase
 from mipipe.synthgen import SynthConfig, generate
 
 import oracle
-from conftest import count_filtered_trials
+from conftest import as_trials, count_filtered_trials, make_set, replace_trials, with_label
 from oracle import crop
 
 
@@ -222,22 +222,22 @@ class TestGridSearch:
 
     def test_empty_test_errors(self):
         train, _ = planted_sets(seed=0, trials_per_session=80)
-        empty = train.replace_trials(())
+        empty = replace_trials(train, ())
         with pytest.raises(ValueError, match="empty"):
             grid_search(train, empty, SPACE)
 
     def test_single_class_train_errors(self):
         train, test = planted_sets(seed=0, trials_per_session=80)
-        one_class = train.replace_trials(
-            tuple(t for t in train.trials if t.label == 1)
+        one_class = replace_trials(
+            train, tuple(t for t in as_trials(train) if t.label == 1)
         )
         with pytest.raises(ValueError, match="both classes"):
             grid_search(one_class, test.without_labels(), SPACE)
 
     def test_unlabeled_train_trial_errors_before_filtering(self, monkeypatch):
         train, test = planted_sets(seed=0, trials_per_session=80)
-        train = train.replace_trials(
-            (train.trials[0].with_label(None),) + train.trials[1:]
+        train = replace_trials(
+            train, (with_label(as_trials(train)[0], None),) + as_trials(train)[1:]
         )
         filtered = count_filtered_trials(monkeypatch)
         with pytest.raises(ValueError, match="training set contains unlabeled trials"):
@@ -246,9 +246,9 @@ class TestGridSearch:
 
     def test_too_few_labels_per_class_errors_before_filtering(self, monkeypatch):
         train, test = planted_sets(seed=0, trials_per_session=80)
-        first_pos = train.labels.index(1)
-        train = train.replace_trials(
-            tuple(t for i, t in enumerate(train.trials) if t.label == -1 or i == first_pos))
+        first_pos = train.labels.tolist().index(1)
+        train = replace_trials(train, tuple(
+            t for i, t in enumerate(as_trials(train)) if t.label == -1 or i == first_pos))
         filtered = count_filtered_trials(monkeypatch)
         with pytest.raises(ValueError, match="^too few labeled trials per class"):
             grid_search(train, test.without_labels(), SPACE)
@@ -258,12 +258,12 @@ class TestGridSearch:
         train, test = planted_sets(seed=0, trials_per_session=80)
         fs = test.sampling_rate_hz
         mismatched = {
-            "channels": TrialSet(
-                tuple(t.with_data(t.data[:4]) for t in test.trials), fs,
+            "channels": make_set(
+                [t.with_data(t.data[:4]) for t in as_trials(test)], fs,
                 test.channel_labels[:4]),
-            "samples": test.replace_trials(
-                t.with_data(t.data[:, :-10]) for t in test.trials),
-            "rate": TrialSet(test.trials, 2 * fs, test.channel_labels),
+            "samples": replace_trials(
+                test, (t.with_data(t.data[:, :-10]) for t in as_trials(test))),
+            "rate": make_set(as_trials(test), 2 * fs, test.channel_labels),
         }
         expected = {
             "channels": "test has 4 channels x 500 samples at 100.0 Hz",
@@ -403,13 +403,14 @@ def unbalanced_batches(channels):
     train, test = planted_sets(seed=7, trials_per_session=200, fraction=0.4)
     counts = {-1: 0, 1: 0}
     keep = []
-    for t in train.trials:
+    for t in as_trials(train):
         counts[t.label] += 1
         if counts[t.label] <= {-1: 33, 1: 17}[t.label]:
             keep.append(t)
-    train = train.replace_trials(keep)
+    train = replace_trials(train, keep)
     labels = np.array(train.labels)
-    batches = _BandBatches(train, test.without_labels())
+    batches = _BandBatches(join(train, test.without_labels()).data, len(train),
+                           train.sampling_rate_hz)
     return batches.crop((12.0, 14.0), (0.5, 3.5), channels), labels
 
 
@@ -499,7 +500,7 @@ def test_ten_fold_candidate_makes_two_eigendecompositions_per_fit(monkeypatch):
 
 def _oracle_prep(ts, band, window, channels):
     out = []
-    for t in ts:
+    for t in as_trials(ts):
         data = t.data if channels is None else t.data[list(channels)]
         trial = Trial(data, t.label, t.session_id, t.trial_index)
         trial = bandpass_zero_phase(trial, ts.sampling_rate_hz, *band)
@@ -520,7 +521,7 @@ def _oracle_fit_and_score(train_trials, train_labels, score_trials, m):
 def _oracle_scores(train, test, band, window, channels, m):
     train_trials = _oracle_prep(train, band, window, channels)
     test_trials = _oracle_prep(test, band, window, channels)
-    labels = np.array([t.label for t in train.trials])
+    labels = np.array([t.label for t in as_trials(train)])
     train_scores = np.empty(len(train_trials))
     for fold in _search_folds(labels):
         mask = np.ones(len(train_trials), dtype=bool)
@@ -599,11 +600,11 @@ class TestBatchedSearchMatchesOracle:
         # per-trial search meets must be the one reported.
         train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
         row = int(_search_folds(np.array(train.labels))[flat_fold][0])
-        data = train.trials[row].data.copy()
+        data = train.data[row].copy()
         data[[0, 3]] = 0.0
-        trials = list(train.trials)
+        trials = list(as_trials(train))
         trials[row] = trials[row].with_data(data)
-        train = train.replace_trials(trials)
+        train = replace_trials(train, trials)
         errors = self._errors_after_matching_oracle(train, test)
         subset = errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 1)]
         if flat_fold == 0:

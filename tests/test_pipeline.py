@@ -8,12 +8,13 @@ from mipipe.pipeline import (
     evaluate,
     make_extractor,
     run_adaptive,
+    run_split,
     run_static,
     sweep_fractions,
 )
 from mipipe.synthgen import SynthConfig, generate
 
-from conftest import count_filtered_trials
+from conftest import as_trials, count_filtered_trials, replace_trials, with_label
 
 FAST_ENSEMBLE = EnsembleConfig(rounds=5, subset_fraction=0.5, seed=0)
 
@@ -67,8 +68,8 @@ class TestEvaluate:
 def fitted_extractor(ts, config):
     """An extractor fitted on every row of `ts`, and its preparation."""
     extractor = make_extractor(config, ts.sampling_rate_hz)
-    prepared = extractor.prepare([t.data for t in ts.trials])
-    extractor.fit_rows(prepared, np.arange(len(ts)), np.array(ts.labels))
+    prepared = extractor.prepare(ts.data)
+    extractor.fit_rows(prepared, np.arange(len(ts)), ts.labels)
     return extractor, prepared
 
 
@@ -99,17 +100,17 @@ class TestCrossValidate:
     def test_shuffled_labels_near_chance(self, rng):
         ts = easy_set(seed=1)
         perm = rng.permutation(len(ts))
-        labels = [ts.trials[i].label for i in perm]
-        shuffled = ts.replace_trials([
-            t.with_label(y) for t, y in zip(ts.trials, labels)
+        labels = [as_trials(ts)[i].label for i in perm]
+        shuffled = replace_trials(ts, [
+            with_label(t, y) for t, y in zip(as_trials(ts), labels)
         ])
         mean, _ = cross_validate(shuffled, quiet_config(), folds=5, seed=0)
         assert 30.0 <= mean <= 70.0
 
     def test_unlabeled_rejected(self):
         ts = easy_set()
-        broken = ts.replace_trials(
-            [ts.trials[0].with_label(None)] + list(ts.trials[1:])
+        broken = replace_trials(
+            ts, [with_label(as_trials(ts)[0], None)] + list(as_trials(ts)[1:])
         )
         with pytest.raises(ValueError, match="cross-validation needs a fully labeled set"):
             cross_validate(broken, quiet_config(), folds=5)
@@ -157,7 +158,7 @@ class TestRunStatic:
 
     def test_fit_pipeline_rejects_unlabeled_train(self):
         ts = easy_set()
-        broken = ts.replace_trials([t.with_label(None) for t in ts.trials])
+        broken = replace_trials(ts, [with_label(t, None) for t in as_trials(ts)])
         with pytest.raises(ValueError, match="training set contains unlabeled trials"):
             run_static(broken, ts, quiet_config())
         # whether or not the training set is large enough to cross-validate
@@ -193,9 +194,9 @@ class TestRunAdaptive:
 
     def test_test_labels_do_not_leak(self):
         ts = easy_set(n_sessions=2, trials_per_session=20, seed=4)
-        hidden = ts.replace_trials([
-            t if t.session_id == 1 and t.trial_index < 10 else t.with_label(None)
-            for t in ts.trials
+        hidden = replace_trials(ts, [
+            t if t.session_id == 1 and t.trial_index < 10 else with_label(t, None)
+            for t in as_trials(ts)
         ])
         full = run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config(), folds=5)
         blind = run_adaptive(hidden, SplitSpec(0.25, "prefix"), quiet_config(), folds=5)
@@ -214,8 +215,8 @@ class TestRunAdaptive:
 
         space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
         ts = easy_set(n_sessions=2, trials_per_session=20, seed=5)
-        renumbered = ts.replace_trials([
-            Trial(t.data, t.label, t.session_id + 2, t.trial_index) for t in ts.trials
+        renumbered = replace_trials(ts, [
+            Trial(t.data, t.label, t.session_id + 2, t.trial_index) for t in as_trials(ts)
         ])
         report = run_adaptive(renumbered, SplitSpec(0.25, "prefix"),
                               quiet_config(search=space), folds=5)
@@ -292,12 +293,13 @@ def _reference_cross_validate(ts, config, folds, seed):
     from mipipe.data_model import stratified_folds
 
     labels = np.array(ts.labels)
+    trials = as_trials(ts)
     accuracies = []
     for fold in stratified_folds(labels, folds, seed):
         fit = [i for i in range(len(ts)) if i not in set(fold.tolist())]
         predict = _reference_fit(config, ts.sampling_rate_hz,
-                                 [ts.trials[i] for i in fit], [ts.trials[i].label for i in fit])
-        accuracy, _ = evaluate([predict(ts.trials[i]) for i in fold], labels[fold])
+                                 [trials[i] for i in fit], [trials[i].label for i in fit])
+        accuracy, _ = evaluate([predict(trials[i]) for i in fold], labels[fold])
         accuracies.append(accuracy)
     return float(np.mean(accuracies)), float(np.std(accuracies))
 
@@ -310,12 +312,13 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
     # features of every trial, from an extractor fitted on some rows only
     fit = np.arange(3, len(ts))
     extractor = make_extractor(config, ts.sampling_rate_hz)
-    prepared = extractor.prepare([t.data for t in ts.trials])
+    prepared = extractor.prepare(ts.data)
     extractor.fit_rows(prepared, fit, np.array(ts.labels))
+    trials = as_trials(ts)
     transform = _reference_transform(method, config, ts.sampling_rate_hz,
-                                     [ts.trials[i] for i in fit],
-                                     [ts.trials[i].label for i in fit])
-    expected = np.array([transform(t) for t in ts.trials])
+                                     [trials[i] for i in fit],
+                                     [trials[i].label for i in fit])
+    expected = np.array([transform(t) for t in trials])
     assert np.array_equal(extractor.transform_rows(prepared, np.arange(len(ts))), expected)
 
     assert cross_validate(ts, config, folds=5, seed=3) == \
@@ -323,10 +326,10 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
 
     train, test = split(ts, SplitSpec(0.5, "prefix"))
     report = run_static(train, test, config, folds=4, cv_seed=1)
-    predict = _reference_fit(config, ts.sampling_rate_hz, train.trials, train.labels)
+    predict = _reference_fit(config, ts.sampling_rate_hz, as_trials(train), train.labels)
     assert (report.train_accuracy_mean, report.train_accuracy_std) == \
         _reference_cross_validate(train, config, 4, 1)
-    assert report.predicted_labels == [predict(t) for t in test.trials]
+    assert report.predicted_labels == [predict(t) for t in as_trials(test)]
 
 
 @pytest.mark.parametrize("method,chains", [("csp", 1), ("combined", 3)])
@@ -356,8 +359,8 @@ def test_sweep_fractions_equals_per_split_reference(channels):
             labels = np.array(train.labels)
             folds = min(10, (labels == -1).sum(), (labels == 1).sum())
             predict = _reference_fit(method_config, ts.sampling_rate_hz,
-                                     train.trials, train.labels)
-            accuracy, _ = evaluate([predict(t) for t in test.trials], test.labels)
+                                     as_trials(train), train.labels)
+            accuracy, _ = evaluate([predict(t) for t in as_trials(test)], test.labels)
             expected.append({
                 "method": method, "train_fraction": fraction,
                 "n_train": len(train), "n_test": len(test),
@@ -404,11 +407,12 @@ def test_run_adaptive_equals_per_block_reference(method, channels):
     # the rest of session 1, then each later session, fitted trial by trial
     # on the initial split plus the frozen pseudo-labels before it
     fs = ts.sampling_rate_hz
-    train0 = ts.replace_trials(ts.trials[:k])
-    labels = list(train0.labels)
+    train0 = ts[:k]
+    trials = as_trials(ts)
+    labels = train0.labels.tolist()
     for end in (12, 24, 36):
-        predict = _reference_fit(config, fs, ts.trials[:len(labels)], labels)
-        labels += [predict(t) for t in ts.trials[len(labels):end]]
+        predict = _reference_fit(config, fs, trials[:len(labels)], labels)
+        labels += [predict(t) for t in trials[len(labels):end]]
     predicted, true = labels[k:], ts.labels[k:]
 
     assert report.predicted_labels == predicted
@@ -444,3 +448,61 @@ def test_run_adaptive_prepares_the_archive_once(monkeypatch, method, chains, fit
     # block indexes one preparation of all n
     assert sum(filtered) == chains * (n + k)
     assert len(ar_fits) == ((n + k) * ts.n_channels if fits_ar else 0)
+
+
+def test_no_path_builds_a_trial_per_row(monkeypatch, tmp_path):
+    from mipipe import data_model
+    from mipipe.data_model import Trial, load_archive, save_archive
+
+    built = []
+    init = Trial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(data_model.Trial, "__init__", counting_init)
+    space = SearchSpace(bands_hz=((8.0, 10.0), (12.0, 14.0)), windows_s=((0.5, 4.5),))
+    ts = easy_set(seed=14, n_sessions=2, trials_per_session=20, lrp_slope_uv_per_s=2.0)
+    save_archive(ts, tmp_path / "arch")
+    ts = load_archive(tmp_path / "arch")
+    cross_validate(ts, quiet_config("combined"), folds=5)
+    train, test = split(ts, SplitSpec(0.5, "prefix"))
+    run_static(train, test, quiet_config(search=space), folds=5)
+    run_split(ts, SplitSpec(0.5, "prefix"), quiet_config(search=space), folds=5)
+    sweep_fractions(ts, quiet_config(), ["csp", "ar", "lrp", "combined"], [0.3])
+    run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config(search=space), folds=5)
+    assert built == []
+    Trial(ts.data[0])
+    assert built == [1]
+
+
+def test_cli_paths_preprocess_the_recording_in_place(monkeypatch):
+    from mipipe import param_select, pipeline
+
+    seen = []
+    preprocess_trials = pipeline.preprocess_trials
+
+    def recording(trials, *args, **kwargs):
+        seen.append(trials)
+        return preprocess_trials(trials, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "preprocess_trials", recording)
+    monkeypatch.setattr(param_select, "preprocess_trials", recording)
+    space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
+    ts = easy_set(seed=15, n_sessions=2, trials_per_session=20, lrp_slope_uv_per_s=2.0)
+    partly = replace_trials(ts, [with_label(as_trials(ts)[0], None)] + list(as_trials(ts)[1:]))
+    # crossval's unlabelled trials are skipped by row, not copied out
+    labeled = np.flatnonzero(partly.labels)
+    assert cross_validate(partly, quiet_config(), folds=5, rows=labeled) == \
+        cross_validate(partly[1:], quiet_config(), folds=5)
+    with pytest.raises(ValueError, match="cross-validation needs a fully labeled set"):
+        cross_validate(partly, quiet_config(), folds=5, rows=np.arange(len(partly)))
+    assert seen[0] is partly.data
+    seen.clear()
+    run_split(ts, SplitSpec(0.25, "prefix"), quiet_config("combined", search=space), folds=5)
+    sweep_fractions(ts, quiet_config(), ["csp", "combined"], [0.3, 0.6])
+    run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config(search=space), folds=5)
+    run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config("ar"), folds=5)
+    assert len(seen) > 10
+    assert all(np.shares_memory(x, ts.data) for x in seen)

@@ -8,6 +8,7 @@ from mipipe.pipeline import run_static
 from mipipe.preprocess import bandpass_array
 from mipipe.synthgen import SynthConfig, generate, synth_config_from_dict
 
+from conftest import as_trials
 from oracle import session
 
 
@@ -25,9 +26,9 @@ def test_shapes_labels_and_sessions():
     assert len(ts) == 12
     assert ts.n_channels == 4
     assert ts.session_ids == [1, 2]
-    for trial in ts:
+    for trial in as_trials(ts):
         assert trial.data.shape == (4, 200)
-    labels = [t.label for t in session(ts, 1).trials]
+    labels = [t.label for t in as_trials(session(ts, 1))]
     assert labels == [-1, 1, -1, 1, -1, 1]
 
 
@@ -35,7 +36,7 @@ def test_seed_determinism_bitwise():
     cfg = SynthConfig(n_channels=4, trials_per_session=6, trial_duration_s=2.0,
                       seed=11)
     a, b = generate(cfg), generate(cfg)
-    for ta, tb in zip(a, b):
+    for ta, tb in zip(as_trials(a), as_trials(b)):
         assert np.array_equal(ta.data, tb.data)
         assert (ta.label, ta.session_id, ta.trial_index) == (
             tb.label, tb.session_id, tb.trial_index)
@@ -45,14 +46,14 @@ def test_different_seeds_differ():
     base = dict(n_channels=4, trials_per_session=6, trial_duration_s=2.0)
     a = generate(SynthConfig(seed=1, **base))
     b = generate(SynthConfig(seed=2, **base))
-    assert not np.array_equal(a.trials[0].data, b.trials[0].data)
+    assert not np.array_equal(a.data[0], b.data[0])
 
 
 def test_rhythm_energy_concentrated_in_band():
     ts = generate(SynthConfig(n_channels=4, trials_per_session=4,
                               rhythm_band_hz=(13.0, 2.0), noise_sigma_uv=0.0,
                               seed=3))
-    x = ts.trials[1].data  # label +1
+    x = ts.data[1]  # label +1
     in_band = bandpass_array(x, ts.sampling_rate_hz, 11.0, 15.0)
     out_band = bandpass_array(x, ts.sampling_rate_hz, 25.0, 40.0)
     assert np.var(in_band) > 10.0 * np.var(out_band)
@@ -64,9 +65,9 @@ def test_erd_separates_classes_fisher():
     fs = ts.sampling_rate_hz
     power = np.array([
         np.log(bandpass_array(t.data, fs, 12.0, 14.0)[:, 50:].var(axis=1))
-        for t in ts
+        for t in as_trials(ts)
     ])
-    labels = np.array([t.label for t in ts.trials])
+    labels = np.array([t.label for t in as_trials(ts)])
     mu_n, mu_p = power[labels == -1].mean(0), power[labels == 1].mean(0)
     var_n = power[labels == -1].var(0, ddof=1)
     var_p = power[labels == 1].var(0, ddof=1)
@@ -75,7 +76,7 @@ def test_erd_separates_classes_fisher():
                                      erd_depth=0.0, noise_sigma_uv=0.5, seed=4))
     power0 = np.array([
         np.log(bandpass_array(t.data, fs, 12.0, 14.0)[:, 50:].var(axis=1))
-        for t in no_signal
+        for t in as_trials(no_signal)
     ])
     mu_n0, mu_p0 = power0[labels == -1].mean(0), power0[labels == 1].mean(0)
     fisher0 = (mu_n0 - mu_p0) ** 2 / (
@@ -113,10 +114,10 @@ def test_session_drift_changes_mixing():
     still = generate(SynthConfig(session_drift=0.0, **base))
     drifted = generate(SynthConfig(session_drift=0.5, **base))
     # session 1 identical, session 2 mixed differently
-    assert np.array_equal(session(still, 1).trials[0].data,
-                          session(drifted, 1).trials[0].data)
-    assert not np.allclose(session(still, 2).trials[0].data,
-                           session(drifted, 2).trials[0].data)
+    assert np.array_equal(session(still, 1).data[0],
+                          session(drifted, 1).data[0])
+    assert not np.allclose(session(still, 2).data[0],
+                           session(drifted, 2).data[0])
 
 
 @pytest.mark.parametrize("kwargs", [
