@@ -21,9 +21,9 @@ from .config import (
     pipeline_config_from_dict,
     pipeline_config_to_dict,
 )
-from .data_model import SplitSpec, TrialSet, load_archive, save_archive
+from .data_model import SplitSpec, TrialSet, load_archive, save_archive, split
 from .errors import ArchiveError, ConfigError, RankDeficientError
-from .pipeline import cross_validate, run_adaptive, run_split, sweep_fractions
+from .pipeline import cross_validate, run_adaptive, run_static, sweep_fractions
 from .synthgen import generate, synth_config_from_dict
 
 EXIT_OK = 0
@@ -121,8 +121,9 @@ def cmd_crossval(args) -> int:
     labeled = np.count_nonzero(data.labels)
     if args.folds < 2 or args.folds > labeled:
         raise ConfigError(f"folds must be in [2, {labeled}], got {args.folds}")
-    mean, std = cross_validate(data, config, folds=args.folds, seed=seed or 0,
-                               rows=np.flatnonzero(data.labels))
+    # the unlabelled trials are left out by row, not copied out
+    rows = None if labeled == len(data) else np.flatnonzero(data.labels)
+    mean, std = cross_validate(data, config, folds=args.folds, seed=seed or 0, rows=rows)
     doc = {
         "mean": mean,
         "std": std,
@@ -148,9 +149,11 @@ def cmd_run(args) -> int:
             search=default_search_space(data.n_samples / data.sampling_rate_hz)
         )
     if args.adapt:
+        if len(data.session_ids) < 2:
+            raise ConfigError("--adapt requires >= 2 sessions")
         report = run_adaptive(data, spec, config)
     else:
-        report = run_split(data, spec, config)
+        report = run_static(*split(data, spec), config)
     doc = report.to_dict()
     doc["config"] = pipeline_config_to_dict(config)
     doc["train_fraction"] = args.train_fraction

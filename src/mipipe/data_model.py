@@ -136,18 +136,35 @@ class TrialSet:
         return replace(self, labels=np.zeros(len(self), np.int64))
 
 
+def _joined_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of `a` then those of `b`, read-only. Where `b`'s rows start
+    right where `a`'s end in the one array both are views of, as after
+    `split`, that is a view of that array; otherwise a copy."""
+    start = a.__array_interface__["data"][0]
+    if (a.base is not None and a.base is b.base and a.flags.c_contiguous
+            and b.flags.c_contiguous and start + a.nbytes == b.__array_interface__["data"][0]):
+        # one run of a.size + b.size values from a's first, all inside the base
+        run = np.lib.stride_tricks.as_strided(a, (a.size + b.size,), (a.itemsize,),
+                                              writeable=False)
+        return run.reshape((len(a) + len(b),) + a.shape[1:])
+    out = np.concatenate([a, b])
+    out.flags.writeable = False
+    return out
+
+
 def join(train: TrialSet, test: TrialSet) -> TrialSet:
-    """The trials of `train`, then those of `test`, copied into one set."""
+    """The trials of `train`, then those of `test`, as one set. The data of
+    the two halves of a `split` is joined without a copy (see
+    `_joined_data`); the per-trial label, session and index arrays are
+    copied."""
     shapes = [(ts.n_channels, ts.n_samples, ts.sampling_rate_hz) for ts in (train, test)]
     if shapes[0] != shapes[1]:
         raise ValueError("train and test sets differ: " + ", ".join(
             f"{name} has {c} channels x {n} samples at {fs} Hz"
             for name, (c, n, fs) in zip(("train", "test"), shapes)))
-    rows = {}
-    for name in _ROW_FIELDS:
-        rows[name] = np.concatenate([getattr(train, name), getattr(test, name)])
-        rows[name].flags.writeable = False
-    return replace(train, **rows)
+    rows = {name: np.concatenate([getattr(train, name), getattr(test, name)])
+            for name in _ROW_FIELDS[1:]}
+    return replace(train, data=_joined_data(train.data, test.data), **rows)
 
 
 @dataclass(frozen=True)
@@ -244,17 +261,22 @@ def _read_matrix(fpath: Path) -> np.ndarray:
 def save_archive(trial_set: TrialSet, path) -> None:
     """Write a trial archive directory (meta.json + one CSV per trial)."""
     keys = list(zip(trial_set.sessions.tolist(), trial_set.trial_indices.tolist()))
-    if len(set(keys)) < len(keys):
-        sid, index = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise ArchiveError(f"two trials share session {sid} and trial index {index}; "
-                           f"they would be written to one file")
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ArchiveError(
+                f"two trials share session {key[0]} and trial index {key[1]}; "
+                f"they would be written to one file"
+            )
+        seen.add(key)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     sessions: dict[int, list[dict]] = {}
     for x, label, (sid, index) in zip(trial_set.data, trial_set.labels.tolist(), keys):
         fname = _trial_filename(sid, index)
+        label = None if label == 0 else f"{label:+d}"
         sessions.setdefault(sid, []).append(
-            {"file": fname, "label": f"{label:+d}" if label else None}
+            {"file": fname, "label": label}
         )
         _write_matrix(path / fname, x.T)
     meta = {

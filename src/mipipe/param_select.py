@@ -266,22 +266,14 @@ def grid_search(
     Feasible candidates (balance penalty <= threshold) compete on rho; if none
     is feasible the fallback objective is rho - penalty. Test labels are never
     read. Ties break by enumeration order. The two sets are joined into one
-    (a copy); see `_grid_search`.
+    recording (see `join`: the halves of a `split` are not copied) and
+    band-passed together.
     """
-    return _grid_search(join(train, test_unlabeled).data, train.sampling_rate_hz,
-                        train.labels, space, base, feasibility_threshold)
-
-
-def _grid_search(trials: np.ndarray, fs_hz: float, labels: np.ndarray, space: SearchSpace,
-                 base: PipelineConfig | None = None,
-                 feasibility_threshold: float = FEASIBILITY_THRESHOLD) -> SearchResult:
-    """`grid_search` on one (n_trials, n_channels, n_samples) recording: its
-    first len(labels) rows are the train trials, under `labels` (0 where a
-    trial has none), and the rows after them the test trials."""
     if base is None:
         base = PipelineConfig()
-    if len(trials) == len(labels):
+    if len(test_unlabeled) == 0:
         raise ValueError("test set is empty")
+    labels = train.labels
     if not labels.all():
         raise ValueError("training set contains unlabeled trials")
     if -1 not in labels or 1 not in labels:
@@ -292,7 +284,8 @@ def _grid_search(trials: np.ndarray, fs_hz: float, labels: np.ndarray, space: Se
     candidates = itertools.product(
         space.bands_hz, space.windows_s, channel_sets, space.m_values
     )
-    batches = _BandBatches(trials, len(labels), fs_hz)
+    batches = _BandBatches(join(train, test_unlabeled).data, len(train),
+                           train.sampling_rate_hz)
     fits = _fold_fits(labels)
     table = []
     failures = []

@@ -3,7 +3,7 @@ and session-by-session semi-supervised adaptive classification."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .features import (
     select_channels,
     trace_normalized,
 )
-from .param_select import _grid_search
+from .param_select import grid_search
 from .preprocess import Chain, preprocess_trials
 # not used here: perfbench/selftest.py checks that the tracer rebinds this
 # name in pipeline, so it stays importable until that test picks another
@@ -40,17 +40,19 @@ def evaluate(predicted: Sequence[int], true: Sequence[int]):
             raise ValueError(f"{name} labels must all be -1 or +1")
     accuracy = 100.0 * float(np.mean(predicted == true))
     confusion = np.zeros((2, 2), dtype=int)
-    np.add.at(confusion, ((true + 1) // 2, (predicted + 1) // 2), 1)
+    for t_lab, p_lab in zip(true, predicted):
+        confusion[(t_lab + 1) // 2, (p_lab + 1) // 2] += 1
     return accuracy, confusion
 
 
 class _Extractor:
     """A feature extractor in two steps. `prepare` runs the method's chains
-    once over a (n_trials, n_channels, n_samples) array and keeps per trial
-    what any fit needs, reading no label. `fit_rows(prepared, rows, labels)`,
-    with `labels` indexed by row, and `transform_rows(prepared, rows)` then
-    work on row indices of what `prepare` returned, so every cross-validation
-    fold, fit and prediction shares one preparation."""
+    once over a (n_trials, n_channels, n_samples) array, or over its `rows`
+    when given, and keeps per trial what any fit needs, reading no label.
+    `fit_rows(prepared, rows, labels)`, with `labels` indexed by row, and
+    `transform_rows(prepared, rows)` then work on row indices of what
+    `prepare` returned, so every cross-validation fold, fit and prediction
+    shares one preparation."""
 
     method = ""
 
@@ -98,10 +100,10 @@ class CspExtractor(_Extractor):
                            window_s=config.preprocess.window_s)
         self.model = None
 
-    def prepare(self, trials: np.ndarray):
+    def prepare(self, trials: np.ndarray, rows=None):
         """The band-passed, cropped (n_trials, n_channels, n_samples) batch,
         and each trial's X X^T divided by its trace, with the traces."""
-        x = preprocess_trials(trials, self.fs_hz, self.chain)
+        x = preprocess_trials(trials, self.fs_hz, self.chain, rows=rows)
         return x, trace_normalized(x @ x.transpose(0, 2, 1))
 
     def fit_rows(self, prepared, rows, labels):
@@ -135,7 +137,7 @@ class ArExtractor(_Extractor):
     def part_key(self):
         return type(self), self.chain, self.config.ar_order
 
-    def prepare(self, trials: np.ndarray):
+    def prepare(self, trials: np.ndarray, rows=None):
         """Per trial and channel, the log band power followed by
         [a_1..a_p, sigma^2]: (n_trials, n_channels, p + 2). Where a channel's
         AR fit fails its parameters are NaN, and the error is kept, one dict
@@ -157,7 +159,7 @@ class ArExtractor(_Extractor):
             errors.append(failed)
             return row
 
-        return preprocess_trials(trials, self.fs_hz, self.chain, summarise), errors
+        return preprocess_trials(trials, self.fs_hz, self.chain, summarise, rows), errors
 
     def fit_rows(self, prepared, rows, labels):
         return self._pick_channels(prepared[0][rows, :, 0], labels[rows])
@@ -189,10 +191,10 @@ class LrpExtractor(_Extractor):
                            window_s=config.lrp_feature_window_s)
         self.selected = None
 
-    def prepare(self, trials: np.ndarray) -> np.ndarray:
+    def prepare(self, trials: np.ndarray, rows=None) -> np.ndarray:
         """Each channel's mean over the feature window: (n_trials, n_channels)."""
         return preprocess_trials(trials, self.fs_hz, self.chain,
-                                 lambda x: x.mean(axis=1))
+                                 lambda x: x.mean(axis=1), rows)
 
     def fit_rows(self, prepared, rows, labels):
         return self._pick_channels(prepared[rows], labels[rows])
@@ -213,8 +215,8 @@ class CombinedExtractor(_Extractor):
             LrpExtractor(config, fs_hz),
         ]
 
-    def prepare(self, trials: np.ndarray) -> list:
-        return [part.prepare(trials) for part in self.parts]
+    def prepare(self, trials: np.ndarray, rows=None) -> list:
+        return [part.prepare(trials, rows) for part in self.parts]
 
     def prepare_shared(self, trials: np.ndarray, cache: dict) -> list:
         return [part.prepare_shared(trials, cache) for part in self.parts]
@@ -229,8 +231,12 @@ class CombinedExtractor(_Extractor):
                           for part, part_prepared in zip(self.parts, prepared)])
 
 
-_EXTRACTORS = {cls.method: cls for cls in (CspExtractor, ArExtractor, LrpExtractor,
-                                            CombinedExtractor)}
+_EXTRACTORS = {
+    "csp": CspExtractor,
+    "ar": ArExtractor,
+    "lrp": LrpExtractor,
+    "combined": CombinedExtractor,
+}
 
 
 def make_extractor(config: PipelineConfig, fs_hz: float):
@@ -261,11 +267,12 @@ def _cv_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     return stratified_folds(labels, folds, seed)
 
 
-def _cross_validate(extractor, prepared, rows, labels, fold_list, config) -> tuple[float, float]:
-    """Accuracy mean and std over the folds of `rows`; `labels` is by row."""
+def _cross_validate(extractor, prepared, labels, fold_list, config) -> tuple[float, float]:
     accuracies = []
     for fold in fold_list:
-        ensemble = _fit_rows(extractor, prepared, np.setdiff1d(rows, fold), labels, config)
+        mask = np.ones(len(labels), dtype=bool)
+        mask[fold] = False
+        ensemble = _fit_rows(extractor, prepared, np.flatnonzero(mask), labels, config)
         predicted = _predict_rows(extractor, ensemble, prepared, fold)
         accuracy, _ = evaluate(predicted, labels[fold])
         accuracies.append(accuracy)
@@ -277,15 +284,15 @@ def cross_validate(
 ) -> tuple[float, float]:
     """Stratified k-fold over `rows` of `train` (all of them by default),
     which must be labelled, with the full pipeline refit inside every fold.
-    All of `train` is prepared once, and each fold fits and predicts on its
+    Those rows are prepared once, and each fold fits and predicts on its
     rows."""
-    rows = np.arange(len(train)) if rows is None else rows
-    if not train.labels[rows].all():
+    labels = train.labels if rows is None else train.labels[rows]
+    if not labels.all():
         raise ValueError("cross-validation needs a fully labeled set")
-    fold_list = [rows[f] for f in _cv_folds(train.labels[rows], folds, seed)]
+    fold_list = _cv_folds(labels, folds, seed)
     extractor = make_extractor(config, train.sampling_rate_hz)
-    prepared = extractor.prepare(train.data)
-    return _cross_validate(extractor, prepared, rows, train.labels, fold_list, config)
+    prepared = extractor.prepare(train.data, rows)
+    return _cross_validate(extractor, prepared, labels, fold_list, config)
 
 
 @dataclass
@@ -300,9 +307,16 @@ class EvalReport:
     chosen: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["per_session"] = {str(k): v for k, v in self.per_session.items()}
-        return doc
+        return {
+            "method": self.method,
+            "train_accuracy_mean": self.train_accuracy_mean,
+            "train_accuracy_std": self.train_accuracy_std,
+            "test_accuracy": self.test_accuracy,
+            "per_session": {str(k): v for k, v in self.per_session.items()},
+            "confusion": self.confusion,
+            "predicted_labels": self.predicted_labels,
+            "chosen": self.chosen,
+        }
 
 
 def _chosen_entry(phase: str, result) -> dict:
@@ -327,10 +341,13 @@ def _score_predictions(report: EvalReport, predicted, true, sessions):
         acc, confusion = evaluate(predicted[labeled], true[labeled])
         report.test_accuracy = acc
         report.confusion = confusion.tolist()
-    for sid in np.unique(sessions).tolist():
+    for sid in sorted(set(sessions.tolist())):
         usable = (sessions == sid) & labeled
-        report.per_session[sid] = (evaluate(predicted[usable], true[usable])[0]
-                                   if usable.any() else None)
+        if usable.any():
+            acc, _ = evaluate(predicted[usable], true[usable])
+            report.per_session[sid] = acc
+        else:
+            report.per_session[sid] = None
 
 
 def _usable_folds(labels: np.ndarray, folds: int) -> int:
@@ -349,11 +366,10 @@ def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
     fold_list = _cv_folds(labels, usable_folds, cv_seed) if usable_folds >= 2 else []
     extractor = make_extractor(config, data.sampling_rate_hz)
     prepared = extractor.prepare_shared(data.data, cache)
-    train_rows = np.arange(len(labels))
     cv = None
     if fold_list:
-        cv = _cross_validate(extractor, prepared, train_rows, labels, fold_list, config)
-    ensemble = _fit_rows(extractor, prepared, train_rows, labels, config)
+        cv = _cross_validate(extractor, prepared, labels, fold_list, config)
+    ensemble = _fit_rows(extractor, prepared, np.arange(len(labels)), labels, config)
     return _predict_rows(extractor, ensemble, prepared, test_rows), cv
 
 
@@ -364,15 +380,10 @@ def run_static(
     folds: int = 10,
     cv_seed: int = 0,
 ) -> EvalReport:
-    """Optional transductive search, then fit on train and predict test. The
-    two sets are joined (a copy) and prepared together, once per chain."""
+    """Optional transductive search, then fit on train and predict test.
+    Train and test trials are joined (see `join`: the halves of a `split`
+    are not copied) and prepared together, once per chain."""
     return _run_static(join(train, test), len(train), config, {}, folds, cv_seed)
-
-
-def run_split(data: TrialSet, spec: SplitSpec, config: PipelineConfig,
-              folds: int = 10, cv_seed: int = 0) -> EvalReport:
-    """`run_static` on `split(data, spec)`, on the rows of `data` in place."""
-    return _run_static(data, split_count(data, spec), config, {}, folds, cv_seed)
 
 
 def _run_static(data, n_train, config, cache, folds=10, cv_seed=0) -> EvalReport:
@@ -381,7 +392,8 @@ def _run_static(data, n_train, config, cache, folds=10, cv_seed=0) -> EvalReport
     report = EvalReport(method=config.method)
     labels = data.labels[:n_train]
     if config.search is not None:
-        result = _grid_search(data.data, data.sampling_rate_hz, labels, config.search, config)
+        result = grid_search(data[:n_train], data[n_train:].without_labels(), config.search,
+                             base=config)
         config = result.config
         report.chosen.append(_chosen_entry("static", result))
     if not labels.all():
@@ -465,8 +477,10 @@ def run_adaptive(
         rows = np.arange(len(labels), end)
         cfg, fit_data, fit_cache = config, data, cache
         if config.search is not None:
-            result = _grid_search(data.data[:end], data.sampling_rate_hz, labels,
-                                  config.search, base=config)
+            # the rows so far under their labels and pseudo-labels, then the block
+            train = replace(data[:len(labels)], labels=labels)
+            result = grid_search(train, data[len(labels):end].without_labels(),
+                                 config.search, base=config)
             cfg = result.config
             report.chosen.append(_chosen_entry(f"session{sid}", result))
             fit_data, fit_cache = data[:end], {}

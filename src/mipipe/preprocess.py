@@ -369,22 +369,26 @@ def preprocess(x: np.ndarray, fs_hz: float, chain: Chain) -> np.ndarray:
 
 
 def preprocess_trials(trials: np.ndarray, fs_hz: float, chain: Chain,
-                      reduce=None) -> np.ndarray:
+                      reduce=None, rows=None) -> np.ndarray:
     """`reduce(preprocess(x))` of each trial x of a (n_trials, n_channels,
-    n_samples) array (the preprocessed trial itself when `reduce` is None),
-    written into one preallocated (n_trials, ...) array. Trials go through
-    the chain in blocks of about BLOCK_VALUES values, so only one block's
-    temporaries are alive at once; `reduce` still sees one trial at a time."""
-    if not len(trials):
+    n_samples) array, or of its `rows` in that order when given (the
+    preprocessed trial itself when `reduce` is None), written into one
+    preallocated array with one entry per trial. Trials go through the chain
+    in blocks of about BLOCK_VALUES values, so only one block's temporaries
+    (and rows gathered) are alive at once; `reduce` still sees one trial at a
+    time."""
+    n = len(trials) if rows is None else len(rows)
+    if not n:
         raise ValueError("no trials to preprocess")
     step = max(1, BLOCK_VALUES // trials[0].size)
     out = None
-    for i0 in range(0, len(trials), step):
-        block = preprocess(trials[i0:i0 + step], fs_hz, chain)
+    for i0 in range(0, n, step):
+        block = trials[i0:i0 + step] if rows is None else trials[rows[i0:i0 + step]]
+        block = preprocess(block, fs_hz, chain)
         if reduce is not None:
             block = [reduce(x) for x in block]
         if out is None:
-            out = np.empty((len(trials),) + np.shape(block[0]))
+            out = np.empty((n,) + np.shape(block[0]))
         out[i0:i0 + len(block)] = block
     return out
 

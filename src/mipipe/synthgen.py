@@ -136,14 +136,17 @@ def generate(config: SynthConfig) -> TrialSet:
 
 
 def synth_config_from_dict(doc: dict) -> SynthConfig:
-    unknown = set(doc) - set(SynthConfig.__dataclass_fields__)
+    known = {f for f in SynthConfig.__dataclass_fields__}
+    unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
     kwargs = dict(doc)
-    # by field type, a string here (from __future__ import annotations); the
-    # one other type is rhythm_band_hz's pair
-    checks = {"int": json_int, "float": json_number}
+    # field types are strings here (from __future__ import annotations)
+    checks = {"int": json_int, "float": json_number, "tuple[float, float]": json_pair}
     for f in fields(SynthConfig):
         if f.name in kwargs:
-            kwargs[f.name] = checks.get(f.type, json_pair)(kwargs[f.name], f.name)
-    return SynthConfig(**kwargs)
+            kwargs[f.name] = checks[f.type](kwargs[f.name], f.name)
+    try:
+        return SynthConfig(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"invalid synth config: {exc}") from exc

@@ -297,3 +297,17 @@ MIXED = [1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, 1, -1]
 def test_stratified_folds_pinned(labels, k, seed, expected):
     folds = stratified_folds(np.array(labels), k, seed)
     assert [f.tolist() for f in folds] == expected
+
+
+def test_join_of_split_halves_shares_the_recording():
+    ts = generate(SynthConfig(n_channels=3, n_sessions=2, trials_per_session=10))
+    for spec in (SplitSpec(0.3, "prefix"), SplitSpec(0.3, "by_session")):
+        train, test = split(ts, spec)
+        joined = join(train, test.without_labels())
+        assert np.shares_memory(joined.data, ts.data)
+        assert np.array_equal(joined.data, ts.data) and not joined.data.flags.writeable
+        assert joined.labels.tolist() == train.labels.tolist() + [0] * len(test)
+    # halves that do not meet in one array are copied
+    apart = join(ts[:3], ts[5:])
+    assert not np.shares_memory(apart.data, ts.data)
+    assert np.array_equal(apart.data, np.concatenate([ts.data[:3], ts.data[5:]]))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from mipipe.pipeline import (
     evaluate,
     make_extractor,
     run_adaptive,
-    run_split,
     run_static,
     sweep_fractions,
 )
@@ -469,7 +470,6 @@ def test_no_path_builds_a_trial_per_row(monkeypatch, tmp_path):
     cross_validate(ts, quiet_config("combined"), folds=5)
     train, test = split(ts, SplitSpec(0.5, "prefix"))
     run_static(train, test, quiet_config(search=space), folds=5)
-    run_split(ts, SplitSpec(0.5, "prefix"), quiet_config(search=space), folds=5)
     sweep_fractions(ts, quiet_config(), ["csp", "ar", "lrp", "combined"], [0.3])
     run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config(search=space), folds=5)
     assert built == []
@@ -478,31 +478,71 @@ def test_no_path_builds_a_trial_per_row(monkeypatch, tmp_path):
 
 
 def test_cli_paths_preprocess_the_recording_in_place(monkeypatch):
-    from mipipe import param_select, pipeline
+    from mipipe import param_select, pipeline, preprocess
 
     seen = []
+    prepared_rows = []
     preprocess_trials = pipeline.preprocess_trials
+    preprocess_block = preprocess.preprocess
 
     def recording(trials, *args, **kwargs):
         seen.append(trials)
         return preprocess_trials(trials, *args, **kwargs)
 
+    def counting(block, *args, **kwargs):
+        prepared_rows.append(len(block))
+        return preprocess_block(block, *args, **kwargs)
+
     monkeypatch.setattr(pipeline, "preprocess_trials", recording)
     monkeypatch.setattr(param_select, "preprocess_trials", recording)
+    monkeypatch.setattr(preprocess, "preprocess", counting)
     space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
     ts = easy_set(seed=15, n_sessions=2, trials_per_session=20, lrp_slope_uv_per_s=2.0)
     partly = replace_trials(ts, [with_label(as_trials(ts)[0], None)] + list(as_trials(ts)[1:]))
-    # crossval's unlabelled trials are skipped by row, not copied out
+    # crossval's unlabelled trials are skipped by row, not copied out, and
+    # only the labelled rows are prepared
     labeled = np.flatnonzero(partly.labels)
     assert cross_validate(partly, quiet_config(), folds=5, rows=labeled) == \
         cross_validate(partly[1:], quiet_config(), folds=5)
+    assert prepared_rows == [len(labeled), len(labeled)]
     with pytest.raises(ValueError, match="cross-validation needs a fully labeled set"):
         cross_validate(partly, quiet_config(), folds=5, rows=np.arange(len(partly)))
     assert seen[0] is partly.data
     seen.clear()
-    run_split(ts, SplitSpec(0.25, "prefix"), quiet_config("combined", search=space), folds=5)
+    run_static(*split(ts, SplitSpec(0.25, "prefix")), quiet_config("combined", search=space),
+               folds=5)
     sweep_fractions(ts, quiet_config(), ["csp", "combined"], [0.3, 0.6])
     run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config(search=space), folds=5)
     run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config("ar"), folds=5)
     assert len(seen) > 10
     assert all(np.shares_memory(x, ts.data) for x in seen)
+
+
+def test_cli_run_goes_through_the_public_search_and_run(monkeypatch, tmp_path):
+    """`mipipe run` reaches `run_static` and `grid_search` under those names,
+    which is where a tracer of the public functions counts them."""
+    from mipipe import cli, pipeline
+    from mipipe.data_model import save_archive
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_static", counting("run_static", cli.run_static))
+    monkeypatch.setattr(pipeline, "grid_search", counting("grid_search", pipeline.grid_search))
+    ts = easy_set(seed=16, n_sessions=2, trials_per_session=20)
+    save_archive(ts, tmp_path / "arch")
+    search = {"search": {"bands_hz": [[8, 10], [12, 14]], "windows_s": [[0.5, 4.5]]},
+              "ensemble": {"rounds": 5}}
+    (tmp_path / "search.json").write_text(json.dumps(search))
+    common = ["--data", str(tmp_path / "arch"), "--config", str(tmp_path / "search.json"),
+              "--report", str(tmp_path / "r.json")]
+    assert cli.main(["run", *common, "--train-fraction", "0.5", "--sweep"]) == 0
+    assert calls == ["run_static", "grid_search"]
+    calls.clear()
+    assert cli.main(["run", *common, "--train-fraction", "0.25", "--adapt"]) == 0
+    assert calls == ["grid_search", "grid_search"]
