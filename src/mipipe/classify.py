@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureVector
+from .errors import NumericalError
+from .features import FeatureVector, _by_count
 
 SHRINKAGE = 1e-6  # ridge on the pooled scatter, scaled by trace/dim
 
@@ -55,30 +56,44 @@ class BaggingEnsemble:
             raise ValueError("subset_fraction must be in (0, 1]")
 
 
+def fit_ldas(x: np.ndarray, neg_rows, pos_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Fisher discriminants w = (S_w + ridge)^(-1) (mu+ - mu-), b at the
+    midpoint, of the fits of x (fits, n, d) on rows neg_rows[f] and
+    pos_rows[f] of x[f]: w (fits, d) and b (fits,), bitwise each fit's alone.
+    Means and scatter sum per class row count (`_by_count`) in one fit's
+    order, then one stacked solve. The first failing fit raises; a singular
+    solve (features near the ends of the float range) raises for the stack."""
+    n_fit, d = x.shape[0], x.shape[-1]
+    mu = np.empty((2, n_fit, d))
+    scatter = np.zeros((n_fit, d, d))
+    with np.errstate(all="ignore"):  # a failed fit raises below
+        for c, rows in enumerate((neg_rows, pos_rows)):
+            for fits, stacked in _by_count(rows):
+                block = x[fits[:, None], stacked]
+                mu[c, fits] = np.add.reduce(block, axis=1) / stacked.shape[1]
+                centered = block - mu[c, fits, None]
+                scatter[fits] += centered.transpose(0, 2, 1) @ centered
+        tr = np.trace(scatter, axis1=1, axis2=2)
+        ridge = SHRINKAGE * np.where(tr > 0, tr / d, 1.0)
+        w = np.linalg.solve(scatter + ridge[:, None, None] * np.eye(d),
+                            (mu[1] - mu[0])[..., None])[..., 0]
+        b = -((w[:, None, :] @ (mu[1] + mu[0])[:, :, None])[:, 0, 0] / 2.0)
+    for f in np.flatnonzero(~(np.isfinite(w).all(axis=1) & np.isfinite(b) & w.any(axis=1))):
+        if not len(neg_rows[f]) or not len(pos_rows[f]):
+            raise ValueError("both classes must be present")
+        if d == 0:
+            raise ValueError("zero-dimension features")
+        if not np.any(w[f]):
+            raise NumericalError("classes have identical means: no discriminant direction")
+        LdaModel(w=w[f], b=float(b[f]))
+    return w, b
+
+
 def fit_lda(features, labels: Sequence[int]) -> LdaModel:
-    """Fisher discriminant: w = (S_w + ridge)^(-1) (mu+ - mu-), b at midpoint."""
-    x = _as_matrix(features)
-    y = np.asarray(labels)
-    neg = x[y == -1]
-    pos = x[y == 1]
-    if len(neg) == 0 or len(pos) == 0:
-        raise ValueError("both classes must be present")
-    d = x.shape[1]
-    if d == 0:
-        raise ValueError("zero-dimension features")
-    mu_neg = neg.mean(axis=0)
-    mu_pos = pos.mean(axis=0)
-    scatter = np.zeros((d, d))
-    for block, mu in ((neg, mu_neg), (pos, mu_pos)):
-        centered = block - mu
-        scatter += centered.T @ centered
-    tr = np.trace(scatter)
-    ridge = SHRINKAGE * (tr / d if tr > 0 else 1.0)
-    w = np.linalg.solve(scatter + ridge * np.eye(d), mu_pos - mu_neg)
-    if not np.any(w):
-        raise ValueError("classes have identical means: no discriminant direction")
-    b = -float(w @ (mu_pos + mu_neg) / 2.0)
-    return LdaModel(w=w, b=b)
+    """Fisher discriminant of one fit; see `fit_ldas`."""
+    x, y = _as_matrix(features), np.asarray(labels)
+    w, b = fit_ldas(x[None], [np.flatnonzero(y == -1)], [np.flatnonzero(y == 1)])
+    return LdaModel(w=w[0], b=float(b[0]))
 
 
 def lda_score(model: LdaModel, x) -> float:
@@ -100,43 +115,49 @@ def fit_bagging(
     subset_fraction: float = 0.5,
     seed: int = 0,
 ) -> BaggingEnsemble:
-    """Fit one LDA per bootstrap round; deterministic in (seed, round)."""
+    """One LDA per bootstrap round, deterministic in (seed, round), fitted as
+    one `fit_ldas` stack. The first failing round raises, a fit before a draw."""
     x = _as_matrix(features)
     y = np.asarray(labels)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n = len(x)
     k = math.ceil(subset_fraction * n)
-    components = []
+    draws = []
     for r in range(rounds):
         rng = np.random.default_rng([seed, r])
         for attempt in range(100):
             idx = rng.integers(0, n, size=k)
             if len(np.unique(y[idx])) == 2:
+                draws.append(idx)
                 break
         else:
-            raise ValueError(
-                f"round {r}: 100 consecutive single-class draws; data degenerate"
-            )
-        components.append(fit_lda(x[idx], y[idx]))
+            break
+    w, b = fit_ldas(np.broadcast_to(x, (len(draws),) + x.shape),
+                    [idx[y[idx] == -1] for idx in draws], [idx[y[idx] == 1] for idx in draws])
+    if len(draws) < rounds:
+        raise NumericalError(
+            f"round {len(draws)}: 100 consecutive single-class draws; data degenerate"
+        )
     return BaggingEnsemble(
-        components=tuple(components),
+        components=tuple(LdaModel(w=w[r], b=float(b[r])) for r in range(rounds)),
         subset_fraction=subset_fraction,
         rounds=rounds,
         seed=seed,
     )
 
 
-def bagging_scores(ensemble: BaggingEnsemble, x) -> np.ndarray:
-    return np.array([lda_score(c, x) for c in ensemble.components])
+def bagging_predict_rows(ensemble: BaggingEnsemble, features) -> np.ndarray:
+    """`bagging_predict` of each row of an (n, d) matrix: each score is a
+    (1 x d) @ (d x 1) product, bitwise the component's `lda_score`."""
+    x = np.ascontiguousarray(_as_matrix(features))
+    w = np.stack([c.w for c in ensemble.components])
+    b = np.array([c.b for c in ensemble.components])
+    scores = (w[None, :, None, :] @ x[:, None, :, None])[..., 0, 0] + b
+    votes = np.where(scores >= 0, 1, -1).sum(axis=1)
+    return np.where(votes != 0, np.sign(votes), np.where(scores.mean(axis=1) >= 0, 1, -1))
 
 
 def bagging_predict(ensemble: BaggingEnsemble, x) -> int:
     """Majority vote; exact ties fall back to the sign of the mean score."""
-    scores = bagging_scores(ensemble, x)
-    votes = np.where(scores >= 0, 1, -1).sum()
-    if votes > 0:
-        return 1
-    if votes < 0:
-        return -1
-    return 1 if scores.mean() >= 0 else -1
+    return int(bagging_predict_rows(ensemble, _as_vector(x)[None])[0])

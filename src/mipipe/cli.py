@@ -22,7 +22,7 @@ from .config import (
     pipeline_config_to_dict,
 )
 from .data_model import SplitSpec, TrialSet, load_archive, save_archive, split
-from .errors import ArchiveError, ConfigError, RankDeficientError
+from .errors import ArchiveError, ConfigError, NumericalError
 from .pipeline import cross_validate, run_adaptive, run_static, sweep_fractions
 from .synthgen import generate, synth_config_from_dict
 
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (RankDeficientError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ArchiveError as exc:

@@ -126,10 +126,6 @@ def json_pair(value, name: str) -> tuple[float, float]:
     return (float(json_number(value[0], name)), float(json_number(value[1], name)))
 
 
-def _pair(value, name):
-    return None if value is None else json_pair(value, name)
-
-
 def _object(doc, where: str, cls) -> dict:
     """`doc`, checked to be a JSON object whose keys are fields of `cls`."""
     if not isinstance(doc, dict):
@@ -142,10 +138,11 @@ def _object(doc, where: str, cls) -> dict:
 
 def preprocess_from_dict(doc: dict) -> PreprocessConfig:
     doc = _object(doc, "preprocess", PreprocessConfig)
+    band, window = doc.get("band_hz"), doc.get("window_s")  # may be null: unset
     try:
         return PreprocessConfig(
-            band_hz=_pair(doc.get("band_hz"), "band_hz"),
-            window_s=_pair(doc.get("window_s"), "window_s"),
+            band_hz=None if band is None else json_pair(band, "band_hz"),
+            window_s=None if window is None else json_pair(window, "window_s"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -163,8 +160,8 @@ def _search_list(doc: dict, name: str, default=None) -> list:
 def search_from_dict(doc: dict) -> SearchSpace:
     doc = _object(doc, "search", SearchSpace)
     return SearchSpace(
-        bands_hz=tuple(_pair(b, "band candidate") for b in _search_list(doc, "bands_hz")),
-        windows_s=tuple(_pair(w, "window candidate") for w in _search_list(doc, "windows_s")),
+        bands_hz=tuple(json_pair(b, "band candidate") for b in _search_list(doc, "bands_hz")),
+        windows_s=tuple(json_pair(w, "window candidate") for w in _search_list(doc, "windows_s")),
         channel_sets=tuple(
             None if cs is None else tuple(json_int(c, "search.channel_sets") for c in cs)
             for cs in _search_list(doc, "channel_sets", [None])
@@ -186,18 +183,19 @@ def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
             })),
             m=json_int(doc.get("m", 1), "m"),
             ar_order=json_int(doc.get("ar_order", 7), "ar_order"),
-            ar_band_hz=_pair(doc.get("ar_band_hz", (8.0, 35.0)), "ar_band_hz"),
-            lrp_lowpass_hz=float(doc.get("lrp_lowpass_hz", 1.5)),
-            lrp_baseline_window_s=_pair(
+            ar_band_hz=json_pair(doc.get("ar_band_hz", (8.0, 35.0)), "ar_band_hz"),
+            lrp_lowpass_hz=float(json_number(doc.get("lrp_lowpass_hz", 1.5), "lrp_lowpass_hz")),
+            lrp_baseline_window_s=json_pair(
                 doc.get("lrp_baseline_window_s", (0.0, 0.5)), "lrp_baseline_window_s"),
-            lrp_feature_window_s=_pair(
+            lrp_feature_window_s=json_pair(
                 doc.get("lrp_feature_window_s", (0.5, 1.5)), "lrp_feature_window_s"),
             n_select=json_int(doc.get("n_select", 2), "n_select"),
             channels=None if doc.get("channels") is None
             else tuple(json_int(c, "channels") for c in doc["channels"]),
             ensemble=EnsembleConfig(
                 rounds=json_int(ens.get("rounds", 50), "ensemble.rounds"),
-                subset_fraction=float(ens.get("subset_fraction", 0.5)),
+                subset_fraction=float(json_number(ens.get("subset_fraction", 0.5),
+                                                  "ensemble.subset_fraction")),
                 seed=json_int(ens.get("seed", 0), "ensemble.seed"),
             ),
             search=None if doc.get("search") is None else search_from_dict(doc["search"]),

@@ -226,6 +226,12 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int | None = None) -> lis
     return [np.array(sorted(f)) for f in out if f]
 
 
+def usable_folds(labels: np.ndarray, most: int, seed: int | None = None) -> list[np.ndarray]:
+    """`stratified_folds` into min(`most`, each class's size) folds; none below two."""
+    k = min(most, int((labels == -1).sum()), int((labels == 1).sum()))
+    return stratified_folds(labels, k, seed) if k >= 2 else []
+
+
 def _trial_filename(session_id: int, trial_index: int) -> str:
     return f"s{session_id:02d}_t{trial_index:03d}.csv"
 

@@ -9,7 +9,11 @@ class ConfigError(ValueError):
     """Invalid configuration value."""
 
 
-class RankDeficientError(ValueError):
+class NumericalError(ValueError):
+    """A numerical step cannot be carried out on the data it was given."""
+
+
+class RankDeficientError(NumericalError):
     """A covariance matrix required to be full rank is not."""
 
 

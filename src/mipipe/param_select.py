@@ -13,12 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import SHRINKAGE, LdaModel
+from .classify import LdaModel, fit_ldas
 from .config import PipelineConfig, SearchSpace
-from .data_model import TrialSet, join, stratified_folds
+from .data_model import TrialSet, join, usable_folds
 from .errors import CriterionUndefinedError
 from .features import (
-    _by_count,
     check_csp_shares,
     csp_fits,
     projection_log_shares,
@@ -97,20 +96,15 @@ class SearchResult:
     winner_index: int
 
 
-def _search_folds(labels: np.ndarray, max_folds: int = 10) -> list[np.ndarray]:
-    """Deterministic round-robin folds, as many as the smaller class allows."""
-    n_folds = min(max_folds, int((labels == -1).sum()), int((labels == 1).sum()))
-    if n_folds < 2:
-        raise ValueError("too few labeled trials per class for cross-validation")
-    return stratified_folds(labels, n_folds)
-
-
 def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Each search fold's fit, then the full fit, which holds out no row and
     is scored on the test set, as (rows, class -1 rows, class +1 rows,
     held-out rows); one list serves every candidate of a search."""
+    folds = usable_folds(labels, 10)
+    if not folds:
+        raise ValueError("too few labeled trials per class for cross-validation")
     fits = []
-    for fold in _search_folds(labels) + [np.array([], dtype=np.intp)]:
+    for fold in folds + [np.array([], dtype=np.intp)]:
         rows = np.setdiff1d(np.arange(len(labels)), fold)
         fits.append((rows, rows[labels[rows] == -1], rows[labels[rows] == 1], fold))
     return fits
@@ -158,33 +152,15 @@ class _BandBatches:
         return train_x, test_x, self.normalized[key]
 
 
-def _unit_ldas(shares: np.ndarray, neg_rows, pos_rows):
-    """w and b of `fit_lda` of one feature for each fit f, whose classes are
-    shares[f, neg_rows[f]] and shares[f, pos_rows[f]], scaled to a unit-norm
-    hyperplane so every fit scores signed distances. With one feature the
-    ridge-regularised solve is a division; means and scatter sum in
-    `fit_lda`'s order, one stacked reduction per class and row count. The
-    first fit that fails raises `fit_lda`'s or `LdaModel`'s error."""
-    mu = np.empty((2, len(shares)))
-    scatter = np.zeros(len(shares))
-    with np.errstate(all="ignore"):  # a failed fit raises below
-        for c, rows in enumerate((neg_rows, pos_rows)):
-            for fits, stacked in _by_count(rows):
-                x = shares[fits[:, None], stacked]
-                mu[c, fits] = np.add.reduce(x, axis=1) / x.shape[1]
-                centered = (x - mu[c, fits, None])[:, None]
-                scatter[fits] += (centered @ centered.transpose(0, 2, 1))[:, 0, 0]
-        w = (mu[1] - mu[0]) / (scatter + SHRINKAGE * np.where(scatter > 0, scatter, 1.0))
-        # `+ 0.0` is the zero a dot product starts from (-0.0 becomes 0.0)
-        b = -((w * (mu[1] + mu[0]) + 0.0) / 2.0)
-        unit_w, unit_b = w / np.sqrt(w * w), b / np.sqrt(w * w)
-    for f in np.flatnonzero(~(np.isfinite(unit_w) & np.isfinite(unit_b) & (unit_w != 0))):
-        if not len(neg_rows[f]) or not len(pos_rows[f]):
-            raise ValueError("both classes must be present")
-        if w[f] == 0:
-            raise ValueError("classes have identical means: no discriminant direction")
-        LdaModel(w=unit_w[f:f + 1], b=float(unit_b[f]))
-    return unit_w, unit_b
+def _unit_hyperplanes(w: np.ndarray, b: np.ndarray):
+    """One-feature LDAs w (fits, 1), b (fits,) scaled to unit norm, so each
+    fit scores signed distances; the first that `LdaModel` then refuses raises."""
+    with np.errstate(all="ignore"):  # a failed scaling raises below
+        norm = np.sqrt(w[:, 0] * w[:, 0])
+        w, b = w[:, 0] / norm, b / norm
+    for f in np.flatnonzero(~(np.isfinite(w) & np.isfinite(b) & (w != 0))):
+        LdaModel(w=w[f:f + 1], b=float(b[f]))
+    return w, b
 
 
 def _check_shares(shares: np.ndarray, totals: np.ndarray, rows) -> None:
@@ -195,13 +171,13 @@ def _check_shares(shares: np.ndarray, totals: np.ndarray, rows) -> None:
 
 
 def _fit_group(fits, train_x, normalized, m):
-    """The stacked CSP filters, train shares and unit LDAs of `fits`. Each
+    """The stacked CSP filters, train shares and unit-norm LDAs of `fits`. Each
     fit is checked in a lone fit's order; the error may be any fit's."""
     rows, neg, pos, held_out = zip(*fits)
     filters, _ = csp_fits(*normalized, neg, pos, m)
     shares, totals = projection_log_shares(filters[:, None] @ train_x, m)
     _check_shares(shares, totals, rows)
-    w, b = _unit_ldas(shares, neg, pos)
+    w, b = _unit_hyperplanes(*fit_ldas(shares[..., None], neg, pos))
     _check_shares(shares, totals, held_out)
     return filters, shares, w, b
 

@@ -8,9 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import BaggingEnsemble, bagging_predict, fit_bagging
+from .classify import BaggingEnsemble, bagging_predict_rows, fit_bagging
 from .config import PipelineConfig
-from .data_model import SplitSpec, TrialSet, join, split_count, stratified_folds
+from .data_model import SplitSpec, TrialSet, join, split_count, stratified_folds, usable_folds
 from .errors import ConfigError
 from .features import (
     CspModel,
@@ -254,11 +254,6 @@ def _fit_rows(extractor, prepared, rows, labels, config: PipelineConfig) -> Bagg
     )
 
 
-def _predict_rows(extractor, ensemble: BaggingEnsemble, prepared, rows) -> np.ndarray:
-    features = extractor.transform_rows(prepared, rows) if len(rows) else []
-    return np.array([bagging_predict(ensemble, f) for f in features])
-
-
 def _cv_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     if (labels == -1).sum() < 2 or (labels == 1).sum() < 2:
         raise ValueError("too few trials per class for cross-validation")
@@ -273,7 +268,7 @@ def _cross_validate(extractor, prepared, labels, fold_list, config) -> tuple[flo
         mask = np.ones(len(labels), dtype=bool)
         mask[fold] = False
         ensemble = _fit_rows(extractor, prepared, np.flatnonzero(mask), labels, config)
-        predicted = _predict_rows(extractor, ensemble, prepared, fold)
+        predicted = bagging_predict_rows(ensemble, extractor.transform_rows(prepared, fold))
         accuracy, _ = evaluate(predicted, labels[fold])
         accuracies.append(accuracy)
     return float(np.mean(accuracies)), float(np.std(accuracies))
@@ -350,10 +345,6 @@ def _score_predictions(report: EvalReport, predicted, true, sessions):
             report.per_session[sid] = None
 
 
-def _usable_folds(labels: np.ndarray, folds: int) -> int:
-    return min(folds, int((labels == -1).sum()), int((labels == 1).sum()))
-
-
 def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
                  config: PipelineConfig, cache: dict, folds: int = 0, cv_seed: int = 0):
     """Fit on rows [0, len(labels)) of `data` under `labels`, then predict
@@ -362,15 +353,16 @@ def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
     When each class has two trials or more, and `folds` is 2 or more, the fit
     rows are cross-validated first. Returns the predictions and the
     cross-validated (mean, std), or None."""
-    usable_folds = _usable_folds(labels, folds)
-    fold_list = _cv_folds(labels, usable_folds, cv_seed) if usable_folds >= 2 else []
+    fold_list = usable_folds(labels, folds, cv_seed)
     extractor = make_extractor(config, data.sampling_rate_hz)
     prepared = extractor.prepare_shared(data.data, cache)
     cv = None
     if fold_list:
         cv = _cross_validate(extractor, prepared, labels, fold_list, config)
     ensemble = _fit_rows(extractor, prepared, np.arange(len(labels)), labels, config)
-    return _predict_rows(extractor, ensemble, prepared, test_rows), cv
+    if not len(test_rows):  # an extractor transforms one row or more
+        return np.array([], dtype=int), cv
+    return bagging_predict_rows(ensemble, extractor.transform_rows(prepared, test_rows)), cv
 
 
 def run_static(
@@ -461,10 +453,10 @@ def run_adaptive(
 
     report = EvalReport(method=config.method)
     labels = data.labels[:k]
-    usable_folds = _usable_folds(labels, folds)
-    if usable_folds >= 2:
+    n_folds = len(usable_folds(labels, folds))
+    if n_folds >= 2:
         report.train_accuracy_mean, report.train_accuracy_std = cross_validate(
-            data[:k], config, usable_folds, cv_seed)
+            data[:k], config, n_folds, cv_seed)
     if not labels.all():
         raise ValueError("training set contains unlabeled trials")
     cache: dict = {}

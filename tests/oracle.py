@@ -1,18 +1,20 @@
 """Trial-at-a-time steps that the package no longer calls, kept as
 references for the tests: each one runs on one `Trial`, or for one fit,
 what the batched chains in `mipipe.preprocess`, the extractors in
-`mipipe.pipeline` and the search in `mipipe.param_select` run on stacked
-arrays."""
+`mipipe.pipeline`, the stacked LDAs in `mipipe.classify` and the search in
+`mipipe.param_select` run on stacked arrays. The filters go through
+`scipy.signal`, which gives the numpy port's bits."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from mipipe.classify import SHRINKAGE, LdaModel
+from mipipe.classify import SHRINKAGE, BaggingEnsemble, LdaModel
 from mipipe.data_model import Trial, TrialSet
-from mipipe.errors import RankDeficientError
+from mipipe.errors import NumericalError, RankDeficientError
 from mipipe.features import (
     DEFAULT_AR_ORDER,
     CspModel,
@@ -29,8 +31,33 @@ from mipipe.preprocess import (
     _car,
     _crop,
     _window_indices,
+    bandpass_ba,
     lowpass_array,
+    lowpass_ba,
 )
+
+
+def scipy_zero_phase(design, x: np.ndarray) -> np.ndarray:
+    """The reference for `mipipe.preprocess._zero_phase`: scipy's Gustafsson
+    filtfilt of each 1-D series or 2-D trial on its own."""
+    from scipy import signal
+
+    irlen = min(design.settle, x.shape[-1] - 1)
+    if x.ndim <= 2:
+        return signal.filtfilt(design.b, design.a, x, method="gust", irlen=irlen)
+    return np.array([scipy_zero_phase(design, t) for t in x])
+
+
+def scipy_bandpass(trial: Trial, fs_hz: float, low_hz: float, high_hz: float) -> Trial:
+    """`mipipe.preprocess.bandpass_array` of one trial through scipy: the
+    band-pass of the demeaned trial."""
+    x = trial.data - trial.data.mean(axis=-1, keepdims=True)
+    return trial.with_data(scipy_zero_phase(bandpass_ba(fs_hz, low_hz, high_hz), x))
+
+
+def scipy_lowpass(trial: Trial, fs_hz: float, cutoff_hz: float) -> Trial:
+    """`mipipe.preprocess.lowpass_array` of one trial through scipy."""
+    return trial.with_data(scipy_zero_phase(lowpass_ba(fs_hz, cutoff_hz), trial.data))
 
 
 def lowpass_zero_phase(trial: Trial, fs_hz: float, cutoff_hz: float) -> Trial:
@@ -133,25 +160,70 @@ def csp_from_normalized(unit: np.ndarray, traces: np.ndarray, labels, m: int = 1
     )
 
 
-def unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
-    """`fit_lda` of one feature in closed form, scaled to a unit-norm
-    hyperplane: the search's LDA for one fit."""
-    x = features[:, None]
-    neg, pos = x[labels == -1], x[labels == 1]
+def fit_lda(x: np.ndarray, labels) -> LdaModel:
+    """`mipipe.classify.fit_lda` of an (n, d) matrix, as one 2-D fit:
+    w = (S_w + ridge)^(-1) (mu+ - mu-), b at the midpoint."""
+    y = np.asarray(labels)
+    neg = x[y == -1]
+    pos = x[y == 1]
     if len(neg) == 0 or len(pos) == 0:
         raise ValueError("both classes must be present")
-    mu_neg, mu_pos = neg.mean(axis=0), pos.mean(axis=0)
-    scatter = np.zeros((1, 1))
+    d = x.shape[1]
+    if d == 0:
+        raise ValueError("zero-dimension features")
+    mu_neg = neg.mean(axis=0)
+    mu_pos = pos.mean(axis=0)
+    scatter = np.zeros((d, d))
     for block, mu in ((neg, mu_neg), (pos, mu_pos)):
         centered = block - mu
         scatter += centered.T @ centered
-    tr = scatter[0, 0]
-    w = (mu_pos - mu_neg) / (scatter[0] + SHRINKAGE * (tr if tr > 0 else 1.0))
+    tr = np.trace(scatter)
+    ridge = SHRINKAGE * (tr / d if tr > 0 else 1.0)
+    w = np.linalg.solve(scatter + ridge * np.eye(d), mu_pos - mu_neg)
     if not np.any(w):
-        raise ValueError("classes have identical means: no discriminant direction")
+        raise NumericalError("classes have identical means: no discriminant direction")
     b = -float(w @ (mu_pos + mu_neg) / 2.0)
-    norm = float(np.sqrt(w @ w))
-    return LdaModel(w=w / norm, b=b / norm)
+    return LdaModel(w=w, b=b)
+
+
+def fit_bagging(x: np.ndarray, labels, rounds: int, subset_fraction: float,
+                seed: int) -> BaggingEnsemble:
+    """`mipipe.classify.fit_bagging`, one round after another: each round
+    draws its bootstrap rows and is fitted before the next round draws."""
+    y = np.asarray(labels)
+    n = len(x)
+    k = math.ceil(subset_fraction * n)
+    components = []
+    for r in range(rounds):
+        rng = np.random.default_rng([seed, r])
+        for attempt in range(100):
+            idx = rng.integers(0, n, size=k)
+            if len(np.unique(y[idx])) == 2:
+                break
+        else:
+            raise NumericalError(
+                f"round {r}: 100 consecutive single-class draws; data degenerate"
+            )
+        components.append(fit_lda(x[idx], y[idx]))
+    return BaggingEnsemble(tuple(components), subset_fraction, rounds, seed)
+
+
+def bagging_predict(ensemble: BaggingEnsemble, x: np.ndarray) -> int:
+    """`mipipe.classify.bagging_predict` of one row: each component scores
+    w . x + b and votes; an exact tie goes to the sign of the mean score."""
+    scores = np.array([float(c.w @ x + c.b) for c in ensemble.components])
+    votes = np.where(scores >= 0, 1, -1).sum()
+    if votes != 0:
+        return 1 if votes > 0 else -1
+    return 1 if scores.mean() >= 0 else -1
+
+
+def unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
+    """`fit_lda` of one feature scaled to a unit-norm hyperplane: the
+    search's LDA for one fit."""
+    lda = fit_lda(features[:, None], labels)
+    norm = float(np.linalg.norm(lda.w))
+    return LdaModel(w=lda.w / norm, b=lda.b / norm)
 
 
 def candidate_scores(train_x, test_x, normalized, labels, fits, m, block_values=BLOCK_VALUES):

@@ -5,11 +5,16 @@ from mipipe.classify import (
     BaggingEnsemble,
     LdaModel,
     bagging_predict,
+    bagging_predict_rows,
     fit_bagging,
     fit_lda,
+    fit_ldas,
     lda_predict,
     lda_score,
 )
+from mipipe.errors import NumericalError
+
+import oracle
 
 
 def symmetric_clusters(rng, n=50, separation=1.0, dim=2):
@@ -177,3 +182,103 @@ class TestBagging:
             for c in ensemble.components
         ])
         assert ens_acc >= comp_acc
+
+
+# --- the stacked LDA against the loop reference in `oracle`, bitwise --------
+
+DIMS = [1, 2, 7, 14, 19, 33]
+SCALES = [1e-6, 1.0, 1e6]
+
+
+def drawn_set(rng, d, scale):
+    """n rows of d features, both classes present, shifted apart by class."""
+    n = int(rng.integers(20, 120))
+    y = rng.permutation(np.r_[-1, 1, rng.choice([-1, 1], size=n - 2)])
+    x = scale * (rng.normal(size=(n, d)) + 0.4 * y[:, None] * rng.normal(size=d))
+    return x, y
+
+
+def non_contiguous(x):
+    """`x` as every other column of a Fortran-ordered matrix twice as wide."""
+    wide = np.asfortranarray(np.repeat(x, 2, axis=1))
+    return wide[:, ::2]
+
+
+def same_components(got, want):
+    return len(got.components) == len(want.components) and all(
+        np.array_equal(a.w, b.w) and a.b == b.b
+        for a, b in zip(got.components, want.components))
+
+
+def on_boundary(probes, w, b):
+    """`probes` moved onto the hyperplane w . x + b = 0, where the sign of a
+    score turns on its last bits."""
+    return probes - ((probes @ w + b) / (w @ w))[:, None] * w
+
+
+class TestStackedLdaEqualsLoopReference:
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("d", DIMS)
+    def test_fit_lda(self, rng, d, scale):
+        for _ in range(20):
+            x, y = drawn_set(rng, d, scale)
+            want = oracle.fit_lda(x, y)
+            for got in (fit_lda(x, y), fit_lda(non_contiguous(x), y)):
+                assert np.array_equal(got.w, want.w) and got.b == want.b
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("d", DIMS)
+    def test_fit_bagging_components(self, rng, d, scale):
+        for seed in range(4):
+            x, y = drawn_set(rng, d, scale)
+            want = oracle.fit_bagging(x, y, 50, 0.5, seed)
+            assert same_components(fit_bagging(x, y, 50, 0.5, seed), want)
+            assert same_components(fit_bagging(non_contiguous(x), y, 50, 0.5, seed), want)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("d", DIMS)
+    def test_batch_prediction(self, rng, d, scale):
+        x, y = drawn_set(rng, d, scale)
+        for rounds in (1, 2, 50):
+            ensemble = fit_bagging(x, y, rounds, 0.5, seed=rounds)
+            w = sum(c.w for c in ensemble.components[:2])
+            b = sum(c.b for c in ensemble.components[:2])
+            # one component's boundary, or where two split votes' mean score is 0
+            probes = np.vstack([scale * rng.normal(size=(40, d)),
+                                on_boundary(scale * rng.normal(size=(40, d)), w, b)])
+            want = [oracle.bagging_predict(ensemble, p) for p in probes]
+            assert bagging_predict_rows(ensemble, probes).tolist() == want
+            assert bagging_predict_rows(ensemble, non_contiguous(probes)).tolist() == want
+            assert [bagging_predict(ensemble, p) for p in probes[::8]] == want[::8]
+
+    def test_first_failing_round_raises(self):
+        # one +1 row in 200 and draws of 10 rows: a round fails to draw both
+        # classes 100 times in a row now and then. With constant features
+        # every round that draws both classes has identical means, so a
+        # round before a failed draw must raise that instead.
+        y = np.r_[1, -np.ones(199, dtype=int)]
+        varied = np.random.default_rng(3).normal(size=(200, 2))
+        late_draw_failures = 0
+        for seed in range(20):
+            for x in (varied, np.ones((200, 2))):
+                try:
+                    want = oracle.fit_bagging(x, y, 50, 0.05, seed)
+                except NumericalError as exc:
+                    with pytest.raises(NumericalError) as got:
+                        fit_bagging(x, y, 50, 0.05, seed)
+                    assert str(got.value) == str(exc)
+                    late_draw_failures += x is varied and not str(exc).startswith("round 0:")
+                else:
+                    assert same_components(fit_bagging(x, y, 50, 0.05, seed), want)
+        assert late_draw_failures > 0
+
+    def test_fit_ldas_raises_for_the_first_failing_fit(self):
+        x = np.array([[1.0, 2.0], [2.0, 3.0], [1.0, 2.0], [2.0, 3.0]])
+        shared = np.broadcast_to(x, (3,) + x.shape)
+        fine, same, none = np.array([0, 1]), np.array([2, 3]), np.array([], dtype=int)
+        with pytest.raises(NumericalError, match="identical means"):
+            fit_ldas(shared, [fine, fine, fine], [np.array([0, 0]), same, none])
+        with pytest.raises(ValueError, match="both classes must be present"):
+            fit_ldas(shared, [fine, none, fine], [np.array([0, 0]), same, same])
+        with pytest.raises(ValueError, match="zero-dimension features"):
+            fit_ldas(np.zeros((2, 4, 0)), [fine, none], [same, same])

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from mipipe.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from mipipe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from mipipe.data_model import load_archive, save_archive
 
 from conftest import as_trials, count_filtered_trials, replace_trials, with_label
@@ -434,6 +434,33 @@ class TestTypedErrors:
         code = main(["crossval", "--data", str(copy), "--report", str(tmp_path / "cv.json")])
         assert code == EXIT_IO
         assert "s01_t005.csv" in one_line_error(capsys)
+
+
+class TestNumericalFailures:
+    """A fit the data cannot support exits 4 with one line."""
+
+    def test_single_class_draws(self, archive, tmp_path, capsys):
+        # two train trials, one of each class: every bootstrap draw of one row
+        # holds one class
+        code = main(["run", "--data", str(archive), "--train-fraction", "0.05",
+                     "--report", str(tmp_path / "run.json")])
+        assert code == EXIT_NUMERICAL
+        assert one_line_error(capsys) == ("numerical failure: round 0: 100 consecutive "
+                                          "single-class draws; data degenerate\n")
+        assert not (tmp_path / "run.json").exists()
+
+    def test_identical_class_means(self, archive, tmp_path, capsys, fast_config):
+        # every trial the same recording: both classes share every feature
+        copy = tmp_path / "arch"
+        shutil.copytree(archive, copy)
+        first = (copy / "s01_t000.csv").read_text()
+        for path in copy.glob("s01_t*.csv"):
+            path.write_text(first)
+        code = main(["crossval", "--data", str(copy), "--config", fast_config,
+                     "--report", str(tmp_path / "cv.json")])
+        assert code == EXIT_NUMERICAL
+        assert one_line_error(capsys) == ("numerical failure: classes have identical means: "
+                                          "no discriminant direction\n")
 
 
 class TestParser:

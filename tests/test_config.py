@@ -55,3 +55,34 @@ def test_search_fields_named_when_missing_or_not_lists(search, message):
 def test_search_optional_fields_default():
     space = pipeline_config_from_dict({"search": {**SEARCH, "channel_sets": None}}).search
     assert (space.channel_sets, space.m_values) == ((None,), (1,))
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"method": "ar", "ar_band_hz": None}, "ar_band_hz must be a pair of numbers, got None"),
+    ({"lrp_baseline_window_s": None},
+     "lrp_baseline_window_s must be a pair of numbers, got None"),
+    ({"lrp_feature_window_s": None}, "lrp_feature_window_s must be a pair of numbers, got None"),
+    ({"lrp_feature_window_s": [0.5, "1.5"]},
+     "lrp_feature_window_s must be a number, got '1.5'"),
+    ({"lrp_lowpass_hz": "1.5"}, "lrp_lowpass_hz must be a number, got '1.5'"),
+    ({"lrp_lowpass_hz": None}, "lrp_lowpass_hz must be a number, got None"),
+    ({"ensemble": {"subset_fraction": "1.5"}},
+     "ensemble.subset_fraction must be a number, got '1.5'"),
+    ({"ensemble": {"subset_fraction": True}},
+     "ensemble.subset_fraction must be a number, got True"),
+    ({"search": {"bands_hz": [None], "windows_s": [[0.5, 2.5]]}},
+     "band candidate must be a pair of numbers, got None"),
+    ({"search": {"bands_hz": [[8, 10]], "windows_s": [[0.5, 2.5], None]}},
+     "window candidate must be a pair of numbers, got None"),
+])
+def test_fields_the_pipeline_cannot_honour_rejected_by_name(doc, message):
+    with pytest.raises(ConfigError) as info:
+        pipeline_config_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_number_fields_keep_their_values():
+    config = pipeline_config_from_dict({"lrp_lowpass_hz": 2, "ar_band_hz": [7, 30],
+                                        "ensemble": {"subset_fraction": 0.25}})
+    assert (config.lrp_lowpass_hz, config.ar_band_hz) == (2.0, (7.0, 30.0))
+    assert config.ensemble.subset_fraction == 0.25

@@ -14,6 +14,7 @@ from mipipe.data_model import (
     save_archive,
     split,
     stratified_folds,
+    usable_folds,
     _write_matrix,
 )
 from mipipe.errors import ArchiveError
@@ -297,6 +298,21 @@ MIXED = [1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, 1, -1]
 def test_stratified_folds_pinned(labels, k, seed, expected):
     folds = stratified_folds(np.array(labels), k, seed)
     assert [f.tolist() for f in folds] == expected
+
+
+@pytest.mark.parametrize("labels,most,seed,count", [
+    (BLOCKS, 10, None, 4),  # capped by the 4 trials of class -1
+    (BLOCKS, 3, 7, 3),  # capped by `most`
+    (MIXED, 10, 0, 6),
+    ([-1, 1, 1, 1], 10, None, 0),  # one trial of class -1: no folds
+    (ALTERNATING, 1, None, 0),
+])
+def test_usable_folds_cap_the_count_by_each_class(labels, most, seed, count):
+    labels = np.array(labels)
+    folds = usable_folds(labels, most, seed)
+    expected = stratified_folds(labels, count, seed) if count else []
+    assert len(folds) == count
+    assert [f.tolist() for f in folds] == [f.tolist() for f in expected]
 
 
 def test_join_of_split_halves_shares_the_recording():

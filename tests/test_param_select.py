@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mipipe import features, param_select
-from mipipe.classify import LdaModel, fit_lda, lda_score
+from mipipe.classify import LdaModel, fit_ldas, lda_score
 from mipipe.config import PipelineConfig, SearchSpace
-from mipipe.data_model import SplitSpec, Trial, join, split
+from mipipe.data_model import SplitSpec, Trial, join, split, usable_folds
 from mipipe.errors import CriterionUndefinedError
 from mipipe.features import csp_feature, csp_stack, fit_csp
 from mipipe.param_select import (
@@ -15,20 +15,18 @@ from mipipe.param_select import (
     PdfEstimate,
     _BandBatches,
     _fold_fits,
-    _search_folds,
-    _unit_ldas,
+    _unit_hyperplanes,
     candidate_scores,
     class_balance_penalty,
     estimate_pdf,
     grid_search,
     pdf_correlation,
 )
-from mipipe.preprocess import bandpass_zero_phase
 from mipipe.synthgen import SynthConfig, generate
 
 import oracle
 from conftest import as_trials, count_filtered_trials, make_set, replace_trials, with_label
-from oracle import crop
+from oracle import crop, scipy_bandpass
 
 
 def uniform_edges(lo=-1.0, hi=1.0):
@@ -301,22 +299,24 @@ class TestGridSearch:
 
 # --- per-trial oracle: the search as written before it was batched by band ---
 
+def unit_ldas(shares, neg_rows, pos_rows):
+    """The search's unit-norm LDAs of one feature, fit f's classes being
+    shares[f, neg_rows[f]] and shares[f, pos_rows[f]]."""
+    return _unit_hyperplanes(*fit_ldas(shares[..., None], neg_rows, pos_rows))
+
+
 def unit_lda(features, labels):
-    """`_unit_ldas` of one fit."""
-    w, b = _unit_ldas(features[None], [np.flatnonzero(labels == -1)],
-                      [np.flatnonzero(labels == 1)])
+    """`unit_ldas` of one fit."""
+    w, b = unit_ldas(features[None], [np.flatnonzero(labels == -1)],
+                     [np.flatnonzero(labels == 1)])
     return LdaModel(w=w, b=float(b[0]))
 
 
 class TestUnitLda:
-    """The search's one-feature LDA, vectorised over fits, against
-    `fit_lda` and the normalisation it replaced."""
+    """The search's one-feature LDA, the stacked `fit_ldas` scaled to unit
+    norm, against the loop `fit_lda` of one fit and the same scaling."""
 
-    @staticmethod
-    def reference(features, labels):
-        lda = fit_lda(features[:, None], labels)
-        norm = float(np.linalg.norm(lda.w))
-        return LdaModel(w=lda.w / norm, b=lda.b / norm)
+    reference = staticmethod(oracle.unit_lda)
 
     @staticmethod
     def random_sets(rng, scale, count=300):
@@ -339,8 +339,8 @@ class TestUnitLda:
         shares = np.zeros((len(sets), max(len(f) for f, _ in sets)))
         for f, (features, _) in enumerate(sets):
             shares[f, :len(features)] = features
-        w, b = _unit_ldas(shares, [np.flatnonzero(y == -1) for _, y in sets],
-                          [np.flatnonzero(y == 1) for _, y in sets])
+        w, b = unit_ldas(shares, [np.flatnonzero(y == -1) for _, y in sets],
+                         [np.flatnonzero(y == 1) for _, y in sets])
         for f, (features, labels) in enumerate(sets):
             want = self.reference(features, labels)
             assert w[f] == want.w[0] and b[f] == want.b
@@ -366,7 +366,7 @@ class TestUnitLda:
         ]
         for shares, neg, pos, match in cases:
             with pytest.raises(ValueError, match=match):
-                _unit_ldas(np.array(shares), neg, pos)
+                unit_ldas(np.array(shares), neg, pos)
 
 
 def test_csp_stack_equals_each_fit_alone(rng):
@@ -503,7 +503,7 @@ def _oracle_prep(ts, band, window, channels):
     for t in as_trials(ts):
         data = t.data if channels is None else t.data[list(channels)]
         trial = Trial(data, t.label, t.session_id, t.trial_index)
-        trial = bandpass_zero_phase(trial, ts.sampling_rate_hz, *band)
+        trial = scipy_bandpass(trial, ts.sampling_rate_hz, *band)
         out.append(crop(trial, ts.sampling_rate_hz, *window))
     return out
 
@@ -512,9 +512,8 @@ def _oracle_fit_and_score(train_trials, train_labels, score_trials, m):
     neg = [t for t, y in zip(train_trials, train_labels) if y == -1]
     pos = [t for t, y in zip(train_trials, train_labels) if y == 1]
     model = fit_csp(neg, pos, m)
-    lda = fit_lda([csp_feature(model, t) for t in train_trials], train_labels)
-    norm = float(np.linalg.norm(lda.w))
-    lda = LdaModel(w=lda.w / norm, b=lda.b / norm)
+    lda = oracle.unit_lda(np.array([csp_feature(model, t).values[0] for t in train_trials]),
+                          np.asarray(train_labels))
     return [lda_score(lda, csp_feature(model, t)) for t in score_trials]
 
 
@@ -523,7 +522,7 @@ def _oracle_scores(train, test, band, window, channels, m):
     test_trials = _oracle_prep(test, band, window, channels)
     labels = np.array([t.label for t in as_trials(train)])
     train_scores = np.empty(len(train_trials))
-    for fold in _search_folds(labels):
+    for fold in usable_folds(labels, 10):
         mask = np.ones(len(train_trials), dtype=bool)
         mask[fold] = False
         fit_part = [train_trials[i] for i in np.flatnonzero(mask)]
@@ -599,7 +598,7 @@ class TestBatchedSearchMatchesOracle:
         # out later, fold 0's CSP fails. Either way the first error a
         # per-trial search meets must be the one reported.
         train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
-        row = int(_search_folds(np.array(train.labels))[flat_fold][0])
+        row = int(usable_folds(np.array(train.labels), 10)[flat_fold][0])
         data = train.data[row].copy()
         data[[0, 3]] = 0.0
         trials = list(as_trials(train))

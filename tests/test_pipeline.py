@@ -238,9 +238,8 @@ class TestRunAdaptive:
 def _reference_transform(method, config, fs, trials, labels):
     """Fit one method trial by trial; return its transform (Trial -> array)."""
     from mipipe.features import csp_feature, fisher_scores, fit_csp, select_channels
-    from mipipe.preprocess import bandpass_zero_phase
     from oracle import (ar_feature, baseline_correct, common_average_reference, crop,
-                        lowpass_zero_phase, lrp_feature)
+                        lrp_feature, scipy_bandpass, scipy_lowpass)
 
     if method == "combined":
         parts = [_reference_transform(m, config, fs, trials, labels)
@@ -257,7 +256,7 @@ def _reference_transform(method, config, fs, trials, labels):
         def prep(t):
             if config.channels is not None:
                 t = t.with_data(t.data[list(config.channels)])
-            t = bandpass_zero_phase(t, fs, *config.preprocess.band_hz)
+            t = scipy_bandpass(t, fs, *config.preprocess.band_hz)
             return crop(t, fs, *config.preprocess.window_s)
         prepped = [prep(t) for t in trials]
         model = fit_csp([p for p, y in zip(prepped, labels) if y == -1],
@@ -265,13 +264,13 @@ def _reference_transform(method, config, fs, trials, labels):
         return lambda t: csp_feature(model, prep(t)).values
     if method == "ar":
         def prep(t):
-            t = bandpass_zero_phase(common_average_reference(t), fs, *config.ar_band_hz)
+            t = scipy_bandpass(common_average_reference(t), fs, *config.ar_band_hz)
             return crop(t, fs, *config.preprocess.window_s)
         selected = pick([np.log(prep(t).data.var(axis=1)) for t in trials])
         return lambda t: ar_feature(prep(t), selected, config.ar_order).values
 
     def prep(t):
-        t = lowpass_zero_phase(t, fs, config.lrp_lowpass_hz)
+        t = scipy_lowpass(t, fs, config.lrp_lowpass_hz)
         return baseline_correct(t, fs, config.lrp_baseline_window_s)
     window = config.lrp_feature_window_s
     selected = pick([lrp_feature(prep(t), range(t.n_channels), fs, window).values
@@ -280,10 +279,10 @@ def _reference_transform(method, config, fs, trials, labels):
 
 
 def _reference_fit(config, fs, trials, labels):
-    from mipipe.classify import bagging_predict, fit_bagging
+    from oracle import bagging_predict, fit_bagging
 
     transform = _reference_transform(config.method, config, fs, trials, labels)
-    ensemble = fit_bagging([transform(t) for t in trials], labels,
+    ensemble = fit_bagging(np.array([transform(t) for t in trials]), labels,
                            rounds=config.ensemble.rounds,
                            subset_fraction=config.ensemble.subset_fraction,
                            seed=config.ensemble.seed)

@@ -15,7 +15,8 @@ from mipipe.preprocess import (
 )
 
 from conftest import make_trial
-from oracle import baseline_correct, common_average_reference, crop, lowpass_zero_phase
+from oracle import (baseline_correct, common_average_reference, crop, lowpass_zero_phase,
+                    scipy_zero_phase)
 
 FS = 100.0
 
@@ -266,17 +267,6 @@ def test_design_equals_scipy_butter_bitwise(fs):
         assert np.array_equal(design.b, b) and np.array_equal(design.a, a), cutoff
 
 
-def _scipy_zero_phase(design, x):
-    """The reference: scipy's Gustafsson filtfilt of each 1-D series or
-    2-D trial on its own."""
-    from scipy import signal
-
-    irlen = min(design.settle, x.shape[-1] - 1)
-    if x.ndim <= 2:
-        return signal.filtfilt(design.b, design.a, x, method="gust", irlen=irlen)
-    return np.array([_scipy_zero_phase(design, t) for t in x])
-
-
 # Gustafsson's method fits the initial conditions on m edge samples, where m
 # is the settle length, or all n samples when n <= 2 * settle; the shapes
 # below have both m < n and m == n for every design
@@ -298,7 +288,7 @@ def test_zero_phase_equals_scipy_filtfilt_bitwise(rng, name, shape):
     x = 4.0 * rng.normal(size=shape) + 1.5
     out = _zero_phase(design, x)
     assert out.flags.c_contiguous
-    assert np.array_equal(out, _scipy_zero_phase(design, x))
+    assert np.array_equal(out, scipy_zero_phase(design, x))
 
 
 @pytest.mark.parametrize("block_values", [1, 1000, 1 << 30])
@@ -309,10 +299,10 @@ def test_zero_phase_blocks_and_series(monkeypatch, rng, block_values):
     design = bandpass_ba(FS, 8.0, 30.0)
     trials = rng.normal(size=(9, 4, 400))
     assert np.array_equal(preprocess._zero_phase(design, trials),
-                          _scipy_zero_phase(design, trials))
+                          scipy_zero_phase(design, trials))
     # series: each row its own 1-D problem, unlike the rows of one trial
     series = rng.normal(size=(11, 900))
-    expected = np.array([_scipy_zero_phase(design, row) for row in series])
+    expected = np.array([scipy_zero_phase(design, row) for row in series])
     assert np.array_equal(preprocess._zero_phase(design, series, series=True), expected)
 
 
@@ -322,7 +312,7 @@ def test_zero_phase_non_contiguous_input(rng):
     x = base.transpose(0, 2, 1)[:, ::2, ::-1]  # (6, 3, 900), no unit stride
     out = _zero_phase(design, x)
     assert out.flags.c_contiguous
-    assert np.array_equal(out, _scipy_zero_phase(design, np.ascontiguousarray(x)))
+    assert np.array_equal(out, scipy_zero_phase(design, np.ascontiguousarray(x)))
 
 
 def test_preprocess_trials_blocks_equal_one_at_a_time(monkeypatch, rng):
@@ -352,7 +342,7 @@ def test_zero_phase_equals_scipy_property(n_items, width, n, low, span, seed):
     design = bandpass_ba(FS, low, min(low + span, 49.5))
     shape = (n_items, width, n) if width else (n,)
     x = np.random.default_rng(seed).normal(size=shape)
-    assert np.array_equal(_zero_phase(design, x), _scipy_zero_phase(design, x))
+    assert np.array_equal(_zero_phase(design, x), scipy_zero_phase(design, x))
 
 
 def test_lstsq_equals_scipy_bitwise(rng):
