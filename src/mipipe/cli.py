@@ -79,7 +79,7 @@ def _write_manifest(out_path, command: str, args, config_doc: dict, seed) -> Non
 
 def _load_inputs(args, seed) -> tuple[PipelineConfig, TrialSet]:
     """The pipeline config and the archive, with every configured channel
-    index checked against the archive's channel count."""
+    index checked against the archive's channel count and for repeats."""
     doc = _read_json(args.config) if args.config else {}
     config = pipeline_config_from_dict(doc)
     if seed is not None:
@@ -93,12 +93,14 @@ def _load_inputs(args, seed) -> tuple[PipelineConfig, TrialSet]:
             continue
         if not channels:
             raise ConfigError("channel sets must name at least one channel")
-        for c in channels:
+        for i, c in enumerate(channels):
             if not 0 <= c < data.n_channels:
                 raise ConfigError(
                     f"channel index {c} out of range for an archive of "
                     f"{data.n_channels} channels"
                 )
+            if c in channels[:i]:
+                raise ConfigError(f"channel index {c} is repeated in {list(channels)}")
     return config, data
 
 

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .data_model import _is_int
 from .errors import ConfigError
+from .features import DEFAULT_AR_ORDER
 from .preprocess import PreprocessConfig
 
 METHODS = ("csp", "ar", "lrp", "combined")
@@ -75,7 +76,7 @@ class PipelineConfig:
         )
     )
     m: int = 1
-    ar_order: int = 7
+    ar_order: int = DEFAULT_AR_ORDER
     ar_band_hz: tuple[float, float] = (8.0, 35.0)
     lrp_lowpass_hz: float = 1.5
     lrp_baseline_window_s: tuple[float, float] = (0.0, 0.5)
@@ -119,6 +120,18 @@ def json_number(value, name: str):
     return value
 
 
+def json_float(value, name: str) -> float:
+    """`json_number(value, name)` as a float."""
+    return float(json_number(value, name))
+
+
+def json_ints(value, name: str) -> tuple[int, ...]:
+    """`value`, a list of JSON integers, as a tuple; else a ConfigError."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(json_int(v, name) for v in value)
+
+
 def json_pair(value, name: str) -> tuple[float, float]:
     """`value`, a list of two JSON numbers, as floats; else a ConfigError."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
@@ -136,8 +149,8 @@ def _object(doc, where: str, cls) -> dict:
     return doc
 
 
-def preprocess_from_dict(doc: dict) -> PreprocessConfig:
-    doc = _object(doc, "preprocess", PreprocessConfig)
+def preprocess_from_dict(doc: dict, name: str = "preprocess") -> PreprocessConfig:
+    doc = _object(doc, name, PreprocessConfig)
     band, window = doc.get("band_hz"), doc.get("window_s")  # may be null: unset
     try:
         return PreprocessConfig(
@@ -162,42 +175,37 @@ def search_from_dict(doc: dict) -> SearchSpace:
     return SearchSpace(
         bands_hz=tuple(json_pair(b, "band candidate") for b in _search_list(doc, "bands_hz")),
         windows_s=tuple(json_pair(w, "window candidate") for w in _search_list(doc, "windows_s")),
-        channel_sets=tuple(
-            None if cs is None else tuple(json_int(c, "search.channel_sets") for c in cs)
-            for cs in _search_list(doc, "channel_sets", [None])
-        ),
-        m_values=tuple(json_int(m, "search.m_values")
-                       for m in _search_list(doc, "m_values", [1])),
+        channel_sets=tuple(None if cs is None else json_ints(cs, "search.channel_sets")
+                           for cs in _search_list(doc, "channel_sets", [None])),
+        m_values=json_ints(_search_list(doc, "m_values", [1]), "search.m_values"),
     )
 
 
+def _checked_fields(doc: dict, defaults, checks: dict, where: str = "") -> dict:
+    """Each field of `checks`, checked from `doc`, or from `defaults` if absent."""
+    return {name: check(doc[name], where + name) if name in doc else getattr(defaults, name)
+            for name, check in checks.items()}
+
+
 def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
-    """Build a PipelineConfig from parsed JSON, naming the offending field."""
+    """Build a PipelineConfig from parsed JSON, naming the offending field;
+    an absent field takes its dataclass default."""
     doc = _object(doc, "config", PipelineConfig)
+    base = PipelineConfig()
     try:
         ens = _object(doc.get("ensemble", {}), "ensemble", EnsembleConfig)
         return PipelineConfig(
-            method=doc.get("method", "csp"),
-            preprocess=preprocess_from_dict(doc.get("preprocess", {
-                "band_hz": [12.0, 14.0], "window_s": [0.5, 4.5],
-            })),
-            m=json_int(doc.get("m", 1), "m"),
-            ar_order=json_int(doc.get("ar_order", 7), "ar_order"),
-            ar_band_hz=json_pair(doc.get("ar_band_hz", (8.0, 35.0)), "ar_band_hz"),
-            lrp_lowpass_hz=float(json_number(doc.get("lrp_lowpass_hz", 1.5), "lrp_lowpass_hz")),
-            lrp_baseline_window_s=json_pair(
-                doc.get("lrp_baseline_window_s", (0.0, 0.5)), "lrp_baseline_window_s"),
-            lrp_feature_window_s=json_pair(
-                doc.get("lrp_feature_window_s", (0.5, 1.5)), "lrp_feature_window_s"),
-            n_select=json_int(doc.get("n_select", 2), "n_select"),
+            method=doc.get("method", base.method),
+            **_checked_fields(doc, base, {
+                "preprocess": preprocess_from_dict, "m": json_int, "ar_order": json_int,
+                "ar_band_hz": json_pair, "lrp_lowpass_hz": json_float,
+                "lrp_baseline_window_s": json_pair, "lrp_feature_window_s": json_pair,
+                "n_select": json_int}),
             channels=None if doc.get("channels") is None
-            else tuple(json_int(c, "channels") for c in doc["channels"]),
-            ensemble=EnsembleConfig(
-                rounds=json_int(ens.get("rounds", 50), "ensemble.rounds"),
-                subset_fraction=float(json_number(ens.get("subset_fraction", 0.5),
-                                                  "ensemble.subset_fraction")),
-                seed=json_int(ens.get("seed", 0), "ensemble.seed"),
-            ),
+            else json_ints(doc["channels"], "channels"),
+            ensemble=EnsembleConfig(**_checked_fields(ens, base.ensemble, {
+                "rounds": json_int, "subset_fraction": json_float, "seed": json_int},
+                "ensemble.")),
             search=None if doc.get("search") is None else search_from_dict(doc["search"]),
         )
     except (TypeError, ValueError) as exc:

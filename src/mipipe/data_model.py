@@ -323,6 +323,8 @@ def _check_meta(meta, meta_path: Path) -> None:
         need(isinstance(session, dict) and _is_int(session.get("id"))
              and isinstance(session.get("trials"), list),
              "each session needs an integer id and a list of trials")
+        need(-1 << 63 <= session["id"] < 1 << 63,
+             f"session id {session['id']} does not fit in 64 bits")
         for entry in session["trials"]:
             need(isinstance(entry, dict) and isinstance(entry.get("file"), str)
                  and "label" in entry and isinstance(entry["label"], (str, type(None))),

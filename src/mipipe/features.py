@@ -177,16 +177,11 @@ def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
     return filters, lam
 
 
-def csp_log_shares(model: CspModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log variance share log(vH / (vH + vF)) of the class -1 projections, and
-    the total vH + vF, for a trial or an (n_trials, n_channels, n_samples)
-    batch. Unchecked: pass both to `check_csp_shares`."""
-    return projection_log_shares(model.filters @ x, model.m)
-
-
 def projection_log_shares(projections: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """`csp_log_shares` of (..., 2m, n_samples) CSP projections, whose first
-    m rows are the class -1 filters'."""
+    """Log variance share log(vH / (vH + vF)) of the class -1 projections, and
+    the total vH + vF, of (..., 2m, n_samples) CSP projections whose first m
+    rows are the class -1 filters'. Unchecked: pass both to
+    `check_csp_shares`."""
     variances = projections.var(axis=-1)
     var_h = variances[..., :m].sum(axis=-1)
     var_f = variances[..., m:].sum(axis=-1)
@@ -208,7 +203,7 @@ def csp_feature(model: CspModel, trial: Trial) -> FeatureVector:
     """Log variance share of the class -1 projections: log(vH / (vH + vF))."""
     if trial.n_channels != model.n_channels:
         raise ValueError("trial channel count does not match CSP model")
-    share, total = csp_log_shares(model, trial.data)
+    share, total = projection_log_shares(model.filters @ trial.data, model.m)
     check_csp_shares(np.atleast_1d(share), np.atleast_1d(total))
     return FeatureVector(np.array([share]), "csp")
 

@@ -16,9 +16,9 @@ from .features import (
     CspModel,
     check_csp_shares,
     csp_fits,
-    csp_log_shares,
     fisher_scores,
     fit_ar,
+    projection_log_shares,
     select_channels,
     trace_normalized,
 )
@@ -75,7 +75,7 @@ class _Extractor:
             self.selected = list(self.config.channels)
         else:
             scores = fisher_scores(values, labels)
-            self.selected = select_channels(scores, min(self.config.n_select, len(scores)))
+            self.selected = select_channels(scores, self.config.n_select)
         if not self.selected:
             raise ValueError("no channels selected")
         return self
@@ -116,7 +116,8 @@ class CspExtractor(_Extractor):
     def transform_rows(self, prepared, rows) -> np.ndarray:
         x, _ = prepared
         # trial by trial, so the projections' temporaries stay one trial big
-        shares, totals = np.array([csp_log_shares(self.model, x[i]) for i in rows]).T
+        filters, m = self.model.filters, self.model.m
+        shares, totals = np.array([projection_log_shares(filters @ x[i], m) for i in rows]).T
         check_csp_shares(shares, totals)
         return shares[:, None]
 

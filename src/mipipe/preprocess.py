@@ -20,9 +20,9 @@ from .data_model import Trial
 
 BANDPASS_ORDER = 4  # transfer-function order; doubled by forward-backward pass
 LOWPASS_ORDER = 4
-# values (rows x samples) filtered at once: a block pays the Python loop over
-# samples once for all its rows, and a chain's temporaries come to about six
-# blocks (some 25 MB)
+# values (trials x channels x samples) that `preprocess_trials` puts through a
+# chain at once: a block pays the filter's Python loop over samples once for
+# all its rows, and a chain's temporaries come to about six blocks (some 25 MB)
 BLOCK_VALUES = 1 << 19
 _CHUNK_SAMPLES = 32  # samples whose products b * x are formed in one call
 
@@ -192,11 +192,9 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(a, b, rcond=_EPS)[0]
 
 
-def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int,
-                series: bool) -> np.ndarray:
+def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int) -> np.ndarray:
     """Gustafsson's forward-backward filter of (rows, samples); items of
-    `width` rows (1-D rows if `series`) each get their own initial
-    conditions."""
+    `width` rows each get their own initial conditions."""
     b, a, _ = design
     r, n = rows.shape
     big_m, w = _gust_matrices(tuple(b), tuple(a), m, m == n)
@@ -220,10 +218,7 @@ def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int,
     # shapes them for one item: LAPACK's and BLAS's bits depend on how many
     # columns share a call
     for c0 in range(0, r, width):
-        if series:
-            wic = _lstsq(big_m, delta[c0]).dot(w.T)
-        else:
-            wic = _lstsq(big_m, delta[c0:c0 + width].T).T.dot(w.T)
+        wic = _lstsq(big_m, delta[c0:c0 + width].T).T.dot(w.T)
         item = y_fb[c0:c0 + width]
         if m == n:
             item += wic
@@ -233,11 +228,11 @@ def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int,
     return y_fb
 
 
-def _zero_phase(design: FilterDesign, x: np.ndarray, series: bool = False) -> np.ndarray:
+def _zero_phase(design: FilterDesign, x: np.ndarray) -> np.ndarray:
     """`signal.filtfilt(b, a, item, method="gust", irlen=...)` of every item
-    of `x` along its last axis, bit for bit, as a new C-contiguous array. An
-    item is a 2-D trial (the last two axes), or a 1-D row when x is 1-D or
-    `series` is set. Blocks of about BLOCK_VALUES values are filtered at once.
+    of `x` along its last axis, bit for bit, as a C-contiguous array. An item
+    is a 2-D trial (the last two axes), or a 1-D series when x is 1-D. All of
+    `x` is filtered at once: `preprocess_trials` sizes the blocks.
     """
     b, a, settle = design
     n = x.shape[-1]
@@ -251,15 +246,8 @@ def _zero_phase(design: FilterDesign, x: np.ndarray, series: bool = False) -> np
     # which keeps interior samples transient-free on short epochs
     irlen = min(settle, n - 1)
     m = n if n <= 2 * irlen else irlen
-    series = series or x.ndim == 1
-    width = 1 if series else x.shape[-2]
-    rows = x.reshape(-1, n)
-    out = np.empty(rows.shape)
-    step = width * max(1, BLOCK_VALUES // (width * n))
-    for r0 in range(0, len(rows), step):
-        block = rows[r0:r0 + step]
-        out[r0:r0 + len(block)] = _gust_block(design, block, m, width, series)
-    return out.reshape(x.shape)
+    width = x.shape[-2] if x.ndim > 1 else 1
+    return _gust_block(design, x.reshape(-1, n), m, width).reshape(x.shape)
 
 
 def bandpass_ba(fs_hz: float, low_hz: float, high_hz: float) -> FilterDesign:
@@ -285,13 +273,10 @@ def bandpass_array(x: np.ndarray, fs_hz: float, low_hz: float, high_hz: float) -
     Any leading shape is accepted, e.g. a batch of trials; each 2-D slab
     (one trial) comes out as it would alone.
     """
-    return _demeaned_zero_phase(bandpass_ba(fs_hz, low_hz, high_hz), np.asarray(x, float))
-
-
-def _demeaned_zero_phase(design: FilterDesign, x: np.ndarray, series: bool = False) -> np.ndarray:
+    design, x = bandpass_ba(fs_hz, low_hz, high_hz), np.asarray(x, float)
     # the band-pass has zero DC gain; removing the mean up front avoids
     # edge transients from large offsets
-    return _zero_phase(design, x - x.mean(axis=-1, keepdims=True), series)
+    return _zero_phase(design, x - x.mean(axis=-1, keepdims=True))
 
 
 def lowpass_array(x: np.ndarray, fs_hz: float, cutoff_hz: float) -> np.ndarray:

@@ -12,10 +12,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import json_int, json_number, json_pair
+from .config import _object, json_int, json_number, json_pair
 from .data_model import TrialSet
 from .errors import ConfigError
-from .preprocess import _demeaned_zero_phase, _zero_phase, bandpass_ba, lowpass_ba
+from .preprocess import Chain, preprocess_trials
 
 IMAGERY_ONSET_S = 0.5
 RHYTHM_AMPLITUDE_UV = 10.0
@@ -67,12 +67,12 @@ def _rotation(n: int, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _rhythm_sources(band_noise, envelope_noise, fs, lo, hi):
     """Band-limited noise with a slow positive envelope: amplitude-modulated
-    rhythm sources, one per row. The rows are filtered as one batch of 1-D
-    series, each exactly as it would be alone."""
-    band = _demeaned_zero_phase(bandpass_ba(fs, lo, hi), band_noise, series=True)
+    rhythm sources, one per (1, n) item of the (sources, 1, n) noise arrays.
+    Each source goes through the chains as a one-channel trial."""
+    band = preprocess_trials(band_noise, fs, Chain(band_hz=(lo, hi)))
     band /= np.maximum(band.std(axis=-1, keepdims=True), 1e-12)
     env_cut = min(1.0, fs / 4)
-    envelope = 1.0 + 0.4 * _zero_phase(lowpass_ba(fs, env_cut), envelope_noise, series=True)
+    envelope = 1.0 + 0.4 * preprocess_trials(envelope_noise, fs, Chain(lowpass_hz=env_cut))
     return band * np.clip(envelope, 0.2, None)
 
 
@@ -110,7 +110,7 @@ def generate(config: SynthConfig) -> TrialSet:
         if config.noise_sigma_uv > 0:
             data[trial] = rng.normal(size=(n_ch, n))
     rhythms = RHYTHM_AMPLITUDE_UV * _rhythm_sources(
-        band_noise.reshape(-1, n), envelope_noise.reshape(-1, n), fs, lo, hi
+        band_noise.reshape(-1, 1, n), envelope_noise.reshape(-1, 1, n), fs, lo, hi
     ).reshape(n_trials, 2, n)
 
     # trials alternate class -1, +1 within each session
@@ -136,16 +136,11 @@ def generate(config: SynthConfig) -> TrialSet:
 
 
 def synth_config_from_dict(doc: dict) -> SynthConfig:
-    known = {f for f in SynthConfig.__dataclass_fields__}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
-    kwargs = dict(doc)
+    doc = _object(doc, "synth config", SynthConfig)
     # field types are strings here (from __future__ import annotations)
     checks = {"int": json_int, "float": json_number, "tuple[float, float]": json_pair}
-    for f in fields(SynthConfig):
-        if f.name in kwargs:
-            kwargs[f.name] = checks[f.type](kwargs[f.name], f.name)
+    kwargs = {f.name: checks[f.type](doc[f.name], f.name)
+              for f in fields(SynthConfig) if f.name in doc}
     try:
         return SynthConfig(**kwargs)
     except TypeError as exc:

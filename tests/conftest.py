@@ -46,9 +46,9 @@ def count_filtered_trials(monkeypatch) -> list:
     counts = []
     zero_phase = preprocess._zero_phase
 
-    def counting(design, x, *args):
+    def counting(design, x):
         counts.append({3: len(x), 2: 1}[x.ndim])
-        return zero_phase(design, x, *args)
+        return zero_phase(design, x)
 
     monkeypatch.setattr(preprocess, "_zero_phase", counting)
     return counts

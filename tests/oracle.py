@@ -21,7 +21,6 @@ from mipipe.features import (
     FeatureVector,
     _eigh,
     check_csp_shares,
-    csp_log_shares,
     fit_ar,
     projection_log_shares,
 )
@@ -58,6 +57,12 @@ def scipy_bandpass(trial: Trial, fs_hz: float, low_hz: float, high_hz: float) ->
 def scipy_lowpass(trial: Trial, fs_hz: float, cutoff_hz: float) -> Trial:
     """`mipipe.preprocess.lowpass_array` of one trial through scipy."""
     return trial.with_data(scipy_zero_phase(lowpass_ba(fs_hz, cutoff_hz), trial.data))
+
+
+def csp_log_shares(model: CspModel, x: np.ndarray):
+    """The unchecked log variance shares and totals of `model`'s projections
+    of a trial or a batch."""
+    return projection_log_shares(model.filters @ x, model.m)
 
 
 def lowpass_zero_phase(trial: Trial, fs_hz: float, cutoff_hz: float) -> Trial:

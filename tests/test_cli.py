@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from copy import deepcopy
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mipipe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from mipipe.data_model import load_archive, save_archive
@@ -262,6 +269,22 @@ class TestConfigAgainstArchive:
         assert "channel index 9" in err and "4 channels" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc,index", [
+        ({"method": "lrp", "channels": [0, 0]}, 0),
+        ({"method": "csp", "channels": [0, 1, 1]}, 1),
+        ({"search": {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]],
+                     "channel_sets": [[2, 3, 2]]}}, 2),
+    ])
+    def test_repeated_channel_index(self, archive, tmp_path, capsys, doc, index):
+        code = self.run(archive, tmp_path, doc, command="crossval")
+        assert code == EXIT_CONFIG
+        assert f"channel index {index} is repeated" in one_line_error(capsys)
+
+    def test_more_channels_selected_than_the_archive_has(self, archive, tmp_path, capsys):
+        code = self.run(archive, tmp_path, {"method": "ar", "n_select": 9}, command="crossval")
+        assert code == EXIT_CONFIG
+        assert "cannot select 9 of 4 channels" in one_line_error(capsys)
+
     def test_search_channel_set_out_of_range(self, archive, tmp_path, capsys):
         search = {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]],
                   "channel_sets": [None, [0, 9]]}
@@ -427,6 +450,24 @@ class TestTypedErrors:
         assert code == EXIT_IO
         assert "meta.json" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("session_id,message", [
+        (10 ** 30, f"session id {10 ** 30} does not fit in 64 bits"),
+        (-10 ** 30, f"session id {-10 ** 30} does not fit in 64 bits"),
+        (0, "session_id must be >= 1"),
+        (-3, "session_id must be >= 1"),
+    ])
+    def test_session_id_out_of_range(self, copy, tmp_path, capsys, session_id, message):
+        meta_path = copy / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["sessions"][0]["id"] = session_id
+        meta_path.write_text(json.dumps(meta))
+        code = main(["crossval", "--data", str(copy), "--report", str(tmp_path / "cv.json")])
+        assert code == EXIT_IO
+        err = one_line_error(capsys)
+        assert message in err
+        if "64 bits" in message:
+            assert "meta.json" in err
+
     @pytest.mark.parametrize("content", ["1,2,3,x\n", "1,2,3,4\n1,2\n", ""],
                              ids=["non_numeric", "ragged", "empty"])
     def test_unparseable_matrix_file(self, copy, tmp_path, capsys, content):
@@ -523,3 +564,92 @@ def test_scipy_is_loaded_only_to_fit_a_csp(tmp_path, method, loaded):
         str(tmp_path / "cv.json"))
     assert ("'scipy.linalg" in out) is loaded
     assert (out == "[]\n") is not loaded
+
+
+# JSON values a mutated field takes: wrong types, edge numbers, nesting
+FUZZ_POOL = [None, True, False, 0, 1, -1, 10 ** 30, -10 ** 30, 1.5, 1e308, "", "ar",
+             "combined", [], [[]], [0, 1], [0.5, 4.5], [[12, 14]], [[0, 1], None], {},
+             {"a": [1]}]
+FUZZ_META_PATHS = [
+    ("version",), ("sampling_rate_hz",), ("channel_labels",), ("channel_labels", 0),
+    ("sessions",), ("sessions", 0), ("sessions", 1, "id"), ("sessions", 0, "trials"),
+    ("sessions", 0, "trials", 2), ("sessions", 0, "trials", 2, "label"),
+    ("sessions", 1, "trials", 3, "file"),
+]
+FUZZ_CONFIG_PATHS = [
+    ("method",), ("preprocess",), ("preprocess", "band_hz"), ("preprocess", "window_s"),
+    ("m",), ("ar_order",), ("ar_band_hz",), ("lrp_lowpass_hz",), ("lrp_baseline_window_s",),
+    ("lrp_feature_window_s",), ("n_select",), ("channels",), ("ensemble",),
+    ("ensemble", "rounds"), ("ensemble", "subset_fraction"), ("ensemble", "seed"),
+    ("search",), ("search", "bands_hz"), ("search", "windows_s"),
+    ("search", "channel_sets"), ("search", "m_values"), ("bogus",),
+]
+FUZZ_SEARCH = {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]]}
+
+
+@pytest.fixture(scope="module")
+def tiny_archive(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    doc = {**SYNTH_DOC, "n_sessions": 2, "trials_per_session": 8, "fs_hz": 80,
+           "trial_duration_s": 5}
+    assert main(["synth", "--out", str(root / "arch"),
+                 "--config", write_json(root / "synth.json", doc)]) == EXIT_OK
+    return root / "arch"
+
+
+def _set_path(doc, path, value) -> None:
+    """Set `doc` at `path` to a copy of `value`. A config sub-object on the
+    way that is missing or not an object is made one first (a minimal one
+    for `search`)."""
+    for key in path[:-1]:
+        if key in ("preprocess", "ensemble", "search") and not isinstance(doc.get(key), dict):
+            doc[key] = dict(FUZZ_SEARCH) if key == "search" else {}
+        doc = doc[key]
+    doc[path[-1]] = deepcopy(value)
+
+
+def _one_line_exit(args) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL)
+    assert len(err.getvalue().splitlines()) == (code != EXIT_OK), err.getvalue()
+    return code
+
+
+@given(st.one_of(
+    st.tuples(st.just("meta"), st.lists(
+        st.tuples(st.sampled_from(FUZZ_META_PATHS), st.sampled_from(FUZZ_POOL)),
+        min_size=1, max_size=1)),
+    st.tuples(st.just("config"), st.lists(
+        st.tuples(st.sampled_from(FUZZ_CONFIG_PATHS), st.sampled_from(FUZZ_POOL)),
+        min_size=1, max_size=3)),
+))
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_archive_or_config_exits_with_a_code_and_one_line(tiny_archive, mutation):
+    """Each command exits 0, 2, 3 or 4, with one stderr line on failure and
+    no escaping exception, whatever one meta.json field or 1-3 config fields
+    hold."""
+    target, changes = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive, config = tiny_archive, {"ensemble": {"rounds": 3}}
+        if target == "meta":
+            archive = tmp / "arch"
+            shutil.copytree(tiny_archive, archive)
+            config = json.loads((archive / "meta.json").read_text())
+        for path, value in changes:
+            if path == ("ensemble", "rounds") and type(value) is int:
+                value = min(value, 100)  # more rounds is more work, not an error
+            _set_path(config, path, value)
+        if target == "meta":
+            write_json(archive / "meta.json", config)
+            config = {"ensemble": {"rounds": 3}}
+        common = ["--data", str(archive), "--config", write_json(tmp / "cfg.json", config),
+                  "--report", str(tmp / "report.json")]
+        _one_line_exit(["crossval", *common, "--folds", "4"])
+        _one_line_exit(["run", *common, "--train-fraction", "0.5"])
+        _one_line_exit(["run", *common, "--train-fraction", "0.5", "--adapt"])
+        _one_line_exit(["fig1", *common, "--fractions", "0.5",
+                        "--methods", "csp,ar,lrp,combined"])

@@ -1,7 +1,8 @@
 import pytest
 
-from mipipe.config import pipeline_config_from_dict, pipeline_config_to_dict
+from mipipe.config import PipelineConfig, pipeline_config_from_dict, pipeline_config_to_dict
 from mipipe.errors import ConfigError
+from mipipe.features import DEFAULT_AR_ORDER
 
 SEARCH = {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]]}
 
@@ -74,6 +75,10 @@ def test_search_optional_fields_default():
      "band candidate must be a pair of numbers, got None"),
     ({"search": {"bands_hz": [[8, 10]], "windows_s": [[0.5, 2.5], None]}},
      "window candidate must be a pair of numbers, got None"),
+    ({"channels": 5}, "channels must be a list of integers, got 5"),
+    ({"channels": "0,1"}, "channels must be a list of integers, got '0,1'"),
+    ({"search": {**SEARCH, "channel_sets": [None, 5]}},
+     "search.channel_sets must be a list of integers, got 5"),
 ])
 def test_fields_the_pipeline_cannot_honour_rejected_by_name(doc, message):
     with pytest.raises(ConfigError) as info:
@@ -86,3 +91,9 @@ def test_number_fields_keep_their_values():
                                         "ensemble": {"subset_fraction": 0.25}})
     assert (config.lrp_lowpass_hz, config.ar_band_hz) == (2.0, (7.0, 30.0))
     assert config.ensemble.subset_fraction == 0.25
+
+
+def test_absent_fields_take_the_dataclass_defaults():
+    assert pipeline_config_from_dict({}) == PipelineConfig()
+    assert pipeline_config_from_dict({"ensemble": {}, "m": 2}) == PipelineConfig(m=2)
+    assert PipelineConfig().ar_order == DEFAULT_AR_ORDER

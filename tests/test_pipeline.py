@@ -250,7 +250,7 @@ def _reference_transform(method, config, fs, trials, labels):
         if config.channels is not None:
             return list(config.channels)
         scores = fisher_scores(np.array(values), labels)
-        return select_channels(scores, min(config.n_select, len(scores)))
+        return select_channels(scores, config.n_select)
 
     if method == "csp":
         def prep(t):
@@ -492,11 +492,12 @@ def test_cli_paths_preprocess_the_recording_in_place(monkeypatch):
         prepared_rows.append(len(block))
         return preprocess_block(block, *args, **kwargs)
 
+    # the archive is made first: synth filters through `preprocess` too
+    ts = easy_set(seed=15, n_sessions=2, trials_per_session=20, lrp_slope_uv_per_s=2.0)
     monkeypatch.setattr(pipeline, "preprocess_trials", recording)
     monkeypatch.setattr(param_select, "preprocess_trials", recording)
     monkeypatch.setattr(preprocess, "preprocess", counting)
     space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
-    ts = easy_set(seed=15, n_sessions=2, trials_per_session=20, lrp_slope_uv_per_s=2.0)
     partly = replace_trials(ts, [with_label(as_trials(ts)[0], None)] + list(as_trials(ts)[1:]))
     # crossval's unlabelled trials are skipped by row, not copied out, and
     # only the labelled rows are prepared

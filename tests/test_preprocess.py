@@ -297,13 +297,16 @@ def test_zero_phase_blocks_and_series(monkeypatch, rng, block_values):
 
     monkeypatch.setattr(preprocess, "BLOCK_VALUES", block_values)
     design = bandpass_ba(FS, 8.0, 30.0)
+    chain = preprocess.Chain(band_hz=(8.0, 30.0))  # demeans, then filters
     trials = rng.normal(size=(9, 4, 400))
-    assert np.array_equal(preprocess._zero_phase(design, trials),
-                          scipy_zero_phase(design, trials))
-    # series: each row its own 1-D problem, unlike the rows of one trial
+    assert np.array_equal(preprocess.preprocess_trials(trials, FS, chain),
+                          scipy_zero_phase(design, trials - trials.mean(axis=-1, keepdims=True)))
+    # series: each row its own 1-D problem, unlike the rows of one trial, so
+    # each goes through as a one-row item
     series = rng.normal(size=(11, 900))
-    expected = np.array([scipy_zero_phase(design, row) for row in series])
-    assert np.array_equal(preprocess._zero_phase(design, series, series=True), expected)
+    expected = np.array([scipy_zero_phase(design, row - row.mean()) for row in series])
+    assert np.array_equal(preprocess.preprocess_trials(series[:, None], FS, chain)[:, 0],
+                          expected)
 
 
 def test_zero_phase_non_contiguous_input(rng):
