@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +29,17 @@ def _read_only(values, dtype) -> np.ndarray:
     return a
 
 
-def _checked_rows(data, labels, sessions, indices) -> list[np.ndarray]:
+def _checked_rows(data, labels, sessions, indices, finite=False) -> list[np.ndarray]:
     """A batch of trials and per trial its label (0 for none), session id and
-    trial index, checked and made read-only (see `_read_only`)."""
+    trial index, checked and made read-only (see `_read_only`); with `finite`,
+    the data's values were checked already and are not looked at again."""
     data = _read_only(data, np.float64)
     if data.ndim != 3 or len(data) and (data.shape[1] < 1 or data.shape[2] < 2):
         raise ValueError(
             f"trial data must be channels x samples with >=1 channel and "
             f">=2 samples, got shape {data.shape[1:]}"
         )
-    if not np.isfinite(data).all():
+    if not finite and not np.isfinite(data).all():
         raise ValueError("trial data contains non-finite values")
     labels, sessions, indices = (_read_only(a, np.int64) for a in (labels, sessions, indices))
     if not labels.shape == sessions.shape == indices.shape == (len(data),):
@@ -87,7 +88,8 @@ _ROW_FIELDS = ("data", "labels", "sessions", "trial_indices")
 class TrialSet:
     """An ordered batch of equally shaped trials: one read-only, C-contiguous
     (n_trials, n_channels, n_samples) float64 array, and per trial its label
-    (-1 or +1, 0 for none), session id and trial index."""
+    (-1 or +1, 0 for none), session id and trial index. `finite` marks data
+    whose values were checked already (see `_checked_rows`)."""
 
     data: np.ndarray
     labels: np.ndarray
@@ -95,9 +97,10 @@ class TrialSet:
     trial_indices: np.ndarray
     sampling_rate_hz: float
     channel_labels: tuple[str, ...]
+    finite: InitVar[bool] = False
 
-    def __post_init__(self):
-        rows = _checked_rows(*(getattr(self, name) for name in _ROW_FIELDS))
+    def __post_init__(self, finite):
+        rows = _checked_rows(*(getattr(self, name) for name in _ROW_FIELDS), finite)
         if self.sampling_rate_hz <= 0:
             raise ValueError("sampling_rate_hz must be positive")
         channel_labels = tuple(self.channel_labels)
@@ -117,7 +120,8 @@ class TrialSet:
 
     def __getitem__(self, rows) -> "TrialSet":
         """The trials at `rows`; a slice of rows shares this set's arrays."""
-        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
+        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS},
+                       finite=True)
 
     @property
     def n_channels(self) -> int:
@@ -133,7 +137,7 @@ class TrialSet:
         return np.unique(self.sessions).tolist()
 
     def without_labels(self) -> "TrialSet":
-        return replace(self, labels=np.zeros(len(self), np.int64))
+        return replace(self, labels=np.zeros(len(self), np.int64), finite=True)
 
 
 def _joined_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,7 +168,7 @@ def join(train: TrialSet, test: TrialSet) -> TrialSet:
             for name, (c, n, fs) in zip(("train", "test"), shapes)))
     rows = {name: np.concatenate([getattr(train, name), getattr(test, name)])
             for name in _ROW_FIELDS[1:]}
-    return replace(train, data=_joined_data(train.data, test.data), **rows)
+    return replace(train, data=_joined_data(train.data, test.data), **rows, finite=True)
 
 
 @dataclass(frozen=True)
@@ -371,6 +375,6 @@ def load_archive(path) -> TrialSet:
         rows[:, row] = (0 if raw is None else int(raw), sid, index)
     data.flags.writeable = False
     try:
-        return TrialSet(data, *rows, meta["sampling_rate_hz"], channel_labels)
+        return TrialSet(data, *rows, meta["sampling_rate_hz"], channel_labels, finite=True)
     except ValueError as exc:
         raise ArchiveError(f"{path}: {exc}") from exc

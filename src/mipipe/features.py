@@ -12,6 +12,7 @@ from numpy.linalg import LinAlgError
 
 from .data_model import Trial
 from .errors import RankDeficientError
+from .preprocess import _scipy_module
 
 DEFAULT_AR_ORDER = 7
 
@@ -116,14 +117,13 @@ def csp_fits(unit: np.ndarray, traces: np.ndarray, neg_rows, pos_rows, m: int = 
 @functools.lru_cache(maxsize=64)
 def _syevr_work(n: int):
     """LAPACK's `dsyevr` and its work sizes for an n x n matrix, queried
-    once. scipy is imported here, at the first CSP fit, so a process that
-    fits none never loads it."""
-    from scipy.linalg.lapack import dsyevr, dsyevr_lwork
-
-    work, iwork, info = dsyevr_lwork(n, lower=True)
+    once. scipy.linalg's compiled LAPACK module is loaded here, at the first
+    CSP fit, so a process that fits none never loads it."""
+    flapack = _scipy_module("scipy.linalg._flapack")
+    work, iwork, info = flapack.dsyevr_lwork(n, lower=True)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: {info}")
-    return dsyevr, int(work), int(iwork)
+    return flapack.dsyevr, int(work), int(iwork)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,15 +2,21 @@
 
 All filters are Butterworth, applied forward-backward for zero phase with
 Gustafsson's initial conditions, so interior samples are free of edge
-transients. The design and the filter are numpy ports of scipy's
-`signal.butter` and `signal.filtfilt(method="gust")` that give the same bits.
-Gustafsson's least-squares solve is numpy's `lstsq`, the same LAPACK `dgelsd`
-call with scipy's default `cond`, so this module imports no scipy at all.
+transients. The design is a numpy port of scipy's `signal.butter`, and the
+filter is `signal.filtfilt(method="gust")`'s steps, giving the same bits:
+each pass runs scipy's own compiled loop, `signal._sigtools._linear_filter`,
+loaded by `_scipy_module` without scipy.signal's package import, and
+Gustafsson's least-squares solve is numpy's `lstsq`, the same LAPACK
+`dgelsd` call with scipy's default `cond`.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery as machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,10 +27,27 @@ from .data_model import Trial
 BANDPASS_ORDER = 4  # transfer-function order; doubled by forward-backward pass
 LOWPASS_ORDER = 4
 # values (trials x channels x samples) that `preprocess_trials` puts through a
-# chain at once: a block pays the filter's Python loop over samples once for
-# all its rows, and a chain's temporaries come to about six blocks (some 25 MB)
+# chain at once: a chain's temporaries come to about six blocks (some 25 MB)
 BLOCK_VALUES = 1 << 19
-_CHUNK_SAMPLES = 32  # samples whose products b * x are formed in one call
+
+
+def _scipy_module(name: str):
+    """scipy's compiled module `name` (e.g. "scipy.signal._sigtools"): the
+    one in sys.modules, else loaded from its file and registered under its
+    name, without running the `__init__` of scipy or of its subpackage
+    (scipy.signal's costs a process about a second)."""
+    if name not in sys.modules:
+        root = machinery.PathFinder.find_spec("scipy").submodule_search_locations[0]
+        folder = os.path.join(root, *name.split(".")[1:-1])
+        loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+        spec = machinery.FileFinder(folder, loaders).find_spec(name)
+        if spec is None:
+            from importlib.metadata import version
+            raise ImportError(f"no compiled module {name} in scipy {version('scipy')}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
 
 
 def _settle_samples(a: np.ndarray, tol: float = 1e-13) -> int:
@@ -103,70 +126,31 @@ def _butter(btype: str, order: int, fs_hz: float, edges_hz: tuple[float, ...]) -
     nyq = fs_hz / 2.0
     wn = [e / nyq for e in edges_hz] if len(edges_hz) > 1 else edges_hz[0] / nyq
     b, a = _butter_ba(order, wn, btype)
-    # scipy's lfilter divides b and a by a[0], and `_lfilter` does not
-    assert a[0] == 1.0 and len(b) == len(a)
     b.flags.writeable = False
     a.flags.writeable = False
     return FilterDesign(b, a, _settle_samples(a))
 
 
-def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi=None) -> None:
-    """`signal.lfilter(b, a, x, zi=zi)` of a (rows, samples) array, in place,
-    in the operation order of scipy's direct form II transposed loop:
-
-        y = z[0] + b[0] x;  z[i] = (z[i+1] + b[i+1] x) - a[i+1] y
-
-    and for the last state z[n-1] = b[n] x - a[n] y. Each row is filtered on
-    its own, so batching rows changes no bit. The loop runs over samples
-    with every row at once, on chunks of samples transposed to (samples,
-    rows).
-    """
-    order = len(a) - 1
-    rows, n = x.shape
-    z = np.zeros((order, rows))
-    if zi is not None:
-        z[...] = zi
-    # scalar coefficients keep every call below on numpy's fast
-    # contiguous-times-scalar path, which broadcasting an array would leave
-    b_coeffs, a_coeffs = [float(v) for v in b], [float(v) for v in a[1:]]
-    work = np.empty((min(_CHUNK_SAMPLES, n), order + 1, rows))
-    x_t = np.empty((len(work), rows))
-    a_y = np.empty((order, rows))
-    a_terms = list(zip(a_y, a_coeffs))
-    # per sample of a chunk: the state terms, the output and the update terms
-    steps = [(w[:order], w[0], w[1:]) for w in work]
-    for k0 in range(0, n, len(work)):
-        chunk = x[:, k0:k0 + len(work)]
-        terms, chunk_t = work[:chunk.shape[1]], x_t[:chunk.shape[1]]
-        chunk_t[...] = chunk.T
-        for i, coeff in enumerate(b_coeffs):
-            np.multiply(chunk_t, coeff, out=terms[:, i])
-        for state_terms, y, update_terms in steps[:len(terms)]:
-            np.add(state_terms, z, out=state_terms)
-            for a_y_i, coeff in a_terms:
-                np.multiply(y, coeff, out=a_y_i)
-            np.subtract(update_terms, a_y, out=z)
-        chunk[...] = terms[:, 0].T
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi=None) -> np.ndarray:
+    """`signal.lfilter(b, a, x, zi=zi)[0]` of a (rows, samples) array: scipy's
+    direct form II transposed loop, which filters each row on its own, so
+    batching rows changes no bit. `zi` is (rows, order)."""
+    kernel = _scipy_module("scipy.signal._sigtools")._linear_filter
+    return kernel(b, a, x, -1) if zi is None else kernel(b, a, x, -1, zi)[0]
 
 
 @functools.lru_cache(maxsize=64)
 def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
     """Gustafsson's M and W (`signal._filtfilt_gust`) for m edge samples,
     over the whole signal when `whole`; read-only, shared by all callers."""
-    b, a = np.array(b), np.array(a)
     order = len(a) - 1
     # Obs propagates an initial state to the output under zero input
     obs = np.zeros((m, order))
-    zi = np.zeros((order, 1))
-    zi[0] = 1
-    impulse = np.zeros((1, m))
-    _lfilter(b, a, impulse, zi)
-    obs[:, 0] = impulse[0]
+    obs[:, 0] = _lfilter(b, a, np.zeros((1, m)), np.eye(1, order))[0]
     for k in range(1, order):
         obs[k:, k] = obs[:-k, 0]
     obs_r = obs[::-1]
-    s = obs[::-1].copy()
-    _lfilter(b, a, s.T)
+    s = _lfilter(b, a, obs_r.T).T
     s_r = s[::-1]
     if whole:
         big_m = np.hstack((s_r - obs, obs_r - s))
@@ -199,14 +183,10 @@ def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int) -> n
     r, n = rows.shape
     big_m, w = _gust_matrices(tuple(b), tuple(a), m, m == n)
     # forward passes of x and of x reversed as one call, then the second
-    # passes of both, in place: afterwards the top half is y_fb and the
-    # bottom half y_bf reversed
-    buf = np.empty((2 * r, n))
-    buf[:r] = rows
-    buf[r:] = rows[:, ::-1]
-    _lfilter(b, a, buf)
-    _lfilter(b, a, buf[:, ::-1])
-    y_fb, y_bf = buf[:r], buf[r:, ::-1]
+    # passes of both: the top half is y_fb reversed, the bottom half y_bf
+    buf = _lfilter(b, a, np.concatenate((rows, rows[:, ::-1])))
+    buf = _lfilter(b, a, buf[:, ::-1])
+    y_fb, y_bf = buf[:r, ::-1].copy(), buf[r:]
     if m == n:
         delta = y_bf - y_fb
     else:

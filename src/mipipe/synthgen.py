@@ -8,6 +8,7 @@ from session to session, plus white sensor noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,6 +54,14 @@ class SynthConfig:
             raise ConfigError("session_drift must be >= 0")
         if self.fs_hz <= 0 or self.trial_duration_s <= 0:
             raise ConfigError("fs_hz and trial_duration_s must be positive")
+        # the trials are one float64 array, whose byte count numpy holds in 63 bits
+        sizes = {"n_sessions x trials_per_session": self.n_sessions * self.trials_per_session,
+                 "n_channels": self.n_channels,
+                 "fs_hz x trial_duration_s": self.fs_hz * self.trial_duration_s}
+        if not math.prod(min(size, 2.0**63) for size in sizes.values()) < 2**60:
+            name = max(sizes, key=sizes.get)
+            raise ConfigError(f"{name} = {sizes[name]} makes more trial data than one "
+                              f"array holds")
 
 
 def _rotation(n: int, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -76,6 +85,7 @@ def _rhythm_sources(band_noise, envelope_noise, fs, lo, hi):
     return band * np.clip(envelope, 0.2, None)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported at the end
 def generate(config: SynthConfig) -> TrialSet:
     """Build a labeled multi-session TrialSet; bitwise deterministic in seed."""
     rng = np.random.default_rng(config.seed)
@@ -116,7 +126,7 @@ def generate(config: SynthConfig) -> TrialSet:
     # trials alternate class -1, +1 within each session
     labels = np.tile([-1, 1], n_trials // 2)
     sessions, indices = np.divmod(np.arange(n_trials), config.trials_per_session)
-    session_mixing = [_rotation(n_ch, config.session_drift * s, u, v) @ mixing
+    session_mixing = [_rotation(n_ch, float(config.session_drift) * s, u, v) @ mixing
                       for s in range(config.n_sessions)]
     for trial, (label, session) in enumerate(zip(labels.tolist(), sessions.tolist())):
         src = np.empty((3, n))
@@ -130,9 +140,12 @@ def generate(config: SynthConfig) -> TrialSet:
             mixed = mixed + config.noise_sigma_uv * data[trial]
         data[trial] = mixed
 
+    if not np.isfinite(data).all():
+        raise ConfigError("lrp_slope_uv_per_s or noise_sigma_uv is too large: the trial "
+                          "data overflows float64")
     data.flags.writeable = False
     return TrialSet(data, labels, sessions + 1, indices, fs,
-                    tuple(f"ch{i}" for i in range(n_ch)))
+                    tuple(f"ch{i}" for i in range(n_ch)), finite=True)
 
 
 def synth_config_from_dict(doc: dict) -> SynthConfig:

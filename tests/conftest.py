@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +37,15 @@ def as_trials(trial_set) -> tuple:
     return tuple(Trial(x, label or None, session, index) for x, label, session, index in zip(
         trial_set.data, trial_set.labels.tolist(), trial_set.sessions.tolist(),
         trial_set.trial_indices.tolist()))
+
+
+def fresh_interpreter(code: str, *args: str) -> str:
+    """stdout of `code` run with `args` in a fresh interpreter."""
+    import mipipe
+
+    env = {**os.environ, "PYTHONPATH": str(Path(mipipe.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          timeout=300, capture_output=True, text=True).stdout
 
 
 def with_label(trial, label):

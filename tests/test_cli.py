@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from mipipe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from mipipe.data_model import load_archive, save_archive
 
-from conftest import as_trials, count_filtered_trials, replace_trials, with_label
+from conftest import (as_trials, count_filtered_trials, fresh_interpreter, replace_trials,
+                      with_label)
 
 SYNTH_DOC = {
     "n_channels": 4,
@@ -403,6 +404,20 @@ class TestTypedErrors:
         assert main(["synth", "--out", str(tmp_path / "new"), "--config", cfg]) == EXIT_CONFIG
         assert f"config error: {message}" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"fs_hz": 1e308}, "fs_hz x trial_duration_s = inf makes more trial data"),
+        ({"trial_duration_s": 1e308}, "fs_hz x trial_duration_s = inf makes more trial data"),
+        ({"n_channels": 10 ** 30}, f"n_channels = {10 ** 30} makes more trial data"),
+        ({"n_sessions": 2 ** 40, "trials_per_session": 2 ** 20},
+         f"n_sessions x trials_per_session = {2 ** 60} makes more trial data"),
+        ({"lrp_slope_uv_per_s": 1e308}, "lrp_slope_uv_per_s or noise_sigma_uv is too large"),
+        ({"noise_sigma_uv": 1e308}, "lrp_slope_uv_per_s or noise_sigma_uv is too large"),
+    ])
+    def test_synth_sizes_past_an_array_name_the_field(self, tmp_path, capsys, doc, message):
+        cfg = write_json(tmp_path / "synth.json", doc)
+        assert main(["synth", "--out", str(tmp_path / "new"), "--config", cfg]) == EXIT_CONFIG
+        assert f"config error: {message}" in one_line_error(capsys)
+
     @pytest.mark.parametrize("command,doc,name", [
         ("synth", {"n_channels": 4.0}, "n_channels"),
         ("synth", {"seed": 1.5}, "seed"),
@@ -518,29 +533,15 @@ class TestParser:
         capsys.readouterr()
 
 
-def _fresh_interpreter(code: str, *args: str) -> str:
-    """stdout of `code` run with `args` in a fresh interpreter."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import mipipe
-
-    env = {**os.environ, "PYTHONPATH": str(Path(mipipe.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
-                          timeout=300, capture_output=True, text=True).stdout
-
-
 SCIPY_LOADED = ("import sys; print(sorted(m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')))")
 
 
 def test_cli_import_leaves_scipy_signal_out():
-    # importing scipy costs a process about 0.2 s (scipy.signal over a
-    # second); a fresh interpreter must get through `import mipipe.cli`
-    # without any of it
-    assert _fresh_interpreter("import mipipe.cli; " + SCIPY_LOADED) == "[]\n"
+    # importing scipy.signal costs a process about a second, scipy.linalg a
+    # third of one; a fresh interpreter must get through `import mipipe.cli`
+    # without loading any scipy module
+    assert fresh_interpreter("import mipipe.cli; " + SCIPY_LOADED) == "[]\n"
 
 
 SYNTH_THEN_CROSSVAL = """
@@ -553,17 +554,18 @@ assert main(["crossval", "--data", arch, "--config", config, "--folds", "5",
 """
 
 
-@pytest.mark.parametrize("method, loaded", [("lrp", False), ("csp", True)])
-def test_scipy_is_loaded_only_to_fit_a_csp(tmp_path, method, loaded):
-    # scipy's `dsyevr` is imported at the first CSP fit; `synth` and the
-    # other methods never load scipy
-    out = _fresh_interpreter(
+@pytest.mark.parametrize("method, fits_csp", [("lrp", False), ("csp", True)])
+def test_scipy_is_loaded_only_to_fit_a_csp(tmp_path, method, fits_csp):
+    # the filters load scipy's compiled filter loop, and only the first CSP
+    # fit its compiled LAPACK module, each on its own: no scipy package
+    # (`scipy`, `scipy.signal`, `scipy.linalg`) is ever imported
+    out = fresh_interpreter(
         SYNTH_THEN_CROSSVAL + SCIPY_LOADED, str(tmp_path / "arch"),
         write_json(tmp_path / "synth.json", SYNTH_DOC),
         write_json(tmp_path / "pipeline.json", {**FAST_PIPELINE_DOC, "method": method}),
         str(tmp_path / "cv.json"))
-    assert ("'scipy.linalg" in out) is loaded
-    assert (out == "[]\n") is not loaded
+    loaded = ["scipy.linalg._flapack"] * fits_csp + ["scipy.signal._sigtools"]
+    assert out == f"{loaded}\n"
 
 
 # JSON values a mutated field takes: wrong types, edge numbers, nesting
@@ -615,6 +617,27 @@ def _one_line_exit(args) -> int:
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL)
     assert len(err.getvalue().splitlines()) == (code != EXIT_OK), err.getvalue()
     return code
+
+
+FUZZ_SYNTH_FIELDS = ["n_channels", "n_sessions", "trials_per_session", "fs_hz",
+                     "trial_duration_s", "rhythm_band_hz", "erd_depth", "lrp_slope_uv_per_s",
+                     "noise_sigma_uv", "session_drift", "seed", "bogus"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_SYNTH_FIELDS), st.sampled_from(FUZZ_POOL)),
+                min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mutated_synth_config_exits_with_a_code_and_one_line(changes):
+    """`synth` exits 0 or 2, with one stderr line on failure and no escaping
+    exception, whatever 1-3 fields of a small config hold."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        doc = {**SYNTH_DOC, "n_sessions": 2, "trials_per_session": 4, "trial_duration_s": 2}
+        for name, value in changes:
+            doc[name] = deepcopy(value)
+        code = _one_line_exit(["synth", "--out", str(tmp / "arch"),
+                               "--config", write_json(tmp / "synth.json", doc)])
+        assert code in (EXIT_OK, EXIT_CONFIG)
 
 
 @given(st.one_of(

@@ -105,6 +105,27 @@ def test_split_and_without_labels_share_the_recording():
     assert blind.sessions is ts.sessions
 
 
+def test_views_of_a_checked_set_skip_only_the_data_pass():
+    # a set built over memory its caller can still write: a value changed
+    # after the check shows which constructions look at the data again
+    raw = np.zeros((4, 2, 4))
+    data = raw.view()
+    data.flags.writeable = False
+    ts = _set(4, data=data, sessions=[1, 1, 2, 2])
+    raw[3, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _set(4, data=data)
+    views = [ts[1:], ts[[0, 3]], ts.without_labels(), join(ts[:2], ts[2:])]
+    assert all(np.isnan(v.data).any() for v in views)
+    # the label, session-order and index checks still run
+    with pytest.raises(ValueError, match="session_ids must be nondecreasing"):
+        join(ts[2:], ts[:2])
+    with pytest.raises(ValueError, match="session_ids must be nondecreasing"):
+        ts[[3, 0]]
+    with pytest.raises(ValueError, match="trial_index must be >= 0"):
+        _set(4, data=data, trial_indices=[0, 1, 2, -3], finite=True)
+
+
 def test_roundtrip_small(tmp_path, rng):
     trials = [
         make_trial(rng.normal(size=(3, 4)), label=-1, trial_index=0),

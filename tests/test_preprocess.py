@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,9 @@ from scipy import linalg
 
 from mipipe.preprocess import (
     _gust_matrices,
+    _lfilter,
     _lstsq,
+    _scipy_module,
     _zero_phase,
     bandpass_array,
     bandpass_ba,
@@ -14,7 +19,7 @@ from mipipe.preprocess import (
     lowpass_ba,
 )
 
-from conftest import make_trial
+from conftest import fresh_interpreter, make_trial
 from oracle import (baseline_correct, common_average_reference, crop, lowpass_zero_phase,
                     scipy_zero_phase)
 
@@ -369,3 +374,85 @@ def test_lstsq_equals_scipy_bitwise(rng):
     # the finiteness check scipy makes is kept
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
         bandpass_array(np.r_[np.zeros(50), np.inf, np.zeros(49)], FS, 8.0, 12.0)
+
+
+# --- the compiled kernels: scipy's filter loop and LAPACK module ------------
+
+@pytest.mark.parametrize("name", ORACLE_DESIGNS)
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("with_zi", [False, True])
+def test_lfilter_equals_scipy_lfilter_bitwise(rng, name, reverse, with_zi):
+    from scipy import signal
+
+    design = ORACLE_DESIGNS[name]()
+    x = 3.0 * rng.normal(size=(9, 700)) - 1.0
+    if reverse:  # a negative-stride view, as the second pass of `_gust_block` gets
+        x = x[:, ::-1]
+    zi = rng.normal(size=(len(x), len(design.a) - 1)) if with_zi else None
+    expected = signal.lfilter(design.b, design.a, x, zi=zi)
+    out = _lfilter(design.b, design.a, x, zi)
+    assert np.array_equal(out, expected[0] if with_zi else expected)
+
+
+SAME_BITS_AS_PUBLIC_SCIPY = """
+import sys
+import numpy as np
+from mipipe.features import _eigh
+from mipipe.preprocess import _scipy_module, _zero_phase, bandpass_ba, lowpass_ba
+
+rng = np.random.default_rng(5)
+x = rng.normal(size=(4, 900))
+a = rng.normal(size=(7, 7))
+a = a @ a.T
+designs = [bandpass_ba(100.0, 8.0, 30.0), lowpass_ba(100.0, 1.5)]
+filtered, (w, v) = [_zero_phase(design, x) for design in designs], _eigh(a)
+names = ["scipy.signal._sigtools", "scipy.linalg._flapack"]
+loaded = [_scipy_module(name) for name in names]
+import scipy.linalg, scipy.signal
+assert [sys.modules[name] for name in names] == loaded
+assert scipy.linalg.lapack.dsyevr is loaded[1].dsyevr
+for design, y in zip(designs, filtered):
+    irlen = min(design.settle, x.shape[-1] - 1)
+    assert np.array_equal(y, scipy.signal.filtfilt(design.b, design.a, x, method="gust",
+                                                   irlen=irlen))
+assert all(np.array_equal(ours, theirs) for ours, theirs in zip((w, v), scipy.linalg.eigh(a)))
+print("ok")
+"""
+
+
+def test_helper_loaded_modules_serve_public_scipy():
+    # the helper loads scipy's compiled modules first; scipy.signal and
+    # scipy.linalg imported afterwards take them from sys.modules and give
+    # the same bits
+    assert fresh_interpreter(SAME_BITS_AS_PUBLIC_SCIPY) == "ok\n"
+
+
+def test_helper_reuses_modules_scipy_loaded():
+    code = """
+import scipy.linalg, scipy.signal
+from mipipe.preprocess import _scipy_module
+assert _scipy_module("scipy.signal._sigtools") is scipy.signal._sigtools
+assert _scipy_module("scipy.linalg._flapack") is scipy.linalg._flapack
+"""
+    assert fresh_interpreter(code + SAME_BITS_AS_PUBLIC_SCIPY) == "ok\n"
+
+
+def test_helper_takes_the_module_in_sys_modules(monkeypatch):
+    # CPython hands back an already loaded extension module even when it is
+    # loaded again, so only a stand-in shows that the entry is taken as it is
+    stand_in = type(sys)("scipy.signal._sigtools")
+    monkeypatch.setitem(sys.modules, "scipy.signal._sigtools", stand_in)
+    assert _scipy_module("scipy.signal._sigtools") is stand_in
+
+
+def test_missing_compiled_module_names_it_and_the_scipy_version(monkeypatch, tmp_path):
+    import scipy
+
+    # a scipy package on the search path without the compiled module
+    (tmp_path / "scipy" / "signal").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
+    message = f"no compiled module scipy.signal._sigtools in scipy {scipy.__version__}"
+    with pytest.raises(ImportError, match=re.escape(message)):
+        _scipy_module("scipy.signal._sigtools")
