@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .data_model import _is_int
 from .errors import ConfigError
@@ -120,18 +122,6 @@ def json_number(value, name: str):
     return value
 
 
-def json_float(value, name: str) -> float:
-    """`json_number(value, name)` as a float."""
-    return float(json_number(value, name))
-
-
-def json_ints(value, name: str) -> tuple[int, ...]:
-    """`value`, a list of JSON integers, as a tuple; else a ConfigError."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    return tuple(json_int(v, name) for v in value)
-
-
 def json_pair(value, name: str) -> tuple[float, float]:
     """`value`, a list of two JSON numbers, as floats; else a ConfigError."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
@@ -139,79 +129,53 @@ def json_pair(value, name: str) -> tuple[float, float]:
     return (float(json_number(value[0], name)), float(json_number(value[1], name)))
 
 
-def _object(doc, where: str, cls) -> dict:
-    """`doc`, checked to be a JSON object whose keys are fields of `cls`."""
+def _json_value(value, hint, name: str):
+    """`value` read as a field annotated `hint`, else a ConfigError naming
+    the field `name`. An annotation with no JSON reading is a TypeError."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType) and len(args) == 2 and args[1] is type(None):
+        return None if value is None else _json_value(value, args[0], name)
+    if hint is int:
+        return json_int(value, name)
+    if hint is float:
+        return float(json_number(value, name))
+    if hint is str:  # only `method`, which PipelineConfig checks
+        return value
+    if is_dataclass(hint):
+        return config_from_dict(hint, value, name, name + ".")
+    if origin is tuple and args == (float, float):
+        return json_pair(value, name)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        if not isinstance(value, list):
+            kind = "list of integers" if args[0] is int else "list"
+            raise ConfigError(f"{name} must be a {kind}, got {value!r}")
+        return tuple(_json_value(item, args[0], name) for item in value)
+    raise TypeError(f"{name}: no JSON reading for a field annotated {hint}")
+
+
+def config_from_dict(cls, doc, where: str, prefix: str = ""):
+    """A `cls` config from the JSON object `doc`, each key read by its
+    field's annotation and named `prefix + key` in errors. An absent key,
+    or a null variable-length list, takes the field's default."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
-    return doc
-
-
-def preprocess_from_dict(doc: dict, name: str = "preprocess") -> PreprocessConfig:
-    doc = _object(doc, name, PreprocessConfig)
-    band, window = doc.get("band_hz"), doc.get("window_s")  # may be null: unset
-    try:
-        return PreprocessConfig(
-            band_hz=None if band is None else json_pair(band, "band_hz"),
-            window_s=None if window is None else json_pair(window, "window_s"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _search_list(doc: dict, name: str, default=None) -> list:
-    """The JSON list `doc[name]`, or `default` if it is absent or null."""
-    value = default if doc.get(name) is None else doc[name]
-    if not isinstance(value, list):
-        raise ConfigError(f"search.{name} is missing" if value is None
-                          else f"search.{name} must be a list, got {value!r}")
-    return value
-
-
-def search_from_dict(doc: dict) -> SearchSpace:
-    doc = _object(doc, "search", SearchSpace)
-    return SearchSpace(
-        bands_hz=tuple(json_pair(b, "band candidate") for b in _search_list(doc, "bands_hz")),
-        windows_s=tuple(json_pair(w, "window candidate") for w in _search_list(doc, "windows_s")),
-        channel_sets=tuple(None if cs is None else json_ints(cs, "search.channel_sets")
-                           for cs in _search_list(doc, "channel_sets", [None])),
-        m_values=json_ints(_search_list(doc, "m_values", [1]), "search.m_values"),
-    )
-
-
-def _checked_fields(doc: dict, defaults, checks: dict, where: str = "") -> dict:
-    """Each field of `checks`, checked from `doc`, or from `defaults` if absent."""
-    return {name: check(doc[name], where + name) if name in doc else getattr(defaults, name)
-            for name, check in checks.items()}
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name not in doc or (doc[f.name] is None and get_args(hint)[-1:] == (Ellipsis,)):
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{prefix}{f.name} is missing")
+        else:
+            kwargs[f.name] = _json_value(doc[f.name], hint, prefix + f.name)
+    return cls(**kwargs)
 
 
 def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
-    """Build a PipelineConfig from parsed JSON, naming the offending field;
-    an absent field takes its dataclass default."""
-    doc = _object(doc, "config", PipelineConfig)
-    base = PipelineConfig()
-    try:
-        ens = _object(doc.get("ensemble", {}), "ensemble", EnsembleConfig)
-        return PipelineConfig(
-            method=doc.get("method", base.method),
-            **_checked_fields(doc, base, {
-                "preprocess": preprocess_from_dict, "m": json_int, "ar_order": json_int,
-                "ar_band_hz": json_pair, "lrp_lowpass_hz": json_float,
-                "lrp_baseline_window_s": json_pair, "lrp_feature_window_s": json_pair,
-                "n_select": json_int}),
-            channels=None if doc.get("channels") is None
-            else json_ints(doc["channels"], "channels"),
-            ensemble=EnsembleConfig(**_checked_fields(ens, base.ensemble, {
-                "rounds": json_int, "subset_fraction": json_float, "seed": json_int},
-                "ensemble.")),
-            search=None if doc.get("search") is None else search_from_dict(doc["search"]),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid pipeline config: {exc}") from exc
+    return config_from_dict(PipelineConfig, doc, "config")
 
 
 def pipeline_config_to_dict(config: PipelineConfig) -> dict:

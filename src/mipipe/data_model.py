@@ -119,9 +119,14 @@ class TrialSet:
         return len(self.data)
 
     def __getitem__(self, rows) -> "TrialSet":
-        """The trials at `rows`; a slice of rows shares this set's arrays."""
-        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS},
-                       finite=True)
+        """The trials at `rows`; a slice of rows shares this set's arrays.
+        Other rows are gathered into fresh arrays, made read-only here so
+        that `_read_only` takes them without a second copy."""
+        picked = {name: getattr(self, name)[rows] for name in _ROW_FIELDS}
+        for values in picked.values():
+            if isinstance(values, np.ndarray):
+                values.flags.writeable = False
+        return replace(self, **picked, finite=True)
 
     @property
     def n_channels(self) -> int:

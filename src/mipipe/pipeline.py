@@ -3,7 +3,7 @@ and session-by-session semi-supervised adaptive classification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -147,6 +147,9 @@ class ArExtractor(_Extractor):
         errors = []
 
         def summarise(x):
+            if x.shape[1] <= 10 * order:  # fit_ar's bound, before the table is made
+                raise ConfigError(f"ar_order {order} needs more than {10 * order} samples "
+                                  f"per window, got {x.shape[1]}")
             row = np.full((len(x), order + 2), np.nan)
             row[:, 0] = np.log(x.var(axis=1))
             failed = {}
@@ -303,16 +306,7 @@ class EvalReport:
     chosen: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "train_accuracy_mean": self.train_accuracy_mean,
-            "train_accuracy_std": self.train_accuracy_std,
-            "test_accuracy": self.test_accuracy,
-            "per_session": {str(k): v for k, v in self.per_session.items()},
-            "confusion": self.confusion,
-            "predicted_labels": self.predicted_labels,
-            "chosen": self.chosen,
-        }
+        return asdict(self) | {"per_session": {str(k): v for k, v in self.per_session.items()}}
 
 
 def _chosen_entry(phase: str, result) -> dict:

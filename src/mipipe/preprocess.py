@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_model import Trial
+from .errors import ConfigError
 
 BANDPASS_ORDER = 4  # transfer-function order; doubled by forward-backward pass
 LOWPASS_ORDER = 4
@@ -368,5 +369,5 @@ class PreprocessConfig:
 
     def __post_init__(self):
         if self.band_hz is not None and not self.band_hz[0] < self.band_hz[1]:
-            raise ValueError("band_hz must satisfy low < high")
+            raise ConfigError("band_hz must satisfy low < high")
 

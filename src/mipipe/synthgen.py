@@ -9,11 +9,11 @@ from session to session, plus white sensor noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _object, json_int, json_number, json_pair
+from .config import config_from_dict
 from .data_model import TrialSet
 from .errors import ConfigError
 from .preprocess import Chain, preprocess_trials
@@ -149,12 +149,4 @@ def generate(config: SynthConfig) -> TrialSet:
 
 
 def synth_config_from_dict(doc: dict) -> SynthConfig:
-    doc = _object(doc, "synth config", SynthConfig)
-    # field types are strings here (from __future__ import annotations)
-    checks = {"int": json_int, "float": json_number, "tuple[float, float]": json_pair}
-    kwargs = {f.name: checks[f.type](doc[f.name], f.name)
-              for f in fields(SynthConfig) if f.name in doc}
-    try:
-        return SynthConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid synth config: {exc}") from exc
+    return config_from_dict(SynthConfig, doc, "synth config")

@@ -444,6 +444,16 @@ class TestTypedErrors:
         assert main(args) == EXIT_CONFIG
         assert f"{name} must be an integer" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("order", [45, 10 ** 30])
+    def test_ar_order_past_the_window_is_named(self, archive, tmp_path, capsys, order):
+        # the 4 s default window holds 400 samples; the order is checked
+        # before the per-trial AR table of order + 2 columns is allocated
+        cfg = write_json(tmp_path / "cfg.json", {"method": "ar", "ar_order": order})
+        assert main(["crossval", "--data", str(archive), "--config", cfg,
+                     "--report", str(tmp_path / "cv.json")]) == EXIT_CONFIG
+        assert (f"config error: ar_order {order} needs more than {10 * order} samples "
+                f"per window, got 400") in one_line_error(capsys)
+
     @pytest.mark.parametrize("mutate", [
         lambda m: m.pop("channel_labels"),
         lambda m: m.pop("sessions"),

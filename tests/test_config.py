@@ -1,8 +1,13 @@
+from dataclasses import dataclass, fields
+
 import pytest
 
-from mipipe.config import PipelineConfig, pipeline_config_from_dict, pipeline_config_to_dict
+from mipipe.config import (EnsembleConfig, PipelineConfig, SearchSpace, config_from_dict,
+                           pipeline_config_from_dict, pipeline_config_to_dict)
 from mipipe.errors import ConfigError
 from mipipe.features import DEFAULT_AR_ORDER
+from mipipe.preprocess import PreprocessConfig
+from mipipe.synthgen import SynthConfig, synth_config_from_dict
 
 SEARCH = {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]]}
 
@@ -45,7 +50,7 @@ def test_echo_holds_only_fields_the_pipeline_reads():
     ({"bands_hz": [[8, 12]], "windows_s": "0.5-2.5"},
      "search.windows_s must be a list, got '0.5-2.5'"),
     ({**SEARCH, "channel_sets": 3}, "search.channel_sets must be a list, got 3"),
-    ({**SEARCH, "m_values": 2}, "search.m_values must be a list, got 2"),
+    ({**SEARCH, "m_values": 2}, "search.m_values must be a list of integers, got 2"),
 ])
 def test_search_fields_named_when_missing_or_not_lists(search, message):
     with pytest.raises(ConfigError) as info:
@@ -72,9 +77,9 @@ def test_search_optional_fields_default():
     ({"ensemble": {"subset_fraction": True}},
      "ensemble.subset_fraction must be a number, got True"),
     ({"search": {"bands_hz": [None], "windows_s": [[0.5, 2.5]]}},
-     "band candidate must be a pair of numbers, got None"),
+     "search.bands_hz must be a pair of numbers, got None"),
     ({"search": {"bands_hz": [[8, 10]], "windows_s": [[0.5, 2.5], None]}},
-     "window candidate must be a pair of numbers, got None"),
+     "search.windows_s must be a pair of numbers, got None"),
     ({"channels": 5}, "channels must be a list of integers, got 5"),
     ({"channels": "0,1"}, "channels must be a list of integers, got '0,1'"),
     ({"search": {**SEARCH, "channel_sets": [None, 5]}},
@@ -97,3 +102,40 @@ def test_absent_fields_take_the_dataclass_defaults():
     assert pipeline_config_from_dict({}) == PipelineConfig()
     assert pipeline_config_from_dict({"ensemble": {}, "m": 2}) == PipelineConfig(m=2)
     assert PipelineConfig().ar_order == DEFAULT_AR_ORDER
+
+
+# each config class: how a doc of its fields is read, and its fields' prefix
+READERS = {
+    PipelineConfig: (pipeline_config_from_dict, ""),
+    PreprocessConfig: (lambda doc: pipeline_config_from_dict({"preprocess": doc}), "preprocess."),
+    EnsembleConfig: (lambda doc: pipeline_config_from_dict({"ensemble": doc}), "ensemble."),
+    SearchSpace: (lambda doc: pipeline_config_from_dict({"search": SEARCH | doc}), "search."),
+    SynthConfig: (synth_config_from_dict, ""),
+}
+NESTED = {"preprocess", "ensemble", "search"}  # object fields: {} is of the right type
+
+
+@pytest.mark.parametrize("cls,name,value", [
+    (cls, f.name, value) for cls in READERS for f in fields(cls) if f.name != "method"
+    for value in ([[{}]] if f.name in NESTED else [{}, [{}]])
+], ids=lambda v: getattr(v, "__name__", None))
+def test_every_field_rejects_a_wrong_json_type_by_its_dotted_name(cls, name, value):
+    read, prefix = READERS[cls]
+    with pytest.raises(ConfigError) as info:
+        read({name: value})
+    assert str(info.value).startswith(f"{prefix}{name} "), str(info.value)
+
+
+def test_method_is_checked_by_the_pipeline_config():
+    with pytest.raises(ConfigError) as info:
+        pipeline_config_from_dict({"method": {}})
+    assert str(info.value) == "unknown method {}"
+
+
+def test_reader_refuses_an_annotation_it_cannot_check():
+    @dataclass(frozen=True)
+    class Flagged:
+        flag: bool = False
+
+    with pytest.raises(TypeError):
+        config_from_dict(Flagged, {"flag": True}, "flagged")

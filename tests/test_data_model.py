@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ def test_views_of_a_checked_set_skip_only_the_data_pass():
         ts[[3, 0]]
     with pytest.raises(ValueError, match="trial_index must be >= 0"):
         _set(4, data=data, trial_indices=[0, 1, 2, -3], finite=True)
+
+
+def test_index_array_gathers_the_rows_once(rng):
+    ts = _set(240, data=rng.normal(size=(240, 8, 1250)), channel_labels=tuple("abcdefgh"))
+    idx = np.arange(0, 240, 2)
+    tracemalloc.start()
+    try:
+        picked = ts[idx]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * picked.data.nbytes
+    assert not picked.data.flags.writeable and picked.data.flags.c_contiguous
+    np.testing.assert_array_equal(picked.data, ts.data[idx])
 
 
 def test_roundtrip_small(tmp_path, rng):
