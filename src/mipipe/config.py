@@ -26,6 +26,8 @@ class EnsembleConfig:
             raise ConfigError("ensemble rounds must be >= 1")
         if not 0 < self.subset_fraction <= 1:
             raise ConfigError("subset_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("ensemble.seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,10 @@ class PipelineConfig:
             raise ConfigError("ar_order must be >= 1")
         if self.n_select < 1:
             raise ConfigError("n_select must be >= 1")
+        for name in ("ar_band_hz", "lrp_baseline_window_s", "lrp_feature_window_s"):
+            pair = getattr(self, name)
+            if not pair[0] < pair[1]:
+                raise ConfigError(f"{name} must be increasing, got {pair}")
 
     def replace(self, **kwargs) -> "PipelineConfig":
         from dataclasses import replace

@@ -346,8 +346,8 @@ def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
     `test_rows`. `cache` holds the preparations of `data`'s trials by
     `part_key`, so each part is prepared once however many fits share it.
     When each class has two trials or more, and `folds` is 2 or more, the fit
-    rows are cross-validated first. Returns the predictions and the
-    cross-validated (mean, std), or None."""
+    rows are cross-validated first, in `usable_folds(labels, folds, cv_seed)`.
+    Returns the predictions and the cross-validated (mean, std), or None."""
     fold_list = usable_folds(labels, folds, cv_seed)
     extractor = make_extractor(config, data.sampling_rate_hz)
     prepared = extractor.prepare_shared(data.data, cache)
@@ -360,6 +360,38 @@ def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
     return bagging_predict_rows(ensemble, extractor.transform_rows(prepared, test_rows)), cv
 
 
+def _run_blocks(data: TrialSet, k: int, ends: Sequence[int], phases: Sequence[str],
+                config: PipelineConfig, cache: dict, folds: int = 10,
+                cv_seed: int = 0) -> EvalReport:
+    """Cross-validate and fit rows [0, k) of `data` under their labels, and
+    predict up to `ends[0]`; then fit each later block on every row before
+    it, under the labels and the earlier blocks' frozen predictions. With a
+    `search`, each block first searches its fit rows against its own rows,
+    and one that ends before `data` prepares `data[:end]`, not via `cache`."""
+    report = EvalReport(method=config.method)
+    labels = data.labels[:k]
+    if not labels.all():
+        raise ValueError("training set contains unlabeled trials")
+    for end, phase in zip(ends, phases):
+        block_config, fit_data, fit_cache = config, data, cache
+        if config.search is not None:
+            train = replace(data[:len(labels)], labels=labels, finite=True)
+            result = grid_search(train, data[len(labels):end].without_labels(), config.search,
+                                 base=config)
+            block_config = result.config
+            report.chosen.append(_chosen_entry(phase, result))
+            if end < len(data):
+                fit_data, fit_cache = data[:end], {}
+        predicted, cv = _fit_predict(fit_data, labels, np.arange(len(labels), end),
+                                     block_config, fit_cache, folds, cv_seed)
+        if cv is not None:
+            report.train_accuracy_mean, report.train_accuracy_std = cv
+        labels = np.concatenate([labels, predicted])
+        folds = 0  # only the first block is cross-validated
+    _score_predictions(report, labels[k:], data.labels[k:], data.sessions[k:])
+    return report
+
+
 def run_static(
     train: TrialSet,
     test: TrialSet,
@@ -370,27 +402,8 @@ def run_static(
     """Optional transductive search, then fit on train and predict test.
     Train and test trials are joined (see `join`: the halves of a `split`
     are not copied) and prepared together, once per chain."""
-    return _run_static(join(train, test), len(train), config, {}, folds, cv_seed)
-
-
-def _run_static(data, n_train, config, cache, folds=10, cv_seed=0) -> EvalReport:
-    """`run_static` with rows [0, n_train) of `data` for train and the rest
-    for test, preparing through `cache` (see `_fit_predict`)."""
-    report = EvalReport(method=config.method)
-    labels = data.labels[:n_train]
-    if config.search is not None:
-        result = grid_search(data[:n_train], data[n_train:].without_labels(), config.search,
-                             base=config)
-        config = result.config
-        report.chosen.append(_chosen_entry("static", result))
-    if not labels.all():
-        raise ValueError("training set contains unlabeled trials")
-    predicted, cv = _fit_predict(data, labels, np.arange(n_train, len(data)),
-                                 config, cache, folds, cv_seed)
-    if cv is not None:
-        report.train_accuracy_mean, report.train_accuracy_std = cv
-    _score_predictions(report, predicted, data.labels[n_train:], data.sessions[n_train:])
-    return report
+    data = join(train, test)
+    return _run_blocks(data, len(train), [len(data)], ["static"], config, {}, folds, cv_seed)
 
 
 def sweep_fractions(
@@ -410,7 +423,7 @@ def sweep_fractions(
         method_config = config.replace(method=method)
         for fraction in fractions:
             n_train = split_count(data, SplitSpec(fraction, "prefix"))
-            report = _run_static(data, n_train, method_config, cache)
+            report = _run_blocks(data, n_train, [len(data)], ["static"], method_config, cache)
             rows.append({
                 "method": method,
                 "train_fraction": fraction,
@@ -433,11 +446,10 @@ def run_adaptive(
 
     The initial labeled set (within session 1) classifies the rest of session
     1; each later session is classified after extending the training set with
-    all previously predicted trials under their frozen pseudo-labels. The
-    training set and every block are a prefix of the recording in order, so
-    without a search every block fits and predicts rows of one preparation of
-    the recording; with one, each block's chosen chain is prepared over the
-    rows up to the block's end.
+    all previously predicted trials under their frozen pseudo-labels: one
+    `_run_blocks` block per session, so with a search the initial set is
+    cross-validated under the first block's choice. Without one every block
+    fits and predicts rows of one preparation of the recording.
     """
     sessions = data.session_ids
     if len(sessions) < 2:
@@ -445,34 +457,8 @@ def run_adaptive(
     k = split_count(data, initial_train)
     if (data.sessions[:k] != sessions[0]).any():
         raise ValueError("initial training set must lie within the first session")
-
-    report = EvalReport(method=config.method)
-    labels = data.labels[:k]
-    n_folds = len(usable_folds(labels, folds))
-    if n_folds >= 2:
-        report.train_accuracy_mean, report.train_accuracy_std = cross_validate(
-            data[:k], config, n_folds, cv_seed)
-    if not labels.all():
-        raise ValueError("training set contains unlabeled trials")
-    cache: dict = {}
-    for sid in sessions:
-        # each block runs to the end of its session; the first is the rest
-        # of the first session, skipped when the initial set covers all of it
-        end = int(np.searchsorted(data.sessions, sid, side="right"))
-        if end == len(labels):
-            continue
-        rows = np.arange(len(labels), end)
-        cfg, fit_data, fit_cache = config, data, cache
-        if config.search is not None:
-            # the rows so far under their labels and pseudo-labels, then the block
-            train = replace(data[:len(labels)], labels=labels)
-            result = grid_search(train, data[len(labels):end].without_labels(),
-                                 config.search, base=config)
-            cfg = result.config
-            report.chosen.append(_chosen_entry(f"session{sid}", result))
-            fit_data, fit_cache = data[:end], {}
-        predicted, _ = _fit_predict(fit_data, labels, rows, cfg, fit_cache)
-        labels = np.concatenate([labels, predicted])
-
-    _score_predictions(report, labels[k:], data.labels[k:], data.sessions[k:])
-    return report
+    ends = [int(np.searchsorted(data.sessions, sid, side="right")) for sid in sessions]
+    phases = [f"session{sid}" for sid in sessions]
+    if ends[0] == k:  # the initial set covers all of session 1
+        ends, phases = ends[1:], phases[1:]
+    return _run_blocks(data, k, ends, phases, config, {}, folds, cv_seed)

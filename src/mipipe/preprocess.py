@@ -368,6 +368,8 @@ class PreprocessConfig:
     window_s: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.band_hz is not None and not self.band_hz[0] < self.band_hz[1]:
-            raise ConfigError("band_hz must satisfy low < high")
+        for name in ("band_hz", "window_s"):
+            pair = getattr(self, name)
+            if pair is not None and not pair[0] < pair[1]:
+                raise ConfigError(f"preprocess.{name} must be increasing, got {pair}")
 

@@ -52,6 +52,8 @@ class SynthConfig:
             raise ConfigError("noise_sigma_uv must be >= 0")
         if self.session_drift < 0:
             raise ConfigError("session_drift must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.fs_hz <= 0 or self.trial_duration_s <= 0:
             raise ConfigError("fs_hz and trial_duration_s must be positive")
         # the trials are one float64 array, whose byte count numpy holds in 63 bits

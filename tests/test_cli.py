@@ -227,18 +227,18 @@ class TestRun:
         assert filtered == []
 
     def test_unlabeled_train_trial_is_one_message_with_and_without_sweep(
-            self, archive, tmp_path, fast_config, capsys):
-        ts = load_archive(archive)
+            self, multisession_archive, tmp_path, fast_config, capsys):
+        ts = load_archive(multisession_archive)
         save_archive(replace_trials(
             ts, (with_label(as_trials(ts)[0], None),) + as_trials(ts)[1:]), tmp_path / "arch")
         lines = []
-        for sweep in ([], ["--sweep"]):
-            code = main(["run", "--data", str(tmp_path / "arch"), *sweep,
-                         "--train-fraction", "0.5", "--config", fast_config,
+        for flags in ([], ["--sweep"], ["--adapt"], ["--adapt", "--sweep"]):
+            code = main(["run", "--data", str(tmp_path / "arch"), *flags,
+                         "--train-fraction", "0.25", "--config", fast_config,
                          "--report", str(tmp_path / "run.json")])
             assert code == EXIT_CONFIG
             lines.append(capsys.readouterr().err.splitlines())
-        assert lines[0] == lines[1] == ["config error: training set contains unlabeled trials"]
+        assert lines == 4 * [["config error: training set contains unlabeled trials"]]
 
     def test_by_session_split(self, multisession_archive, tmp_path, fast_config):
         report = tmp_path / "run.json"
@@ -336,6 +336,35 @@ class TestConfigAgainstArchive:
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "out.json").read_text())
         assert doc["chosen"][0]["window_s"] == [0.5, 4.5]
+
+    def test_adaptive_sweep_supplies_csp_parameters(self, multisession_archive, tmp_path):
+        # the initial set is cross-validated under session 1's choice, so
+        # the config needs no band or window of its own
+        search = {"bands_hz": [[8, 10], [12, 14]], "windows_s": [[0.5, 4.5]]}
+        cfg = write_json(tmp_path / "pipeline.json",
+                         {**FAST_PIPELINE_DOC, "preprocess": {}, "search": search})
+        code = main(["run", "--data", str(multisession_archive), "--adapt",
+                     "--train-fraction", "0.25", "--config", cfg,
+                     "--report", str(tmp_path / "out.json")])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert [c["phase"] for c in doc["chosen"]] == ["session1", "session2"]
+        assert doc["train_accuracy_mean"] is not None
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"preprocess": {"band_hz": [8, 12], "window_s": [4.5, 0.5]}},
+         "preprocess.window_s must be increasing, got (4.5, 0.5)"),
+        ({"method": "lrp", "lrp_baseline_window_s": [0.5, 0.0]},
+         "lrp_baseline_window_s must be increasing, got (0.5, 0.0)"),
+        ({"method": "lrp", "lrp_feature_window_s": [1.5, 1.5]},
+         "lrp_feature_window_s must be increasing, got (1.5, 1.5)"),
+        ({"method": "ar", "ar_band_hz": [35, 8]},
+         "ar_band_hz must be increasing, got (35.0, 8.0)"),
+    ])
+    def test_reversed_or_empty_pair_is_named(self, archive, tmp_path, capsys, doc, message):
+        code = self.run(archive, tmp_path, doc, command="crossval")
+        assert code == EXIT_CONFIG
+        assert one_line_error(capsys) == f"config error: {message}\n"
 
 
 class TestFig1:
@@ -443,6 +472,25 @@ class TestTypedErrors:
                     "--report", str(tmp_path / "cv.json")]
         assert main(args) == EXIT_CONFIG
         assert f"{name} must be an integer" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("args,env,name", [
+        (["crossval", "--config", "seed.json"], None, "ensemble.seed"),
+        (["crossval", "--seed", "-1"], None, "ensemble.seed"),
+        (["fig1"], "-3", "ensemble.seed"),
+        (["synth", "--seed", "-1"], None, "seed"),
+    ])
+    def test_negative_seed_names_the_field(self, archive, tmp_path, monkeypatch, capsys,
+                                           args, env, name):
+        write_json(tmp_path / "seed.json", {"ensemble": {"seed": -1}})
+        if env is not None:
+            monkeypatch.setenv("MI_SEED", env)
+        monkeypatch.chdir(tmp_path)
+        if args[0] == "synth":
+            args = [*args, "--out", str(tmp_path / "new")]
+        else:
+            args = [*args, "--data", str(archive), "--report", str(tmp_path / "out.json")]
+        assert main(args) == EXIT_CONFIG
+        assert one_line_error(capsys) == f"config error: {name} must be >= 0\n"
 
     @pytest.mark.parametrize("order", [45, 10 ** 30])
     def test_ar_order_past_the_window_is_named(self, archive, tmp_path, capsys, order):

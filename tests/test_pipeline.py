@@ -13,6 +13,7 @@ from mipipe.pipeline import (
     run_static,
     sweep_fractions,
 )
+from mipipe.preprocess import PreprocessConfig
 from mipipe.synthgen import SynthConfig, generate
 
 from conftest import as_trials, count_filtered_trials, replace_trials, with_label
@@ -223,6 +224,24 @@ class TestRunAdaptive:
                               quiet_config(search=space), folds=5)
         assert [c["phase"] for c in report.chosen] == ["session3", "session4"]
         assert report.per_session.keys() == {3, 4}
+
+    def test_search_cross_validates_under_the_first_choice(self):
+        # the trial's first 0.5 s precede the ERD, so the chosen window
+        # cross-validates far worse than the configured 0.5-4.5 s one
+        space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.0, 0.5),))
+        ts = easy_set(n_sessions=2, trials_per_session=20, seed=5)
+        config = quiet_config(search=space)
+        k = 10
+        report = run_adaptive(ts, SplitSpec(k / len(ts), "prefix"), config, folds=5)
+        chosen = report.chosen[0]
+        assert chosen["window_s"] != list(config.preprocess.window_s)
+        searched = config.replace(preprocess=PreprocessConfig(
+            band_hz=tuple(chosen["band_hz"]), window_s=tuple(chosen["window_s"])))
+        labels = ts.labels[:k]
+        folds = min(5, (labels == -1).sum(), (labels == 1).sum())
+        expected = cross_validate(ts[:k], searched, folds=folds)
+        assert (report.train_accuracy_mean, report.train_accuracy_std) == expected
+        assert expected != cross_validate(ts[:k], config, folds=folds)
 
     def test_report_roundtrips_to_dict(self):
         ts = easy_set(n_sessions=2, trials_per_session=20, seed=6)
@@ -444,10 +463,9 @@ def test_run_adaptive_prepares_the_archive_once(monkeypatch, method, chains, fit
     n, k = len(ts), 8
     report = run_adaptive(ts, SplitSpec(k / n, "prefix"), quiet_config(method), folds=5)
     assert len(report.predicted_labels) == n - k
-    # the initial cross-validation prepares the k labelled trials, and every
-    # block indexes one preparation of all n
-    assert sum(filtered) == chains * (n + k)
-    assert len(ar_fits) == ((n + k) * ts.n_channels if fits_ar else 0)
+    # the initial cross-validation and every block index one preparation of all n
+    assert sum(filtered) == chains * n
+    assert len(ar_fits) == (n * ts.n_channels if fits_ar else 0)
 
 
 def test_no_path_builds_a_trial_per_row(monkeypatch, tmp_path):
