@@ -1,7 +1,8 @@
 """Core domain types, the on-disk trial archive format, and dataset splitting.
 
 A trial archive is a directory with a ``meta.json`` plus one CSV matrix file
-per trial (rows = time samples, columns = channels).
+per trial (rows = time samples, columns = channels); each trial entry of
+``meta.json`` holds its file, label and trial index.
 """
 
 from __future__ import annotations
@@ -273,26 +274,28 @@ def _read_matrix(fpath: Path) -> np.ndarray:
     return data
 
 
+def _check_unique(keys, prefix: str, suffix: str = "") -> None:
+    """Raise ArchiveError at the first (session id, trial index) pair of
+    `keys` that repeats one before it."""
+    seen = set()
+    for sid, index in keys:
+        if (sid, index) in seen:
+            raise ArchiveError(
+                f"{prefix}two trials share session {sid} and trial index {index}{suffix}")
+        seen.add((sid, index))
+
+
 def save_archive(trial_set: TrialSet, path) -> None:
     """Write a trial archive directory (meta.json + one CSV per trial)."""
     keys = list(zip(trial_set.sessions.tolist(), trial_set.trial_indices.tolist()))
-    seen = set()
-    for key in keys:
-        if key in seen:
-            raise ArchiveError(
-                f"two trials share session {key[0]} and trial index {key[1]}; "
-                f"they would be written to one file"
-            )
-        seen.add(key)
+    _check_unique(keys, "", "; they would be written to one file")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     sessions: dict[int, list[dict]] = {}
     for x, label, (sid, index) in zip(trial_set.data, trial_set.labels.tolist(), keys):
         fname = _trial_filename(sid, index)
         label = None if label == 0 else f"{label:+d}"
-        sessions.setdefault(sid, []).append(
-            {"file": fname, "label": label}
-        )
+        sessions.setdefault(sid, []).append({"file": fname, "label": label, "index": index})
         _write_matrix(path / fname, x.T)
     meta = {
         "version": ARCHIVE_VERSION,
@@ -338,6 +341,9 @@ def _check_meta(meta, meta_path: Path) -> None:
             need(isinstance(entry, dict) and isinstance(entry.get("file"), str)
                  and "label" in entry and isinstance(entry["label"], (str, type(None))),
                  "each trial entry needs a file name and a label (string or null)")
+            index = entry.get("index", 0)
+            need(_is_int(index), f"trial index {index!r} is not an integer")
+            need(-1 << 63 <= index < 1 << 63, f"trial index {index} does not fit in 64 bits")
 
 
 def load_archive(path) -> TrialSet:
@@ -353,10 +359,13 @@ def load_archive(path) -> TrialSet:
     _check_meta(meta, meta_path)
     channel_labels = meta["channel_labels"]
     n_ch = len(channel_labels)
-    entries = [(session["id"], index, entry) for session in meta["sessions"]
+    # an entry without an index is numbered by its place in its session
+    entries = [(session["id"], entry.get("index", index), entry) for session in meta["sessions"]
                for index, entry in enumerate(session["trials"])]
+    if not entries:
+        raise ArchiveError(f"{meta_path}: the archive holds no trials")
+    _check_unique([(sid, index) for sid, index, _ in entries], f"{meta_path}: ")
     rows = np.zeros((3, len(entries)), np.int64)  # labels, sessions, trial indices
-    data = np.zeros((len(entries), n_ch, 0))
     for row, (sid, index, entry) in enumerate(entries):
         fpath = path / entry["file"]
         if not fpath.exists():

@@ -110,48 +110,6 @@ def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     return fits
 
 
-class _BandBatches:
-    """Band-passed batches of the current band only, of a recording whose
-    first `n_train` rows are the train trials and the rest the test trials:
-    all rows are band-passed as one batch, once per band and channel subset
-    (filtering a subset is not bitwise the same as subsetting the filtered
-    channels), and the previous band's batch is dropped before the next band
-    is filtered. Each trial is filtered alone whatever block it shares, so
-    the rows are bitwise what filtering each set apart gives. Per window, the
-    train trials' X X^T divided by their traces are kept for every fold and
-    `m` of the window.
-    """
-
-    def __init__(self, trials: np.ndarray, n_train: int, fs_hz: float):
-        self.rows = trials
-        self.n_train = n_train
-        self.fs_hz = fs_hz
-        self.band = None
-        self.filtered: dict = {}
-        self.normalized: dict = {}
-
-    def crop(self, band, window, channels):
-        """Views of the train and test rows cropped to `window`, and
-        `trace_normalized` of the train rows' X X^T. The first error is the
-        one a per-trial pipeline meets: band, then window."""
-        if band != self.band:
-            self.filtered.clear()
-            self.normalized.clear()
-            self.band = band
-        if channels not in self.filtered:
-            self.filtered[channels] = preprocess_trials(
-                self.rows, self.fs_hz, Chain(channels=channels, band_hz=band)
-            )
-        x = self.filtered[channels]
-        i0, i1 = _window_indices(x.shape[-1], self.fs_hz, *window)
-        train_x, test_x = x[:self.n_train, ..., i0:i1], x[self.n_train:, ..., i0:i1]
-        key = (window, channels)
-        if key not in self.normalized:
-            contiguous = np.ascontiguousarray(train_x)
-            self.normalized[key] = trace_normalized(contiguous @ contiguous.transpose(0, 2, 1))
-        return train_x, test_x, self.normalized[key]
-
-
 def _unit_hyperplanes(w: np.ndarray, b: np.ndarray):
     """One-feature LDAs w (fits, 1), b (fits,) scaled to unit norm, so each
     fit scores signed distances; the first that `LdaModel` then refuses raises."""
@@ -214,10 +172,21 @@ def candidate_scores(train_x, test_x, normalized, fits, m) -> tuple[np.ndarray, 
     return train_scores, shares * w[-1] + 0.0 + b[-1]
 
 
-def _candidate_rho(batches, fits, band, window, channels, m, feasibility_threshold):
-    """One candidate's table entries; its views of the band's batches end
-    with this call, so dropping a band frees its memory."""
-    train_x, test_x, normalized = batches.crop(band, window, channels)
+def _candidate_rho(filtered, data, n_train, fs_hz, fits, band, window, channels, m,
+                   feasibility_threshold):
+    """One candidate's table entries. `filtered` holds the band's batches of
+    `data` (train then test rows) by channel subset; a subset is band-passed when
+    first used, since filtering a subset is not bitwise the same as
+    subsetting the filtered channels. The first error is the one a per-trial
+    pipeline meets: band, then window. The views of the batch end with this
+    call, so dropping `filtered` frees the band."""
+    if channels not in filtered:
+        filtered[channels] = preprocess_trials(data, fs_hz, Chain(channels=channels, band_hz=band))
+    x = filtered[channels]
+    i0, i1 = _window_indices(x.shape[-1], fs_hz, *window)
+    train_x, test_x = x[:n_train, ..., i0:i1], x[n_train:, ..., i0:i1]
+    contiguous = np.ascontiguousarray(train_x)
+    normalized = trace_normalized(contiguous @ contiguous.transpose(0, 2, 1))
     tr_scores, te_scores = candidate_scores(train_x, test_x, normalized, fits, m)
     pooled = np.r_[tr_scores, te_scores]
     lo, hi = float(pooled.min()), float(pooled.max())
@@ -243,7 +212,9 @@ def grid_search(
     is feasible the fallback objective is rho - penalty. Test labels are never
     read. Ties break by enumeration order. The two sets are joined into one
     recording (see `join`: the halves of a `split` are not copied) and
-    band-passed together.
+    band-passed together, one band at a time. Each trial is filtered alone
+    whatever block it shares, so the rows are bitwise what filtering each
+    set apart gives.
     """
     if base is None:
         base = PipelineConfig()
@@ -257,30 +228,28 @@ def grid_search(
 
     # a None channel set means the base config's channels
     channel_sets = [base.channels if cs is None else cs for cs in space.channel_sets]
-    candidates = itertools.product(
-        space.bands_hz, space.windows_s, channel_sets, space.m_values
-    )
-    batches = _BandBatches(join(train, test_unlabeled).data, len(train),
-                           train.sampling_rate_hz)
+    data, n_train, fs_hz = join(train, test_unlabeled).data, len(train), train.sampling_rate_hz
     fits = _fold_fits(labels)
     table = []
     failures = []
-    for band, window, channels, m in candidates:
-        row = {
-            "band_hz": band, "window_s": window,
-            "channels": channels, "m": m,
-            "rho": None, "penalty": None, "feasible": False, "error": None,
-        }
-        try:
-            row.update(_candidate_rho(
-                batches, fits, band, window, channels, m, feasibility_threshold
-            ))
-        except CriterionUndefinedError as exc:
-            row["error"] = str(exc)
-        except ValueError as exc:
-            row["error"] = str(exc)
-            failures.append(f"band={band} window={window} channels={channels} m={m}: {exc}")
-        table.append(row)
+    for band in space.bands_hz:
+        filtered = {}  # this band's batches only: the last band's are freed before filtering
+        for window, channels, m in itertools.product(
+                space.windows_s, channel_sets, space.m_values):
+            row = {
+                "band_hz": band, "window_s": window,
+                "channels": channels, "m": m,
+                "rho": None, "penalty": None, "feasible": False, "error": None,
+            }
+            try:
+                row.update(_candidate_rho(filtered, data, n_train, fs_hz, fits, band,
+                                          window, channels, m, feasibility_threshold))
+            except CriterionUndefinedError as exc:
+                row["error"] = str(exc)
+            except ValueError as exc:
+                row["error"] = str(exc)
+                failures.append(f"band={band} window={window} channels={channels} m={m}: {exc}")
+            table.append(row)
 
     scored = [(i, r) for i, r in enumerate(table) if r["rho"] is not None]
     if not scored:

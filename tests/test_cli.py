@@ -549,6 +549,19 @@ class TestTypedErrors:
         assert code == EXIT_IO
         assert "s01_t005.csv" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("args", [["crossval"], ["run", "--train-fraction", "0.5"],
+                                      ["fig1", "--fractions", "0.5"]])
+    def test_archive_without_trials(self, copy, tmp_path, capsys, args):
+        meta_path = copy / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["sessions"] = []
+        meta_path.write_text(json.dumps(meta))
+        code = main([args[0], "--data", str(copy), *args[1:],
+                     "--report", str(tmp_path / "out.json")])
+        assert code == EXIT_IO
+        assert one_line_error(capsys).strip() == (
+            f"archive error: {meta_path}: the archive holds no trials")
+
 
 class TestNumericalFailures:
     """A fit the data cannot support exits 4 with one line."""
@@ -634,7 +647,7 @@ FUZZ_META_PATHS = [
     ("version",), ("sampling_rate_hz",), ("channel_labels",), ("channel_labels", 0),
     ("sessions",), ("sessions", 0), ("sessions", 1, "id"), ("sessions", 0, "trials"),
     ("sessions", 0, "trials", 2), ("sessions", 0, "trials", 2, "label"),
-    ("sessions", 1, "trials", 3, "file"),
+    ("sessions", 0, "trials", 2, "index"), ("sessions", 1, "trials", 3, "file"),
 ]
 FUZZ_CONFIG_PATHS = [
     ("method",), ("preprocess",), ("preprocess", "band_hz"), ("preprocess", "window_s"),

@@ -193,6 +193,57 @@ def test_roundtrip_synthetic_multisession(tmp_path):
         assert (a.label, a.session_id, a.trial_index) == (b.label, b.session_id, b.trial_index)
 
 
+def test_roundtrip_keeps_trial_indices(tmp_path):
+    ts = generate(SynthConfig(n_channels=3, trials_per_session=20, seed=1))[10:13]
+    assert ts.trial_indices.tolist() == [10, 11, 12]
+    save_archive(ts, tmp_path / "arch")
+    assert load_archive(tmp_path / "arch").trial_indices.tolist() == [10, 11, 12]
+
+
+def test_trial_without_index_is_numbered_by_its_place(tmp_path):
+    ts = generate(SynthConfig(n_channels=3, n_sessions=2, trials_per_session=4, seed=1))
+    save_archive(ts[2:7], tmp_path / "arch")
+    meta_path = tmp_path / "arch" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    for session in meta["sessions"]:
+        for entry in session["trials"]:
+            del entry["index"]
+    meta_path.write_text(json.dumps(meta))
+    back = load_archive(tmp_path / "arch")
+    assert back.sessions.tolist() == [1, 1, 2, 2, 2]
+    assert back.trial_indices.tolist() == [0, 1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("index,message", [
+    (2 ** 63, f"meta.json: trial index {2 ** 63} does not fit in 64 bits"),
+    (-2 ** 63 - 1, f"meta.json: trial index {-2 ** 63 - 1} does not fit in 64 bits"),
+    ("3", "meta.json: trial index '3' is not an integer"),
+    (1.0, "meta.json: trial index 1.0 is not an integer"),
+    (True, "meta.json: trial index True is not an integer"),
+    (-1, "trial_index must be >= 0"),
+])
+def test_bad_trial_index_is_an_archive_error(tmp_path, index, message):
+    save_archive(make_set([make_trial(np.ones((2, 4)), label=1)]), tmp_path / "arch")
+    meta_path = tmp_path / "arch" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sessions"][0]["trials"][0]["index"] = index
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ArchiveError, match=re.escape(message)):
+        load_archive(tmp_path / "arch")
+
+
+def test_repeated_trial_index_is_an_archive_error(tmp_path, rng):
+    ts = make_set([make_trial(rng.normal(size=(2, 4)), label=1, trial_index=i) for i in range(3)])
+    save_archive(ts, tmp_path / "arch")
+    meta_path = tmp_path / "arch" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sessions"][0]["trials"][2]["index"] = 0
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"{meta_path}: two trials share session 1 and trial index 0")):
+        load_archive(tmp_path / "arch")
+
+
 def test_channel_mismatch_names_file(tmp_path, rng):
     ts = make_set([make_trial(rng.normal(size=(3, 4)), label=1)])
     save_archive(ts, tmp_path / "arch")

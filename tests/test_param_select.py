@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mipipe.param_select import (
     FEASIBILITY_THRESHOLD,
     N_BINS,
     PdfEstimate,
-    _BandBatches,
     _fold_fits,
     _unit_hyperplanes,
     candidate_scores,
@@ -22,6 +22,7 @@ from mipipe.param_select import (
     grid_search,
     pdf_correlation,
 )
+from mipipe.preprocess import Chain, _window_indices, preprocess_trials
 from mipipe.synthgen import SynthConfig, generate
 
 import oracle
@@ -287,6 +288,29 @@ class TestGridSearch:
         # one call per (band, channel set), over the train and test rows
         assert filtered == [len(train) + len(test)] * (3 * 2)
 
+    def test_one_band_of_filtered_trials_is_alive_at_a_time(self, monkeypatch):
+        # a window past the trial's end makes some candidates fail after the crop
+        train, test = planted_sets(seed=2, trials_per_session=60)
+        space = SearchSpace(
+            bands_hz=SPACE.bands_hz, windows_s=((0.5, 2.5), (1.0, 9.0), (1.0, 4.5)),
+            channel_sets=(None, (0, 3)), m_values=(1, 2),
+        )
+        batches = []  # (band, weak reference to the batch filtered under it)
+        real = param_select.preprocess_trials
+
+        def spy(rows, fs_hz, chain):
+            alive = [band for band, ref in batches if ref() is not None]
+            assert set(alive) <= {chain.band_hz}, f"filtering {chain.band_hz}, {alive} alive"
+            batch = real(rows, fs_hz, chain)
+            batches.append((chain.band_hz, weakref.ref(batch)))
+            return batch
+
+        monkeypatch.setattr(param_select, "preprocess_trials", spy)
+        result = grid_search(train, test.without_labels(), space)
+        assert all(row["error"] for row in result.table if row["window_s"] == (1.0, 9.0))
+        assert len(batches) == 3 * 2
+        assert [band for band, ref in batches if ref() is not None] == []
+
     def test_deterministic(self):
         train, test = planted_sets(seed=5, trials_per_session=80)
         r1 = grid_search(train, test.without_labels(), SPACE)
@@ -397,7 +421,8 @@ def test_csp_stack_raises_for_the_first_failing_fit():
 
 
 def unbalanced_batches(channels):
-    """Cropped train and test batches of a planted set with 33 trials of
+    """Cropped train and test batches, and `trace_normalized` of the train
+    trials' X X^T, of a planted set with 33 trials of
     class -1 and 17 of class +1: ten folds whose fits hold 29 or 30 trials
     of class -1 and 15 or 16 of class +1, and the full fit 33 and 17."""
     train, test = planted_sets(seed=7, trials_per_session=200, fraction=0.4)
@@ -408,10 +433,14 @@ def unbalanced_batches(channels):
         if counts[t.label] <= {-1: 33, 1: 17}[t.label]:
             keep.append(t)
     train = replace_trials(train, keep)
-    labels = np.array(train.labels)
-    batches = _BandBatches(join(train, test.without_labels()).data, len(train),
-                           train.sampling_rate_hz)
-    return batches.crop((12.0, 14.0), (0.5, 3.5), channels), labels
+    fs = train.sampling_rate_hz
+    x = preprocess_trials(join(train, test).data, fs,
+                          Chain(channels=channels, band_hz=(12.0, 14.0)))
+    i0, i1 = _window_indices(x.shape[-1], fs, 0.5, 3.5)
+    train_x, test_x = x[:len(train), :, i0:i1], x[len(train):, :, i0:i1]
+    contiguous = np.ascontiguousarray(train_x)
+    normalized = features.trace_normalized(contiguous @ contiguous.transpose(0, 2, 1))
+    return (train_x, test_x, normalized), np.array(train.labels)
 
 
 class TestStackedScoresMatchPerFit:

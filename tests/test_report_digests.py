@@ -1,0 +1,80 @@
+"""Every CLI report, byte for byte: the SHA-256 of each command's report on
+one small `synth` archive against the digests in `report_digests.json`.
+
+Manifests are left out (they hold paths). The digests are re-recorded with
+`python tests/record_report_digests.py`, and only by a change that states
+which outputs it changes and why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from mipipe.cli import EXIT_OK, main
+
+DIGESTS = Path(__file__).with_name("report_digests.json")
+
+# drift and a slow potential, so that no method or split is at 100 % everywhere
+SYNTH = {"n_channels": 4, "n_sessions": 3, "trials_per_session": 20,
+         "session_drift": 0.3, "lrp_slope_uv_per_s": 0.5, "seed": 0}
+SEARCH = {"search": {"bands_hz": [[8, 12], [12, 14], [16, 20]],
+                     "windows_s": [[0.5, 2.5], [0.5, 4.5]]}}
+# report name: (config, command arguments after --data and --config)
+COMMANDS = {
+    **{f"crossval_{method}": ({"method": method}, ["crossval", "--folds", "5"])
+       for method in ("csp", "ar", "lrp", "combined")},
+    "run_prefix": ({}, ["run", "--train-fraction", "0.2"]),
+    "run_by_session": ({}, ["run", "--train-fraction", "0.5", "--by-session"]),
+    "run_search": (SEARCH, ["run", "--train-fraction", "0.2"]),
+    "run_adapt": ({}, ["run", "--train-fraction", "0.2", "--adapt"]),
+    "run_adapt_search": (SEARCH, ["run", "--train-fraction", "0.2", "--adapt"]),
+    **{name: (config, ["fig1", "--fractions", "0.3,0.5",
+                       "--methods", "csp,ar,lrp,combined"])
+       for name, config in (("fig1", {}), ("fig1_search", SEARCH))},
+}
+
+
+def build() -> dict:
+    """The numpy and scipy versions and the BLAS numpy was built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
+def make_archive(root: Path) -> Path:
+    (root / "synth.json").write_text(json.dumps(SYNTH))
+    assert main(["synth", "--out", str(root / "arch"),
+                 "--config", str(root / "synth.json")]) == EXIT_OK
+    return root / "arch"
+
+
+def report_digest(archive: Path, root: Path, name: str) -> str:
+    """SHA-256 of the report `name` writes on `archive`."""
+    config, args = COMMANDS[name]
+    (root / f"{name}.json").write_text(json.dumps(config))
+    report = root / f"{name}.report.json"
+    assert main([args[0], "--data", str(archive), "--config", str(root / f"{name}.json"),
+                 *args[1:], "--report", str(report)]) == EXIT_OK
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    return make_archive(tmp_path_factory.mktemp("digests"))
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_report_is_byte_identical_to_the_recording(archive, tmp_path, name):
+    recorded = json.loads(DIGESTS.read_text())
+    got = report_digest(archive, tmp_path, name)
+    if got != recorded["reports"][name]:
+        here = build()
+        note = ("same build" if here == recorded["build"] else
+                "a different build, which may change the bits by itself")
+        pytest.fail(f"{name}: report digest {got} differs from the recorded "
+                    f"{recorded['reports'][name]}; recorded with {recorded['build']}, "
+                    f"running {here} ({note})")
