@@ -1,5 +1,6 @@
-"""Every CLI report, byte for byte: the SHA-256 of each command's report on
-one small `synth` archive against the digests in `report_digests.json`.
+"""Every CLI report, byte for byte: the SHA-256 of one small `synth` archive's
+files and of each command's report on it against the digests in
+`report_digests.json`.
 
 Manifests are left out (they hold paths). The digests are re-recorded with
 `python tests/record_report_digests.py`, and only by a change that states
@@ -52,6 +53,13 @@ def make_archive(root: Path) -> Path:
     return root / "arch"
 
 
+def archive_digests(archive: Path) -> dict:
+    """SHA-256 of `meta.json` and of every trial CSV of `archive`."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(archive.iterdir())
+            if path.name == "meta.json" or path.suffix == ".csv"}
+
+
 def report_digest(archive: Path, root: Path, name: str) -> str:
     """SHA-256 of the report `name` writes on `archive`."""
     config, args = COMMANDS[name]
@@ -67,14 +75,27 @@ def archive(tmp_path_factory):
     return make_archive(tmp_path_factory.mktemp("digests"))
 
 
-@pytest.mark.parametrize("name", list(COMMANDS))
-def test_report_is_byte_identical_to_the_recording(archive, tmp_path, name):
+def check(what: str, got, recorded_key: str, name: str) -> None:
+    """Fail naming both builds unless `got` is the digest recorded under
+    `recorded_key`, `name`."""
     recorded = json.loads(DIGESTS.read_text())
-    got = report_digest(archive, tmp_path, name)
-    if got != recorded["reports"][name]:
+    want = recorded[recorded_key][name]
+    if got != want:
         here = build()
         note = ("same build" if here == recorded["build"] else
                 "a different build, which may change the bits by itself")
-        pytest.fail(f"{name}: report digest {got} differs from the recorded "
-                    f"{recorded['reports'][name]}; recorded with {recorded['build']}, "
-                    f"running {here} ({note})")
+        pytest.fail(f"{what}: digest {got} differs from the recorded {want}; recorded "
+                    f"with {recorded['build']}, running {here} ({note})")
+
+
+def test_archive_is_byte_identical_to_the_recording(archive):
+    recorded = json.loads(DIGESTS.read_text())["archive"]
+    got = archive_digests(archive)
+    assert sorted(got) == sorted(recorded)
+    for name in recorded:
+        check(f"archive file {name}", got[name], "archive", name)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_report_is_byte_identical_to_the_recording(archive, tmp_path, name):
+    check(f"{name} report", report_digest(archive, tmp_path, name), "reports", name)
