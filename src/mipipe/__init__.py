@@ -14,7 +14,6 @@ from .data_model import (
     TrialSet,
     load_archive,
     save_archive,
-    split,
 )
 from .preprocess import PreprocessConfig
 from .synthgen import SynthConfig, generate
@@ -32,5 +31,4 @@ __all__ = [
     "generate",
     "load_archive",
     "save_archive",
-    "split",
 ]

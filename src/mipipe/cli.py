@@ -21,7 +21,7 @@ from .config import (
     pipeline_config_from_dict,
     pipeline_config_to_dict,
 )
-from .data_model import SplitSpec, TrialSet, load_archive, save_archive, split
+from .data_model import SplitSpec, TrialSet, load_archive, save_archive
 from .errors import ArchiveError, ConfigError, NumericalError
 from .pipeline import cross_validate, run_adaptive, run_static, sweep_fractions
 from .synthgen import generate, synth_config_from_dict
@@ -155,7 +155,7 @@ def cmd_run(args) -> int:
             raise ConfigError("--adapt requires >= 2 sessions")
         report = run_adaptive(data, spec, config)
     else:
-        report = run_static(*split(data, spec), config)
+        report = run_static(data, spec, config)
     doc = report.to_dict()
     doc["config"] = pipeline_config_to_dict(config)
     doc["train_fraction"] = args.train_fraction

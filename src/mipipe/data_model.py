@@ -142,40 +142,6 @@ class TrialSet:
         """The distinct session ids, in order."""
         return np.unique(self.sessions).tolist()
 
-    def without_labels(self) -> "TrialSet":
-        return replace(self, labels=np.zeros(len(self), np.int64), finite=True)
-
-
-def _joined_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows of `a` then those of `b`, read-only. Where `b`'s rows start
-    right where `a`'s end in the one array both are views of, as after
-    `split`, that is a view of that array; otherwise a copy."""
-    start = a.__array_interface__["data"][0]
-    if (a.base is not None and a.base is b.base and a.flags.c_contiguous
-            and b.flags.c_contiguous and start + a.nbytes == b.__array_interface__["data"][0]):
-        # one run of a.size + b.size values from a's first, all inside the base
-        run = np.lib.stride_tricks.as_strided(a, (a.size + b.size,), (a.itemsize,),
-                                              writeable=False)
-        return run.reshape((len(a) + len(b),) + a.shape[1:])
-    out = np.concatenate([a, b])
-    out.flags.writeable = False
-    return out
-
-
-def join(train: TrialSet, test: TrialSet) -> TrialSet:
-    """The trials of `train`, then those of `test`, as one set. The data of
-    the two halves of a `split` is joined without a copy (see
-    `_joined_data`); the per-trial label, session and index arrays are
-    copied."""
-    shapes = [(ts.n_channels, ts.n_samples, ts.sampling_rate_hz) for ts in (train, test)]
-    if shapes[0] != shapes[1]:
-        raise ValueError("train and test sets differ: " + ", ".join(
-            f"{name} has {c} channels x {n} samples at {fs} Hz"
-            for name, (c, n, fs) in zip(("train", "test"), shapes)))
-    rows = {name: np.concatenate([getattr(train, name), getattr(test, name)])
-            for name in _ROW_FIELDS[1:]}
-    return replace(train, data=_joined_data(train.data, test.data), **rows, finite=True)
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -192,7 +158,8 @@ class SplitSpec:
 
 
 def split_count(trial_set: TrialSet, spec: SplitSpec) -> int:
-    """The number of trials `split` puts in the train set.
+    """The number of leading trials of `trial_set` that `spec` puts in the
+    train set; the trials after them are the test set.
 
     Prefix mode takes the first ceil(fraction * N) trials; by_session mode
     takes the smallest number of whole leading sessions covering that count.
@@ -210,13 +177,6 @@ def split_count(trial_set: TrialSet, spec: SplitSpec) -> int:
             f"({k} train of {n} trials)"
         )
     return k
-
-
-def split(trial_set: TrialSet, spec: SplitSpec) -> tuple[TrialSet, TrialSet]:
-    """Partition into (train, test) preserving recording order, as views of
-    `trial_set`'s rows (see `split_count`)."""
-    k = split_count(trial_set, spec)
-    return trial_set[:k], trial_set[k:]
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int | None = None) -> list[np.ndarray]:

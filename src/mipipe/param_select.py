@@ -15,7 +15,7 @@ import numpy as np
 
 from .classify import LdaModel, fit_ldas
 from .config import PipelineConfig, SearchSpace
-from .data_model import TrialSet, join, usable_folds
+from .data_model import TrialSet, usable_folds
 from .errors import CriterionUndefinedError
 from .features import (
     check_csp_shares,
@@ -200,27 +200,28 @@ def _candidate_rho(filtered, data, n_train, fs_hz, fits, band, window, channels,
 
 
 def grid_search(
-    train: TrialSet,
-    test_unlabeled: TrialSet,
+    data: TrialSet,
+    labels: np.ndarray,
     space: SearchSpace,
     base: PipelineConfig | None = None,
     feasibility_threshold: float = FEASIBILITY_THRESHOLD,
 ) -> SearchResult:
     """Evaluate every candidate and pick the winner.
 
-    Feasible candidates (balance penalty <= threshold) compete on rho; if none
-    is feasible the fallback objective is rho - penalty. Test labels are never
-    read. Ties break by enumeration order. The two sets are joined into one
-    recording (see `join`: the halves of a `split` are not copied) and
-    band-passed together, one band at a time. Each trial is filtered alone
-    whatever block it shares, so the rows are bitwise what filtering each
-    set apart gives.
+    The first len(`labels`) trials of `data` are the train set, under
+    `labels`; the trials after them are the test set. Feasible candidates
+    (balance penalty <= threshold) compete on rho; if none is feasible the
+    fallback objective is rho - penalty. `data.labels` is never read. Ties
+    break by enumeration order. The recording is band-passed one band at a
+    time; each trial is filtered alone whatever block it shares, so the rows
+    are bitwise what filtering the train and test sets apart gives.
     """
     if base is None:
         base = PipelineConfig()
-    if len(test_unlabeled) == 0:
+    labels = np.asarray(labels)
+    n_train = len(labels)
+    if len(data) <= n_train:
         raise ValueError("test set is empty")
-    labels = train.labels
     if not labels.all():
         raise ValueError("training set contains unlabeled trials")
     if -1 not in labels or 1 not in labels:
@@ -228,7 +229,7 @@ def grid_search(
 
     # a None channel set means the base config's channels
     channel_sets = [base.channels if cs is None else cs for cs in space.channel_sets]
-    data, n_train, fs_hz = join(train, test_unlabeled).data, len(train), train.sampling_rate_hz
+    trials, fs_hz = data.data, data.sampling_rate_hz
     fits = _fold_fits(labels)
     table = []
     failures = []
@@ -242,7 +243,7 @@ def grid_search(
                 "rho": None, "penalty": None, "feasible": False, "error": None,
             }
             try:
-                row.update(_candidate_rho(filtered, data, n_train, fs_hz, fits, band,
+                row.update(_candidate_rho(filtered, trials, n_train, fs_hz, fits, band,
                                           window, channels, m, feasibility_threshold))
             except CriterionUndefinedError as exc:
                 row["error"] = str(exc)

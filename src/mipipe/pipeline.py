@@ -3,14 +3,14 @@ and session-by-session semi-supervised adaptive classification."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .classify import BaggingEnsemble, bagging_predict_rows, fit_bagging
 from .config import PipelineConfig
-from .data_model import SplitSpec, TrialSet, join, split_count, stratified_folds, usable_folds
+from .data_model import SplitSpec, TrialSet, split_count, stratified_folds, usable_folds
 from .errors import ConfigError
 from .features import (
     CspModel,
@@ -375,9 +375,7 @@ def _run_blocks(data: TrialSet, k: int, ends: Sequence[int], phases: Sequence[st
     for end, phase in zip(ends, phases):
         block_config, fit_data, fit_cache = config, data, cache
         if config.search is not None:
-            train = replace(data[:len(labels)], labels=labels, finite=True)
-            result = grid_search(train, data[len(labels):end].without_labels(), config.search,
-                                 base=config)
+            result = grid_search(data[:end], labels, config.search, base=config)
             block_config = result.config
             report.chosen.append(_chosen_entry(phase, result))
             if end < len(data):
@@ -393,17 +391,17 @@ def _run_blocks(data: TrialSet, k: int, ends: Sequence[int], phases: Sequence[st
 
 
 def run_static(
-    train: TrialSet,
-    test: TrialSet,
+    data: TrialSet,
+    split: SplitSpec,
     config: PipelineConfig,
     folds: int = 10,
     cv_seed: int = 0,
 ) -> EvalReport:
-    """Optional transductive search, then fit on train and predict test.
-    Train and test trials are joined (see `join`: the halves of a `split`
-    are not copied) and prepared together, once per chain."""
-    data = join(train, test)
-    return _run_blocks(data, len(train), [len(data)], ["static"], config, {}, folds, cv_seed)
+    """Optional transductive search, then fit on the train trials `split`
+    takes off the front of `data` and predict the rest: one `_run_blocks`
+    block, so the recording is prepared once per chain."""
+    return _run_blocks(data, split_count(data, split), [len(data)], ["static"], config, {},
+                       folds, cv_seed)
 
 
 def sweep_fractions(

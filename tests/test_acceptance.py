@@ -4,13 +4,14 @@ Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mipipe.classify import bagging_predict, fit_bagging, fit_lda, lda_predict
 from mipipe.config import EnsembleConfig, PipelineConfig, SearchSpace
-from mipipe.data_model import SplitSpec, Trial, split
+from mipipe.data_model import SplitSpec, Trial, split_count
 from mipipe.errors import CriterionUndefinedError
 from mipipe.features import (
     CspModel,
@@ -175,9 +176,9 @@ def test_criterion_07_accuracy_vs_training_fraction():
     ar_config = PipelineConfig(method="ar", n_select=1)
     csp_acc, ar_acc = {}, {}
     for fraction in fractions:
-        train, test = split(ts, SplitSpec(fraction, "prefix"))
-        csp_acc[fraction] = run_static(train, test, csp_config, folds=5).test_accuracy
-        ar_acc[fraction] = run_static(train, test, ar_config, folds=5).test_accuracy
+        spec = SplitSpec(fraction, "prefix")
+        csp_acc[fraction] = run_static(ts, spec, csp_config, folds=5).test_accuracy
+        ar_acc[fraction] = run_static(ts, spec, ar_config, folds=5).test_accuracy
     spread = max(csp_acc.values()) - min(csp_acc.values())
     ar_drop = ar_acc[0.8] - ar_acc[0.1]
     ok = spread < 5.0 and ar_drop >= 5.0
@@ -195,8 +196,8 @@ def test_criterion_08_planted_band_selection():
         ts = generate(SynthConfig(n_channels=5, trials_per_session=280,
                                   rhythm_band_hz=(13.0, 2.0), erd_depth=0.6,
                                   noise_sigma_uv=1.5, seed=seed))
-        train, test = split(ts, SplitSpec(0.2, "prefix"))
-        result = grid_search(train, test.without_labels(), space)
+        labels = ts.labels[:split_count(ts, SplitSpec(0.2, "prefix"))]
+        result = grid_search(ts, labels, space)
         lo, hi = result.config.preprocess.band_hz
         if lo < 14.0 and hi > 12.0:  # overlaps the planted rhythm band
             hits += 1
@@ -214,8 +215,7 @@ def test_criterion_09_adaptive_gain():
                                   trials_per_session=30, erd_depth=0.6,
                                   noise_sigma_uv=1.5, session_drift=drift,
                                   seed=seed))
-        train, test = split(ts, spec)
-        static = run_static(train, test, config, folds=5)
+        static = run_static(ts, spec, config, folds=5)
         adaptive = run_adaptive(ts, spec, config, folds=5)
         s = np.mean([static.per_session[s_] for s_ in (3, 4)])
         a = np.mean([adaptive.per_session[s_] for s_ in (3, 4)])
@@ -240,11 +240,11 @@ def test_criterion_10_small_training_set_target():
         windows_s=((0.5, 4.5),),
     )
     config = PipelineConfig(method="csp", search=space)
-    train, test = split(ts, SplitSpec(0.1, "prefix"))
-    result = run_static(train, test, config, folds=5)
+    spec = SplitSpec(0.1, "prefix")
+    result = run_static(ts, spec, config, folds=5)
     ok = result.test_accuracy >= 90.0
     report(10, "90%+ test accuracy from 10% training data", ok,
-           f"{len(train)} training trials -> {result.test_accuracy:.1f}%")
+           f"{split_count(ts, spec)} training trials -> {result.test_accuracy:.1f}%")
 
 
 def test_criterion_11_determinism_and_leakage(tmp_path):
@@ -263,10 +263,12 @@ def test_criterion_11_determinism_and_leakage(tmp_path):
     deterministic = reports[0] == reports[1]
 
     ts = generate(SynthConfig(**synth_doc))
-    train, test = split(ts, SplitSpec(0.5, "prefix"))
+    spec = SplitSpec(0.5, "prefix")
+    k = split_count(ts, spec)
+    blind = replace(ts, labels=np.r_[ts.labels[:k], [0] * (len(ts) - k)], finite=True)
     config = PipelineConfig(ensemble=EnsembleConfig(rounds=10, seed=0))
-    with_labels = run_static(train, test, config, folds=5).predicted_labels
-    without = run_static(train, test.without_labels(), config, folds=5).predicted_labels
+    with_labels = run_static(ts, spec, config, folds=5).predicted_labels
+    without = run_static(blind, spec, config, folds=5).predicted_labels
     leak_free = with_labels == without
     ok = deterministic and leak_free
     report(11, "bitwise-deterministic reports, no test-label leakage", ok,

@@ -10,10 +10,9 @@ from mipipe.data_model import (
     SplitSpec,
     Trial,
     TrialSet,
-    join,
     load_archive,
     save_archive,
-    split,
+    split_count,
     stratified_folds,
     usable_folds,
     _write_matrix,
@@ -41,9 +40,6 @@ def test_trialset_rejects_mixed_shapes():
     t2 = make_trial(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         make_set([t1, t2])
-    with pytest.raises(ValueError, match="train has 2 channels x 4 samples at 100.0 Hz, "
-                                         "test has 3 channels x 4 samples"):
-        join(make_set([t1]), make_set([t2]))
 
 
 def test_trialset_rejects_decreasing_sessions():
@@ -94,16 +90,13 @@ def test_trialset_arrays_are_read_only_and_unaliased(rng):
     assert _set(data=ts.data).data is ts.data
 
 
-def test_split_and_without_labels_share_the_recording():
+def test_train_and_test_rows_share_the_recording():
     ts = generate(SynthConfig(n_channels=3, n_sessions=2, trials_per_session=10))
     for spec in (SplitSpec(0.3, "prefix"), SplitSpec(0.3, "by_session")):
-        train, test = split(ts, spec)
-        assert np.shares_memory(train.data, ts.data)
-        assert np.shares_memory(test.data, ts.data)
-    blind = ts.without_labels()
-    assert blind.data is ts.data
-    assert not blind.labels.any() and ts.labels.all()
-    assert blind.sessions is ts.sessions
+        k = split_count(ts, spec)
+        for rows in (ts[:k], ts[k:]):
+            for name in ("data", "labels", "sessions", "trial_indices"):
+                assert np.shares_memory(getattr(rows, name), getattr(ts, name))
 
 
 def test_views_of_a_checked_set_skip_only_the_data_pass():
@@ -116,11 +109,9 @@ def test_views_of_a_checked_set_skip_only_the_data_pass():
     raw[3, 1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         _set(4, data=data)
-    views = [ts[1:], ts[[0, 3]], ts.without_labels(), join(ts[:2], ts[2:])]
+    views = [ts[1:], ts[[0, 3]]]
     assert all(np.isnan(v.data).any() for v in views)
     # the label, session-order and index checks still run
-    with pytest.raises(ValueError, match="session_ids must be nondecreasing"):
-        join(ts[2:], ts[:2])
     with pytest.raises(ValueError, match="session_ids must be nondecreasing"):
         ts[[3, 0]]
     with pytest.raises(ValueError, match="trial_index must be >= 0"):
@@ -322,36 +313,28 @@ def _dummy_set(n, sessions=1):
     (280, 0.1, 28),
 ])
 def test_prefix_split_counts(n, fraction, expect_train):
-    train, test = split(_dummy_set(n), SplitSpec(fraction, "prefix"))
-    assert len(train) == expect_train
-    assert len(test) == n - expect_train
+    assert split_count(_dummy_set(n), SplitSpec(fraction, "prefix")) == expect_train
 
 
 def test_by_session_split():
     ts = _dummy_set(240, sessions=4)
-    train, test = split(ts, SplitSpec(0.25, "by_session"))
-    assert len(train) == 60
-    assert len(test) == 180
-    assert set(train.sessions.tolist()) == {1}
+    k = split_count(ts, SplitSpec(0.25, "by_session"))
+    assert k == 60
+    assert set(ts.sessions[:k].tolist()) == {1}
+    # a count inside a session extends to that session's end
+    assert split_count(ts, SplitSpec(0.3, "by_session")) == 120
 
 
-def test_split_is_ordered_partition():
+def test_split_count_leaves_train_and_test_rows():
     ts = _dummy_set(97)
     for fraction in (0.1, 0.37, 0.5, 0.9):
-        train, test = split(ts, SplitSpec(fraction, "prefix"))
-        assert len(train) + len(test) == len(ts)
-        for name in ("data", "labels", "sessions", "trial_indices"):
-            rejoined = np.concatenate([getattr(train, name), getattr(test, name)])
-            assert np.array_equal(rejoined, getattr(ts, name))
-            # the halves are views of the set's rows, not copies
-            assert np.shares_memory(getattr(train, name), getattr(ts, name))
-            assert np.shares_memory(getattr(test, name), getattr(ts, name))
+        assert 0 < split_count(ts, SplitSpec(fraction, "prefix")) < len(ts)
 
 
 def test_split_degenerate_errors():
     ts = _dummy_set(10)
-    with pytest.raises(ValueError):
-        split(ts, SplitSpec(1.0, "prefix"))  # empty test
+    with pytest.raises(ValueError, match="degenerate split"):
+        split_count(ts, SplitSpec(1.0, "prefix"))  # empty test
     with pytest.raises(ValueError):
         SplitSpec(0.0, "prefix")
     with pytest.raises(ValueError):
@@ -400,17 +383,3 @@ def test_usable_folds_cap_the_count_by_each_class(labels, most, seed, count):
     expected = stratified_folds(labels, count, seed) if count else []
     assert len(folds) == count
     assert [f.tolist() for f in folds] == [f.tolist() for f in expected]
-
-
-def test_join_of_split_halves_shares_the_recording():
-    ts = generate(SynthConfig(n_channels=3, n_sessions=2, trials_per_session=10))
-    for spec in (SplitSpec(0.3, "prefix"), SplitSpec(0.3, "by_session")):
-        train, test = split(ts, spec)
-        joined = join(train, test.without_labels())
-        assert np.shares_memory(joined.data, ts.data)
-        assert np.array_equal(joined.data, ts.data) and not joined.data.flags.writeable
-        assert joined.labels.tolist() == train.labels.tolist() + [0] * len(test)
-    # halves that do not meet in one array are copied
-    apart = join(ts[:3], ts[5:])
-    assert not np.shares_memory(apart.data, ts.data)
-    assert np.array_equal(apart.data, np.concatenate([ts.data[:3], ts.data[5:]]))

@@ -1,5 +1,6 @@
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from mipipe import features, param_select
 from mipipe.classify import LdaModel, fit_ldas, lda_score
 from mipipe.config import PipelineConfig, SearchSpace
-from mipipe.data_model import SplitSpec, Trial, join, split, usable_folds
+from mipipe.data_model import SplitSpec, Trial, split_count, usable_folds
 from mipipe.errors import CriterionUndefinedError
 from mipipe.features import csp_feature, csp_stack, fit_csp
 from mipipe.param_select import (
@@ -26,7 +27,7 @@ from mipipe.preprocess import Chain, _window_indices, preprocess_trials
 from mipipe.synthgen import SynthConfig, generate
 
 import oracle
-from conftest import as_trials, count_filtered_trials, make_set, replace_trials, with_label
+from conftest import as_trials, count_filtered_trials, replace_trials
 from oracle import crop, scipy_bandpass
 
 
@@ -139,13 +140,15 @@ class TestPdfCorrelation:
         assert rho >= 0.7
 
 
-def planted_sets(seed, trials_per_session=280, fraction=0.2):
+def planted_recording(seed, trials_per_session=280, fraction=0.2):
+    """A recording with a planted 12-14 Hz rhythm, and the labels of its
+    train rows: the first `fraction` of its trials."""
     ts = generate(SynthConfig(
         n_channels=5, trials_per_session=trials_per_session,
         rhythm_band_hz=(13.0, 2.0), erd_depth=0.6,
         noise_sigma_uv=1.5, seed=seed,
     ))
-    return split(ts, SplitSpec(fraction, "prefix"))
+    return ts, ts.labels[:split_count(ts, SplitSpec(fraction, "prefix"))]
 
 
 SPACE = SearchSpace(
@@ -156,9 +159,9 @@ SPACE = SearchSpace(
 
 class TestGridSearch:
     def test_single_candidate_is_winner(self):
-        train, test = planted_sets(seed=0, trials_per_session=80)
+        ts, labels = planted_recording(seed=0, trials_per_session=80)
         space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
-        result = grid_search(train, test.without_labels(), space)
+        result = grid_search(ts, labels, space)
         assert result.winner_index == 0
         assert len(result.table) == 1
         assert result.config.preprocess.band_hz == (12.0, 14.0)
@@ -166,23 +169,27 @@ class TestGridSearch:
         assert -1.0 <= result.rho <= 1.0
 
     def test_planted_band_recovered(self):
-        train, test = planted_sets(seed=0)
-        result = grid_search(train, test.without_labels(), SPACE)
+        ts, labels = planted_recording(seed=0)
+        result = grid_search(ts, labels, SPACE)
         assert result.config.preprocess.band_hz == (12.0, 14.0)
 
-    def test_test_labels_never_read(self):
-        train, test = planted_sets(seed=1, trials_per_session=80)
-        with_labels = grid_search(train, test, SPACE)
-        without = grid_search(train, test.without_labels(), SPACE)
-        assert with_labels.winner_index == without.winner_index
-        for a, b in zip(with_labels.table, without.table):
-            assert a == b
+    def test_labels_of_the_recording_never_read(self):
+        # only the `labels` argument says which rows are train rows and
+        # what their classes are: the recording's own labels, test rows
+        # included, may say anything
+        ts, labels = planted_recording(seed=1, trials_per_session=80)
+        result = grid_search(ts, labels, SPACE)
+        for fill in (1, 0):
+            blind = replace(ts, labels=np.full(len(ts), fill), finite=True)
+            other = grid_search(blind, labels, SPACE)
+            assert other.winner_index == result.winner_index
+            assert other.table == result.table
 
     def test_table_covers_all_candidates(self):
-        train, test = planted_sets(seed=2, trials_per_session=80)
+        ts, labels = planted_recording(seed=2, trials_per_session=80)
         windows = ((0.5, 2.5), (0.5, 4.5))
         space = SearchSpace(bands_hz=SPACE.bands_hz, windows_s=windows)
-        result = grid_search(train, test.without_labels(), space)
+        result = grid_search(ts, labels, space)
         assert len(result.table) == 6
         listed = {(r["band_hz"], r["window_s"]) for r in result.table}
         assert listed == {(b, w) for b in SPACE.bands_hz for w in windows}
@@ -192,19 +199,17 @@ class TestGridSearch:
         assert winner["penalty"] == result.balance_penalty
 
     def test_feasible_winner_respects_gate(self):
-        train, test = planted_sets(seed=3, trials_per_session=80)
-        result = grid_search(train, test.without_labels(), SPACE)
+        ts, labels = planted_recording(seed=3, trials_per_session=80)
+        result = grid_search(ts, labels, SPACE)
         feasible = [r for r in result.table if r["feasible"]]
         if feasible:
             assert result.balance_penalty <= FEASIBILITY_THRESHOLD
             assert result.rho == max(r["rho"] for r in feasible)
 
     def test_infeasible_fallback_objective(self):
-        train, test = planted_sets(seed=4, trials_per_session=80)
+        ts, labels = planted_recording(seed=4, trials_per_session=80)
         # an impossible gate forces the fallback rho - penalty objective
-        result = grid_search(
-            train, test.without_labels(), SPACE, feasibility_threshold=-1.0
-        )
+        result = grid_search(ts, labels, SPACE, feasibility_threshold=-1.0)
         assert not result.table[result.winner_index]["feasible"]
         best = max(r["rho"] - r["penalty"]
                    for r in result.table if r["rho"] is not None)
@@ -212,85 +217,54 @@ class TestGridSearch:
         assert winner["rho"] - winner["penalty"] == best
 
     def test_base_config_fields_preserved(self):
-        train, test = planted_sets(seed=0, trials_per_session=80)
+        ts, labels = planted_recording(seed=0, trials_per_session=80)
         base = PipelineConfig(method="ar", ar_order=5)
         space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
-        result = grid_search(train, test.without_labels(), space, base=base)
+        result = grid_search(ts, labels, space, base=base)
         assert result.config.method == "ar"
         assert result.config.ar_order == 5
 
     def test_empty_test_errors(self):
-        train, _ = planted_sets(seed=0, trials_per_session=80)
-        empty = replace_trials(train, ())
-        with pytest.raises(ValueError, match="empty"):
-            grid_search(train, empty, SPACE)
+        ts, labels = planted_recording(seed=0, trials_per_session=80)
+        with pytest.raises(ValueError, match="^test set is empty$"):
+            grid_search(ts[:len(labels)], labels, SPACE)
 
     def test_single_class_train_errors(self):
-        train, test = planted_sets(seed=0, trials_per_session=80)
-        one_class = replace_trials(
-            train, tuple(t for t in as_trials(train) if t.label == 1)
-        )
+        ts, labels = planted_recording(seed=0, trials_per_session=80)
         with pytest.raises(ValueError, match="both classes"):
-            grid_search(one_class, test.without_labels(), SPACE)
+            grid_search(ts, np.ones_like(labels), SPACE)
 
     def test_unlabeled_train_trial_errors_before_filtering(self, monkeypatch):
-        train, test = planted_sets(seed=0, trials_per_session=80)
-        train = replace_trials(
-            train, (with_label(as_trials(train)[0], None),) + as_trials(train)[1:]
-        )
+        ts, labels = planted_recording(seed=0, trials_per_session=80)
         filtered = count_filtered_trials(monkeypatch)
         with pytest.raises(ValueError, match="training set contains unlabeled trials"):
-            grid_search(train, test.without_labels(), SPACE)
+            grid_search(ts, np.r_[0, labels[1:]], SPACE)
         assert filtered == []
 
     def test_too_few_labels_per_class_errors_before_filtering(self, monkeypatch):
-        train, test = planted_sets(seed=0, trials_per_session=80)
-        first_pos = train.labels.tolist().index(1)
-        train = replace_trials(train, tuple(
-            t for i, t in enumerate(as_trials(train)) if t.label == -1 or i == first_pos))
+        ts, labels = planted_recording(seed=0, trials_per_session=80)
+        # one trial of class +1: the rest of the train rows are class -1
+        one_pos = np.full_like(labels, -1)
+        one_pos[labels.tolist().index(1)] = 1
         filtered = count_filtered_trials(monkeypatch)
         with pytest.raises(ValueError, match="^too few labeled trials per class"):
-            grid_search(train, test.without_labels(), SPACE)
+            grid_search(ts, one_pos, SPACE)
         assert filtered == []
 
-    def test_train_test_shape_mismatch_errors(self):
-        train, test = planted_sets(seed=0, trials_per_session=80)
-        fs = test.sampling_rate_hz
-        mismatched = {
-            "channels": make_set(
-                [t.with_data(t.data[:4]) for t in as_trials(test)], fs,
-                test.channel_labels[:4]),
-            "samples": replace_trials(
-                test, (t.with_data(t.data[:, :-10]) for t in as_trials(test))),
-            "rate": make_set(as_trials(test), 2 * fs, test.channel_labels),
-        }
-        expected = {
-            "channels": "test has 4 channels x 500 samples at 100.0 Hz",
-            "samples": "test has 5 channels x 490 samples at 100.0 Hz",
-            "rate": "test has 5 channels x 500 samples at 200.0 Hz",
-        }
-        for name, other in mismatched.items():
-            with pytest.raises(ValueError) as exc:
-                grid_search(train, other.without_labels(), SPACE)
-            assert str(exc.value) == (
-                "train and test sets differ: train has 5 channels x 500 samples "
-                f"at 100.0 Hz, {expected[name]}"
-            )
-
     def test_each_trial_filtered_once_per_band_and_channel_set(self, monkeypatch):
-        train, test = planted_sets(seed=2, trials_per_session=60)
+        ts, labels = planted_recording(seed=2, trials_per_session=60)
         space = SearchSpace(
             bands_hz=SPACE.bands_hz, windows_s=((0.5, 2.5), (1.0, 4.5)),
             channel_sets=(None, (0, 3)), m_values=(1, 2),
         )
         filtered = count_filtered_trials(monkeypatch)
-        grid_search(train, test.without_labels(), space)
+        grid_search(ts, labels, space)
         # one call per (band, channel set), over the train and test rows
-        assert filtered == [len(train) + len(test)] * (3 * 2)
+        assert filtered == [len(ts)] * (3 * 2)
 
     def test_one_band_of_filtered_trials_is_alive_at_a_time(self, monkeypatch):
         # a window past the trial's end makes some candidates fail after the crop
-        train, test = planted_sets(seed=2, trials_per_session=60)
+        ts, labels = planted_recording(seed=2, trials_per_session=60)
         space = SearchSpace(
             bands_hz=SPACE.bands_hz, windows_s=((0.5, 2.5), (1.0, 9.0), (1.0, 4.5)),
             channel_sets=(None, (0, 3)), m_values=(1, 2),
@@ -306,15 +280,15 @@ class TestGridSearch:
             return batch
 
         monkeypatch.setattr(param_select, "preprocess_trials", spy)
-        result = grid_search(train, test.without_labels(), space)
+        result = grid_search(ts, labels, space)
         assert all(row["error"] for row in result.table if row["window_s"] == (1.0, 9.0))
         assert len(batches) == 3 * 2
         assert [band for band, ref in batches if ref() is not None] == []
 
     def test_deterministic(self):
-        train, test = planted_sets(seed=5, trials_per_session=80)
-        r1 = grid_search(train, test.without_labels(), SPACE)
-        r2 = grid_search(train, test.without_labels(), SPACE)
+        ts, labels = planted_recording(seed=5, trials_per_session=80)
+        r1 = grid_search(ts, labels, SPACE)
+        r2 = grid_search(ts, labels, SPACE)
         assert r1.winner_index == r2.winner_index
         assert r1.rho == r2.rho
         for a, b in zip(r1.table, r2.table):
@@ -425,22 +399,18 @@ def unbalanced_batches(channels):
     trials' X X^T, of a planted set with 33 trials of
     class -1 and 17 of class +1: ten folds whose fits hold 29 or 30 trials
     of class -1 and 15 or 16 of class +1, and the full fit 33 and 17."""
-    train, test = planted_sets(seed=7, trials_per_session=200, fraction=0.4)
-    counts = {-1: 0, 1: 0}
-    keep = []
-    for t in as_trials(train):
-        counts[t.label] += 1
-        if counts[t.label] <= {-1: 33, 1: 17}[t.label]:
-            keep.append(t)
-    train = replace_trials(train, keep)
-    fs = train.sampling_rate_hz
-    x = preprocess_trials(join(train, test).data, fs,
+    ts, labels = planted_recording(seed=7, trials_per_session=200, fraction=0.4)
+    # the first 33 train rows of class -1 and 17 of class +1, then the test rows
+    keep = np.r_[np.flatnonzero(labels == -1)[:33], np.flatnonzero(labels == 1)[:17]]
+    keep.sort()
+    fs = ts.sampling_rate_hz
+    x = preprocess_trials(ts.data[np.r_[keep, len(labels):len(ts)]], fs,
                           Chain(channels=channels, band_hz=(12.0, 14.0)))
     i0, i1 = _window_indices(x.shape[-1], fs, 0.5, 3.5)
-    train_x, test_x = x[:len(train), :, i0:i1], x[len(train):, :, i0:i1]
+    train_x, test_x = x[:len(keep), :, i0:i1], x[len(keep):, :, i0:i1]
     contiguous = np.ascontiguousarray(train_x)
     normalized = features.trace_normalized(contiguous @ contiguous.transpose(0, 2, 1))
-    return (train_x, test_x, normalized), np.array(train.labels)
+    return (train_x, test_x, normalized), labels[keep]
 
 
 class TestStackedScoresMatchPerFit:
@@ -597,10 +567,9 @@ class TestBatchedSearchMatchesOracle:
         m_values=(1, 2),
     )
 
-    def _errors_after_matching_oracle(self, train, test):
-        test = test.without_labels()
-        result = grid_search(train, test, self.SPACE)
-        expected = oracle_table(train, test, self.SPACE)
+    def _errors_after_matching_oracle(self, ts, labels):
+        result = grid_search(ts, labels, self.SPACE)
+        expected = oracle_table(ts[:len(labels)], ts[len(labels):], self.SPACE)
         assert len(result.table) == len(expected) == 36
         for got, want in zip(result.table, expected):
             assert got == want
@@ -614,8 +583,8 @@ class TestBatchedSearchMatchesOracle:
         return errors
 
     def test_table_rows_equal_oracle(self):
-        train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
-        errors = self._errors_after_matching_oracle(train, test)
+        ts, labels = planted_recording(seed=6, trials_per_session=60, fraction=0.4)
+        errors = self._errors_after_matching_oracle(ts, labels)
         assert "exceed" in errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 2)]
         assert errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 1)] is None
 
@@ -626,14 +595,13 @@ class TestBatchedSearchMatchesOracle:
         # and then fails on it, while every later fold's CSP fails; held
         # out later, fold 0's CSP fails. Either way the first error a
         # per-trial search meets must be the one reported.
-        train, test = planted_sets(seed=6, trials_per_session=60, fraction=0.4)
-        row = int(usable_folds(np.array(train.labels), 10)[flat_fold][0])
-        data = train.data[row].copy()
+        ts, labels = planted_recording(seed=6, trials_per_session=60, fraction=0.4)
+        row = int(usable_folds(labels, 10)[flat_fold][0])
+        data = ts.data[row].copy()
         data[[0, 3]] = 0.0
-        trials = list(as_trials(train))
+        trials = list(as_trials(ts))
         trials[row] = trials[row].with_data(data)
-        train = replace_trials(train, trials)
-        errors = self._errors_after_matching_oracle(train, test)
+        errors = self._errors_after_matching_oracle(replace_trials(ts, trials), labels)
         subset = errors[((12.0, 14.0), (0.5, 2.5), (0, 3), 1)]
         if flat_fold == 0:
             assert subset == "zero total variance after spatial filtering"

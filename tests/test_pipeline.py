@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mipipe.config import EnsembleConfig, PipelineConfig, SearchSpace
-from mipipe.data_model import SplitSpec, split
+from mipipe.data_model import SplitSpec, split_count
 from mipipe.pipeline import (
     cross_validate,
     evaluate,
@@ -123,37 +124,33 @@ class TestCrossValidate:
             cross_validate(ts, quiet_config(), folds=100)
 
 
-class TestRunStatic:
-    def test_train_equals_test_perfect(self):
-        ts = easy_set()
-        report = run_static(ts, ts, quiet_config(), folds=5)
-        assert report.test_accuracy == 100.0
-        assert np.asarray(report.confusion).sum() == len(ts)
+HALF = SplitSpec(0.5, "prefix")
 
+
+class TestRunStatic:
     def test_report_fields(self):
         ts = easy_set(trials_per_session=60)
-        train, test = split(ts, SplitSpec(0.5, "prefix"))
-        report = run_static(train, test, quiet_config(), folds=5)
+        report = run_static(ts, HALF, quiet_config(), folds=5)
         assert report.method == "csp"
         assert report.train_accuracy_mean is not None
-        assert len(report.predicted_labels) == len(test)
+        assert len(report.predicted_labels) == len(ts) - 30
+        assert np.asarray(report.confusion).sum() == len(ts) - 30
         assert set(report.per_session) == {1}
         assert report.test_accuracy >= 90.0
 
     def test_unlabeled_test_scores_nothing(self):
         ts = easy_set(trials_per_session=60)
-        train, test = split(ts, SplitSpec(0.5, "prefix"))
-        report = run_static(train, test.without_labels(), quiet_config(), folds=5)
+        blind = replace(ts, labels=np.r_[ts.labels[:30], [0] * 30], finite=True)
+        report = run_static(blind, HALF, quiet_config(), folds=5)
         assert report.test_accuracy is None
         assert report.per_session == {1: None}
-        assert len(report.predicted_labels) == len(test)
+        assert len(report.predicted_labels) == len(ts) - 30
 
     def test_search_records_choice(self):
         space = SearchSpace(bands_hz=((8.0, 10.0), (12.0, 14.0)),
                             windows_s=((0.5, 4.5),))
         ts = easy_set(trials_per_session=60)
-        train, test = split(ts, SplitSpec(0.5, "prefix"))
-        report = run_static(train, test, quiet_config(search=space), folds=5)
+        report = run_static(ts, HALF, quiet_config(search=space), folds=5)
         assert len(report.chosen) == 1
         assert report.chosen[0]["phase"] == "static"
         assert tuple(report.chosen[0]["band_hz"]) in space.bands_hz
@@ -162,10 +159,10 @@ class TestRunStatic:
         ts = easy_set()
         broken = replace_trials(ts, [with_label(t, None) for t in as_trials(ts)])
         with pytest.raises(ValueError, match="training set contains unlabeled trials"):
-            run_static(broken, ts, quiet_config())
+            run_static(broken, HALF, quiet_config())
         # whether or not the training set is large enough to cross-validate
         with pytest.raises(ValueError, match="training set contains unlabeled trials"):
-            run_static(broken, ts, quiet_config(), folds=0)
+            run_static(broken, HALF, quiet_config(), folds=0)
 
 
 class TestRunAdaptive:
@@ -343,8 +340,9 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
     assert cross_validate(ts, config, folds=5, seed=3) == \
         _reference_cross_validate(ts, config, 5, 3)
 
-    train, test = split(ts, SplitSpec(0.5, "prefix"))
-    report = run_static(train, test, config, folds=4, cv_seed=1)
+    k = split_count(ts, HALF)
+    train, test = ts[:k], ts[k:]
+    report = run_static(ts, HALF, config, folds=4, cv_seed=1)
     predict = _reference_fit(config, ts.sampling_rate_hz, as_trials(train), train.labels)
     assert (report.train_accuracy_mean, report.train_accuracy_std) == \
         _reference_cross_validate(train, config, 4, 1)
@@ -360,8 +358,7 @@ def test_each_trial_filtered_once_per_chain(monkeypatch, method, chains):
         cross_validate(ts, config, folds=5)
         assert sum(filtered) == len(ts)
         filtered.clear()
-    train, test = split(ts, SplitSpec(0.2, "prefix"))
-    run_static(train, test, config, folds=5)
+    run_static(ts, SplitSpec(0.2, "prefix"), config, folds=5)
     assert sum(filtered) == chains * len(ts)
 
 
@@ -374,7 +371,8 @@ def test_sweep_fractions_equals_per_split_reference(channels):
     for method in methods:
         method_config = config.replace(method=method)
         for fraction in fractions:
-            train, test = split(ts, SplitSpec(fraction, "prefix"))
+            k = split_count(ts, SplitSpec(fraction, "prefix"))
+            train, test = ts[:k], ts[k:]
             labels = np.array(train.labels)
             folds = min(10, (labels == -1).sum(), (labels == 1).sum())
             predict = _reference_fit(method_config, ts.sampling_rate_hz,
@@ -409,8 +407,7 @@ def test_sweep_fractions_prepares_each_chain_once(monkeypatch):
 
     filtered.clear()
     ar_fits.clear()
-    train, test = split(ts, SplitSpec(0.2, "prefix"))
-    run_static(train, test, quiet_config("ar"), folds=5)
+    run_static(ts, SplitSpec(0.2, "prefix"), quiet_config("ar"), folds=5)
     assert sum(filtered) == len(ts)
     assert len(ar_fits) == len(ts) * ts.n_channels
 
@@ -485,8 +482,7 @@ def test_no_path_builds_a_trial_per_row(monkeypatch, tmp_path):
     save_archive(ts, tmp_path / "arch")
     ts = load_archive(tmp_path / "arch")
     cross_validate(ts, quiet_config("combined"), folds=5)
-    train, test = split(ts, SplitSpec(0.5, "prefix"))
-    run_static(train, test, quiet_config(search=space), folds=5)
+    run_static(ts, HALF, quiet_config(search=space), folds=5)
     sweep_fractions(ts, quiet_config(), ["csp", "ar", "lrp", "combined"], [0.3])
     run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config(search=space), folds=5)
     assert built == []
@@ -527,8 +523,7 @@ def test_cli_paths_preprocess_the_recording_in_place(monkeypatch):
         cross_validate(partly, quiet_config(), folds=5, rows=np.arange(len(partly)))
     assert seen[0] is partly.data
     seen.clear()
-    run_static(*split(ts, SplitSpec(0.25, "prefix")), quiet_config("combined", search=space),
-               folds=5)
+    run_static(ts, SplitSpec(0.25, "prefix"), quiet_config("combined", search=space), folds=5)
     sweep_fractions(ts, quiet_config(), ["csp", "combined"], [0.3, 0.6])
     run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config(search=space), folds=5)
     run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config("ar"), folds=5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mipipe.config import EnsembleConfig, PipelineConfig
-from mipipe.data_model import SplitSpec, split
+from mipipe.data_model import SplitSpec
 from mipipe.errors import ConfigError
 from mipipe.pipeline import run_static
 from mipipe.preprocess import bandpass_array
@@ -13,11 +13,10 @@ from oracle import session
 
 
 def classify_split(ts, method="csp", **config_kwargs):
-    train, test = split(ts, SplitSpec(0.5, "prefix"))
     config = PipelineConfig(
         method=method, ensemble=EnsembleConfig(rounds=5, seed=0), **config_kwargs
     )
-    return run_static(train, test, config, folds=0).test_accuracy
+    return run_static(ts, SplitSpec(0.5, "prefix"), config, folds=0).test_accuracy
 
 
 def test_shapes_labels_and_sessions():
