@@ -259,10 +259,13 @@ def _fit_rows(extractor, prepared, rows, labels, config: PipelineConfig) -> Bagg
 
 
 def _cv_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
-    if (labels == -1).sum() < 2 or (labels == 1).sum() < 2:
+    counts = [int((labels == label).sum()) for label in (-1, 1)]
+    if min(counts) < 2:
         raise ValueError("too few trials per class for cross-validation")
-    if folds < 2 or folds > len(labels):
-        raise ValueError(f"cannot build {folds} folds from {len(labels)} trials")
+    # dealt round-robin, each class fills at most as many folds as it has trials
+    if not 2 <= folds <= max(counts):
+        raise ValueError(f"folds must be in [2, {max(counts)}] (the larger class has "
+                         f"{max(counts)} labelled trials), got {folds}")
     return stratified_folds(labels, folds, seed)
 
 

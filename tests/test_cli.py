@@ -143,6 +143,17 @@ class TestCrossval:
         assert code == EXIT_CONFIG
         assert "folds" in capsys.readouterr().err
 
+    def test_folds_bounded_by_the_larger_class(self, archive, tmp_path, fast_config, capsys):
+        # 20 trials per class: stratified dealing fills at most 20 folds
+        args = ["crossval", "--data", str(archive), "--config", fast_config,
+                "--report", str(tmp_path / "cv.json"), "--folds"]
+        assert main([*args, "40"]) == EXIT_CONFIG
+        assert one_line_error(capsys) == ("config error: folds must be in [2, 20] (the larger "
+                                          "class has 20 labelled trials), got 40\n")
+        assert not (tmp_path / "cv.json").exists()
+        assert main([*args, "20"]) == EXIT_OK
+        assert json.loads((tmp_path / "cv.json").read_text())["folds"] == 20
+
     def test_missing_archive(self, tmp_path, capsys):
         code = main(["crossval", "--data", str(tmp_path / "nope"),
                      "--report", str(tmp_path / "cv.json")])

@@ -122,6 +122,10 @@ class TestCrossValidate:
         ts = easy_set(trials_per_session=8)
         with pytest.raises(ValueError):
             cross_validate(ts, quiet_config(), folds=100)
+        # 4 trials per class fill 4 folds, not the 5 asked for
+        with pytest.raises(ValueError, match=r"^folds must be in \[2, 4\] \(the larger class "
+                                             r"has 4 labelled trials\), got 5$"):
+            cross_validate(ts, quiet_config(), folds=5)
 
 
 HALF = SplitSpec(0.5, "prefix")
