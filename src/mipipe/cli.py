@@ -158,6 +158,7 @@ def cmd_run(args) -> int:
     doc["config"] = pipeline_config_to_dict(config)
     doc["train_fraction"] = args.train_fraction
     doc["split_mode"] = mode
+    doc["adapt"] = args.adapt
     _write_report(args.report, doc)
     _write_manifest(args.report, "run", args, doc["config"], seed)
     return EXIT_OK

@@ -208,6 +208,20 @@ class TestRun:
         assert doc["per_session"].keys() == {"1", "2"}
         assert len(doc["predicted_labels"]) == 30
 
+    def test_report_says_whether_it_adapted(self, multisession_archive, tmp_path, fast_config):
+        docs = {}
+        for flags in ([], ["--adapt"]):
+            report = tmp_path / "run.json"
+            assert main(["run", "--data", str(multisession_archive), "--train-fraction", "0.25",
+                         *flags, "--config", fast_config, "--report", str(report)]) == EXIT_OK
+            docs[bool(flags)] = json.loads(report.read_text())
+        for adapt, doc in docs.items():
+            assert list(doc)[-2:] == ["split_mode", "adapt"]
+            assert doc["adapt"] is adapt
+        # this archive is easy: only the key tells the two reports apart
+        assert docs[True]["test_accuracy"] == docs[False]["test_accuracy"] == 100.0
+        assert docs[True] | {"adapt": False} == docs[False]
+
     def test_config_search_records_choice(self, archive, tmp_path):
         cfg = write_json(tmp_path / "pipeline.json", {
             **FAST_PIPELINE_DOC,
