@@ -263,9 +263,10 @@ def _cv_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     if min(counts) < 2:
         raise ValueError("too few trials per class for cross-validation")
     # dealt round-robin, each class fills at most as many folds as it has trials
-    if not 2 <= folds <= max(counts):
-        raise ValueError(f"folds must be in [2, {max(counts)}] (the larger class has "
-                         f"{max(counts)} labelled trials), got {folds}")
+    most = max(counts)
+    if not 2 <= folds <= most:
+        raise ValueError(f"folds must be in [2, {most}] (the larger class has {most} "
+                         f"labelled trials), got {folds}")
     return stratified_folds(labels, folds, seed)
 
 
