@@ -24,18 +24,25 @@ SYNTH = {"n_channels": 4, "n_sessions": 3, "trials_per_session": 20,
          "session_drift": 0.3, "lrp_slope_uv_per_s": 0.5, "seed": 0}
 SEARCH = {"search": {"bands_hz": [[8, 12], [12, 14], [16, 20]],
                      "windows_s": [[0.5, 2.5], [0.5, 4.5]]}}
+# the search over configured channel subsets and CSP filter counts too
+CHANNEL_SEARCH = {"search": {**SEARCH["search"], "channel_sets": [None, [0, 1, 2]],
+                             "m_values": [1, 2]}}
 # report name: (config, command arguments after --data and --config)
 COMMANDS = {
     **{f"crossval_{method}": ({"method": method}, ["crossval", "--folds", "5"])
        for method in ("csp", "ar", "lrp", "combined")},
+    "crossval_combined_channels": ({"method": "combined", "channels": [0, 2, 3]},
+                                   ["crossval", "--folds", "5"]),
     "run_prefix": ({}, ["run", "--train-fraction", "0.2"]),
     "run_by_session": ({}, ["run", "--train-fraction", "0.5", "--by-session"]),
     "run_search": (SEARCH, ["run", "--train-fraction", "0.2"]),
+    "run_channel_search": (CHANNEL_SEARCH, ["run", "--train-fraction", "0.2"]),
     "run_adapt": ({}, ["run", "--train-fraction", "0.2", "--adapt"]),
     "run_adapt_search": (SEARCH, ["run", "--train-fraction", "0.2", "--adapt"]),
     **{name: (config, ["fig1", "--fractions", "0.3,0.5",
                        "--methods", "csp,ar,lrp,combined"])
-       for name, config in (("fig1", {}), ("fig1_search", SEARCH))},
+       for name, config in (("fig1", {}), ("fig1_search", SEARCH),
+                            ("fig1_channel_search", CHANNEL_SEARCH))},
 }
 
 
