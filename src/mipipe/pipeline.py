@@ -3,7 +3,7 @@ and session-by-session semi-supervised adaptive classification."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,28 +45,18 @@ def evaluate(predicted: Sequence[int], true: Sequence[int]):
     return accuracy, confusion
 
 
-class _Extractor:
-    """A feature extractor in two steps. `prepare` runs the method's chains
-    once over a (n_trials, n_channels, n_samples) array, or over its `rows`
-    when given, and keeps per trial what any fit needs, reading no label.
+class _Part:
+    """One feature chain, in two steps. `prepare` runs the chain once over a
+    (n_trials, n_channels, n_samples) array, or over its `rows` when given,
+    and keeps per trial what any fit needs, reading no label.
     `fit_rows(prepared, rows, labels)`, with `labels` indexed by row, and
     `transform_rows(prepared, rows)` then work on row indices of what
     `prepare` returned, so every cross-validation fold, fit and prediction
     shares one preparation."""
 
-    method = ""
-
     def part_key(self):
         """What `prepare` reads besides the trials and their sampling rate."""
         return type(self), self.chain
-
-    def prepare_shared(self, trials: np.ndarray, cache: dict):
-        """`prepare(trials)`, made once per distinct part: `cache` holds the
-        preparations of this one array of trials by `part_key`."""
-        key = self.part_key()
-        if key not in cache:
-            cache[key] = self.prepare(trials)
-        return cache[key]
 
     def _pick_channels(self, values: np.ndarray, labels: np.ndarray):
         """Select the configured channels, else the n_select channels of
@@ -81,10 +71,8 @@ class _Extractor:
         return self
 
 
-class CspExtractor(_Extractor):
+class CspExtractor(_Part):
     """Band-pass + crop, then log variance-share of fitted spatial filters."""
-
-    method = "csp"
 
     def __init__(self, config: PipelineConfig, fs_hz: float):
         missing = [name for name in ("band_hz", "window_s")
@@ -98,7 +86,6 @@ class CspExtractor(_Extractor):
         self.fs_hz = fs_hz
         self.chain = Chain(channels=config.channels, band_hz=config.preprocess.band_hz,
                            window_s=config.preprocess.window_s)
-        self.model = None
 
     def prepare(self, trials: np.ndarray, rows=None):
         """The band-passed, cropped (n_trials, n_channels, n_samples) batch,
@@ -122,18 +109,15 @@ class CspExtractor(_Extractor):
         return shares[:, None]
 
 
-class ArExtractor(_Extractor):
+class ArExtractor(_Part):
     """CAR + broad band-pass + crop, Fisher channel pick on log band power,
     then concatenated per-channel AR parameters."""
-
-    method = "ar"
 
     def __init__(self, config: PipelineConfig, fs_hz: float):
         self.config = config
         self.fs_hz = fs_hz
         self.chain = Chain(car=True, band_hz=config.ar_band_hz,
                            window_s=config.preprocess.window_s)
-        self.selected = None
 
     def part_key(self):
         return type(self), self.chain, self.config.ar_order
@@ -181,11 +165,9 @@ class ArExtractor(_Extractor):
         return values
 
 
-class LrpExtractor(_Extractor):
+class LrpExtractor(_Part):
     """Low-pass + baseline correction, Fisher channel pick on windowed means,
     then the per-channel mean over the feature window."""
-
-    method = "lrp"
 
     def __init__(self, config: PipelineConfig, fs_hz: float):
         self.config = config
@@ -193,7 +175,6 @@ class LrpExtractor(_Extractor):
         self.chain = Chain(lowpass_hz=config.lrp_lowpass_hz,
                            baseline_s=config.lrp_baseline_window_s,
                            window_s=config.lrp_feature_window_s)
-        self.selected = None
 
     def prepare(self, trials: np.ndarray, rows=None) -> np.ndarray:
         """Each channel's mean over the feature window: (n_trials, n_channels)."""
@@ -207,23 +188,30 @@ class LrpExtractor(_Extractor):
         return prepared[np.ix_(rows, self.selected)]
 
 
-class CombinedExtractor(_Extractor):
-    """Each method with its own preprocessing chain; features concatenated."""
+# each method's parts, in the order of its feature columns
+_PARTS = {
+    "csp": (CspExtractor,),
+    "ar": (ArExtractor,),
+    "lrp": (LrpExtractor,),
+    "combined": (CspExtractor, ArExtractor, LrpExtractor),
+}
 
-    method = "combined"
+
+class Extractor:
+    """The configured method's features: its parts' columns side by side."""
 
     def __init__(self, config: PipelineConfig, fs_hz: float):
-        self.parts = [
-            CspExtractor(config, fs_hz),
-            ArExtractor(config, fs_hz),
-            LrpExtractor(config, fs_hz),
-        ]
+        self.parts = [part(config, fs_hz) for part in _PARTS[config.method]]
 
-    def prepare(self, trials: np.ndarray, rows=None) -> list:
-        return [part.prepare(trials, rows) for part in self.parts]
-
-    def prepare_shared(self, trials: np.ndarray, cache: dict) -> list:
-        return [part.prepare_shared(trials, cache) for part in self.parts]
+    def prepare(self, trials: np.ndarray, rows=None, cache: dict | None = None) -> list:
+        """Each part's `prepare(trials, rows)`, made once per distinct part:
+        `cache`, when given, holds preparations of these same trials and rows
+        by `part_key`."""
+        cache = {} if cache is None else cache
+        for part in self.parts:
+            if part.part_key() not in cache:
+                cache[part.part_key()] = part.prepare(trials, rows)
+        return [cache[part.part_key()] for part in self.parts]
 
     def fit_rows(self, prepared, rows, labels):
         for part, part_prepared in zip(self.parts, prepared):
@@ -233,18 +221,6 @@ class CombinedExtractor(_Extractor):
     def transform_rows(self, prepared, rows) -> np.ndarray:
         return np.hstack([part.transform_rows(part_prepared, rows)
                           for part, part_prepared in zip(self.parts, prepared)])
-
-
-_EXTRACTORS = {
-    "csp": CspExtractor,
-    "ar": ArExtractor,
-    "lrp": LrpExtractor,
-    "combined": CombinedExtractor,
-}
-
-
-def make_extractor(config: PipelineConfig, fs_hz: float):
-    return _EXTRACTORS[config.method](config, fs_hz)
 
 
 def _fit_rows(extractor, prepared, rows, labels, config: PipelineConfig) -> BaggingEnsemble:
@@ -293,7 +269,7 @@ def cross_validate(
     if not labels.all():
         raise ValueError("cross-validation needs a fully labeled set")
     fold_list = _cv_folds(labels, folds, seed)
-    extractor = make_extractor(config, train.sampling_rate_hz)
+    extractor = Extractor(config, train.sampling_rate_hz)
     prepared = extractor.prepare(train.data, rows)
     return _cross_validate(extractor, prepared, labels, fold_list, config)
 
@@ -345,16 +321,16 @@ def _score_predictions(report: EvalReport, predicted, true, sessions):
 
 
 def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
-                 config: PipelineConfig, cache: dict, folds: int = 0, cv_seed: int = 0):
+                 config: PipelineConfig, cache: dict, folds: int = 0):
     """Fit on rows [0, len(labels)) of `data` under `labels`, then predict
     `test_rows`. `cache` holds the preparations of `data`'s trials by
     `part_key`, so each part is prepared once however many fits share it.
     When each class has two trials or more, and `folds` is 2 or more, the fit
-    rows are cross-validated first, in `usable_folds(labels, folds, cv_seed)`.
+    rows are cross-validated first, in `usable_folds(labels, folds, 0)`.
     Returns the predictions and the cross-validated (mean, std), or None."""
-    fold_list = usable_folds(labels, folds, cv_seed)
-    extractor = make_extractor(config, data.sampling_rate_hz)
-    prepared = extractor.prepare_shared(data.data, cache)
+    fold_list = usable_folds(labels, folds, 0)
+    extractor = Extractor(config, data.sampling_rate_hz)
+    prepared = extractor.prepare(data.data, cache=cache)
     cv = None
     if fold_list:
         cv = _cross_validate(extractor, prepared, labels, fold_list, config)
@@ -365,8 +341,7 @@ def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
 
 
 def _run_blocks(data: TrialSet, k: int, ends: Sequence[int], phases: Sequence[str],
-                config: PipelineConfig, cache: dict, folds: int = 10,
-                cv_seed: int = 0) -> EvalReport:
+                config: PipelineConfig, cache: dict, folds: int = 10) -> EvalReport:
     """Cross-validate and fit rows [0, k) of `data` under their labels, and
     predict up to `ends[0]`; then fit each later block on every row before
     it, under the labels and the earlier blocks' frozen predictions. With a
@@ -385,7 +360,7 @@ def _run_blocks(data: TrialSet, k: int, ends: Sequence[int], phases: Sequence[st
             if end < len(data):
                 fit_data, fit_cache = data[:end], {}
         predicted, cv = _fit_predict(fit_data, labels, np.arange(len(labels), end),
-                                     block_config, fit_cache, folds, cv_seed)
+                                     block_config, fit_cache, folds)
         if cv is not None:
             report.train_accuracy_mean, report.train_accuracy_std = cv
         labels = np.concatenate([labels, predicted])
@@ -394,18 +369,13 @@ def _run_blocks(data: TrialSet, k: int, ends: Sequence[int], phases: Sequence[st
     return report
 
 
-def run_static(
-    data: TrialSet,
-    split: SplitSpec,
-    config: PipelineConfig,
-    folds: int = 10,
-    cv_seed: int = 0,
-) -> EvalReport:
+def run_static(data: TrialSet, split: SplitSpec, config: PipelineConfig,
+               folds: int = 10) -> EvalReport:
     """Optional transductive search, then fit on the train trials `split`
     takes off the front of `data` and predict the rest: one `_run_blocks`
     block, so the recording is prepared once per chain."""
     return _run_blocks(data, split_count(data, split), [len(data)], ["static"], config, {},
-                       folds, cv_seed)
+                       folds)
 
 
 def sweep_fractions(
@@ -422,7 +392,7 @@ def sweep_fractions(
     cache: dict = {}
     rows = []
     for method in methods:
-        method_config = config.replace(method=method)
+        method_config = replace(config, method=method)
         for fraction in fractions:
             n_train = split_count(data, SplitSpec(fraction, "prefix"))
             report = _run_blocks(data, n_train, [len(data)], ["static"], method_config, cache)
@@ -437,13 +407,8 @@ def sweep_fractions(
     return rows
 
 
-def run_adaptive(
-    data: TrialSet,
-    initial_train: SplitSpec,
-    config: PipelineConfig,
-    folds: int = 10,
-    cv_seed: int = 0,
-) -> EvalReport:
+def run_adaptive(data: TrialSet, initial_train: SplitSpec, config: PipelineConfig,
+                 folds: int = 10) -> EvalReport:
     """Session-by-session semi-supervised classification.
 
     The initial labeled set (within session 1) classifies the rest of session
@@ -463,4 +428,4 @@ def run_adaptive(
     phases = [f"session{sid}" for sid in sessions]
     if ends[0] == k:  # the initial set covers all of session 1
         ends, phases = ends[1:], phases[1:]
-    return _run_blocks(data, k, ends, phases, config, {}, folds, cv_seed)
+    return _run_blocks(data, k, ends, phases, config, {}, folds)

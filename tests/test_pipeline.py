@@ -7,9 +7,9 @@ import pytest
 from mipipe.config import EnsembleConfig, PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, split_count
 from mipipe.pipeline import (
+    Extractor,
     cross_validate,
     evaluate,
-    make_extractor,
     run_adaptive,
     run_static,
     sweep_fractions,
@@ -70,7 +70,7 @@ class TestEvaluate:
 
 def fitted_extractor(ts, config):
     """An extractor fitted on every row of `ts`, and its preparation."""
-    extractor = make_extractor(config, ts.sampling_rate_hz)
+    extractor = Extractor(config, ts.sampling_rate_hz)
     prepared = extractor.prepare(ts.data)
     extractor.fit_rows(prepared, np.arange(len(ts)), ts.labels)
     return extractor, prepared
@@ -91,7 +91,7 @@ class TestExtractors:
     def test_explicit_channels_respected(self):
         ts = easy_set()
         extractor, _ = fitted_extractor(ts, quiet_config("ar", channels=(0, 3)))
-        assert list(extractor.selected) == [0, 3]
+        assert list(extractor.parts[0].selected) == [0, 3]
 
 
 class TestCrossValidate:
@@ -331,7 +331,7 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
     config = quiet_config(method, channels=channels)
     # features of every trial, from an extractor fitted on some rows only
     fit = np.arange(3, len(ts))
-    extractor = make_extractor(config, ts.sampling_rate_hz)
+    extractor = Extractor(config, ts.sampling_rate_hz)
     prepared = extractor.prepare(ts.data)
     extractor.fit_rows(prepared, fit, np.array(ts.labels))
     trials = as_trials(ts)
@@ -346,10 +346,10 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
 
     k = split_count(ts, HALF)
     train, test = ts[:k], ts[k:]
-    report = run_static(ts, HALF, config, folds=4, cv_seed=1)
+    report = run_static(ts, HALF, config, folds=4)
     predict = _reference_fit(config, ts.sampling_rate_hz, as_trials(train), train.labels)
     assert (report.train_accuracy_mean, report.train_accuracy_std) == \
-        _reference_cross_validate(train, config, 4, 1)
+        _reference_cross_validate(train, config, 4, 0)
     assert report.predicted_labels == [predict(t) for t in as_trials(test)]
 
 
