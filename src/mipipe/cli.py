@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from .config import (
     PipelineConfig,
     default_search_space,
     pipeline_config_from_dict,
-    pipeline_config_to_dict,
 )
 from .data_model import SplitSpec, TrialSet, load_archive, save_archive
 from .errors import ArchiveError, ConfigError, NumericalError
@@ -83,7 +82,7 @@ def _load_inputs(args, seed) -> tuple[PipelineConfig, TrialSet]:
     doc = _read_json(args.config) if args.config else {}
     config = pipeline_config_from_dict(doc)
     if seed is not None:
-        config = config.replace(ensemble=replace(config.ensemble, seed=seed))
+        config = replace(config, ensemble=replace(config.ensemble, seed=seed))
     data = load_archive(args.data)
     channel_sets = [config.channels]
     if config.search is not None:
@@ -128,7 +127,7 @@ def cmd_crossval(args) -> int:
         "mean": mean,
         "std": std,
         "folds": args.folds,
-        "config": pipeline_config_to_dict(config),
+        "config": asdict(config),
     }
     _write_report(args.report, doc)
     _write_manifest(args.report, "crossval", args, doc["config"], seed)
@@ -145,8 +144,8 @@ def cmd_run(args) -> int:
     mode = "by_session" if args.by_session else "prefix"
     spec = SplitSpec(args.train_fraction, mode)
     if args.sweep and config.search is None:
-        config = config.replace(
-            search=default_search_space(data.n_samples / data.sampling_rate_hz)
+        config = replace(
+            config, search=default_search_space(data.n_samples / data.sampling_rate_hz)
         )
     if args.adapt:
         if len(data.session_ids) < 2:
@@ -155,7 +154,7 @@ def cmd_run(args) -> int:
     else:
         report = run_static(data, spec, config)
     doc = report.to_dict()
-    doc["config"] = pipeline_config_to_dict(config)
+    doc["config"] = asdict(config)
     doc["train_fraction"] = args.train_fraction
     doc["split_mode"] = mode
     doc["adapt"] = args.adapt
@@ -173,7 +172,7 @@ def cmd_sweep_fractions(args) -> int:
         if not 0 < f < 1:
             raise ConfigError(f"fraction {f} outside (0, 1)")
     rows = sweep_fractions(data, config, methods, fractions)
-    doc = {"rows": rows, "config": pipeline_config_to_dict(config)}
+    doc = {"rows": rows, "config": asdict(config)}
     _write_report(args.report, doc)
     _write_manifest(args.report, "fig1", args, doc["config"], seed)
     return EXIT_OK

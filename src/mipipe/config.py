@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -104,10 +104,6 @@ class PipelineConfig:
             if not pair[0] < pair[1]:
                 raise ConfigError(f"{name} must be increasing, got {pair}")
 
-    def replace(self, **kwargs) -> "PipelineConfig":
-        from dataclasses import replace
-        return replace(self, **kwargs)
-
 
 def json_int(value, name: str) -> int:
     """`value` if it is a JSON integer (a bool is not), else a ConfigError
@@ -183,6 +179,3 @@ def config_from_dict(cls, doc, where: str, prefix: str = ""):
 def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
     return config_from_dict(PipelineConfig, doc, "config")
 
-
-def pipeline_config_to_dict(config: PipelineConfig) -> dict:
-    return asdict(config)

@@ -8,7 +8,7 @@ histograms of train and test classifier outputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -172,8 +172,7 @@ def candidate_scores(train_x, test_x, normalized, fits, m) -> tuple[np.ndarray, 
     return train_scores, shares * w[-1] + 0.0 + b[-1]
 
 
-def _candidate_rho(filtered, data, n_train, fs_hz, fits, band, window, channels, m,
-                   feasibility_threshold):
+def _candidate_rho(filtered, data, n_train, fs_hz, fits, band, window, channels, m):
     """One candidate's table entries. `filtered` holds the band's batches of
     `data` (train then test rows) by channel subset; a subset is band-passed when
     first used, since filtering a subset is not bitwise the same as
@@ -196,7 +195,7 @@ def _candidate_rho(filtered, data, n_train, fs_hz, fits, band, window, channels,
         estimate_pdf(tr_scores, (lo, hi)), estimate_pdf(te_scores, (lo, hi))
     )
     penalty = class_balance_penalty(te_scores)
-    return {"rho": rho, "penalty": penalty, "feasible": penalty <= feasibility_threshold}
+    return {"rho": rho, "penalty": penalty, "feasible": penalty <= FEASIBILITY_THRESHOLD}
 
 
 def grid_search(
@@ -204,13 +203,12 @@ def grid_search(
     labels: np.ndarray,
     space: SearchSpace,
     base: PipelineConfig | None = None,
-    feasibility_threshold: float = FEASIBILITY_THRESHOLD,
 ) -> SearchResult:
     """Evaluate every candidate and pick the winner.
 
     The first len(`labels`) trials of `data` are the train set, under
     `labels`; the trials after them are the test set. Feasible candidates
-    (balance penalty <= threshold) compete on rho; if none is feasible the
+    (balance penalty <= FEASIBILITY_THRESHOLD) compete on rho; if none is feasible the
     fallback objective is rho - penalty. `data.labels` is never read. Ties
     break by enumeration order. The recording is band-passed one band at a
     time; each trial is filtered alone whatever block it shares, so the rows
@@ -244,7 +242,7 @@ def grid_search(
             }
             try:
                 row.update(_candidate_rho(filtered, trials, n_train, fs_hz, fits, band,
-                                          window, channels, m, feasibility_threshold))
+                                          window, channels, m))
             except CriterionUndefinedError as exc:
                 row["error"] = str(exc)
             except ValueError as exc:
@@ -267,7 +265,8 @@ def grid_search(
             scored, key=lambda ir: ir[1]["rho"] - ir[1]["penalty"]
         )
 
-    config = base.replace(
+    config = replace(
+        base,
         preprocess=PreprocessConfig(band_hz=winner["band_hz"], window_s=winner["window_s"]),
         m=winner["m"],
         channels=winner["channels"],

@@ -1,9 +1,9 @@
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import pytest
 
 from mipipe.config import (EnsembleConfig, PipelineConfig, SearchSpace, config_from_dict,
-                           pipeline_config_from_dict, pipeline_config_to_dict)
+                           pipeline_config_from_dict)
 from mipipe.errors import ConfigError
 from mipipe.features import DEFAULT_AR_ORDER
 from mipipe.preprocess import PreprocessConfig
@@ -36,7 +36,7 @@ def test_sub_object_must_be_an_object(key):
 
 def test_echo_holds_only_fields_the_pipeline_reads():
     config = pipeline_config_from_dict({"search": SEARCH})
-    doc = pipeline_config_to_dict(config)
+    doc = asdict(config)
     assert doc["preprocess"] == {"band_hz": (12.0, 14.0), "window_s": (0.5, 4.5)}
     assert set(doc["ensemble"]) == {"rounds", "subset_fraction", "seed"}
     assert set(doc["search"]) == {"bands_hz", "windows_s", "channel_sets", "m_values"}

@@ -206,10 +206,11 @@ class TestGridSearch:
             assert result.balance_penalty <= FEASIBILITY_THRESHOLD
             assert result.rho == max(r["rho"] for r in feasible)
 
-    def test_infeasible_fallback_objective(self):
+    def test_infeasible_fallback_objective(self, monkeypatch):
         ts, labels = planted_recording(seed=4, trials_per_session=80)
         # an impossible gate forces the fallback rho - penalty objective
-        result = grid_search(ts, labels, SPACE, feasibility_threshold=-1.0)
+        monkeypatch.setattr(param_select, "FEASIBILITY_THRESHOLD", -1.0)
+        result = grid_search(ts, labels, SPACE)
         assert not result.table[result.winner_index]["feasible"]
         best = max(r["rho"] - r["penalty"]
                    for r in result.table if r["rho"] is not None)

@@ -236,7 +236,7 @@ class TestRunAdaptive:
         report = run_adaptive(ts, SplitSpec(k / len(ts), "prefix"), config, folds=5)
         chosen = report.chosen[0]
         assert chosen["window_s"] != list(config.preprocess.window_s)
-        searched = config.replace(preprocess=PreprocessConfig(
+        searched = replace(config, preprocess=PreprocessConfig(
             band_hz=tuple(chosen["band_hz"]), window_s=tuple(chosen["window_s"])))
         labels = ts.labels[:k]
         folds = min(5, (labels == -1).sum(), (labels == 1).sum())
@@ -373,7 +373,7 @@ def test_sweep_fractions_equals_per_split_reference(channels):
     methods, fractions = ["csp", "ar", "lrp", "combined"], [0.3, 0.6]
     expected = []
     for method in methods:
-        method_config = config.replace(method=method)
+        method_config = replace(config, method=method)
         for fraction in fractions:
             k = split_count(ts, SplitSpec(fraction, "prefix"))
             train, test = ts[:k], ts[k:]
