@@ -2,13 +2,21 @@
 
 A trial archive is a directory with a ``meta.json`` plus one CSV matrix file
 per trial (rows = time samples, columns = channels); each trial entry of
-``meta.json`` holds its file, label and trial index.
+``meta.json`` holds its file, label and trial index. The CSVs are the
+archive's data. ``save_archive`` also writes the recording once as
+``recording.npy``, in `TrialSet`'s layout, and ``meta.json``'s
+``recording_sha256`` digests the trial CSVs and that copy together (see
+`_recording_digest`). ``load_archive`` takes the copy in place of parsing the
+CSVs only while that digest matches the files on disk; an archive whose CSVs
+were edited, or that has no copy, is read from its CSVs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
@@ -18,6 +26,7 @@ import numpy as np
 from .errors import ArchiveError
 
 ARCHIVE_VERSION = 1
+RECORDING_FILE = "recording.npy"
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -210,15 +219,30 @@ def _trial_filename(session_id: int, trial_index: int) -> str:
 WRITE_BLOCK_ROWS = 4096
 
 
-def _write_matrix(fpath: Path, x: np.ndarray) -> None:
+def _write_matrix(fpath: Path, x: np.ndarray) -> bytes:
     """Write a (samples, channels) matrix as CSV, byte for byte what
     ``np.savetxt(fpath, x, fmt="%.17g", delimiter=",")`` writes (%.17g
-    round-trips float64 exactly), with one `%` per block of rows."""
+    round-trips float64 exactly), with one `%` per block of rows; return
+    the SHA-256 of the bytes written."""
     row = ",".join(["%.17g"] * x.shape[1]) + "\n"
-    with open(fpath, "w") as fh:
+    digest = hashlib.sha256()
+    with open(fpath, "wb") as fh:
         for i in range(0, len(x), WRITE_BLOCK_ROWS):
             block = x[i:i + WRITE_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            text = (row * len(block) % tuple(block.ravel().tolist())).encode()
+            digest.update(text)
+            fh.write(text)
+    return digest.digest()
+
+
+def _recording_digest(csv_digests, data: np.ndarray) -> str:
+    """``recording_sha256``: the SHA-256 of each trial CSV's SHA-256, in
+    entry order, followed by the raw bytes of the C-contiguous recording
+    `data`. A file's own digest, not its bytes, goes in, so that bytes moved
+    from one CSV to the next change the result."""
+    digest = hashlib.sha256(b"".join(csv_digests))
+    digest.update(data)
+    return digest.hexdigest()
 
 
 def _read_matrix(fpath: Path) -> np.ndarray:
@@ -246,17 +270,21 @@ def _check_unique(keys, prefix: str, suffix: str = "") -> None:
 
 
 def save_archive(trial_set: TrialSet, path) -> None:
-    """Write a trial archive directory (meta.json + one CSV per trial)."""
+    """Write a trial archive directory: one CSV per trial, the recording's
+    binary copy, then meta.json."""
     keys = list(zip(trial_set.sessions.tolist(), trial_set.trial_indices.tolist()))
     _check_unique(keys, "", "; they would be written to one file")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     sessions: dict[int, list[dict]] = {}
+    csv_digests = []
+    # sessions are nondecreasing, so this order is meta.json's entry order
     for x, label, (sid, index) in zip(trial_set.data, trial_set.labels.tolist(), keys):
         fname = _trial_filename(sid, index)
         label = None if label == 0 else f"{label:+d}"
         sessions.setdefault(sid, []).append({"file": fname, "label": label, "index": index})
-        _write_matrix(path / fname, x.T)
+        csv_digests.append(_write_matrix(path / fname, x.T))
+    np.save(path / RECORDING_FILE, trial_set.data, allow_pickle=False)
     meta = {
         "version": ARCHIVE_VERSION,
         "sampling_rate_hz": trial_set.sampling_rate_hz,
@@ -264,6 +292,7 @@ def save_archive(trial_set: TrialSet, path) -> None:
         "sessions": [
             {"id": sid, "trials": sessions[sid]} for sid in sorted(sessions)
         ],
+        "recording_sha256": _recording_digest(csv_digests, trial_set.data),
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=2))
 
@@ -274,7 +303,8 @@ def _is_int(value) -> bool:
 
 def _check_meta(meta, meta_path: Path) -> None:
     """Raise ArchiveError naming `meta_path` unless `meta` has every key of
-    the archive format, each of the right JSON type."""
+    the archive format, each of the right JSON type, and any
+    `recording_sha256` is a 64-character hex string."""
     def need(ok: bool, what: str) -> None:
         if not ok:
             raise ArchiveError(f"{meta_path}: {what}")
@@ -304,10 +334,55 @@ def _check_meta(meta, meta_path: Path) -> None:
             index = entry.get("index", 0)
             need(_is_int(index), f"trial index {index!r} is not an integer")
             need(-1 << 63 <= index < 1 << 63, f"trial index {index} does not fit in 64 bits")
+    if "recording_sha256" in meta:
+        digest = meta["recording_sha256"]
+        need(isinstance(digest, str) and re.fullmatch("[0-9a-fA-F]{64}", digest),
+             "recording_sha256 must be a 64-character hex string")
+
+
+def _read_copy(path: Path, files: list[Path], n_channels: int, digest) -> np.ndarray | None:
+    """The recording from its binary copy, or None unless that copy loads as
+    a finite C-contiguous (len(files), n_channels, samples) float64 array and
+    `digest` is the `_recording_digest` of `files`' bytes and that array."""
+    if digest is None:
+        return None
+    try:
+        with open(path / RECORDING_FILE, "rb") as fh:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if not (data.dtype == np.float64 and data.flags.c_contiguous and data.ndim == 3
+            and data.shape[:2] == (len(files), n_channels)):
+        return None
+    csv_digests = [hashlib.sha256(fpath.read_bytes()).digest() for fpath in files]
+    if _recording_digest(csv_digests, data) != digest.lower() or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _read_csvs(path: Path, files: list[Path], n_channels: int) -> np.ndarray:
+    """The recording parsed from its trial CSVs."""
+    for row, fpath in enumerate(files):
+        matrix = _read_matrix(fpath)
+        if matrix.shape[1] != n_channels:
+            raise ArchiveError(
+                f"{fpath}: {matrix.shape[1]} columns but metadata declares "
+                f"{n_channels} channels"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise ArchiveError(f"{fpath}: non-finite value in matrix file")
+        if row == 0:
+            data = np.empty((len(files), n_channels, len(matrix)))
+        elif len(matrix) != data.shape[2]:
+            raise ArchiveError(f"{path}: all trials must share channel and sample counts")
+        data[row] = matrix.T
+    return data
 
 
 def load_archive(path) -> TrialSet:
-    """Read a trial archive directory back into a TrialSet."""
+    """Read a trial archive directory back into a TrialSet: from its binary
+    copy when that matches the trial CSVs (see `_read_copy`), else from the
+    CSVs."""
     path = Path(path)
     meta_path = path / "meta.json"
     if not meta_path.exists():
@@ -325,28 +400,20 @@ def load_archive(path) -> TrialSet:
     if not entries:
         raise ArchiveError(f"{meta_path}: the archive holds no trials")
     _check_unique([(sid, index) for sid, index, _ in entries], f"{meta_path}: ")
+    files = []
     rows = np.zeros((3, len(entries)), np.int64)  # labels, sessions, trial indices
     for row, (sid, index, entry) in enumerate(entries):
         fpath = path / entry["file"]
         if not fpath.exists():
             raise ArchiveError(f"missing trial file {fpath}")
-        matrix = _read_matrix(fpath)
-        if matrix.shape[1] != n_ch:
-            raise ArchiveError(
-                f"{fpath}: {matrix.shape[1]} columns but metadata declares "
-                f"{n_ch} channels"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ArchiveError(f"{fpath}: non-finite value in matrix file")
         raw = entry["label"]
         if raw not in (None, "-1", "+1", "1"):
             raise ArchiveError(f"{fpath}: unknown label {raw!r} in metadata")
-        if row == 0:
-            data = np.empty((len(entries), n_ch, len(matrix)))
-        elif len(matrix) != data.shape[2]:
-            raise ArchiveError(f"{path}: all trials must share channel and sample counts")
-        data[row] = matrix.T
+        files.append(fpath)
         rows[:, row] = (0 if raw is None else int(raw), sid, index)
+    data = _read_copy(path, files, n_ch, meta.get("recording_sha256"))
+    if data is None:
+        data = _read_csvs(path, files, n_ch)
     data.flags.writeable = False
     try:
         return TrialSet(data, *rows, meta["sampling_rate_hz"], channel_labels, finite=True)

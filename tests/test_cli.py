@@ -548,6 +548,17 @@ class TestTypedErrors:
         assert code == EXIT_IO
         assert "meta.json" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("digest", [None, 7, "0" * 63, "x" * 64])
+    def test_malformed_recording_digest(self, copy, tmp_path, capsys, digest):
+        meta_path = copy / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["recording_sha256"] = digest
+        meta_path.write_text(json.dumps(meta))
+        code = main(["crossval", "--data", str(copy), "--report", str(tmp_path / "cv.json")])
+        assert code == EXIT_IO
+        assert one_line_error(capsys) == (f"archive error: {meta_path}: recording_sha256 "
+                                          f"must be a 64-character hex string\n")
+
     @pytest.mark.parametrize("session_id,message", [
         (10 ** 30, f"session id {10 ** 30} does not fit in 64 bits"),
         (-10 ** 30, f"session id {-10 ** 30} does not fit in 64 bits"),

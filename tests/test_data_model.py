@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -5,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mipipe import data_model
 from mipipe.data_model import (
+    RECORDING_FILE,
     WRITE_BLOCK_ROWS,
     SplitSpec,
     Trial,
@@ -15,6 +18,7 @@ from mipipe.data_model import (
     split_count,
     stratified_folds,
     usable_folds,
+    _recording_digest,
     _write_matrix,
 )
 from mipipe.errors import ArchiveError
@@ -279,6 +283,152 @@ def test_nonfinite_value_names_file(tmp_path):
     bad = tmp_path / "arch" / "s01_t000.csv"
     bad.write_text(bad.read_text().replace("1", "nan", 1))
     with pytest.raises(ArchiveError, match=r"s01_t000\.csv"):
+        load_archive(tmp_path / "arch")
+
+
+def _row_arrays(ts):
+    return [getattr(ts, name) for name in ("data", "labels", "sessions", "trial_indices")]
+
+
+def _assert_bitwise_equal(a, b):
+    for x, y in zip(_row_arrays(a), _row_arrays(b)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _load_from_csvs(path):
+    """`load_archive` with the binary copy taken away."""
+    (path / RECORDING_FILE).unlink()
+    return load_archive(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate(SynthConfig(n_channels=4, n_sessions=3, trials_per_session=12, seed=7)),
+    lambda: generate(SynthConfig(n_channels=3, trials_per_session=20, seed=1))[10:13],
+], ids=["multisession", "slice"])
+def test_binary_copy_and_csvs_load_bitwise_equal(tmp_path, monkeypatch, make):
+    ts = make()
+    save_archive(ts, tmp_path / "arch")
+    np.testing.assert_array_equal(np.load(tmp_path / "arch" / RECORDING_FILE), ts.data)
+
+    def no_parsing(fpath):
+        raise AssertionError(f"{fpath} parsed")
+
+    with monkeypatch.context() as m:
+        m.setattr(data_model, "_read_matrix", no_parsing)
+        fast = load_archive(tmp_path / "arch")
+    _assert_bitwise_equal(fast, ts)
+    assert not fast.data.flags.writeable and fast.data.flags.c_contiguous
+    _assert_bitwise_equal(_load_from_csvs(tmp_path / "arch"), fast)
+
+
+def _csv_digests(path):
+    meta = json.loads((path / "meta.json").read_text())
+    return [hashlib.sha256((path / t["file"]).read_bytes()).digest()
+            for s in meta["sessions"] for t in s["trials"]]
+
+
+def _replace_copy(path, array):
+    """Write `array` as the binary copy, with a digest that matches it."""
+    np.save(path / RECORDING_FILE, array)
+    meta_path = path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["recording_sha256"] = _recording_digest(_csv_digests(path),
+                                                 np.ascontiguousarray(array))
+    meta_path.write_text(json.dumps(meta))
+
+
+def _set_digest(path, digest):
+    meta_path = path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["recording_sha256"] = digest
+    meta_path.write_text(json.dumps(meta))
+
+
+# each breaks one condition of the copy; the digest is made to match the
+# broken copy where it can be, so that the condition itself is what counts
+@pytest.mark.parametrize("damage", [
+    lambda path, x: (path / RECORDING_FILE).unlink(),
+    lambda path, x: (path / RECORDING_FILE).write_bytes(
+        (path / RECORDING_FILE).read_bytes()[:-8]),
+    lambda path, x: (path / RECORDING_FILE).write_bytes(b"not an array"),
+    lambda path, x: _replace_copy(path, x.astype(np.float32)),
+    lambda path, x: _replace_copy(path, x.astype(">f8")),
+    lambda path, x: _replace_copy(path, x.reshape(len(x) * x.shape[1], 1, -1)),
+    lambda path, x: _replace_copy(path, x[:, :-1]),
+    lambda path, x: _replace_copy(path, np.asfortranarray(x)),
+    lambda path, x: np.save(path / RECORDING_FILE, x.astype(object), allow_pickle=True),
+    lambda path, x: _replace_copy(path, np.where(np.arange(x.size).reshape(x.shape) == 5,
+                                                 np.nan, x)),
+    lambda path, x: np.save(path / RECORDING_FILE, x + 1.0),
+    lambda path, x: _set_digest(path, "0" * 64),
+    lambda path, x: _set_digest(path, _recording_digest(_csv_digests(path)[::-1], x)),
+], ids=["deleted", "truncated", "garbage", "float32", "big_endian", "trials_x_channels",
+        "fewer_channels", "fortran_order", "pickled", "nan", "other_values",
+        "digest_mismatch", "digest_of_reordered_csvs"])
+def test_damaged_binary_copy_falls_back_to_the_csvs(tmp_path, damage):
+    ts = generate(SynthConfig(n_channels=3, n_sessions=2, trials_per_session=4, seed=2))
+    save_archive(ts, tmp_path / "arch")
+    damage(tmp_path / "arch", np.array(ts.data))
+    _assert_bitwise_equal(load_archive(tmp_path / "arch"), ts)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path, x: np.save(path / RECORDING_FILE, x + 1.0),
+    lambda path, x: _set_digest(path, "0" * 64),
+], ids=["other_values", "digest_mismatch"])
+def test_only_a_matching_digest_selects_the_binary_copy(tmp_path, monkeypatch, damage):
+    # the same damage as above, now with CSV parsing made to fail: the loader
+    # must be reading the CSVs
+    ts = generate(SynthConfig(n_channels=3, trials_per_session=4, seed=2))
+    save_archive(ts, tmp_path / "arch")
+    damage(tmp_path / "arch", np.array(ts.data))
+    monkeypatch.setattr(data_model, "_read_matrix", lambda fpath: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        load_archive(tmp_path / "arch")
+
+
+def test_upper_case_digest_selects_the_binary_copy(tmp_path, monkeypatch):
+    ts = generate(SynthConfig(n_channels=3, trials_per_session=4, seed=2))
+    save_archive(ts, tmp_path / "arch")
+    meta = json.loads((tmp_path / "arch" / "meta.json").read_text())
+    _set_digest(tmp_path / "arch", meta["recording_sha256"].upper())
+    monkeypatch.setattr(data_model, "_read_matrix", lambda fpath: 1 / 0)
+    _assert_bitwise_equal(load_archive(tmp_path / "arch"), ts)
+
+
+def test_edited_csv_is_read_from_the_csvs(tmp_path):
+    ts = generate(SynthConfig(n_channels=3, trials_per_session=4, seed=2))
+    save_archive(ts, tmp_path / "arch")
+    edited = tmp_path / "arch" / "s01_t002.csv"
+    lines = edited.read_text().splitlines(keepends=True)
+    edited.write_text("".join(["1.5,-2.5,0.25\n", *lines[1:]]))
+    back = load_archive(tmp_path / "arch")
+    assert back.data[2, :, 0].tolist() == [1.5, -2.5, 0.25]
+    np.testing.assert_array_equal(back.data[2, :, 1:], ts.data[2, :, 1:])
+    np.testing.assert_array_equal(back.data[[0, 1, 3]], ts.data[[0, 1, 3]])
+
+
+def test_rows_moved_between_csvs_are_read_from_the_csvs(tmp_path):
+    # the CSV bytes in entry order are unchanged; the files they split into
+    # are not, so the digest differs and the CSVs' own error shows
+    ts = generate(SynthConfig(n_channels=3, trials_per_session=4, seed=2))
+    save_archive(ts, tmp_path / "arch")
+    first, second = (tmp_path / "arch" / f"s01_t00{i}.csv" for i in (0, 1))
+    lines = first.read_text().splitlines(keepends=True)
+    first.write_text("".join(lines[:-1]))
+    second.write_text(lines[-1] + second.read_text())
+    with pytest.raises(ArchiveError, match="all trials must share channel and sample counts"):
+        load_archive(tmp_path / "arch")
+
+
+@pytest.mark.parametrize("digest", [None, 123, "", "0" * 63, "0" * 65, "g" * 64,
+                                    " " + "0" * 63, ["0" * 64]])
+def test_malformed_recording_digest_is_an_archive_error(tmp_path, digest):
+    save_archive(make_set([make_trial(np.ones((2, 4)), label=1)]), tmp_path / "arch")
+    _set_digest(tmp_path / "arch", digest)
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"{tmp_path / 'arch' / 'meta.json'}: recording_sha256 must be a "
+            f"64-character hex string")):
         load_archive(tmp_path / "arch")
 
 

@@ -16,6 +16,7 @@ import pytest
 import scipy
 
 from mipipe.cli import EXIT_OK, main
+from mipipe.data_model import RECORDING_FILE
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 
@@ -61,10 +62,11 @@ def make_archive(root: Path) -> Path:
 
 
 def archive_digests(archive: Path) -> dict:
-    """SHA-256 of `meta.json` and of every trial CSV of `archive`."""
+    """SHA-256 of `meta.json`, of the recording's binary copy and of every
+    trial CSV of `archive`."""
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(archive.iterdir())
-            if path.name == "meta.json" or path.suffix == ".csv"}
+            if path.name in ("meta.json", RECORDING_FILE) or path.suffix == ".csv"}
 
 
 def report_digest(archive: Path, root: Path, name: str) -> str:
