@@ -355,7 +355,7 @@ def _read_copy(path: Path, files: list[Path], n_channels: int, digest) -> np.nda
             and data.shape[:2] == (len(files), n_channels)):
         return None
     csv_digests = [hashlib.sha256(fpath.read_bytes()).digest() for fpath in files]
-    if _recording_digest(csv_digests, data) != digest.lower() or not np.isfinite(data).all():
+    if _recording_digest(csv_digests, data) != digest or not np.isfinite(data).all():
         return None
     return data
 

@@ -295,12 +295,6 @@ def _assert_bitwise_equal(a, b):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def _load_from_csvs(path):
-    """`load_archive` with the binary copy taken away."""
-    (path / RECORDING_FILE).unlink()
-    return load_archive(path)
-
-
 @pytest.mark.parametrize("make", [
     lambda: generate(SynthConfig(n_channels=4, n_sessions=3, trials_per_session=12, seed=7)),
     lambda: generate(SynthConfig(n_channels=3, trials_per_session=20, seed=1))[10:13],
@@ -318,7 +312,8 @@ def test_binary_copy_and_csvs_load_bitwise_equal(tmp_path, monkeypatch, make):
         fast = load_archive(tmp_path / "arch")
     _assert_bitwise_equal(fast, ts)
     assert not fast.data.flags.writeable and fast.data.flags.c_contiguous
-    _assert_bitwise_equal(_load_from_csvs(tmp_path / "arch"), fast)
+    (tmp_path / "arch" / RECORDING_FILE).unlink()
+    _assert_bitwise_equal(load_archive(tmp_path / "arch"), fast)
 
 
 def _csv_digests(path):
@@ -365,47 +360,15 @@ def _set_digest(path, digest):
 ], ids=["deleted", "truncated", "garbage", "float32", "big_endian", "trials_x_channels",
         "fewer_channels", "fortran_order", "pickled", "nan", "other_values",
         "digest_mismatch", "digest_of_reordered_csvs"])
-def test_damaged_binary_copy_falls_back_to_the_csvs(tmp_path, damage):
+def test_damaged_binary_copy_falls_back_to_the_csvs(tmp_path, monkeypatch, damage):
     ts = generate(SynthConfig(n_channels=3, n_sessions=2, trials_per_session=4, seed=2))
     save_archive(ts, tmp_path / "arch")
     damage(tmp_path / "arch", np.array(ts.data))
+    parsed, read = [], data_model._read_matrix
+    monkeypatch.setattr(data_model, "_read_matrix",
+                        lambda fpath: parsed.append(fpath) or read(fpath))
     _assert_bitwise_equal(load_archive(tmp_path / "arch"), ts)
-
-
-@pytest.mark.parametrize("damage", [
-    lambda path, x: np.save(path / RECORDING_FILE, x + 1.0),
-    lambda path, x: _set_digest(path, "0" * 64),
-], ids=["other_values", "digest_mismatch"])
-def test_only_a_matching_digest_selects_the_binary_copy(tmp_path, monkeypatch, damage):
-    # the same damage as above, now with CSV parsing made to fail: the loader
-    # must be reading the CSVs
-    ts = generate(SynthConfig(n_channels=3, trials_per_session=4, seed=2))
-    save_archive(ts, tmp_path / "arch")
-    damage(tmp_path / "arch", np.array(ts.data))
-    monkeypatch.setattr(data_model, "_read_matrix", lambda fpath: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        load_archive(tmp_path / "arch")
-
-
-def test_upper_case_digest_selects_the_binary_copy(tmp_path, monkeypatch):
-    ts = generate(SynthConfig(n_channels=3, trials_per_session=4, seed=2))
-    save_archive(ts, tmp_path / "arch")
-    meta = json.loads((tmp_path / "arch" / "meta.json").read_text())
-    _set_digest(tmp_path / "arch", meta["recording_sha256"].upper())
-    monkeypatch.setattr(data_model, "_read_matrix", lambda fpath: 1 / 0)
-    _assert_bitwise_equal(load_archive(tmp_path / "arch"), ts)
-
-
-def test_edited_csv_is_read_from_the_csvs(tmp_path):
-    ts = generate(SynthConfig(n_channels=3, trials_per_session=4, seed=2))
-    save_archive(ts, tmp_path / "arch")
-    edited = tmp_path / "arch" / "s01_t002.csv"
-    lines = edited.read_text().splitlines(keepends=True)
-    edited.write_text("".join(["1.5,-2.5,0.25\n", *lines[1:]]))
-    back = load_archive(tmp_path / "arch")
-    assert back.data[2, :, 0].tolist() == [1.5, -2.5, 0.25]
-    np.testing.assert_array_equal(back.data[2, :, 1:], ts.data[2, :, 1:])
-    np.testing.assert_array_equal(back.data[[0, 1, 3]], ts.data[[0, 1, 3]])
+    assert len(parsed) == len(ts)
 
 
 def test_rows_moved_between_csvs_are_read_from_the_csvs(tmp_path):
