@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import InitVar, dataclass, replace
@@ -341,18 +342,26 @@ def _check_meta(meta, meta_path: Path) -> None:
 
 
 def _read_copy(path: Path, files: list[Path], n_channels: int, digest) -> np.ndarray | None:
-    """The recording from its binary copy, or None unless that copy loads as
-    a finite C-contiguous (len(files), n_channels, samples) float64 array and
-    `digest` is the `_recording_digest` of `files`' bytes and that array."""
+    """The recording from its binary copy, or None unless that copy is a
+    version 1.0 ``.npy`` of a finite C-order (len(files), n_channels, samples)
+    float64 array and `digest` is the `_recording_digest` of `files`' bytes
+    and that array. The header is checked against the file's size before
+    anything is allocated, so no header makes this read more than the file
+    holds; an object array is refused by its dtype, never unpickled."""
     if digest is None:
         return None
     try:
         with open(path / RECORDING_FILE, "rb") as fh:
-            data = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return None
-    if not (data.dtype == np.float64 and data.flags.c_contiguous and data.ndim == 3
-            and data.shape[:2] == (len(files), n_channels)):
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            count = math.prod(shape)
+            if (dtype != np.float64 or fortran_order or len(shape) != 3
+                    or shape[:2] != (len(files), n_channels)
+                    or os.fstat(fh.fileno()).st_size - fh.tell() != count * dtype.itemsize):
+                return None
+            data = np.fromfile(fh, dtype, count).reshape(shape)
+    except (OSError, ValueError):
         return None
     csv_digests = [hashlib.sha256(fpath.read_bytes()).digest() for fpath in files]
     if _recording_digest(csv_digests, data) != digest or not np.isfinite(data).all():

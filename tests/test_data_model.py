@@ -323,13 +323,10 @@ def _csv_digests(path):
 
 
 def _replace_copy(path, array):
-    """Write `array` as the binary copy, with a digest that matches it."""
+    """Write `array` as the binary copy, with a digest over the bytes the
+    file holds (in `array`'s own memory order)."""
     np.save(path / RECORDING_FILE, array)
-    meta_path = path / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["recording_sha256"] = _recording_digest(_csv_digests(path),
-                                                 np.ascontiguousarray(array))
-    meta_path.write_text(json.dumps(meta))
+    _set_digest(path, _recording_digest(_csv_digests(path), array.tobytes(order="A")))
 
 
 def _set_digest(path, digest):
@@ -337,6 +334,14 @@ def _set_digest(path, digest):
     meta = json.loads(meta_path.read_text())
     meta["recording_sha256"] = digest
     meta_path.write_text(json.dumps(meta))
+
+
+def _huge_header(fpath, x):
+    """A copy whose header declares far more samples than the file holds."""
+    with open(fpath, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False,
+                                                  "shape": (*x.shape[:2], 10 ** 13)})
+        fh.write(x.tobytes())
 
 
 # each breaks one condition of the copy; the digest is made to match the
@@ -355,11 +360,14 @@ def _set_digest(path, digest):
     lambda path, x: _replace_copy(path, np.where(np.arange(x.size).reshape(x.shape) == 5,
                                                  np.nan, x)),
     lambda path, x: np.save(path / RECORDING_FILE, x + 1.0),
+    lambda path, x: _huge_header(path / RECORDING_FILE, x),
+    lambda path, x: (path / RECORDING_FILE).write_bytes(
+        (path / RECORDING_FILE).read_bytes() + bytes(8)),
     lambda path, x: _set_digest(path, "0" * 64),
     lambda path, x: _set_digest(path, _recording_digest(_csv_digests(path)[::-1], x)),
 ], ids=["deleted", "truncated", "garbage", "float32", "big_endian", "trials_x_channels",
         "fewer_channels", "fortran_order", "pickled", "nan", "other_values",
-        "digest_mismatch", "digest_of_reordered_csvs"])
+        "huge_header", "trailing_bytes", "digest_mismatch", "digest_of_reordered_csvs"])
 def test_damaged_binary_copy_falls_back_to_the_csvs(tmp_path, monkeypatch, damage):
     ts = generate(SynthConfig(n_channels=3, n_sessions=2, trials_per_session=4, seed=2))
     save_archive(ts, tmp_path / "arch")
