@@ -9,22 +9,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .features import FeatureVector, _by_count
+from .features import _by_count
 
 SHRINKAGE = 1e-6  # ridge on the pooled scatter, scaled by trace/dim
-
-
-def _as_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray):
-        return np.atleast_2d(np.asarray(features, dtype=float))
-    return np.vstack([np.asarray(f.values if isinstance(f, FeatureVector) else f, dtype=float)
-                      for f in features])
-
-
-def _as_vector(x) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        return x.values
-    return np.asarray(x, dtype=float).ravel()
 
 
 @dataclass(frozen=True)
@@ -44,16 +31,25 @@ class LdaModel:
 
 @dataclass(frozen=True)
 class BaggingEnsemble:
-    components: tuple[LdaModel, ...]
+    """One LDA per round: hyperplane normals w (rounds, d), offsets b (rounds,)."""
+
+    w: np.ndarray
+    b: np.ndarray
     subset_fraction: float
     rounds: int
     seed: int
 
     def __post_init__(self):
-        if not self.components or len(self.components) != self.rounds:
+        # read-only views: the arrays passed in stay writable
+        w, b = (np.asarray(a, dtype=float).view() for a in (self.w, self.b))
+        if (self.rounds < 1 or w.ndim != 2 or w.shape[0] != self.rounds
+                or b.shape != (self.rounds,)):
             raise ValueError("ensemble must hold one component per round")
         if not 0 < self.subset_fraction <= 1:
             raise ValueError("subset_fraction must be in (0, 1]")
+        for name, a in (("w", w), ("b", b)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def fit_ldas(x: np.ndarray, neg_rows, pos_rows) -> tuple[np.ndarray, np.ndarray]:
@@ -89,35 +85,17 @@ def fit_ldas(x: np.ndarray, neg_rows, pos_rows) -> tuple[np.ndarray, np.ndarray]
     return w, b
 
 
-def fit_lda(features, labels: Sequence[int]) -> LdaModel:
-    """Fisher discriminant of one fit; see `fit_ldas`."""
-    x, y = _as_matrix(features), np.asarray(labels)
-    w, b = fit_ldas(x[None], [np.flatnonzero(y == -1)], [np.flatnonzero(y == 1)])
-    return LdaModel(w=w[0], b=float(b[0]))
-
-
-def lda_score(model: LdaModel, x) -> float:
-    v = _as_vector(x)
-    if v.shape != model.w.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {model.w.shape}")
-    return float(model.w @ v + model.b)
-
-
-def lda_predict(model: LdaModel, x) -> int:
-    # score exactly 0 counts as +1
-    return 1 if lda_score(model, x) >= 0 else -1
-
-
 def fit_bagging(
-    features,
+    x: np.ndarray,
     labels: Sequence[int],
     rounds: int = 50,
     subset_fraction: float = 0.5,
     seed: int = 0,
 ) -> BaggingEnsemble:
     """One LDA per bootstrap round, deterministic in (seed, round), fitted as
-    one `fit_ldas` stack. The first failing round raises, a fit before a draw."""
-    x = _as_matrix(features)
+    one `fit_ldas` stack from the (n, d) rows of x. The first failing round
+    raises, a fit before a draw."""
+    x = np.asarray(x, dtype=float)
     y = np.asarray(labels)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -140,24 +118,19 @@ def fit_bagging(
             f"round {len(draws)}: 100 consecutive single-class draws; data degenerate"
         )
     return BaggingEnsemble(
-        components=tuple(LdaModel(w=w[r], b=float(b[r])) for r in range(rounds)),
+        w=w,
+        b=b,
         subset_fraction=subset_fraction,
         rounds=rounds,
         seed=seed,
     )
 
 
-def bagging_predict_rows(ensemble: BaggingEnsemble, features) -> np.ndarray:
-    """`bagging_predict` of each row of an (n, d) matrix: each score is a
-    (1 x d) @ (d x 1) product, bitwise the component's `lda_score`."""
-    x = np.ascontiguousarray(_as_matrix(features))
-    w = np.stack([c.w for c in ensemble.components])
-    b = np.array([c.b for c in ensemble.components])
-    scores = (w[None, :, None, :] @ x[:, None, :, None])[..., 0, 0] + b
+def bagging_predict_rows(ensemble: BaggingEnsemble, x: np.ndarray) -> np.ndarray:
+    """Majority vote of the rounds on each row of an (n, d) matrix; exact
+    ties fall back to the sign of the mean score. Each score w . x + b is a
+    (1 x d) @ (d x 1) product, bitwise one round's alone."""
+    x = np.ascontiguousarray(x, dtype=float)
+    scores = (ensemble.w[None, :, None, :] @ x[:, None, :, None])[..., 0, 0] + ensemble.b
     votes = np.where(scores >= 0, 1, -1).sum(axis=1)
     return np.where(votes != 0, np.sign(votes), np.where(scores.mean(axis=1) >= 0, 1, -1))
-
-
-def bagging_predict(ensemble: BaggingEnsemble, x) -> int:
-    """Majority vote; exact ties fall back to the sign of the mean score."""
-    return int(bagging_predict_rows(ensemble, _as_vector(x)[None])[0])

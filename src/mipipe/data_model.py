@@ -317,9 +317,12 @@ def _check_meta(meta, meta_path: Path) -> None:
     need(isinstance(labels, list) and all(isinstance(c, str) for c in labels),
          "channel_labels must be a list of strings")
     rate = meta.get("sampling_rate_hz")
-    need(isinstance(rate, (int, float)) and not isinstance(rate, bool)
-         and math.isfinite(rate) and rate > 0,
-         "sampling_rate_hz must be a positive number")
+    try:
+        rate_ok = (isinstance(rate, (int, float)) and not isinstance(rate, bool)
+                   and math.isfinite(rate) and rate > 0)
+    except OverflowError:  # an integer past float range
+        rate_ok = False
+    need(rate_ok, "sampling_rate_hz must be a positive number")
     sessions = meta.get("sessions")
     need(isinstance(sessions, list), "sessions must be a list")
     for session in sessions:

@@ -10,24 +10,10 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .data_model import Trial
 from .errors import RankDeficientError
 from .preprocess import _scipy_module
 
 DEFAULT_AR_ORDER = 7
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    method: str  # csp | ar | lrp | combined
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature vector contains non-finite values")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -55,40 +41,13 @@ class CspModel:
     eigenvalues: np.ndarray  # (2m,)
     m: int
 
-    @property
-    def n_channels(self) -> int:
-        return self.filters.shape[1]
-
 
 def trace_normalized(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each stacked X X^T divided by its trace, and the traces. Unchecked: a
-    zero trace gives non-finite entries, which `class_covariance` and
-    `csp_fits` refuse."""
+    zero trace gives non-finite entries, which `csp_fits` refuses."""
     traces = np.trace(covs, axis1=1, axis2=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return covs / traces[:, None, None], traces
-
-
-def class_covariance(trials: Sequence[Trial]) -> np.ndarray:
-    """Mean over trials of the trace-normalized covariance X X^T / tr."""
-    unit, traces = trace_normalized(np.array([t.data @ t.data.T for t in trials]))
-    if np.any(traces <= 0):
-        raise ValueError("trial has zero total variance")
-    return np.mean(unit, axis=0)
-
-
-def fit_csp(class_neg: Sequence[Trial], class_pos: Sequence[Trial], m: int = 1) -> CspModel:
-    """CSP from two classes of trials' mean trace-normalized covariances;
-    see `csp_stack`."""
-    if not class_neg or not class_pos:
-        raise ValueError("both classes must be nonempty")
-    n_ch = class_neg[0].n_channels
-    for t in list(class_neg) + list(class_pos):
-        if t.n_channels != n_ch:
-            raise ValueError("mismatched channel counts across trials")
-    filters, eigenvalues = csp_stack(class_covariance(class_neg)[None],
-                                     class_covariance(class_pos)[None], m)
-    return CspModel(filters=filters[0], eigenvalues=eigenvalues[0], m=m)
 
 
 def _by_count(rows):
@@ -197,15 +156,6 @@ def check_csp_shares(shares: np.ndarray, totals: np.ndarray) -> None:
         if totals[bad[0]] <= 0:
             raise ValueError("zero total variance after spatial filtering")
         raise ValueError("feature vector contains non-finite values")
-
-
-def csp_feature(model: CspModel, trial: Trial) -> FeatureVector:
-    """Log variance share of the class -1 projections: log(vH / (vH + vF))."""
-    if trial.n_channels != model.n_channels:
-        raise ValueError("trial channel count does not match CSP model")
-    share, total = projection_log_shares(model.filters @ trial.data, model.m)
-    check_csp_shares(np.atleast_1d(share), np.atleast_1d(total))
-    return FeatureVector(np.array([share]), "csp")
 
 
 def ar_from_autocovariance(r: np.ndarray, p: int) -> ArCoefficients:

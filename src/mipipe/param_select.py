@@ -68,7 +68,8 @@ def estimate_pdf(scores: Sequence[float], score_range: tuple[float, float]) -> P
 
 
 def class_balance_penalty(test_scores: Sequence[float]) -> float:
-    """|P(+1) - 0.5| where score 0 counts as +1, matching lda_predict."""
+    """|P(+1) - 0.5| where score 0 counts as +1, as a round votes in
+    `bagging_predict_rows`."""
     scores = np.asarray(test_scores, dtype=float)
     if len(scores) == 0:
         raise ValueError("empty scores")

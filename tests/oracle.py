@@ -1,9 +1,9 @@
-"""Trial-at-a-time steps that the package no longer calls, kept as
-references for the tests: each one runs on one `Trial`, or for one fit,
-what the batched chains in `mipipe.preprocess`, the extractors in
-`mipipe.pipeline`, the stacked LDAs in `mipipe.classify` and the search in
-`mipipe.param_select` run on stacked arrays. The filters go through
-`scipy.signal`, which gives the numpy port's bits."""
+"""Trial-at-a-time and one-fit references for the tests: each one runs on
+one `Trial`, or for one fit, what the batched chains in `mipipe.preprocess`,
+the stacked CSP fits in `mipipe.features`, the extractors in
+`mipipe.pipeline`, the stacked LDAs and bagging in `mipipe.classify` and the
+search in `mipipe.param_select` run on stacked arrays. The filters go
+through `scipy.signal`, which gives the numpy port's bits."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from mipipe.errors import NumericalError, RankDeficientError
 from mipipe.features import (
     DEFAULT_AR_ORDER,
     CspModel,
-    FeatureVector,
     _eigh,
     check_csp_shares,
     fit_ar,
@@ -84,7 +83,7 @@ def baseline_correct(trial: Trial, fs_hz: float, window_s: tuple[float, float]) 
     return trial.with_data(_baseline(trial.data, fs_hz, window_s))
 
 
-def ar_feature(trial: Trial, channels: Sequence[int], p: int = DEFAULT_AR_ORDER) -> FeatureVector:
+def ar_feature(trial: Trial, channels: Sequence[int], p: int = DEFAULT_AR_ORDER) -> np.ndarray:
     """Concatenated per-channel AR parameters: [a_1..a_p sigma^2] per channel."""
     if not len(channels):
         raise ValueError("no channels selected")
@@ -95,7 +94,7 @@ def ar_feature(trial: Trial, channels: Sequence[int], p: int = DEFAULT_AR_ORDER)
         except ValueError as exc:
             raise ValueError(f"channel {c}: {exc}") from exc
         parts.append(np.r_[model.a, model.noise_variance])
-    return FeatureVector(np.concatenate(parts), "ar")
+    return np.concatenate(parts)
 
 
 def lrp_feature(
@@ -103,13 +102,12 @@ def lrp_feature(
     channels: Sequence[int],
     fs_hz: float,
     feature_window_s: tuple[float, float] = (0.5, 1.5),
-) -> FeatureVector:
+) -> np.ndarray:
     """Per selected channel, the mean amplitude inside the feature window."""
     if not len(channels):
         raise ValueError("no channels selected")
     i0, i1 = _window_indices(trial.data.shape[1], fs_hz, *feature_window_s)
-    means = trial.data[list(channels), i0:i1].mean(axis=1)
-    return FeatureVector(means, "lrp")
+    return trial.data[list(channels), i0:i1].mean(axis=1)
 
 
 def session(trial_set: TrialSet, session_id: int) -> TrialSet:
@@ -166,8 +164,8 @@ def csp_from_normalized(unit: np.ndarray, traces: np.ndarray, labels, m: int = 1
 
 
 def fit_lda(x: np.ndarray, labels) -> LdaModel:
-    """`mipipe.classify.fit_lda` of an (n, d) matrix, as one 2-D fit:
-    w = (S_w + ridge)^(-1) (mu+ - mu-), b at the midpoint."""
+    """`mipipe.classify.fit_ldas` of one fit on all of an (n, d) matrix, as
+    one 2-D fit: w = (S_w + ridge)^(-1) (mu+ - mu-), b at the midpoint."""
     y = np.asarray(labels)
     neg = x[y == -1]
     pos = x[y == 1]
@@ -198,7 +196,7 @@ def fit_bagging(x: np.ndarray, labels, rounds: int, subset_fraction: float,
     y = np.asarray(labels)
     n = len(x)
     k = math.ceil(subset_fraction * n)
-    components = []
+    ldas = []
     for r in range(rounds):
         rng = np.random.default_rng([seed, r])
         for attempt in range(100):
@@ -209,14 +207,15 @@ def fit_bagging(x: np.ndarray, labels, rounds: int, subset_fraction: float,
             raise NumericalError(
                 f"round {r}: 100 consecutive single-class draws; data degenerate"
             )
-        components.append(fit_lda(x[idx], y[idx]))
-    return BaggingEnsemble(tuple(components), subset_fraction, rounds, seed)
+        ldas.append(fit_lda(x[idx], y[idx]))
+    return BaggingEnsemble(np.stack([lda.w for lda in ldas]), np.array([lda.b for lda in ldas]),
+                           subset_fraction, rounds, seed)
 
 
 def bagging_predict(ensemble: BaggingEnsemble, x: np.ndarray) -> int:
-    """`mipipe.classify.bagging_predict` of one row: each component scores
+    """`mipipe.classify.bagging_predict_rows` of one row: each round scores
     w . x + b and votes; an exact tie goes to the sign of the mean score."""
-    scores = np.array([float(c.w @ x + c.b) for c in ensemble.components])
+    scores = np.array([float(w @ x + b) for w, b in zip(ensemble.w, ensemble.b)])
     votes = np.where(scores >= 0, 1, -1).sum()
     if votes != 0:
         return 1 if votes > 0 else -1

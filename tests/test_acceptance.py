@@ -9,17 +9,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mipipe.classify import bagging_predict, fit_bagging, fit_lda, lda_predict
+from mipipe.classify import bagging_predict_rows, fit_bagging, fit_ldas
 from mipipe.config import EnsembleConfig, PipelineConfig, SearchSpace
-from mipipe.data_model import SplitSpec, Trial, split_count
+from mipipe.data_model import SplitSpec, split_count
 from mipipe.errors import CriterionUndefinedError
 from mipipe.features import (
-    CspModel,
     ar_from_autocovariance,
-    class_covariance,
-    csp_feature,
+    check_csp_shares,
+    csp_fits,
     fit_ar,
-    fit_csp,
+    projection_log_shares,
+    trace_normalized,
 )
 from mipipe.param_select import (
     class_balance_penalty,
@@ -39,19 +39,24 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} failed: {name}{suffix}"
 
 
-def orthogonal_trial(scales, label=None):
+def orthogonal_trial(scales):
     base = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
-    return Trial(np.diag(scales) @ base, label, 1, 0)
+    return np.diag(scales) @ base
+
+
+def one_lda(x, y):
+    """`fit_ldas` of one fit on all of x: w (d,) and b."""
+    w, b = fit_ldas(x[None], [np.flatnonzero(y == -1)], [np.flatnonzero(y == 1)])
+    return w[0], b[0]
 
 
 def test_criterion_01_csp_oracle():
     # class covariances diag(2/3, 1/3) and diag(1/3, 2/3) after normalization
-    neg = [orthogonal_trial([np.sqrt(2.0), 1.0])]
-    pos = [orthogonal_trial([1.0, np.sqrt(2.0)])]
-    model = fit_csp(neg, pos, m=1)
-    w = model.filters
-    sigma_n = class_covariance(neg)
-    sigma_p = class_covariance(pos)
+    x = np.array([orthogonal_trial([np.sqrt(2.0), 1.0]), orthogonal_trial([1.0, np.sqrt(2.0)])])
+    unit, traces = trace_normalized(x @ x.transpose(0, 2, 1))
+    filters, _ = csp_fits(unit, traces, [np.array([0])], [np.array([1])], m=1)
+    w = filters[0]
+    sigma_n, sigma_p = unit
     eigen_n = np.sort(np.diag(w @ sigma_n @ w.T))[::-1]
     off_n = w @ sigma_n @ w.T - np.diag(np.diag(w @ sigma_n @ w.T))
     off_p = w @ sigma_p @ w.T - np.diag(np.diag(w @ sigma_p @ w.T))
@@ -88,34 +93,34 @@ def test_criterion_03_lda_oracle():
     pos = separation * np.eye(dim)[0] + offsets
     x = np.vstack([neg, pos])
     y = np.array([-1] * n + [1] * n)
-    model = fit_lda(x, y)
+    w, b = one_lda(x, y)
     scatter = sum((blk - blk.mean(axis=0)).T @ (blk - blk.mean(axis=0))
                   for blk in (neg, pos))
     oracle = np.linalg.solve(scatter, pos.mean(axis=0) - neg.mean(axis=0))
-    direction = model.w / np.linalg.norm(model.w)
+    direction = w / np.linalg.norm(w)
     oracle /= np.linalg.norm(oracle)
     angle = float(np.arccos(np.clip(abs(direction @ oracle), -1, 1)))
     sep_rng = np.random.default_rng(8)
     xs = np.vstack([sep_rng.normal((-5, 0), 0.5, size=(40, 2)),
                     sep_rng.normal((5, 0), 0.5, size=(40, 2))])
     ys = np.array([-1] * 40 + [1] * 40)
-    sep_model = fit_lda(xs, ys)
-    train_acc = float(np.mean([lda_predict(sep_model, xi) == yi
-                               for xi, yi in zip(xs, ys)]))
-    ok = abs(model.b) < 1e-9 and angle < 1e-6 and train_acc == 1.0
+    sep_w, sep_b = one_lda(xs, ys)
+    train_acc = float(np.mean(np.where(xs @ sep_w + sep_b >= 0, 1, -1) == ys))
+    ok = abs(b) < 1e-9 and angle < 1e-6 and train_acc == 1.0
     report(3, "shrinkage LDA oracle", ok,
-           f"|b| {abs(model.b):.2e}, angle {angle:.2e}, "
+           f"|b| {abs(b):.2e}, angle {angle:.2e}, "
            f"separable accuracy {100 * train_acc:.1f}%")
 
 
 def test_criterion_04_variance_share_forced_values():
-    model = CspModel(filters=np.eye(2), eigenvalues=np.array([0.5, 0.5]), m=1)
-    equal = csp_feature(model, orthogonal_trial([1.0, 1.0]))
-    skewed = csp_feature(model, orthogonal_trial([np.sqrt(3.0), 1.0]))
-    ok = (abs(equal.values[0] - np.log(0.5)) < 1e-12
-          and abs(skewed.values[0] - np.log(0.75)) < 1e-12)
+    x = np.array([orthogonal_trial([1.0, 1.0]), orthogonal_trial([np.sqrt(3.0), 1.0])])
+    shares, totals = projection_log_shares(np.eye(2) @ x, m=1)
+    check_csp_shares(shares, totals)
+    equal, skewed = shares
+    ok = (abs(equal - np.log(0.5)) < 1e-12
+          and abs(skewed - np.log(0.75)) < 1e-12)
     report(4, "variance-share feature forced values", ok,
-           f"equal {equal.values[0]:.12f}, 3:1 {skewed.values[0]:.12f}")
+           f"equal {equal:.12f}, 3:1 {skewed:.12f}")
 
 
 def test_criterion_05_selection_criteria_unit_properties():
@@ -151,12 +156,9 @@ def test_criterion_06_bagging_robustness():
         yt = np.array([-1] * n_test + [1] * n_test)
         ensemble = fit_bagging(x, flipped, rounds=50, subset_fraction=0.5,
                                seed=seed)
-        ens = float(np.mean([bagging_predict(ensemble, xi) == ti
-                             for xi, ti in zip(xt, yt)]))
-        comp = float(np.mean([
-            [lda_predict(c, xi) == ti for xi, ti in zip(xt, yt)]
-            for c in ensemble.components
-        ]))
+        ens = float(np.mean(bagging_predict_rows(ensemble, xt) == yt))
+        comp = float(np.mean(np.where(xt @ ensemble.w.T + ensemble.b >= 0, 1, -1)
+                             == yt[:, None]))
         ens_accs.append(100 * ens)
         comp_accs.append(100 * comp)
     ens_mean = float(np.mean(ens_accs))

@@ -3,14 +3,9 @@ import pytest
 
 from mipipe.classify import (
     BaggingEnsemble,
-    LdaModel,
-    bagging_predict,
     bagging_predict_rows,
     fit_bagging,
-    fit_lda,
     fit_ldas,
-    lda_predict,
-    lda_score,
 )
 from mipipe.errors import NumericalError
 
@@ -27,12 +22,39 @@ def symmetric_clusters(rng, n=50, separation=1.0, dim=2):
     return x, y
 
 
+def one_lda(x, y):
+    """`fit_ldas` of one fit on all of x: w (d,) and b."""
+    y = np.asarray(y)
+    w, b = fit_ldas(x[None], [np.flatnonzero(y == -1)], [np.flatnonzero(y == 1)])
+    return w[0], b[0]
+
+
+def hyperplane_scores(w, b, x):
+    """w . x + b of each (n, d) row, one dot product per row."""
+    return np.array([w @ row for row in x]) + b
+
+
+def hyperplane_sides(w, b, x):
+    """Each row's side of the hyperplane; a score of exactly 0 is +1."""
+    return np.where(hyperplane_scores(w, b, x) >= 0, 1, -1)
+
+
+def ensemble_of(w, b):
+    w = np.array(w, dtype=float)
+    return BaggingEnsemble(w, np.array(b, dtype=float), 0.5, len(w), 0)
+
+
+def component_predictions(ensemble, x):
+    """Each round's votes on the rows of x, (rounds, n)."""
+    return np.array([hyperplane_sides(w, b, x) for w, b in zip(ensemble.w, ensemble.b)])
+
+
 class TestLda:
     def test_symmetric_construction(self, rng):
         x, y = symmetric_clusters(rng)
-        model = fit_lda(x, y)
-        assert abs(model.b) < 1e-9
-        direction = model.w / np.linalg.norm(model.w)
+        w, b = one_lda(x, y)
+        assert abs(b) < 1e-9
+        direction = w / np.linalg.norm(w)
         # closed-form pooled-scatter oracle, no ridge
         neg, pos = x[y == -1], x[y == 1]
         scatter = sum((blk - blk.mean(axis=0)).T @ (blk - blk.mean(axis=0))
@@ -48,65 +70,59 @@ class TestLda:
         # symmetrize so means are exactly 0 and 2
         neg -= neg.mean()
         pos -= pos.mean() - 2.0
-        model = fit_lda(np.vstack([neg, pos]), [-1] * 100 + [1] * 100)
-        assert abs(lda_score(model, np.array([1.0]))) < 1e-9
-        assert lda_score(model, np.array([0.99])) < 0 < lda_score(model, np.array([1.01]))
+        w, b = one_lda(np.vstack([neg, pos]), [-1] * 100 + [1] * 100)
+        assert abs(hyperplane_scores(w, b, [[1.0]])[0]) < 1e-9
+        assert hyperplane_scores(w, b, [[0.99]])[0] < 0 < hyperplane_scores(w, b, [[1.01]])[0]
 
     def test_separable_training_accuracy(self, rng):
         neg = rng.normal((-5.0, 0.0), 0.5, size=(40, 2))
         pos = rng.normal((5.0, 0.0), 0.5, size=(40, 2))
         x = np.vstack([neg, pos])
         y = np.array([-1] * 40 + [1] * 40)
-        model = fit_lda(x, y)
-        assert all(lda_predict(model, xi) == yi for xi, yi in zip(x, y))
+        w, b = one_lda(x, y)
+        assert np.array_equal(hyperplane_sides(w, b, x), y)
 
     def test_sign_convention_on_means(self, rng):
         x, y = symmetric_clusters(rng, separation=2.0)
-        model = fit_lda(x, y)
-        assert lda_score(model, x[y == 1].mean(axis=0)) > 0
-        assert lda_score(model, x[y == -1].mean(axis=0)) < 0
+        w, b = one_lda(x, y)
+        assert hyperplane_scores(w, b, [x[y == 1].mean(axis=0)])[0] > 0
+        assert hyperplane_scores(w, b, [x[y == -1].mean(axis=0)])[0] < 0
 
     def test_midpoint_scores_zero(self, rng):
         x, y = symmetric_clusters(rng)
-        model = fit_lda(x, y)
+        w, b = one_lda(x, y)
         midpoint = (x[y == 1].mean(axis=0) + x[y == -1].mean(axis=0)) / 2
-        assert abs(lda_score(model, midpoint)) < 1e-12
+        assert abs(hyperplane_scores(w, b, [midpoint])[0]) < 1e-12
 
     def test_score_linearity(self, rng):
-        model = LdaModel(w=np.array([2.0, -1.0]), b=0.5)
+        w, b = np.array([2.0, -1.0]), 0.5
         x = rng.normal(size=2)
-        assert abs((lda_score(model, 2 * x) - lda_score(model, x))
-                   - float(model.w @ x)) < 1e-12
+        score = hyperplane_scores(w, b, [2 * x, x])
+        assert abs((score[0] - score[1]) - float(w @ x)) < 1e-12
 
     def test_predict_tie_rule(self):
-        model = LdaModel(w=np.array([1.0]), b=0.0)
-        assert lda_predict(model, np.array([0.0])) == 1
-        assert lda_predict(model, np.array([3.2])) == 1
-        assert lda_predict(model, np.array([-0.1])) == -1
+        ensemble = ensemble_of([[1.0]], [0.0])
+        probes = np.array([[0.0], [3.2], [-0.1]])
+        assert bagging_predict_rows(ensemble, probes).tolist() == [1, 1, -1]
 
     def test_positive_rescaling_invariance(self, rng):
         x, y = symmetric_clusters(rng)
-        model = fit_lda(x, y)
-        scaled = LdaModel(w=7.0 * model.w, b=7.0 * model.b)
+        w, b = one_lda(x, y)
         probes = rng.normal(size=(50, 2))
-        assert all(lda_predict(model, p) == lda_predict(scaled, p) for p in probes)
+        assert np.array_equal(hyperplane_sides(w, b, probes),
+                              hyperplane_sides(7.0 * w, 7.0 * b, probes))
 
     def test_permutation_invariance(self, rng):
         x, y = symmetric_clusters(rng)
         perm = rng.permutation(len(x))
-        m1 = fit_lda(x, y)
-        m2 = fit_lda(x[perm], y[perm])
-        assert np.allclose(m1.w, m2.w)
-        assert np.isclose(m1.b, m2.b)
+        w1, b1 = one_lda(x, y)
+        w2, b2 = one_lda(x[perm], y[perm])
+        assert np.allclose(w1, w2)
+        assert np.isclose(b1, b2)
 
     def test_single_class_errors(self, rng):
         with pytest.raises(ValueError):
-            fit_lda(rng.normal(size=(10, 2)), [1] * 10)
-
-    def test_dimension_mismatch(self):
-        model = LdaModel(w=np.array([1.0, 2.0]), b=0.0)
-        with pytest.raises(ValueError):
-            lda_score(model, np.array([1.0]))
+            one_lda(rng.normal(size=(10, 2)), [1] * 10)
 
 
 class TestBagging:
@@ -114,49 +130,53 @@ class TestBagging:
         x, y = symmetric_clusters(rng, n=112)  # 224 samples
         e1 = fit_bagging(x, y, rounds=50, subset_fraction=0.5, seed=42)
         e2 = fit_bagging(x, y, rounds=50, subset_fraction=0.5, seed=42)
-        assert len(e1.components) == 50
-        for c1, c2 in zip(e1.components, e2.components):
-            assert np.array_equal(c1.w, c2.w) and c1.b == c2.b
+        assert e1.w.shape == (50, 2) and e1.b.shape == (50,)
+        assert np.array_equal(e1.w, e2.w) and np.array_equal(e1.b, e2.b)
 
     def test_different_seeds_differ(self, rng):
         x, y = symmetric_clusters(rng, n=30)
         e1 = fit_bagging(x, y, rounds=5, seed=1)
         e2 = fit_bagging(x, y, rounds=5, seed=2)
-        assert any(not np.array_equal(c1.w, c2.w)
-                   for c1, c2 in zip(e1.components, e2.components))
+        assert any(not np.array_equal(w1, w2) for w1, w2 in zip(e1.w, e2.w))
 
     def test_single_round_equals_component(self, rng):
         x, y = symmetric_clusters(rng, n=30)
         ensemble = fit_bagging(x, y, rounds=1, seed=3)
         probes = rng.normal(size=(30, 2))
-        for p in probes:
-            assert bagging_predict(ensemble, p) == lda_predict(ensemble.components[0], p)
+        assert np.array_equal(bagging_predict_rows(ensemble, probes),
+                              component_predictions(ensemble, probes)[0])
 
     def test_unanimous_vote(self):
-        comps = tuple(LdaModel(w=np.array([1.0]), b=float(i)) for i in range(1, 51))
-        ensemble = BaggingEnsemble(comps, 0.5, 50, 0)
-        assert bagging_predict(ensemble, np.array([10.0])) == 1
+        ensemble = ensemble_of(np.ones((50, 1)), np.arange(1.0, 51.0))
+        assert bagging_predict_rows(ensemble, np.array([[10.0]])).tolist() == [1]
 
     def test_majority_vote(self):
         # 26 components vote -1, 24 vote +1
-        comps = tuple(
-            LdaModel(w=np.array([1.0]), b=-1.0) for _ in range(26)
-        ) + tuple(
-            LdaModel(w=np.array([1.0]), b=1.0) for _ in range(24)
-        )
-        ensemble = BaggingEnsemble(comps, 0.5, 50, 0)
-        assert bagging_predict(ensemble, np.array([0.0])) == -1
+        ensemble = ensemble_of(np.ones((50, 1)), [-1.0] * 26 + [1.0] * 24)
+        assert bagging_predict_rows(ensemble, np.array([[0.0]])).tolist() == [-1]
 
     def test_tie_broken_by_mean_score(self):
-        comps = (LdaModel(w=np.array([1.0]), b=-1.0),
-                 LdaModel(w=np.array([1.0]), b=3.0))
-        ensemble = BaggingEnsemble(comps, 0.5, 2, 0)
+        ensemble = ensemble_of([[1.0], [1.0]], [-1.0, 3.0])
         # votes split 1/1; mean score at x=0 is +1 -> +1
-        assert bagging_predict(ensemble, np.array([0.0])) == 1
-        neg = (LdaModel(w=np.array([1.0]), b=-3.0),
-               LdaModel(w=np.array([1.0]), b=1.0))
-        ensemble = BaggingEnsemble(neg, 0.5, 2, 0)
-        assert bagging_predict(ensemble, np.array([0.0])) == -1
+        assert bagging_predict_rows(ensemble, np.array([[0.0]])).tolist() == [1]
+        ensemble = ensemble_of([[1.0], [1.0]], [-3.0, 1.0])
+        assert bagging_predict_rows(ensemble, np.array([[0.0]])).tolist() == [-1]
+
+    @pytest.mark.parametrize("w,b,rounds", [
+        (np.ones((2, 1)), np.zeros(2), 3),
+        (np.ones((3, 1)), np.zeros(2), 3),
+        (np.ones(3), np.zeros(3), 3),
+        (np.ones((0, 1)), np.zeros(0), 0),
+    ])
+    def test_hyperplanes_must_match_rounds(self, w, b, rounds):
+        with pytest.raises(ValueError, match="one component per round"):
+            BaggingEnsemble(w, b, 0.5, rounds, 0)
+
+    def test_hyperplanes_are_read_only_views(self):
+        w, b = np.ones((2, 1)), np.zeros(2)
+        ensemble = BaggingEnsemble(w, b, 0.5, 2, 0)
+        assert not ensemble.w.flags.writeable and not ensemble.b.flags.writeable
+        assert w.flags.writeable and b.flags.writeable
 
     def test_degenerate_single_class_data(self, rng):
         x = rng.normal(size=(10, 2))
@@ -176,11 +196,8 @@ class TestBagging:
                         rng.normal((2.0, 0), 1.0, size=(100, 2))])
         yt = np.array([-1] * 100 + [1] * 100)
         ensemble = fit_bagging(x, flipped, rounds=50, subset_fraction=0.5, seed=9)
-        ens_acc = np.mean([bagging_predict(ensemble, xi) == ti for xi, ti in zip(xt, yt)])
-        comp_acc = np.mean([
-            [lda_predict(c, xi) == ti for xi, ti in zip(xt, yt)]
-            for c in ensemble.components
-        ])
+        ens_acc = np.mean(bagging_predict_rows(ensemble, xt) == yt)
+        comp_acc = np.mean(component_predictions(ensemble, xt) == yt)
         assert ens_acc >= comp_acc
 
 
@@ -205,9 +222,7 @@ def non_contiguous(x):
 
 
 def same_components(got, want):
-    return len(got.components) == len(want.components) and all(
-        np.array_equal(a.w, b.w) and a.b == b.b
-        for a, b in zip(got.components, want.components))
+    return np.array_equal(got.w, want.w) and np.array_equal(got.b, want.b)
 
 
 def on_boundary(probes, w, b):
@@ -223,8 +238,8 @@ class TestStackedLdaEqualsLoopReference:
         for _ in range(20):
             x, y = drawn_set(rng, d, scale)
             want = oracle.fit_lda(x, y)
-            for got in (fit_lda(x, y), fit_lda(non_contiguous(x), y)):
-                assert np.array_equal(got.w, want.w) and got.b == want.b
+            for w, b in (one_lda(x, y), one_lda(non_contiguous(x), y)):
+                assert np.array_equal(w, want.w) and b == want.b
 
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("d", DIMS)
@@ -241,15 +256,14 @@ class TestStackedLdaEqualsLoopReference:
         x, y = drawn_set(rng, d, scale)
         for rounds in (1, 2, 50):
             ensemble = fit_bagging(x, y, rounds, 0.5, seed=rounds)
-            w = sum(c.w for c in ensemble.components[:2])
-            b = sum(c.b for c in ensemble.components[:2])
+            w, b = ensemble.w[:2].sum(axis=0), ensemble.b[:2].sum()
             # one component's boundary, or where two split votes' mean score is 0
             probes = np.vstack([scale * rng.normal(size=(40, d)),
                                 on_boundary(scale * rng.normal(size=(40, d)), w, b)])
             want = [oracle.bagging_predict(ensemble, p) for p in probes]
             assert bagging_predict_rows(ensemble, probes).tolist() == want
             assert bagging_predict_rows(ensemble, non_contiguous(probes)).tolist() == want
-            assert [bagging_predict(ensemble, p) for p in probes[::8]] == want[::8]
+            assert [bagging_predict_rows(ensemble, p[None])[0] for p in probes[::8]] == want[::8]
 
     def test_first_failing_round_raises(self):
         # one +1 row in 200 and draws of 10 rows: a round fails to draw both

@@ -537,8 +537,10 @@ class TestTypedErrors:
         lambda m: m.update(sampling_rate_hz="100"),
         lambda m: m.update(channel_labels="C3"),
         lambda m: m["sessions"][0].update(trials={}),
+        lambda m: m.update(sampling_rate_hz=10 ** 400),
     ], ids=["no_channel_labels", "no_sessions", "no_rate", "no_file", "no_label",
-            "no_session_id", "rate_string", "labels_string", "trials_object"])
+            "no_session_id", "rate_string", "labels_string", "trials_object",
+            "rate_past_float_range"])
     def test_meta_schema(self, copy, tmp_path, capsys, mutate):
         meta_path = copy / "meta.json"
         meta = json.loads(meta_path.read_text())
@@ -676,8 +678,8 @@ def test_scipy_is_loaded_only_to_fit_a_csp(tmp_path, method, fits_csp):
 
 
 # JSON values a mutated field takes: wrong types, edge numbers, nesting
-FUZZ_POOL = [None, True, False, 0, 1, -1, 10 ** 30, -10 ** 30, 1.5, 1e308, "", "ar",
-             "combined", [], [[]], [0, 1], [0.5, 4.5], [[12, 14]], [[0, 1], None], {},
+FUZZ_POOL = [None, True, False, 0, 1, -1, 10 ** 30, -10 ** 30, 10 ** 400, 1.5, 1e308, "",
+             "ar", "combined", [], [[]], [0, 1], [0.5, 4.5], [[12, 14]], [[0, 1], None], {},
              {"a": [1]}]
 FUZZ_META_PATHS = [
     ("version",), ("sampling_rate_hz",), ("channel_labels",), ("channel_labels", 0),

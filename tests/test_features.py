@@ -8,79 +8,99 @@ from mipipe.features import (
     _eigh,
     ArCoefficients,
     CspModel,
-    FeatureVector,
     ar_from_autocovariance,
-    class_covariance,
-    csp_feature,
+    check_csp_shares,
+    csp_fits,
     fisher_scores,
     fit_ar,
-    fit_csp,
+    projection_log_shares,
     select_channels,
+    trace_normalized,
 )
 
 from conftest import as_trials, make_trial
 from oracle import ar_feature, baseline_correct, crop, lowpass_zero_phase, lrp_feature
 
 
-def orthogonal_trial(scales, label=None):
-    """Trial whose normalized covariance is diag(scales) / sum(scales)."""
+def orthogonal_trial(scales):
+    """(2, 4) trial whose normalized covariance is diag(scales) / sum(scales)."""
     base = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
-    return make_trial(np.diag(np.sqrt(scales)) @ base, label=label)
+    return np.diag(np.sqrt(scales)) @ base
+
+
+def class_mean(x):
+    """Mean trace-normalized covariance of the (n, c, s) trials x."""
+    return trace_normalized(x @ x.transpose(0, 2, 1))[0].mean(axis=0)
+
+
+def one_csp(neg, pos, m):
+    """`csp_fits` of one fit, classes -1 and +1 being the trials neg and pos."""
+    x = np.concatenate([neg, pos])
+    unit, traces = trace_normalized(x @ x.transpose(0, 2, 1))
+    filters, eigenvalues = csp_fits(unit, traces, [np.arange(len(neg))],
+                                    [np.arange(len(neg), len(x))], m)
+    return CspModel(filters=filters[0], eigenvalues=eigenvalues[0], m=m)
+
+
+def csp_shares(model, x):
+    """Checked log variance shares of `model`'s projections of (n, c, s) trials."""
+    shares, totals = projection_log_shares(model.filters @ x, model.m)
+    check_csp_shares(shares, totals)
+    return shares
 
 
 class TestCsp:
     def test_hand_computed_2x2_oracle(self):
         # class covariances diag(2,1)/3 and diag(1,2)/3 exactly
-        neg = [orthogonal_trial([2.0, 1.0])]
-        pos = [orthogonal_trial([1.0, 2.0])]
-        assert np.allclose(class_covariance(neg), np.diag([2 / 3, 1 / 3]))
-        model = fit_csp(neg, pos, m=1)
+        neg = np.array([orthogonal_trial([2.0, 1.0])])
+        pos = np.array([orthogonal_trial([1.0, 2.0])])
+        assert np.allclose(class_mean(neg), np.diag([2 / 3, 1 / 3]))
+        model = one_csp(neg, pos, m=1)
         assert np.allclose(model.eigenvalues, [2 / 3, 1 / 3], atol=1e-8)
         # filters are the coordinate axes up to sign and scale
         for row in model.filters:
             assert np.min(np.abs(row)) < 1e-8 * np.max(np.abs(row))
         # both projected covariances diagonal, summing to identity
-        for cov in (class_covariance(neg), class_covariance(pos)):
+        for cov in (class_mean(neg), class_mean(pos)):
             proj = model.filters @ cov @ model.filters.T
             off = proj - np.diag(np.diag(proj))
             assert np.max(np.abs(off)) < 1e-8
-        total = model.filters @ (class_covariance(neg) + class_covariance(pos)) @ model.filters.T
+        total = model.filters @ (class_mean(neg) + class_mean(pos)) @ model.filters.T
         assert np.allclose(total, np.eye(2), atol=1e-8)
 
     def test_identical_classes_half_eigenvalues(self, rng):
-        trials = [make_trial(rng.normal(size=(4, 50))) for _ in range(6)]
-        model = fit_csp(trials, trials, m=2)
+        trials = rng.normal(size=(6, 4, 50))
+        model = one_csp(trials, trials, m=2)
         assert np.allclose(model.eigenvalues, 0.5, atol=1e-8)
 
     def test_composite_whitening_identity(self, rng):
-        neg = [make_trial(rng.normal(size=(4, 200))) for _ in range(8)]
-        pos = [make_trial(rng.normal(size=(4, 200))) for _ in range(8)]
-        model = fit_csp(neg, pos, m=2)
-        composite = class_covariance(neg) + class_covariance(pos)
+        neg = rng.normal(size=(8, 4, 200))
+        pos = rng.normal(size=(8, 4, 200))
+        model = one_csp(neg, pos, m=2)
+        composite = class_mean(neg) + class_mean(pos)
         assert np.allclose(model.filters @ composite @ model.filters.T,
                            np.eye(4), atol=1e-8)
         # per-filter complementarity: class shares sum to 1
-        neg_shares = np.diag(model.filters @ class_covariance(neg) @ model.filters.T)
-        pos_shares = np.diag(model.filters @ class_covariance(pos) @ model.filters.T)
+        neg_shares = np.diag(model.filters @ class_mean(neg) @ model.filters.T)
+        pos_shares = np.diag(model.filters @ class_mean(pos) @ model.filters.T)
         assert np.allclose(neg_shares + pos_shares, 1.0, atol=1e-8)
         assert np.allclose(neg_shares, model.eigenvalues, atol=1e-8)
 
     def test_rank_deficient_error(self):
         # second channel duplicates the first
-        data = np.vstack([np.arange(8.0), np.arange(8.0)])
-        trials = [make_trial(data)]
+        trials = np.array([[np.arange(8.0), np.arange(8.0)]])
         with pytest.raises(RankDeficientError):
-            fit_csp(trials, trials, m=1)
+            one_csp(trials, trials, m=1)
 
     def test_too_many_filters(self, rng):
-        trials = [make_trial(rng.normal(size=(2, 20)))]
+        trials = rng.normal(size=(1, 2, 20))
         with pytest.raises(ValueError):
-            fit_csp(trials, trials, m=2)
+            one_csp(trials, trials, m=2)
 
     def test_sign_convention(self, rng):
-        neg = [make_trial(rng.normal(size=(4, 100))) for _ in range(4)]
-        pos = [make_trial(rng.normal(size=(4, 100))) for _ in range(4)]
-        model = fit_csp(neg, pos, m=1)
+        neg = rng.normal(size=(4, 4, 100))
+        pos = rng.normal(size=(4, 4, 100))
+        model = one_csp(neg, pos, m=1)
         for row in model.filters:
             assert row[np.argmax(np.abs(row))] > 0
 
@@ -108,35 +128,30 @@ class TestCspFeature:
 
     def test_equal_variances(self, rng):
         x = rng.normal(size=(1, 100))
-        trial = make_trial(np.vstack([x, x[:, ::-1]]))
-        f = csp_feature(self.identity_model(), trial)
-        assert abs(f.values[0] - np.log(0.5)) < 1e-12
+        shares = csp_shares(self.identity_model(), np.vstack([x, x[:, ::-1]])[None])
+        assert abs(shares[0] - np.log(0.5)) < 1e-12
 
     def test_three_to_one_ratio(self, rng):
         x = rng.normal(size=100)
         x = (x - x.mean()) / x.std()
-        trial = make_trial(np.vstack([np.sqrt(3.0) * x, x]))
-        f = csp_feature(self.identity_model(), trial)
-        assert abs(f.values[0] - np.log(0.75)) < 1e-12
+        shares = csp_shares(self.identity_model(), np.vstack([np.sqrt(3.0) * x, x])[None])
+        assert abs(shares[0] - np.log(0.75)) < 1e-12
 
     def test_scale_invariance(self, rng):
-        trial = make_trial(rng.normal(size=(2, 100)))
-        f1 = csp_feature(self.identity_model(), trial)
-        f2 = csp_feature(self.identity_model(), trial.with_data(17.5 * trial.data))
-        assert abs(f1.values[0] - f2.values[0]) < 1e-9
+        x = rng.normal(size=(2, 100))
+        f1, f2 = csp_shares(self.identity_model(), np.array([x, 17.5 * x]))
+        assert abs(f1 - f2) < 1e-9
 
     def test_variance_shares_sum_to_one(self, rng):
         model = self.identity_model()
-        trial = make_trial(rng.normal(size=(2, 100)))
-        projected = model.filters @ trial.data
+        projected = model.filters @ rng.normal(size=(2, 100))
         v = projected.var(axis=1)
         share_h = v[0] / v.sum()
         share_f = v[1] / v.sum()
         assert abs(share_h + share_f - 1.0) < 1e-12
 
     def test_output_negative(self, rng):
-        trial = make_trial(rng.normal(size=(2, 100)))
-        assert csp_feature(self.identity_model(), trial).values[0] < 0
+        assert csp_shares(self.identity_model(), rng.normal(size=(1, 2, 100)))[0] < 0
 
     def test_class_sign_on_synthetic(self):
         from mipipe.preprocess import bandpass_zero_phase
@@ -146,11 +161,11 @@ class TestCspFeature:
                                   erd_depth=0.7, noise_sigma_uv=0.5, seed=2))
         prepped = [crop(bandpass_zero_phase(t, 100.0, 12.0, 14.0), 100.0, 0.5, 4.5)
                    for t in as_trials(ts)]
-        neg = [t for t in prepped if t.label == -1]
-        pos = [t for t in prepped if t.label == 1]
-        model = fit_csp(neg[:10], pos[:10], m=1)
-        neg_feats = [csp_feature(model, t).values[0] for t in neg[10:]]
-        pos_feats = [csp_feature(model, t).values[0] for t in pos[10:]]
+        neg = np.array([t.data for t in prepped if t.label == -1])
+        pos = np.array([t.data for t in prepped if t.label == 1])
+        model = one_csp(neg[:10], pos[:10], m=1)
+        neg_feats = csp_shares(model, neg[10:])
+        pos_feats = csp_shares(model, pos[10:])
         assert np.mean(neg_feats) > np.log(0.5) > np.mean(pos_feats)
 
 
@@ -204,15 +219,14 @@ class TestArFeature:
     def test_dimension_one_channel(self, rng):
         trial = make_trial(rng.normal(size=(3, 200)))
         f = ar_feature(trial, [0], p=7)
-        assert len(f.values) == 8
-        assert f.method == "ar"
+        assert len(f) == 8
 
     def test_dimension_and_layout_two_channels(self, rng):
         trial = make_trial(rng.normal(size=(3, 200)))
         both = ar_feature(trial, [1, 2], p=7)
         first = ar_feature(trial, [1], p=7)
-        assert len(both.values) == 16
-        assert np.array_equal(both.values[:8], first.values)
+        assert len(both) == 16
+        assert np.array_equal(both[:8], first)
 
     def test_error_tagged_with_channel(self, rng):
         data = rng.normal(size=(2, 200))
@@ -226,7 +240,7 @@ class TestLrpFeature:
         trial = make_trial(np.full((2, 300), 2.0))
         corrected = baseline_correct(trial, 100.0, (0.0, 0.5))
         f = lrp_feature(corrected, [0, 1], 100.0, (0.5, 1.5))
-        assert np.allclose(f.values, 0.0)
+        assert np.allclose(f, 0.0)
 
     def test_ramp_mean(self):
         # channel rises linearly 0 -> 1 across the feature window
@@ -235,7 +249,7 @@ class TestLrpFeature:
         window = slice(50, 150)
         data[0, window] = np.linspace(0, 1, 100)
         f = lrp_feature(make_trial(data), [0], 100.0, (0.5, 1.5))
-        assert abs(f.values[0] - 0.5) < 1 / (2 * 100)
+        assert abs(f[0] - 0.5) < 1 / (2 * 100)
 
     def test_lateralized_drift_sign(self):
         from mipipe.synthgen import SynthConfig, generate
@@ -246,7 +260,7 @@ class TestLrpFeature:
         feats = []
         for t in as_trials(ts):
             p = baseline_correct(lowpass_zero_phase(t, 100.0, 1.5), 100.0, (0.0, 0.5))
-            feats.append(lrp_feature(p, range(4), 100.0, (0.5, 1.5)).values)
+            feats.append(lrp_feature(p, range(4), 100.0, (0.5, 1.5)))
         feats = np.array(feats)
         labels = ts.labels
         # the most drift-loaded channel separates the classes by sign
@@ -320,8 +334,3 @@ class TestSelectChannels:
             select_channels(np.array([1.0, 2.0]), 0)
         with pytest.raises(ValueError):
             select_channels(np.array([1.0, 2.0]), 3)
-
-
-def test_feature_vector_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        FeatureVector(np.array([1.0, np.inf]), "csp")

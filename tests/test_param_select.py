@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mipipe import features, param_select
-from mipipe.classify import LdaModel, fit_ldas, lda_score
+from mipipe.classify import LdaModel, fit_ldas
 from mipipe.config import PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, Trial, split_count, usable_folds
 from mipipe.errors import CriterionUndefinedError
-from mipipe.features import csp_feature, csp_stack, fit_csp
+from mipipe.features import check_csp_shares, csp_stack, trace_normalized
 from mipipe.param_select import (
     FEASIBILITY_THRESHOLD,
     N_BINS,
@@ -313,7 +313,7 @@ def unit_lda(features, labels):
 
 class TestUnitLda:
     """The search's one-feature LDA, the stacked `fit_ldas` scaled to unit
-    norm, against the loop `fit_lda` of one fit and the same scaling."""
+    norm, against the loop `oracle.fit_lda` of one fit and the same scaling."""
 
     reference = staticmethod(oracle.unit_lda)
 
@@ -509,12 +509,17 @@ def _oracle_prep(ts, band, window, channels):
 
 
 def _oracle_fit_and_score(train_trials, train_labels, score_trials, m):
-    neg = [t for t, y in zip(train_trials, train_labels) if y == -1]
-    pos = [t for t, y in zip(train_trials, train_labels) if y == 1]
-    model = fit_csp(neg, pos, m)
-    lda = oracle.unit_lda(np.array([csp_feature(model, t).values[0] for t in train_trials]),
-                          np.asarray(train_labels))
-    return [lda_score(lda, csp_feature(model, t)) for t in score_trials]
+    labels = np.asarray(train_labels)
+    unit, traces = trace_normalized(np.array([t.data @ t.data.T for t in train_trials]))
+    model = oracle.csp_from_normalized(unit, traces, labels, m)
+
+    def feature(t):
+        share, total = oracle.csp_log_shares(model, t.data)
+        check_csp_shares(np.atleast_1d(share), np.atleast_1d(total))
+        return np.atleast_1d(share)
+
+    lda = oracle.unit_lda(np.array([feature(t)[0] for t in train_trials]), labels)
+    return [float(lda.w @ feature(t) + lda.b) for t in score_trials]
 
 
 def _oracle_scores(train, test, band, window, channels, m):

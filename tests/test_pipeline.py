@@ -257,9 +257,11 @@ class TestRunAdaptive:
 
 def _reference_transform(method, config, fs, trials, labels):
     """Fit one method trial by trial; return its transform (Trial -> array)."""
-    from mipipe.features import csp_feature, fisher_scores, fit_csp, select_channels
+    from mipipe.features import (check_csp_shares, fisher_scores, select_channels,
+                                 trace_normalized)
     from oracle import (ar_feature, baseline_correct, common_average_reference, crop,
-                        lrp_feature, scipy_bandpass, scipy_lowpass)
+                        csp_from_normalized, csp_log_shares, lrp_feature, scipy_bandpass,
+                        scipy_lowpass)
 
     if method == "combined":
         parts = [_reference_transform(m, config, fs, trials, labels)
@@ -278,24 +280,27 @@ def _reference_transform(method, config, fs, trials, labels):
                 t = t.with_data(t.data[list(config.channels)])
             t = scipy_bandpass(t, fs, *config.preprocess.band_hz)
             return crop(t, fs, *config.preprocess.window_s)
-        prepped = [prep(t) for t in trials]
-        model = fit_csp([p for p, y in zip(prepped, labels) if y == -1],
-                        [p for p, y in zip(prepped, labels) if y == 1], config.m)
-        return lambda t: csp_feature(model, prep(t)).values
+        unit, traces = trace_normalized(np.array([p.data @ p.data.T for p in map(prep, trials)]))
+        model = csp_from_normalized(unit, traces, labels, config.m)
+
+        def transform(t):
+            share, total = csp_log_shares(model, prep(t).data)
+            check_csp_shares(np.atleast_1d(share), np.atleast_1d(total))
+            return np.atleast_1d(share)
+        return transform
     if method == "ar":
         def prep(t):
             t = scipy_bandpass(common_average_reference(t), fs, *config.ar_band_hz)
             return crop(t, fs, *config.preprocess.window_s)
         selected = pick([np.log(prep(t).data.var(axis=1)) for t in trials])
-        return lambda t: ar_feature(prep(t), selected, config.ar_order).values
+        return lambda t: ar_feature(prep(t), selected, config.ar_order)
 
     def prep(t):
         t = scipy_lowpass(t, fs, config.lrp_lowpass_hz)
         return baseline_correct(t, fs, config.lrp_baseline_window_s)
     window = config.lrp_feature_window_s
-    selected = pick([lrp_feature(prep(t), range(t.n_channels), fs, window).values
-                     for t in trials])
-    return lambda t: lrp_feature(prep(t), selected, fs, window).values
+    selected = pick([lrp_feature(prep(t), range(t.n_channels), fs, window) for t in trials])
+    return lambda t: lrp_feature(prep(t), selected, fs, window)
 
 
 def _reference_fit(config, fs, trials, labels):

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mipipe.classify import LdaModel, fit_lda, lda_predict
-from mipipe.data_model import Trial
-from mipipe.features import ar_from_autocovariance, class_covariance, fit_csp
+from mipipe.classify import BaggingEnsemble, bagging_predict_rows, fit_ldas
+from mipipe.features import ar_from_autocovariance, csp_fits, trace_normalized
 from mipipe.param_select import class_balance_penalty, estimate_pdf
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -44,15 +43,16 @@ def test_yule_walker_recovers_any_stable_ar1(phi):
 @settings(max_examples=25, deadline=None)
 def test_csp_diagonalizes_both_classes(n_channels, seed):
     rng = np.random.default_rng(seed)
-    neg = [Trial(rng.normal(size=(n_channels, 60)), -1, 1, i) for i in range(4)]
-    pos = [Trial(rng.normal(size=(n_channels, 60)), 1, 1, i) for i in range(4)]
-    model = fit_csp(neg, pos, m=1)
-    for trials in (neg, pos):
-        projected = model.filters @ class_covariance(trials) @ model.filters.T
+    x = rng.normal(size=(8, n_channels, 60))  # trials 0-3 are class -1, 4-7 class +1
+    unit, traces = trace_normalized(x @ x.transpose(0, 2, 1))
+    filters, _ = csp_fits(unit, traces, [np.arange(4)], [np.arange(4, 8)], m=1)
+    filters = filters[0]
+    class_covs = (unit[:4].mean(axis=0), unit[4:].mean(axis=0))
+    for cov in class_covs:
+        projected = filters @ cov @ filters.T
         off = projected - np.diag(np.diag(projected))
         assert np.max(np.abs(off)) < 1e-8
-    shares = (np.diag(model.filters @ class_covariance(neg) @ model.filters.T)
-              + np.diag(model.filters @ class_covariance(pos) @ model.filters.T))
+    shares = sum(np.diag(filters @ cov @ filters.T) for cov in class_covs)
     assert np.max(np.abs(shares - 1.0)) < 1e-8
 
 
@@ -62,19 +62,19 @@ def test_lda_predictions_invariant_to_feature_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     x = np.vstack([rng.normal(-1.0, 1.0, size=(10, 3)),
                    rng.normal(1.0, 1.0, size=(10, 3))])
-    y = np.array([-1] * 10 + [1] * 10)
-    base = fit_lda(x, y)
-    scaled = fit_lda(scale * x, y)
+    w, b = fit_ldas(np.array([x, scale * x]), [np.arange(10)] * 2, [np.arange(10, 20)] * 2)
+    base, scaled = (BaggingEnsemble(w[f:f + 1], b[f:f + 1], 0.5, 1, 0) for f in (0, 1))
     probes = rng.normal(size=(20, 3))
-    for p in probes:
-        assert lda_predict(base, p) == lda_predict(scaled, scale * p)
+    assert np.array_equal(bagging_predict_rows(base, probes),
+                          bagging_predict_rows(scaled, scale * probes))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_lda_hyperplane_rescaling_preserves_predictions(seed):
     rng = np.random.default_rng(seed)
-    model = LdaModel(w=rng.normal(size=4), b=float(rng.normal()))
-    rescaled = LdaModel(w=3.0 * model.w, b=3.0 * model.b)
-    for p in rng.normal(size=(20, 4)):
-        assert lda_predict(model, p) == lda_predict(rescaled, p)
+    w, b = rng.normal(size=(1, 4)), rng.normal(size=1)
+    probes = rng.normal(size=(20, 4))
+    model, rescaled = (BaggingEnsemble(s * w, s * b, 0.5, 1, 0) for s in (1.0, 3.0))
+    assert np.array_equal(bagging_predict_rows(model, probes),
+                          bagging_predict_rows(rescaled, probes))
