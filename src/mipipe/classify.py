@@ -14,19 +14,14 @@ from .features import _by_count
 SHRINKAGE = 1e-6  # ridge on the pooled scatter, scaled by trace/dim
 
 
-@dataclass(frozen=True)
-class LdaModel:
-    w: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).ravel()
-        if w.size == 0 or not np.any(w):
+def check_hyperplanes(w: np.ndarray, b: np.ndarray) -> None:
+    """Raise for the first hyperplane, normal w[f] and offset b[f], with an
+    all-zero normal or a non-finite parameter."""
+    bad = np.flatnonzero(~(np.isfinite(w).all(axis=1) & np.isfinite(b) & w.any(axis=1)))
+    if len(bad):
+        if not w[bad[0]].any():
             raise ValueError("hyperplane normal must have a nonzero entry")
-        if not (np.all(np.isfinite(w)) and math.isfinite(self.b)):
-            raise ValueError("non-finite LDA parameters")
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        raise ValueError("non-finite LDA parameters")
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ def fit_ldas(x: np.ndarray, neg_rows, pos_rows) -> tuple[np.ndarray, np.ndarray]
             raise ValueError("zero-dimension features")
         if not np.any(w[f]):
             raise NumericalError("classes have identical means: no discriminant direction")
-        LdaModel(w=w[f], b=float(b[f]))
+        check_hyperplanes(w[f:f + 1], b[f:f + 1])
     return w, b
 
 

@@ -14,22 +14,9 @@ from .errors import RankDeficientError
 from .preprocess import _scipy_module
 
 DEFAULT_AR_ORDER = 7
-
-
-@dataclass(frozen=True)
-class ArCoefficients:
-    """AR model in the convention x(n) = -sum_k a_k x(n-k) + u(n)."""
-
-    a: np.ndarray
-    noise_variance: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).ravel()
-        if len(a) < 1:
-            raise ValueError("AR order must be >= 1")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be >= 0")
-        object.__setattr__(self, "a", a)
+# why an AR fit failed, by the code `yule_walker` gives it; 0 is a fit
+AR_FAILURES = (None, "constant series: cannot fit AR model",
+               "singular autocovariance system: Singular matrix")
 
 
 @dataclass(frozen=True)
@@ -158,41 +145,54 @@ def check_csp_shares(shares: np.ndarray, totals: np.ndarray) -> None:
         raise ValueError("feature vector contains non-finite values")
 
 
-def ar_from_autocovariance(r: np.ndarray, p: int) -> ArCoefficients:
-    """Solve the Yule-Walker equations given autocovariances r(0..p)."""
-    r = np.asarray(r, dtype=float).ravel()
-    if len(r) < p + 1:
-        raise ValueError(f"need autocovariances r(0..{p}), got {len(r)}")
-    if r[0] <= 0:
-        raise ValueError("zero-variance series: autocovariance r(0) <= 0")
+def yule_walker(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Yule-Walker fits of stacked autocovariances r(0..p), (rows, p + 1):
+    the parameters [a_1..a_p, sigma^2] (rows, p + 1) of
+    x(n) = -sum_k a_k x(n-k) + u(n), sigma^2 clamped at 0, and each row's
+    failure code, an index into AR_FAILURES (0 for a fit). A failed row's
+    parameters are NaN. A row with r(0) <= 0 is set aside; the rest are one
+    stacked solve, which falls back to a solve per row only if one of its
+    systems is singular."""
+    p = r.shape[1] - 1
+    codes = (r[:, 0] <= 0).astype(np.int8)
+    fit = np.flatnonzero(codes == 0)
     lags = np.arange(p)
-    big_r = r[np.abs(lags[:, None] - lags)]  # the Toeplitz matrix of r(0..p-1)
+    toeplitz = r[fit][:, np.abs(lags[:, None] - lags)]
+    rhs = r[fit, 1:, None]
     try:
-        a_fwd = np.linalg.solve(big_r, r[1 : p + 1])
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular autocovariance system: {exc}") from exc
-    sigma2 = float(r[0] - a_fwd @ r[1 : p + 1])
-    return ArCoefficients(a=-a_fwd, noise_variance=max(sigma2, 0.0))
+        a = np.linalg.solve(toeplitz, rhs)
+    except LinAlgError:
+        a = np.full(rhs.shape, np.nan)
+        for i, row in enumerate(fit):
+            try:
+                a[i] = np.linalg.solve(toeplitz[i], rhs[i])
+            except LinAlgError:
+                codes[row] = 2
+    sigma2 = r[fit, 0] - (a.transpose(0, 2, 1) @ rhs)[:, 0, 0]
+    params = np.full(r.shape, np.nan)
+    params[fit, :p] = -a[..., 0]
+    params[fit, p] = np.where(sigma2 < 0, 0.0, sigma2)
+    return params, codes
 
 
-def fit_ar(series: np.ndarray, p: int = DEFAULT_AR_ORDER) -> ArCoefficients:
-    """Yule-Walker AR fit on biased sample autocovariances of a 1-D series."""
-    x = np.asarray(series, dtype=float).ravel()
-    n = len(x)
-    if n <= 10 * p:
-        raise ValueError(f"series of {n} samples too short for AR order {p}")
-    x = x - x.mean()
-    r = np.array([x[: n - k] @ x[k:] for k in range(p + 1)]) / n
-    if r[0] <= 0:
-        raise ValueError("constant series: cannot fit AR model")
-    return ar_from_autocovariance(r, p)
+def ar_fits(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """`yule_walker` of the biased sample autocovariances r(0..p) of each
+    demeaned row of x (rows, n); each lag's is a (1 x n-k) @ (n-k x 1)
+    product."""
+    n = x.shape[-1]
+    x = x - x.mean(axis=-1, keepdims=True)
+    r = np.stack([(x[:, None, :n - k] @ x[:, k:, None])[:, 0, 0] for k in range(p + 1)],
+                 axis=1) / n
+    return yule_walker(r)
 
 
 def fisher_scores(values: np.ndarray, labels: Sequence[int]) -> np.ndarray:
     """Per-channel Fisher score (mu- - mu+)^2 / (var- + var+).
 
     values: (n_trials, n_channels) matrix of scalar channel summaries.
-    Zero pooled variance with unequal means yields +inf (ranked first).
+    Zero pooled variance with unequal means yields +inf (ranked first). A
+    channel constant in every trial, such as a dead channel's log power of
+    -inf, has equal means and zero pooled variance: score 0.
     """
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
@@ -200,18 +200,22 @@ def fisher_scores(values: np.ndarray, labels: Sequence[int]) -> np.ndarray:
     pos = values[labels == 1]
     if len(neg) < 2 or len(pos) < 2:
         raise ValueError("each class needs >= 2 trials for Fisher scoring")
-    delta = neg.mean(axis=0) - pos.mean(axis=0)
-    pooled = neg.var(axis=0, ddof=1) + pos.var(axis=0, ddof=1)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, ranked last
+        delta = neg.mean(axis=0) - pos.mean(axis=0)
+        pooled = neg.var(axis=0, ddof=1) + pos.var(axis=0, ddof=1)
+    constant = (values == values[0]).all(axis=0)
+    delta[constant] = 0.0
     scores = np.empty(values.shape[1])
-    zero = pooled == 0
+    zero = constant | (pooled == 0)
     scores[~zero] = delta[~zero] ** 2 / pooled[~zero]
     scores[zero] = np.where(delta[zero] != 0, np.inf, 0.0)
     return scores
 
 
 def select_channels(scores: np.ndarray, n: int) -> list[int]:
-    """Indices of the n largest scores, descending, ties to lower index."""
+    """Indices of the n largest scores, descending, ties to lower index, NaN
+    last."""
     scores = np.asarray(scores, dtype=float)
     if not 1 <= n <= len(scores):
         raise ValueError(f"cannot select {n} of {len(scores)} channels")
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:n]
+    return np.argsort(-scores, kind="stable")[:n].tolist()

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import LdaModel, fit_ldas
+from .classify import check_hyperplanes, fit_ldas
 from .config import PipelineConfig, SearchSpace
 from .data_model import TrialSet, usable_folds
 from .errors import CriterionUndefinedError
@@ -113,12 +113,12 @@ def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, ...]]:
 
 def _unit_hyperplanes(w: np.ndarray, b: np.ndarray):
     """One-feature LDAs w (fits, 1), b (fits,) scaled to unit norm, so each
-    fit scores signed distances; the first that `LdaModel` then refuses raises."""
+    fit scores signed distances; the first that `check_hyperplanes` refuses
+    raises."""
     with np.errstate(all="ignore"):  # a failed scaling raises below
         norm = np.sqrt(w[:, 0] * w[:, 0])
         w, b = w[:, 0] / norm, b / norm
-    for f in np.flatnonzero(~(np.isfinite(w) & np.isfinite(b) & (w != 0))):
-        LdaModel(w=w[f:f + 1], b=float(b[f]))
+    check_hyperplanes(w[:, None], b)
     return w, b
 
 

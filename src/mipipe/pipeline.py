@@ -11,13 +11,14 @@ import numpy as np
 from .classify import BaggingEnsemble, bagging_predict_rows, fit_bagging
 from .config import PipelineConfig
 from .data_model import SplitSpec, TrialSet, split_count, stratified_folds, usable_folds
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .features import (
+    AR_FAILURES,
     CspModel,
+    ar_fits,
     check_csp_shares,
     csp_fits,
     fisher_scores,
-    fit_ar,
     projection_log_shares,
     select_channels,
     trace_normalized,
@@ -124,43 +125,38 @@ class ArExtractor(_Part):
 
     def prepare(self, trials: np.ndarray, rows=None):
         """Per trial and channel, the log band power followed by
-        [a_1..a_p, sigma^2]: (n_trials, n_channels, p + 2). Where a channel's
-        AR fit fails its parameters are NaN, and the error is kept, one dict
-        per trial, to be raised only if that channel is selected."""
+        [a_1..a_p, sigma^2]: (n_trials, n_channels, p + 2), and each AR fit's
+        failure code (n_trials, n_channels). Where a fit fails its parameters
+        are NaN, and its failure is raised only if that channel is selected."""
         order = self.config.ar_order
-        errors = []
+        codes = []
 
-        def summarise(x):
-            if x.shape[1] <= 10 * order:  # fit_ar's bound, before the table is made
+        def fit_block(block):
+            n_trials, n_channels, n = block.shape
+            if n <= 10 * order:
                 raise ConfigError(f"ar_order {order} needs more than {10 * order} samples "
-                                  f"per window, got {x.shape[1]}")
-            row = np.full((len(x), order + 2), np.nan)
-            row[:, 0] = np.log(x.var(axis=1))
-            failed = {}
-            for c, series in enumerate(x):
-                try:
-                    model = fit_ar(series, order)
-                except ValueError as exc:
-                    failed[c] = exc
-                else:
-                    row[c, 1:] = np.r_[model.a, model.noise_variance]
-            errors.append(failed)
-            return row
+                                  f"per window, got {n}")
+            params, failed = ar_fits(block.reshape(-1, n), order)
+            codes.append(failed.reshape(n_trials, n_channels))
+            with np.errstate(divide="ignore"):  # a dead channel's log power is -inf
+                power = np.log(block.var(axis=2))
+            return np.concatenate([power[..., None],
+                                   params.reshape(n_trials, n_channels, -1)], axis=2)
 
-        return preprocess_trials(trials, self.fs_hz, self.chain, summarise, rows), errors
+        table = preprocess_trials(trials, self.fs_hz, self.chain, fit_block, rows)
+        return table, np.concatenate(codes)
 
     def fit_rows(self, prepared, rows, labels):
         return self._pick_channels(prepared[0][rows, :, 0], labels[rows])
 
     def transform_rows(self, prepared, rows) -> np.ndarray:
-        table, errors = prepared
+        table, codes = prepared
         values = table[rows][:, self.selected, 1:].reshape(len(rows), -1)
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if len(bad):
-            failed = errors[rows[bad[0]]]
-            for c in self.selected:
-                if c in failed:
-                    raise ValueError(f"channel {c}: {failed[c]}") from failed[c]
+            for c, code in zip(self.selected, codes[rows[bad[0]], self.selected]):
+                if code:
+                    raise NumericalError(f"channel {c}: {AR_FAILURES[code]}")
             raise ValueError("feature vector contains non-finite values")
         return values
 
@@ -179,7 +175,7 @@ class LrpExtractor(_Part):
     def prepare(self, trials: np.ndarray, rows=None) -> np.ndarray:
         """Each channel's mean over the feature window: (n_trials, n_channels)."""
         return preprocess_trials(trials, self.fs_hz, self.chain,
-                                 lambda x: x.mean(axis=1), rows)
+                                 lambda x: x.mean(axis=2), rows)
 
     def fit_rows(self, prepared, rows, labels):
         return self._pick_channels(prepared[rows], labels[rows])

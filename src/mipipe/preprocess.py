@@ -336,13 +336,12 @@ def preprocess(x: np.ndarray, fs_hz: float, chain: Chain) -> np.ndarray:
 
 def preprocess_trials(trials: np.ndarray, fs_hz: float, chain: Chain,
                       reduce=None, rows=None) -> np.ndarray:
-    """`reduce(preprocess(x))` of each trial x of a (n_trials, n_channels,
-    n_samples) array, or of its `rows` in that order when given (the
-    preprocessed trial itself when `reduce` is None), written into one
+    """Each trial of a (n_trials, n_channels, n_samples) array, or its `rows`
+    in that order when given, through the chain, written into one
     preallocated array with one entry per trial. Trials go through the chain
     in blocks of about BLOCK_VALUES values, so only one block's temporaries
-    (and rows gathered) are alive at once; `reduce` still sees one trial at a
-    time."""
+    (and rows gathered) are alive at once. `reduce`, when given, maps each
+    preprocessed block to one entry per trial of it."""
     n = len(trials) if rows is None else len(rows)
     if not n:
         raise ValueError("no trials to preprocess")
@@ -352,9 +351,9 @@ def preprocess_trials(trials: np.ndarray, fs_hz: float, chain: Chain,
         block = trials[i0:i0 + step] if rows is None else trials[rows[i0:i0 + step]]
         block = preprocess(block, fs_hz, chain)
         if reduce is not None:
-            block = [reduce(x) for x in block]
+            block = reduce(block)
         if out is None:
-            out = np.empty((n,) + np.shape(block[0]))
+            out = np.empty((n,) + block.shape[1:])
         out[i0:i0 + len(block)] = block
     return out
 

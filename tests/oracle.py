@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mipipe.classify import SHRINKAGE, BaggingEnsemble, LdaModel
+from mipipe.classify import SHRINKAGE, BaggingEnsemble, check_hyperplanes
 from mipipe.data_model import Trial, TrialSet
 from mipipe.errors import NumericalError, RankDeficientError
 from mipipe.features import (
@@ -20,7 +20,6 @@ from mipipe.features import (
     CspModel,
     _eigh,
     check_csp_shares,
-    fit_ar,
     projection_log_shares,
 )
 from mipipe.preprocess import (
@@ -83,6 +82,31 @@ def baseline_correct(trial: Trial, fs_hz: float, window_s: tuple[float, float]) 
     return trial.with_data(_baseline(trial.data, fs_hz, window_s))
 
 
+def yule_walker_row(r: np.ndarray, p: int) -> np.ndarray:
+    """`mipipe.features.yule_walker` of one row r(0..p): [a_1..a_p, sigma^2]
+    of x(n) = -sum_k a_k x(n-k) + u(n), or the error its failure code names."""
+    if r[0] <= 0:
+        raise ValueError("constant series: cannot fit AR model")
+    lags = np.arange(p)
+    big_r = r[np.abs(lags[:, None] - lags)]  # the Toeplitz matrix of r(0..p-1)
+    try:
+        a_fwd = np.linalg.solve(big_r, r[1: p + 1])
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular autocovariance system: {exc}") from exc
+    sigma2 = float(r[0] - a_fwd @ r[1: p + 1])
+    return np.r_[-a_fwd, max(sigma2, 0.0)]
+
+
+def fit_ar(series: np.ndarray, p: int = DEFAULT_AR_ORDER) -> np.ndarray:
+    """`mipipe.features.ar_fits` of one 1-D series: the Yule-Walker fit of its
+    biased sample autocovariances."""
+    x = np.asarray(series, dtype=float).ravel()
+    n = len(x)
+    x = x - x.mean()
+    r = np.array([x[: n - k] @ x[k:] for k in range(p + 1)]) / n
+    return yule_walker_row(r, p)
+
+
 def ar_feature(trial: Trial, channels: Sequence[int], p: int = DEFAULT_AR_ORDER) -> np.ndarray:
     """Concatenated per-channel AR parameters: [a_1..a_p sigma^2] per channel."""
     if not len(channels):
@@ -90,10 +114,9 @@ def ar_feature(trial: Trial, channels: Sequence[int], p: int = DEFAULT_AR_ORDER)
     parts = []
     for c in channels:
         try:
-            model = fit_ar(trial.data[c], p)
+            parts.append(fit_ar(trial.data[c], p))
         except ValueError as exc:
             raise ValueError(f"channel {c}: {exc}") from exc
-        parts.append(np.r_[model.a, model.noise_variance])
     return np.concatenate(parts)
 
 
@@ -163,7 +186,7 @@ def csp_from_normalized(unit: np.ndarray, traces: np.ndarray, labels, m: int = 1
     )
 
 
-def fit_lda(x: np.ndarray, labels) -> LdaModel:
+def fit_lda(x: np.ndarray, labels) -> tuple[np.ndarray, float]:
     """`mipipe.classify.fit_ldas` of one fit on all of an (n, d) matrix, as
     one 2-D fit: w = (S_w + ridge)^(-1) (mu+ - mu-), b at the midpoint."""
     y = np.asarray(labels)
@@ -186,7 +209,8 @@ def fit_lda(x: np.ndarray, labels) -> LdaModel:
     if not np.any(w):
         raise NumericalError("classes have identical means: no discriminant direction")
     b = -float(w @ (mu_pos + mu_neg) / 2.0)
-    return LdaModel(w=w, b=b)
+    check_hyperplanes(w[None], np.array([b]))
+    return w, b
 
 
 def fit_bagging(x: np.ndarray, labels, rounds: int, subset_fraction: float,
@@ -208,8 +232,8 @@ def fit_bagging(x: np.ndarray, labels, rounds: int, subset_fraction: float,
                 f"round {r}: 100 consecutive single-class draws; data degenerate"
             )
         ldas.append(fit_lda(x[idx], y[idx]))
-    return BaggingEnsemble(np.stack([lda.w for lda in ldas]), np.array([lda.b for lda in ldas]),
-                           subset_fraction, rounds, seed)
+    w, b = zip(*ldas)
+    return BaggingEnsemble(np.stack(w), np.array(b), subset_fraction, rounds, seed)
 
 
 def bagging_predict(ensemble: BaggingEnsemble, x: np.ndarray) -> int:
@@ -222,12 +246,14 @@ def bagging_predict(ensemble: BaggingEnsemble, x: np.ndarray) -> int:
     return 1 if scores.mean() >= 0 else -1
 
 
-def unit_lda(features: np.ndarray, labels: np.ndarray) -> LdaModel:
+def unit_lda(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
     """`fit_lda` of one feature scaled to a unit-norm hyperplane: the
     search's LDA for one fit."""
-    lda = fit_lda(features[:, None], labels)
-    norm = float(np.linalg.norm(lda.w))
-    return LdaModel(w=lda.w / norm, b=lda.b / norm)
+    w, b = fit_lda(features[:, None], labels)
+    norm = float(np.linalg.norm(w))
+    w, b = w / norm, b / norm
+    check_hyperplanes(w[None], np.array([b]))
+    return w, b
 
 
 def candidate_scores(train_x, test_x, normalized, labels, fits, m, block_values=BLOCK_VALUES):
@@ -255,12 +281,12 @@ def candidate_scores(train_x, test_x, normalized, labels, fits, m, block_values=
             shares, totals = projection_log_shares(filters @ train_x, m)
             for (fit, fold), share, total in zip(fits[g0:], shares, totals):
                 check_csp_shares(share[fit], total[fit])
-                lda = unit_lda(share[fit], labels[fit])
+                w, b = unit_lda(share[fit], labels[fit])
                 check_csp_shares(share[fold], total[fold])
-                train_scores[fold] = share[fold, None] @ lda.w + lda.b
+                train_scores[fold] = share[fold, None] @ w + b
         if error is not None:
             raise error
 
     shares, totals = csp_log_shares(csps[-1], test_x)
     check_csp_shares(shares, totals)
-    return train_scores, shares[:, None] @ lda.w + lda.b
+    return train_scores, shares[:, None] @ w + b

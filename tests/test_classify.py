@@ -237,9 +237,9 @@ class TestStackedLdaEqualsLoopReference:
     def test_fit_lda(self, rng, d, scale):
         for _ in range(20):
             x, y = drawn_set(rng, d, scale)
-            want = oracle.fit_lda(x, y)
+            want_w, want_b = oracle.fit_lda(x, y)
             for w, b in (one_lda(x, y), one_lda(non_contiguous(x), y)):
-                assert np.array_equal(w, want.w) and b == want.b
+                assert np.array_equal(w, want_w) and b == want_b
 
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("d", DIMS)

@@ -627,6 +627,32 @@ class TestNumericalFailures:
         assert one_line_error(capsys) == ("numerical failure: classes have identical means: "
                                           "no discriminant direction\n")
 
+    @pytest.mark.parametrize("channels, failure", [
+        ([0, 2], "channel 2: constant series: cannot fit AR model"),
+        ([0, 1], None),
+        (None, None),  # the Fisher pick passes over the dead channels
+    ])
+    def test_dead_channel_ar_fit(self, archive, tmp_path, capsys, channels, failure):
+        # channels a, -a, 0, 0: the common average is exactly zero, so the
+        # AR chain's channels 2 and 3 are constant in every trial
+        ts = load_archive(archive)
+        data = ts.data.copy()
+        data[:, 1] = -data[:, 0]
+        data[:, 2:] = 0.0
+        dead = tmp_path / "dead"
+        save_archive(replace_trials(ts, [t.with_data(x) for t, x in zip(as_trials(ts), data)]),
+                     dead)
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**FAST_PIPELINE_DOC, "method": "ar", "channels": channels})
+        code = main(["crossval", "--data", str(dead), "--config", cfg,
+                     "--report", str(tmp_path / "cv.json")])
+        if failure is None:
+            assert code == EXIT_OK
+            capsys.readouterr()
+        else:
+            assert code == EXIT_NUMERICAL
+            assert one_line_error(capsys) == f"numerical failure: {failure}\n"
+
 
 class TestParser:
     def test_version_exits_zero(self, capsys):

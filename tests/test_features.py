@@ -6,16 +6,16 @@ from scipy.linalg import solve_toeplitz
 from mipipe.errors import RankDeficientError
 from mipipe.features import (
     _eigh,
-    ArCoefficients,
+    AR_FAILURES,
     CspModel,
-    ar_from_autocovariance,
+    ar_fits,
     check_csp_shares,
     csp_fits,
     fisher_scores,
-    fit_ar,
     projection_log_shares,
     select_channels,
     trace_normalized,
+    yule_walker,
 )
 
 from conftest import as_trials, make_trial
@@ -169,27 +169,34 @@ class TestCspFeature:
         assert np.mean(neg_feats) > np.log(0.5) > np.mean(pos_feats)
 
 
+def one_ar_fit(x, p):
+    """`ar_fits` of one series: [a_1..a_p] and sigma^2, checked to be a fit."""
+    params, codes = ar_fits(x[None], p)
+    assert codes[0] == 0
+    return params[0, :p], params[0, p]
+
+
 class TestAr:
     def test_white_noise(self, rng):
         x = rng.normal(size=10000)
-        model = fit_ar(x, p=7)
-        assert np.max(np.abs(model.a)) < 0.05
-        assert abs(model.noise_variance - 1.0) < 0.05
+        a, noise_variance = one_ar_fit(x, p=7)
+        assert np.max(np.abs(a)) < 0.05
+        assert abs(noise_variance - 1.0) < 0.05
 
     def test_analytic_ar1_autocovariance(self):
         # x(n) = 0.9 x(n-1) + u(n), var(u) = 1: r(k) = 0.9^k / (1 - 0.81)
         r = 0.9 ** np.arange(2) / (1 - 0.81)
-        model = ar_from_autocovariance(r, p=1)
-        assert abs(model.a[0] - (-0.9)) < 1e-10
-        assert abs(model.noise_variance - 1.0) < 1e-10
+        (params,), _ = yule_walker(r[None])
+        assert abs(params[0] - (-0.9)) < 1e-10
+        assert abs(params[1] - 1.0) < 1e-10
 
     def test_analytic_matches_toeplitz_solver(self, rng):
         # independent oracle: generic SPD autocovariance solved by Levinson
         r = np.r_[5.0, 2.0, 1.0, 0.5, 0.1]
         p = 4
-        model = ar_from_autocovariance(r, p)
+        (params,), _ = yule_walker(r[None])
         oracle = solve_toeplitz(r[:p], r[1: p + 1])
-        assert np.max(np.abs(model.a + oracle)) < 1e-10
+        assert np.max(np.abs(params[:p] + oracle)) < 1e-10
 
     def test_simulated_ar1(self, rng):
         n = 10000
@@ -198,21 +205,32 @@ class TestAr:
         x[0] = u[0]
         for i in range(1, n + 500):
             x[i] = 0.9 * x[i - 1] + u[i]
-        model = fit_ar(x[500:], p=1)
-        assert abs(model.a[0] - (-0.9)) < 0.05
-        assert abs(model.noise_variance - 1.0) < 0.05
+        a, noise_variance = one_ar_fit(x[500:], p=1)
+        assert abs(a[0] - (-0.9)) < 0.05
+        assert abs(noise_variance - 1.0) < 0.05
 
     def test_constant_series_errors(self):
-        with pytest.raises(ValueError):
-            fit_ar(np.ones(1000), p=3)
+        params, codes = ar_fits(np.ones((1, 1000)), p=3)
+        assert AR_FAILURES[codes[0]] == "constant series: cannot fit AR model"
+        assert np.isnan(params).all()
 
     def test_too_short_errors(self, rng):
-        with pytest.raises(ValueError):
-            fit_ar(rng.normal(size=60), p=7)
+        # the one bound on the window: AR order 7 needs more than 70 samples
+        from mipipe.config import PipelineConfig
+        from mipipe.errors import ConfigError
+        from mipipe.pipeline import ArExtractor
+        from mipipe.preprocess import PreprocessConfig
+
+        config = PipelineConfig(method="ar", ar_order=7,
+                                preprocess=PreprocessConfig(window_s=(0.5, 1.1)))
+        with pytest.raises(ConfigError, match="needs more than 70 samples per window, got 60"):
+            ArExtractor(config, 100.0).prepare(rng.normal(size=(2, 3, 400)))
 
     def test_noise_variance_nonnegative(self):
-        with pytest.raises(ValueError):
-            ArCoefficients(a=[0.5], noise_variance=-1.0)
+        # r = [1, 2], p = 1: a_1 = -2 and sigma^2 = 1 - 2 * 2 = -3, clamped
+        (params,), codes = yule_walker(np.array([[1.0, 2.0]]))
+        assert codes[0] == 0
+        assert params[0] == -2.0 and params[1] == 0.0
 
 
 class TestArFeature:
@@ -310,6 +328,17 @@ class TestFisher:
         with pytest.raises(ValueError):
             fisher_scores(np.zeros((3, 2)), [-1, 1, 1])
 
+    def test_dead_channels_score_zero_without_warning(self):
+        # log band power of channels 1 and 3, dead in every trial, is -inf;
+        # warnings are errors here, so inf - inf must not warn
+        dead = -np.inf
+        values = np.array([[1.0, dead, 0.2, dead], [2.0, dead, 0.1, dead],
+                           [0.5, dead, 0.3, dead], [3.0, dead, 0.4, dead]])
+        scores = fisher_scores(values, [-1, -1, 1, 1])
+        assert scores[1] == scores[3] == 0.0
+        assert abs(scores[2] - 4.0) < 1e-9 and abs(scores[0] - 0.0625 / 3.625) < 1e-12
+        assert select_channels(scores, 2) == [2, 0]
+
     def test_permutation_equivariance(self, rng):
         values = rng.normal(size=(20, 4))
         labels = [-1] * 10 + [1] * 10
@@ -328,6 +357,11 @@ class TestSelectChannels:
 
     def test_all_channels_sorted_by_score(self):
         assert select_channels(np.array([0.1, 0.9, 0.5]), 3) == [1, 2, 0]
+
+    def test_nan_ranks_below_every_number(self):
+        scores = np.array([np.nan, 0.0, np.inf, np.nan, 1.0, 1.0])
+        assert select_channels(scores, 6) == [2, 4, 5, 1, 0, 3]
+        assert select_channels(scores, 1) == [2]
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mipipe import features, param_select
-from mipipe.classify import LdaModel, fit_ldas
+from mipipe.classify import fit_ldas
 from mipipe.config import PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, Trial, split_count, usable_folds
 from mipipe.errors import CriterionUndefinedError
@@ -308,7 +308,7 @@ def unit_lda(features, labels):
     """`unit_ldas` of one fit."""
     w, b = unit_ldas(features[None], [np.flatnonzero(labels == -1)],
                      [np.flatnonzero(labels == 1)])
-    return LdaModel(w=w, b=float(b[0]))
+    return w, float(b[0])
 
 
 class TestUnitLda:
@@ -327,9 +327,10 @@ class TestUnitLda:
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_bitwise_equal_to_fit_lda_normalised(self, rng, scale):
         for features, labels in self.random_sets(rng, scale):
-            got, want = unit_lda(features, labels), self.reference(features, labels)
-            assert got.w.shape == want.w.shape == (1,)
-            assert np.array_equal(got.w, want.w) and got.b == want.b
+            (got_w, got_b), (want_w, want_b) = (unit_lda(features, labels),
+                                                self.reference(features, labels))
+            assert got_w.shape == want_w.shape == (1,)
+            assert np.array_equal(got_w, want_w) and got_b == want_b
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_all_fits_at_once_equal_each_fit_alone(self, rng, scale):
@@ -341,8 +342,8 @@ class TestUnitLda:
         w, b = unit_ldas(shares, [np.flatnonzero(y == -1) for _, y in sets],
                          [np.flatnonzero(y == 1) for _, y in sets])
         for f, (features, labels) in enumerate(sets):
-            want = self.reference(features, labels)
-            assert w[f] == want.w[0] and b[f] == want.b
+            want_w, want_b = self.reference(features, labels)
+            assert w[f] == want_w[0] and b[f] == want_b
 
     @pytest.mark.parametrize("features, labels, match", [
         ([1.0, 2.0, 1.0, 2.0], [-1, -1, 1, 1], "identical means"),
@@ -518,8 +519,8 @@ def _oracle_fit_and_score(train_trials, train_labels, score_trials, m):
         check_csp_shares(np.atleast_1d(share), np.atleast_1d(total))
         return np.atleast_1d(share)
 
-    lda = oracle.unit_lda(np.array([feature(t)[0] for t in train_trials]), labels)
-    return [float(lda.w @ feature(t) + lda.b) for t in score_trials]
+    w, b = oracle.unit_lda(np.array([feature(t)[0] for t in train_trials]), labels)
+    return [float(w @ feature(t) + b) for t in score_trials]
 
 
 def _oracle_scores(train, test, band, window, channels, m):

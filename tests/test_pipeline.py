@@ -402,13 +402,13 @@ def test_sweep_fractions_prepares_each_chain_once(monkeypatch):
 
     ts = easy_set(seed=11, trials_per_session=30, lrp_slope_uv_per_s=2.0)
     filtered, ar_fits = count_filtered_trials(monkeypatch), []
-    fit_ar = pipeline.fit_ar
+    fits = pipeline.ar_fits
 
-    def counting_fit_ar(series, p):
-        ar_fits.append(len(series))
-        return fit_ar(series, p)
+    def counting_ar_fits(x, p):
+        ar_fits.extend([x.shape[1]] * len(x))  # one entry per series fitted
+        return fits(x, p)
 
-    monkeypatch.setattr(pipeline, "fit_ar", counting_fit_ar)
+    monkeypatch.setattr(pipeline, "ar_fits", counting_ar_fits)
     # csp, ar and lrp chains; combined reuses all three
     sweep_fractions(ts, quiet_config(), ["csp", "ar", "lrp", "combined"], [0.3, 0.6])
     assert sum(filtered) == 3 * len(ts)
@@ -419,6 +419,31 @@ def test_sweep_fractions_prepares_each_chain_once(monkeypatch):
     run_static(ts, SplitSpec(0.2, "prefix"), quiet_config("ar"), folds=5)
     assert sum(filtered) == len(ts)
     assert len(ar_fits) == len(ts) * ts.n_channels
+
+
+def test_ar_table_and_codes_do_not_depend_on_the_block_size(monkeypatch, rng):
+    from mipipe import preprocess
+    from mipipe.pipeline import ArExtractor
+
+    # channels a, -a, 0, 0 in every third trial: the common average is
+    # exactly zero, so channels 2 and 3 stay dead and their fits fail
+    trials = rng.normal(size=(9, 4, 500))
+    trials[::3, 1] = -trials[::3, 0]
+    trials[::3, 2:] = 0.0
+    part = ArExtractor(quiet_config("ar"), 100.0)
+    table, codes = part.prepare(trials)
+    assert codes.shape == (9, 4) and table.shape == (9, 4, part.config.ar_order + 2)
+    assert (codes[::3, 2:] == 1).all() and codes.sum() == 6
+    assert np.isnan(table[::3, 2:, 1:]).all() and np.isfinite(table[codes == 0]).all()
+    rows = np.array([4, 0, 3, 8])
+    for block_values in (1, 4 * 500 * 2):
+        monkeypatch.setattr(preprocess, "BLOCK_VALUES", block_values)
+        small_table, small_codes = part.prepare(trials)
+        assert np.array_equal(small_table, table, equal_nan=True)
+        assert np.array_equal(small_codes, codes)
+        row_table, row_codes = part.prepare(trials, rows)
+        assert np.array_equal(row_table, table[rows], equal_nan=True)
+        assert np.array_equal(row_codes, codes[rows])
 
 
 @pytest.mark.parametrize("channels", [None, (0, 2)])
@@ -459,13 +484,13 @@ def test_run_adaptive_prepares_the_archive_once(monkeypatch, method, chains, fit
 
     ts = easy_set(seed=13, n_sessions=4, trials_per_session=12, lrp_slope_uv_per_s=2.0)
     filtered, ar_fits = count_filtered_trials(monkeypatch), []
-    fit_ar = pipeline.fit_ar
+    fits = pipeline.ar_fits
 
-    def counting_fit_ar(series, p):
-        ar_fits.append(len(series))
-        return fit_ar(series, p)
+    def counting_ar_fits(x, p):
+        ar_fits.extend([x.shape[1]] * len(x))  # one entry per series fitted
+        return fits(x, p)
 
-    monkeypatch.setattr(pipeline, "fit_ar", counting_fit_ar)
+    monkeypatch.setattr(pipeline, "ar_fits", counting_ar_fits)
     n, k = len(ts), 8
     report = run_adaptive(ts, SplitSpec(k / n, "prefix"), quiet_config(method), folds=5)
     assert len(report.predicted_labels) == n - k

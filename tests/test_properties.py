@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mipipe.classify import BaggingEnsemble, bagging_predict_rows, fit_ldas
-from mipipe.features import ar_from_autocovariance, csp_fits, trace_normalized
+from mipipe.features import AR_FAILURES, ar_fits, csp_fits, trace_normalized, yule_walker
 from mipipe.param_select import class_balance_penalty, estimate_pdf
+
+from oracle import fit_ar, yule_walker_row
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -34,9 +36,66 @@ def test_balance_penalty_bounds_and_sign_flip(scores):
 @given(st.floats(min_value=-0.95, max_value=0.95, allow_nan=False))
 def test_yule_walker_recovers_any_stable_ar1(phi):
     r = phi ** np.arange(2) / (1 - phi ** 2)
-    model = ar_from_autocovariance(r, 1)
-    assert abs(model.a[0] + phi) < 1e-9
-    assert abs(model.noise_variance - 1.0) < 1e-9
+    (params,), _ = yule_walker(r[None])
+    assert abs(params[0] + phi) < 1e-9
+    assert abs(params[1] - 1.0) < 1e-9
+
+
+def assert_rows_match_oracle(params, codes, fits):
+    """Each row's parameters and failure code against its oracle call: the
+    same bits, or the failure code naming the error the oracle raises."""
+    assert len(params) == len(codes) == len(fits)
+    for row, code, fit in zip(params, codes, fits):
+        try:
+            want = fit()
+        except ValueError as exc:
+            assert AR_FAILURES[code] == str(exc)
+            assert np.isnan(row).all()
+        else:
+            assert code == 0 and np.array_equal(row, want)
+
+
+@given(st.integers(1, 8),
+       st.lists(st.sampled_from(["noise", "walk", "zero", "constant"]), min_size=1, max_size=12),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_ar_fits_bitwise_equal_to_each_series_alone(p, kinds, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(p + 1, 400))
+    x = np.empty((len(kinds), n))
+    for row, kind in zip(x, kinds):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        row[:] = {"noise": lambda: scale * rng.normal(size=n),
+                  "walk": lambda: scale * np.cumsum(rng.normal(size=n)),  # ill-conditioned
+                  "zero": lambda: 0.0,
+                  "constant": lambda: scale * rng.normal()}[kind]()
+    params, codes = ar_fits(x, p)
+    assert params.shape == (len(x), p + 1)
+    assert_rows_match_oracle(params, codes, [lambda s=s: fit_ar(s, p) for s in x])
+
+
+@given(st.integers(2, 8),
+       st.lists(st.sampled_from(["random", "ones", "alternating", "zero", "negative"]),
+                max_size=12),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_yule_walker_bitwise_equal_to_each_row_alone(p, kinds, seed):
+    # a constant or alternating r(k) makes a rank-one Toeplitz system, which
+    # LU finds exactly singular; one is always present, so the stacked solve
+    # raises and every row is solved alone
+    rng = np.random.default_rng(seed)
+    kinds = [*kinds, rng.choice(["ones", "alternating"])]
+    r = np.empty((len(kinds), p + 1))
+    for row, kind in zip(r, kinds):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        row[:] = {"random": lambda: scale * np.r_[rng.uniform(1, 2), rng.uniform(-1, 1, p)],
+                  "ones": lambda: scale,
+                  "alternating": lambda: scale * (-1.0) ** np.arange(p + 1),
+                  "zero": lambda: 0.0,
+                  "negative": lambda: -scale * rng.uniform(size=p + 1)}[kind]()
+    params, codes = yule_walker(r)
+    assert (codes == 2).any()
+    assert_rows_match_oracle(params, codes, [lambda row=row: yule_walker_row(row, p) for row in r])
 
 
 @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
