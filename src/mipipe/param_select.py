@@ -176,10 +176,10 @@ def candidate_scores(train_x, test_x, normalized, fits, m) -> tuple[np.ndarray, 
 def _candidate_rho(filtered, data, n_train, fs_hz, fits, band, window, channels, m):
     """One candidate's table entries. `filtered` holds the band's batches of
     `data` (train then test rows) by channel subset; a subset is band-passed when
-    first used, since filtering a subset is not bitwise the same as
-    subsetting the filtered channels. The first error is the one a per-trial
-    pipeline meets: band, then window. The views of the batch end with this
-    call, so dropping `filtered` frees the band."""
+    first used, which filters only its rows and, as each row is filtered
+    alone, gives the bits of every channel filtered. The first error is the
+    one a per-trial pipeline meets: band, then window. The views of the batch
+    end with this call, so dropping `filtered` frees the band."""
     if channels not in filtered:
         filtered[channels] = preprocess_trials(data, fs_hz, Chain(channels=channels, band_hz=band))
     x = filtered[channels]
@@ -212,7 +212,7 @@ def grid_search(
     (balance penalty <= FEASIBILITY_THRESHOLD) compete on rho; if none is feasible the
     fallback objective is rho - penalty. `data.labels` is never read. Ties
     break by enumeration order. The recording is band-passed one band at a
-    time; each trial is filtered alone whatever block it shares, so the rows
+    time; each row is filtered alone whatever block it shares, so the rows
     are bitwise what filtering the train and test sets apart gives.
     """
     if base is None:

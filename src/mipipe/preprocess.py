@@ -2,12 +2,12 @@
 
 All filters are Butterworth, applied forward-backward for zero phase with
 Gustafsson's initial conditions, so interior samples are free of edge
-transients. The design is a numpy port of scipy's `signal.butter`, and the
-filter is `signal.filtfilt(method="gust")`'s steps, giving the same bits:
-each pass runs scipy's own compiled loop, `signal._sigtools._linear_filter`,
-loaded by `_scipy_module` without scipy.signal's package import, and
-Gustafsson's least-squares solve is numpy's `lstsq`, the same LAPACK
-`dgelsd` call with scipy's default `cond`.
+transients. The design is a numpy port of scipy's `signal.butter`, with its
+bits; the filter takes `signal.filtfilt(method="gust")`'s steps, each pass
+in scipy's own compiled loop, `signal._sigtools._linear_filter`, loaded by
+`_scipy_module` without scipy.signal's package import. Gustafsson's
+least-squares matrix depends only on the design and the trial length, so it
+is factored once, and each row comes out bitwise as it would alone.
 """
 
 from __future__ import annotations
@@ -143,7 +143,9 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi=None) -> np.ndarray
 @functools.lru_cache(maxsize=64)
 def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
     """Gustafsson's M and W (`signal._filtfilt_gust`) for m edge samples,
-    over the whole signal when `whole`; read-only, shared by all callers."""
+    over the whole signal when `whole`, with M's thin SVD U, 1/s and Vᵀ;
+    read-only, shared by all callers. Singular values <= eps * s_max are
+    dropped, the cut-off of scipy's `lstsq`."""
     order = len(a) - 1
     # Obs propagates an initial state to the output under zero input
     obs = np.zeros((m, order))
@@ -163,26 +165,23 @@ def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
         w = np.zeros((2 * m, 2 * order))
         w[:m, :order] = s_r
         w[m:, order:] = obs_r
-    big_m.flags.writeable = False
-    w.flags.writeable = False
-    return big_m, w
+    if not np.isfinite(big_m).all():
+        raise ValueError("array must not contain infs or NaNs")
+    u, sv, vt = np.linalg.svd(big_m, full_matrices=False)
+    kept = sv > np.finfo(np.float64).eps * sv[0]
+    matrices = big_m, w, u[:, kept], 1.0 / sv[kept], vt[kept]
+    for matrix in matrices:
+        matrix.flags.writeable = False
+    return matrices
 
 
-_EPS = float(np.finfo(np.float64).eps)  # scipy's default `cond` for lstsq
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`scipy.linalg.lstsq(a, b)[0]` for a tall `a` (rows > columns): numpy
-    makes the same `dgelsd` call, given scipy's `cond`."""
-    return np.linalg.lstsq(a, b, rcond=_EPS)[0]
-
-
-def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int) -> np.ndarray:
-    """Gustafsson's forward-backward filter of (rows, samples); items of
-    `width` rows each get their own initial conditions."""
+def _gust_block(design: FilterDesign, rows: np.ndarray, m: int) -> np.ndarray:
+    """Gustafsson's forward-backward filter of each row of (rows, samples)."""
     b, a, _ = design
     r, n = rows.shape
-    big_m, w = _gust_matrices(tuple(b), tuple(a), m, m == n)
+    # before the passes: a first call's cached arrays then sit below the
+    # block's temporaries on the heap, which can shrink once they are freed
+    _, w, u, inv_s, vt = _gust_matrices(tuple(b), tuple(a), m, m == n)
     # forward passes of x and of x reversed as one call, then the second
     # passes of both: the top half is y_fb reversed, the bottom half y_bf
     buf = _lfilter(b, a, np.concatenate((rows, rows[:, ::-1])))
@@ -193,27 +192,27 @@ def _gust_block(design: FilterDesign, rows: np.ndarray, m: int, width: int) -> n
     else:
         delta = np.concatenate((y_bf[:, :m] - y_fb[:, :m], y_bf[:, -m:] - y_fb[:, -m:]),
                                axis=-1)
-    if not (np.isfinite(big_m).all() and np.isfinite(delta).all()):
+    if not np.isfinite(delta).all():
         raise ValueError("array must not contain infs or NaNs")
-    # one least-squares solve and one W product per item, shaped as scipy
-    # shapes them for one item: LAPACK's and BLAS's bits depend on how many
-    # columns share a call
-    for c0 in range(0, r, width):
-        wic = _lstsq(big_m, delta[c0:c0 + width].T).T.dot(w.T)
-        item = y_fb[c0:c0 + width]
-        if m == n:
-            item += wic
-        else:
-            item[..., :m] += wic[..., :m]
-            item[..., -m:] += wic[..., -m:]
+    # each row's least-squares initial conditions, M⁺ delta through the
+    # cached factors, and their W product, into delta's buffer: a stacked
+    # product per row, so a row's bits do not depend on the rows beside it
+    rhs = delta[:, None]
+    np.matmul(((rhs @ u) * inv_s) @ vt, w.T, out=rhs)
+    if m == n:
+        y_fb += delta
+    else:
+        y_fb[:, :m] += delta[:, :m]
+        y_fb[:, -m:] += delta[:, m:]
     return y_fb
 
 
 def _zero_phase(design: FilterDesign, x: np.ndarray) -> np.ndarray:
-    """`signal.filtfilt(b, a, item, method="gust", irlen=...)` of every item
-    of `x` along its last axis, bit for bit, as a C-contiguous array. An item
-    is a 2-D trial (the last two axes), or a 1-D series when x is 1-D. All of
-    `x` is filtered at once: `preprocess_trials` sizes the blocks.
+    """Gustafsson's zero-phase filter (`signal.filtfilt(b, a, row,
+    method="gust", irlen=...)`'s steps) of every row of `x` along its last
+    axis, as a C-contiguous array. Each row comes out bitwise as it would
+    alone. All of `x` is filtered at once: `preprocess_trials` sizes the
+    blocks.
     """
     b, a, settle = design
     n = x.shape[-1]
@@ -227,8 +226,7 @@ def _zero_phase(design: FilterDesign, x: np.ndarray) -> np.ndarray:
     # which keeps interior samples transient-free on short epochs
     irlen = min(settle, n - 1)
     m = n if n <= 2 * irlen else irlen
-    width = x.shape[-2] if x.ndim > 1 else 1
-    return _gust_block(design, x.reshape(-1, n), m, width).reshape(x.shape)
+    return _gust_block(design, x.reshape(-1, n), m).reshape(x.shape)
 
 
 def bandpass_ba(fs_hz: float, low_hz: float, high_hz: float) -> FilterDesign:

@@ -78,8 +78,8 @@ def _rotation(n: int, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _rhythm_sources(band_noise, envelope_noise, fs, lo, hi):
     """Band-limited noise with a slow positive envelope: amplitude-modulated
-    rhythm sources, one per (1, n) item of the (sources, 1, n) noise arrays.
-    Each source goes through the chains as a one-channel trial."""
+    rhythm sources, one per row of the (trials, sources, n) noise arrays.
+    Each row is filtered as it would be alone."""
     band = preprocess_trials(band_noise, fs, Chain(band_hz=(lo, hi)))
     band /= np.maximum(band.std(axis=-1, keepdims=True), 1e-12)
     env_cut = min(1.0, fs / 4)
@@ -121,9 +121,7 @@ def generate(config: SynthConfig) -> TrialSet:
             envelope_noise[trial, i] = rng.normal(size=n)
         if config.noise_sigma_uv > 0:
             data[trial] = rng.normal(size=(n_ch, n))
-    rhythms = RHYTHM_AMPLITUDE_UV * _rhythm_sources(
-        band_noise.reshape(-1, 1, n), envelope_noise.reshape(-1, 1, n), fs, lo, hi
-    ).reshape(n_trials, 2, n)
+    rhythms = RHYTHM_AMPLITUDE_UV * _rhythm_sources(band_noise, envelope_noise, fs, lo, hi)
 
     # trials alternate class -1, +1 within each session
     labels = np.tile([-1, 1], n_trials // 2)

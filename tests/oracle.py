@@ -2,8 +2,9 @@
 one `Trial`, or for one fit, what the batched chains in `mipipe.preprocess`,
 the stacked CSP fits in `mipipe.features`, the extractors in
 `mipipe.pipeline`, the stacked LDAs and bagging in `mipipe.classify` and the
-search in `mipipe.param_select` run on stacked arrays. The filters go
-through `scipy.signal`, which gives the numpy port's bits."""
+search in `mipipe.param_select` run on stacked arrays. The filters run one
+trial at a time through `mipipe.preprocess`; `scipy_zero_phase` is the
+filter's own reference, which it meets to a tolerance."""
 
 from __future__ import annotations
 
@@ -28,33 +29,19 @@ from mipipe.preprocess import (
     _car,
     _crop,
     _window_indices,
-    bandpass_ba,
     lowpass_array,
-    lowpass_ba,
 )
 
 
 def scipy_zero_phase(design, x: np.ndarray) -> np.ndarray:
     """The reference for `mipipe.preprocess._zero_phase`: scipy's Gustafsson
-    filtfilt of each 1-D series or 2-D trial on its own."""
+    filtfilt of each 1-D series or 2-D trial."""
     from scipy import signal
 
     irlen = min(design.settle, x.shape[-1] - 1)
     if x.ndim <= 2:
         return signal.filtfilt(design.b, design.a, x, method="gust", irlen=irlen)
     return np.array([scipy_zero_phase(design, t) for t in x])
-
-
-def scipy_bandpass(trial: Trial, fs_hz: float, low_hz: float, high_hz: float) -> Trial:
-    """`mipipe.preprocess.bandpass_array` of one trial through scipy: the
-    band-pass of the demeaned trial."""
-    x = trial.data - trial.data.mean(axis=-1, keepdims=True)
-    return trial.with_data(scipy_zero_phase(bandpass_ba(fs_hz, low_hz, high_hz), x))
-
-
-def scipy_lowpass(trial: Trial, fs_hz: float, cutoff_hz: float) -> Trial:
-    """`mipipe.preprocess.lowpass_array` of one trial through scipy."""
-    return trial.with_data(scipy_zero_phase(lowpass_ba(fs_hz, cutoff_hz), trial.data))
 
 
 def csp_log_shares(model: CspModel, x: np.ndarray):

@@ -23,12 +23,12 @@ from mipipe.param_select import (
     grid_search,
     pdf_correlation,
 )
-from mipipe.preprocess import Chain, _window_indices, preprocess_trials
+from mipipe.preprocess import Chain, _window_indices, bandpass_zero_phase, preprocess_trials
 from mipipe.synthgen import SynthConfig, generate
 
 import oracle
 from conftest import as_trials, count_filtered_trials, replace_trials
-from oracle import crop, scipy_bandpass
+from oracle import crop
 
 
 def uniform_edges(lo=-1.0, hi=1.0):
@@ -504,7 +504,7 @@ def _oracle_prep(ts, band, window, channels):
     for t in as_trials(ts):
         data = t.data if channels is None else t.data[list(channels)]
         trial = Trial(data, t.label, t.session_id, t.trial_index)
-        trial = scipy_bandpass(trial, ts.sampling_rate_hz, *band)
+        trial = bandpass_zero_phase(trial, ts.sampling_rate_hz, *band)
         out.append(crop(trial, ts.sampling_rate_hz, *window))
     return out
 

@@ -259,9 +259,9 @@ def _reference_transform(method, config, fs, trials, labels):
     """Fit one method trial by trial; return its transform (Trial -> array)."""
     from mipipe.features import (check_csp_shares, fisher_scores, select_channels,
                                  trace_normalized)
+    from mipipe.preprocess import bandpass_zero_phase
     from oracle import (ar_feature, baseline_correct, common_average_reference, crop,
-                        csp_from_normalized, csp_log_shares, lrp_feature, scipy_bandpass,
-                        scipy_lowpass)
+                        csp_from_normalized, csp_log_shares, lowpass_zero_phase, lrp_feature)
 
     if method == "combined":
         parts = [_reference_transform(m, config, fs, trials, labels)
@@ -278,7 +278,7 @@ def _reference_transform(method, config, fs, trials, labels):
         def prep(t):
             if config.channels is not None:
                 t = t.with_data(t.data[list(config.channels)])
-            t = scipy_bandpass(t, fs, *config.preprocess.band_hz)
+            t = bandpass_zero_phase(t, fs, *config.preprocess.band_hz)
             return crop(t, fs, *config.preprocess.window_s)
         unit, traces = trace_normalized(np.array([p.data @ p.data.T for p in map(prep, trials)]))
         model = csp_from_normalized(unit, traces, labels, config.m)
@@ -290,13 +290,13 @@ def _reference_transform(method, config, fs, trials, labels):
         return transform
     if method == "ar":
         def prep(t):
-            t = scipy_bandpass(common_average_reference(t), fs, *config.ar_band_hz)
+            t = bandpass_zero_phase(common_average_reference(t), fs, *config.ar_band_hz)
             return crop(t, fs, *config.preprocess.window_s)
         selected = pick([np.log(prep(t).data.var(axis=1)) for t in trials])
         return lambda t: ar_feature(prep(t), selected, config.ar_order)
 
     def prep(t):
-        t = scipy_lowpass(t, fs, config.lrp_lowpass_hz)
+        t = lowpass_zero_phase(t, fs, config.lrp_lowpass_hz)
         return baseline_correct(t, fs, config.lrp_baseline_window_s)
     window = config.lrp_feature_window_s
     selected = pick([lrp_feature(prep(t), range(t.n_channels), fs, window) for t in trials])

@@ -1,16 +1,15 @@
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
 
 from mipipe.preprocess import (
     _gust_matrices,
     _lfilter,
-    _lstsq,
     _scipy_module,
     _zero_phase,
     bandpass_array,
@@ -239,7 +238,7 @@ def test_filter_designs_are_cached_read_only_butter():
             arr[0] = 0.0
 
 
-# --- bitwise oracles: the numpy design and filter against scipy.signal ------
+# --- oracles: the numpy design bitwise, the filter near scipy.signal's -------
 
 GRID_FS = (100.0, 128.0, 250.0, 256.0, 500.0, 1000.0, 1024.0, 2000.0)
 
@@ -280,6 +279,17 @@ ORACLE_DESIGNS = {
     "band 8-30": lambda: bandpass_ba(FS, 8.0, 30.0),  # 104
     "low 1.5": lambda: lowpass_ba(FS, 1.5),  # 831
 }
+# max |ours - scipy| / max |scipy| allowed per design: twenty times the
+# worst seen on trials of 100, 400 and 1,250 samples at 100 Hz (9.4e-15,
+# 8.7e-16 and 8.8e-13). The initial conditions solve the least-squares
+# problem of scipy's `lstsq` through M's cached SVD, so the two agree to M's
+# conditioning, not bit for bit
+ORACLE_BOUNDS = {"band 12-14": 1.9e-13, "band 8-30": 1.7e-14, "low 1.5": 1.8e-11}
+
+
+def assert_near_scipy(design, x, out, bound):
+    expected = scipy_zero_phase(design, x)
+    assert np.abs(out - expected).max() <= bound * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("name", ORACLE_DESIGNS)
@@ -288,12 +298,12 @@ ORACLE_DESIGNS = {
     (1, 500), (3, 300), (8, 1250), (8, 2000),  # trials of 1-8 channels
     (5, 1, 400), (4, 2, 200), (7, 3, 500), (33, 8, 300), (4, 6, 1800),  # blocks
 ])
-def test_zero_phase_equals_scipy_filtfilt_bitwise(rng, name, shape):
+def test_zero_phase_near_scipy_filtfilt(rng, name, shape):
     design = ORACLE_DESIGNS[name]()
     x = 4.0 * rng.normal(size=shape) + 1.5
     out = _zero_phase(design, x)
     assert out.flags.c_contiguous
-    assert np.array_equal(out, scipy_zero_phase(design, x))
+    assert_near_scipy(design, x, out, ORACLE_BOUNDS[name])
 
 
 @pytest.mark.parametrize("block_values", [1, 1000, 1 << 30])
@@ -304,14 +314,12 @@ def test_zero_phase_blocks_and_series(monkeypatch, rng, block_values):
     design = bandpass_ba(FS, 8.0, 30.0)
     chain = preprocess.Chain(band_hz=(8.0, 30.0))  # demeans, then filters
     trials = rng.normal(size=(9, 4, 400))
-    assert np.array_equal(preprocess.preprocess_trials(trials, FS, chain),
-                          scipy_zero_phase(design, trials - trials.mean(axis=-1, keepdims=True)))
-    # series: each row its own 1-D problem, unlike the rows of one trial, so
-    # each goes through as a one-row item
+    assert_near_scipy(design, trials - trials.mean(axis=-1, keepdims=True),
+                      preprocess.preprocess_trials(trials, FS, chain), ORACLE_BOUNDS["band 8-30"])
     series = rng.normal(size=(11, 900))
-    expected = np.array([scipy_zero_phase(design, row - row.mean()) for row in series])
-    assert np.array_equal(preprocess.preprocess_trials(series[:, None], FS, chain)[:, 0],
-                          expected)
+    assert_near_scipy(design, series - series.mean(axis=-1, keepdims=True),
+                      preprocess.preprocess_trials(series[:, None], FS, chain)[:, 0],
+                      ORACLE_BOUNDS["band 8-30"])
 
 
 def test_zero_phase_non_contiguous_input(rng):
@@ -320,7 +328,8 @@ def test_zero_phase_non_contiguous_input(rng):
     x = base.transpose(0, 2, 1)[:, ::2, ::-1]  # (6, 3, 900), no unit stride
     out = _zero_phase(design, x)
     assert out.flags.c_contiguous
-    assert np.array_equal(out, scipy_zero_phase(design, np.ascontiguousarray(x)))
+    assert np.array_equal(out, _zero_phase(design, np.ascontiguousarray(x)))
+    assert_near_scipy(design, x, out, ORACLE_BOUNDS["low 1.5"])
 
 
 def test_preprocess_trials_blocks_equal_one_at_a_time(monkeypatch, rng):
@@ -340,40 +349,76 @@ def test_preprocess_trials_blocks_equal_one_at_a_time(monkeypatch, rng):
             assert np.array_equal(preprocess.preprocess_trials(trials, FS, chain), alone)
 
 
+@given(channels=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+       block_values=st.sampled_from([1, 800, 3000, 1 << 30]), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_each_row_filtered_alone(channels, block_values, seed):
+    # any channel subset, block size and row order gives the rows of
+    # filtering every channel of every trial at once, bit for bit
+    from mipipe import preprocess
+
+    rng = np.random.default_rng(seed)
+    trials = rng.normal(size=(6, 8, 300))
+    every = preprocess.preprocess_trials(trials, FS, preprocess.Chain(band_hz=(12.0, 14.0)))
+    rows = rng.permutation(len(trials))
+    chain = preprocess.Chain(channels=tuple(channels), band_hz=(12.0, 14.0))
+    with mock.patch.object(preprocess, "BLOCK_VALUES", block_values):
+        subset = preprocess.preprocess_trials(trials, FS, chain, rows=rows)
+    assert np.array_equal(subset, every[rows][:, channels])
+
+
 @given(
     n_items=st.integers(1, 4), width=st.integers(0, 5), n=st.integers(16, 700),
     low=st.floats(0.2, 40.0), span=st.floats(0.2, 9.0), seed=st.integers(0, 2 ** 32 - 1),
 )
 @settings(max_examples=30, deadline=None)
-def test_zero_phase_equals_scipy_property(n_items, width, n, low, span, seed):
-    # width 0 draws a 1-D series
+def test_zero_phase_near_scipy_property(n_items, width, n, low, span, seed):
+    # width 0 draws a 1-D series. Any band may be drawn, so the bound is
+    # M's conditioning, which ORACLE_BOUNDS' designs meet with room to spare;
+    # a 0.2-0.4 Hz band on 16 samples has cond(M) near 1e16
     design = bandpass_ba(FS, low, min(low + span, 49.5))
     shape = (n_items, width, n) if width else (n,)
     x = np.random.default_rng(seed).normal(size=shape)
-    assert np.array_equal(_zero_phase(design, x), scipy_zero_phase(design, x))
+    irlen = min(design.settle, n - 1)
+    m = n if n <= 2 * irlen else irlen
+    big_m = _gust_matrices(tuple(design.b), tuple(design.a), m, m == n)[0]
+    bound = 32 * np.finfo(np.float64).eps * np.linalg.cond(big_m)
+    assert_near_scipy(design, x, _zero_phase(design, x), bound)
 
 
-def test_lstsq_equals_scipy_bitwise(rng):
-    # random tall systems with 1-D and 2-D right-hand sides (a transposed
-    # view, as the filter passes them), then Gustafsson's M at the edges and
-    # over the whole signal (m == n)
-    systems = []
-    for _ in range(100):
-        cols = int(rng.integers(2, 17))
-        a = rng.normal(size=(int(rng.integers(cols + 1, 300)), cols))
-        systems.append((a, rng.normal(size=len(a))))
-        systems.append((a, rng.normal(size=(int(rng.integers(1, 9)), len(a))).T))
-    for design in (bandpass_ba(FS, 8.0, 12.0), lowpass_ba(FS, 1.5)):
-        key = (tuple(design.b), tuple(design.a))
-        for m, whole in ((40, False), (13, True), (200, True)):
-            big_m, _ = _gust_matrices(*key, m, whole)
-            systems.append((big_m, rng.normal(size=len(big_m))))
-            systems.append((big_m, rng.normal(size=(8, len(big_m))).T))
-    for a, b in systems:
-        assert np.array_equal(_lstsq(a, b), linalg.lstsq(a, b)[0])
-    # the finiteness check scipy makes is kept
+@pytest.mark.parametrize("design", [bandpass_ba(100.0, 0.2, 0.4), lowpass_ba(1000.0, 1.5)],
+                         ids=["band 0.2-0.4 at 100 Hz", "low 1.5 at 1 kHz"])
+def test_initial_conditions_residual_near_lstsq(rng, design):
+    # on these ill-conditioned designs (cond(M) 1.3e12 and 5.1e13) M's cached
+    # SVD factors solve for the initial conditions as well as LAPACK's
+    # `dgelsd` (1.0 and 0.95 times its largest residual on these rows); an
+    # explicit pinv(M) leaves 47 and 267 times it
+    from scipy import signal
+
+    b, a = design.b, design.a
+    x = rng.normal(size=(20, 100))  # m == n for both designs
+
+    def forward_backward(x):
+        return signal.lfilter(b, a, signal.lfilter(b, a, x)[:, ::-1])[:, ::-1]
+
+    delta = forward_backward(x[:, ::-1])[:, ::-1] - forward_backward(x)
+    big_m, _, u, inv_s, vt = _gust_matrices(tuple(b), tuple(a), 100, True)
+    ours = (((delta[:, None] @ u) * inv_s) @ vt)[:, 0]  # as `_gust_block` applies them
+    eps = np.finfo(np.float64).eps
+    lstsq = np.array([np.linalg.lstsq(big_m, row, rcond=eps)[0] for row in delta])
+
+    def residual(solution):
+        return np.linalg.norm(solution @ big_m.T - delta, axis=-1).max()
+
+    assert residual(ours) <= 2 * residual(lstsq)
+
+
+def test_non_finite_values_are_refused():
+    # the check scipy's `lstsq` makes, on the edge differences and on M
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
         bandpass_array(np.r_[np.zeros(50), np.inf, np.zeros(49)], FS, 8.0, 12.0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        _gust_matrices((1.0, 0.0), (1.0, -2.0), 1100, True)  # 2 ** 1100 overflows
 
 
 # --- the compiled kernels: scipy's filter loop and LAPACK module ------------
@@ -394,12 +439,13 @@ def test_lfilter_equals_scipy_lfilter_bitwise(rng, name, reverse, with_zi):
     assert np.array_equal(out, expected[0] if with_zi else expected)
 
 
-SAME_BITS_AS_PUBLIC_SCIPY = """
+AGREES_WITH_PUBLIC_SCIPY = """
 import sys
 import numpy as np
 from mipipe.features import _eigh
 from mipipe.preprocess import _scipy_module, _zero_phase, bandpass_ba, lowpass_ba
 
+bounds = [float(bound) for bound in sys.argv[1:]]
 rng = np.random.default_rng(5)
 x = rng.normal(size=(4, 900))
 a = rng.normal(size=(7, 7))
@@ -411,20 +457,21 @@ loaded = [_scipy_module(name) for name in names]
 import scipy.linalg, scipy.signal
 assert [sys.modules[name] for name in names] == loaded
 assert scipy.linalg.lapack.dsyevr is loaded[1].dsyevr
-for design, y in zip(designs, filtered):
+for design, y, bound in zip(designs, filtered, bounds):
     irlen = min(design.settle, x.shape[-1] - 1)
-    assert np.array_equal(y, scipy.signal.filtfilt(design.b, design.a, x, method="gust",
-                                                   irlen=irlen))
+    expected = scipy.signal.filtfilt(design.b, design.a, x, method="gust", irlen=irlen)
+    assert np.abs(y - expected).max() <= bound * np.abs(expected).max()
 assert all(np.array_equal(ours, theirs) for ours, theirs in zip((w, v), scipy.linalg.eigh(a)))
 print("ok")
 """
+PUBLIC_SCIPY_BOUNDS = (str(ORACLE_BOUNDS["band 8-30"]), str(ORACLE_BOUNDS["low 1.5"]))
 
 
 def test_helper_loaded_modules_serve_public_scipy():
     # the helper loads scipy's compiled modules first; scipy.signal and
     # scipy.linalg imported afterwards take them from sys.modules and give
-    # the same bits
-    assert fresh_interpreter(SAME_BITS_AS_PUBLIC_SCIPY) == "ok\n"
+    # the same bits, or the filter within its bound
+    assert fresh_interpreter(AGREES_WITH_PUBLIC_SCIPY, *PUBLIC_SCIPY_BOUNDS) == "ok\n"
 
 
 def test_helper_reuses_modules_scipy_loaded():
@@ -434,7 +481,7 @@ from mipipe.preprocess import _scipy_module
 assert _scipy_module("scipy.signal._sigtools") is scipy.signal._sigtools
 assert _scipy_module("scipy.linalg._flapack") is scipy.linalg._flapack
 """
-    assert fresh_interpreter(code + SAME_BITS_AS_PUBLIC_SCIPY) == "ok\n"
+    assert fresh_interpreter(code + AGREES_WITH_PUBLIC_SCIPY, *PUBLIC_SCIPY_BOUNDS) == "ok\n"
 
 
 def test_helper_takes_the_module_in_sys_modules(monkeypatch):

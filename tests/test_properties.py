@@ -80,9 +80,11 @@ def test_ar_fits_bitwise_equal_to_each_series_alone(p, kinds, seed):
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_yule_walker_bitwise_equal_to_each_row_alone(p, kinds, seed):
-    # a constant or alternating r(k) makes a rank-one Toeplitz system, which
-    # LU finds exactly singular; one is always present, so the stacked solve
-    # raises and every row is solved alone
+    # a constant or alternating r(k) makes a rank-one Toeplitz system; one is
+    # always appended, so the stacked solve raises and every row is solved
+    # alone. LU multiplies by the reciprocal pivot, and s * (1 / s) == 1 only
+    # for some s: the appended row's scale is a power of two, so that LU meets
+    # an exact zero pivot
     rng = np.random.default_rng(seed)
     kinds = [*kinds, rng.choice(["ones", "alternating"])]
     r = np.empty((len(kinds), p + 1))
@@ -93,6 +95,7 @@ def test_yule_walker_bitwise_equal_to_each_row_alone(p, kinds, seed):
                   "alternating": lambda: scale * (-1.0) ** np.arange(p + 1),
                   "zero": lambda: 0.0,
                   "negative": lambda: -scale * rng.uniform(size=p + 1)}[kind]()
+    r[-1] = np.sign(r[-1]) * 2.0 ** np.round(np.log2(r[-1, 0]))
     params, codes = yule_walker(r)
     assert (codes == 2).any()
     assert_rows_match_oracle(params, codes, [lambda row=row: yule_walker_row(row, p) for row in r])

@@ -6,7 +6,7 @@ from mipipe.data_model import SplitSpec
 from mipipe.errors import ConfigError
 from mipipe.pipeline import run_static
 from mipipe.preprocess import bandpass_array
-from mipipe.synthgen import SynthConfig, generate, synth_config_from_dict
+from mipipe.synthgen import SynthConfig, _rhythm_sources, generate, synth_config_from_dict
 
 from conftest import as_trials
 from oracle import session
@@ -46,6 +46,14 @@ def test_different_seeds_differ():
     a = generate(SynthConfig(seed=1, **base))
     b = generate(SynthConfig(seed=2, **base))
     assert not np.array_equal(a.data[0], b.data[0])
+
+
+def test_rhythm_sources_of_a_batch_equal_each_source_alone():
+    band, envelope = np.random.default_rng(4).normal(size=(2, 6, 2, 500))
+    batch = _rhythm_sources(band, envelope, 100.0, 12.0, 14.0)
+    alone = _rhythm_sources(band.reshape(-1, 1, 500), envelope.reshape(-1, 1, 500),
+                            100.0, 12.0, 14.0)
+    assert np.array_equal(batch, alone.reshape(batch.shape))
 
 
 def test_rhythm_energy_concentrated_in_band():
