@@ -13,6 +13,7 @@ were edited, or that has no copy, is read from its CSVs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -216,21 +217,165 @@ def _trial_filename(session_id: int, trial_index: int) -> str:
     return f"s{session_id:02d}_t{trial_index:03d}.csv"
 
 
-# rows per `%` call when writing a matrix file, so long trials stay bounded
+# rows formatted at once when writing a matrix file, so long trials stay bounded
 WRITE_BLOCK_ROWS = 4096
+
+# bytes per value while a block is formatted: the longest %.17g text
+# ("-2.2250738585072014e-308") and its separator; NUL bytes fill the rest
+_FIELD = 25
+
+
+def _veltkamp(a):
+    """Veltkamp's split of float64 `a` into hi + lo == a exactly, each with
+    at most 26 significant bits, so that a product of two halves is exact."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+# 10**j for j = 0..20, each exact in float64, and its Veltkamp halves
+_POW10 = np.array([float(10 ** j) for j in range(21)])
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+@functools.cache
+def _digit_chunks() -> np.ndarray:
+    """The 4 ASCII digits of each chunk 0000..9999 as one uint32 (at index
+    c), then the same with the chunk's trailing zeros as NUL bytes (at index
+    10000 + c). Built on first use, so that commands which write no
+    archive neither build nor hold it."""
+    c = np.arange(10000, dtype=np.int16)
+    digits = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1).astype(np.uint8)
+    digits += ord("0")
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    chunks = np.concatenate([digits, np.where(trailing, 0, digits)]).view(np.uint32).ravel()
+    chunks.flags.writeable = False
+    return chunks
+
+
+def _exact_scaled(a, k):
+    """(p, e) with p = fl(a * 10**(16 - k)) and p + e equal to that product
+    exactly: Dekker's error-free product (Numer. Math. 18, 1971) in float64."""
+    j = (16 - k).astype(np.intp)
+    p = a * _POW10.take(j)
+    ah, al = _veltkamp(a)
+    bh, bl = _POW10_HI.take(j), _POW10_LO.take(j)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _below(p, e, t):
+    """Where the exact p + e (see `_exact_scaled`) lies below the float t."""
+    return (p < t) | ((p == t) & (e < 0))
+
+
+def _fixed_point(v: np.ndarray):
+    """The %.17g text of each value of `v`, all with 1e-4 <= |v| < 1e17 (the
+    values %.17g prints in fixed point), as NUL-filled `_FIELD`-byte rows
+    whose last byte is left for the separator. Returns (order, rows): row i
+    holds the text of v[order[i]].
+
+    With k the decimal exponent, the 17 significant digits are the integer
+    q = round-half-even(|v| * 10**(16 - k)) in [10**16, 10**17). Since
+    p >= 10**16 > 2**53 is an even integer and e is exact, p + rint(e) is
+    that rounding, ties included."""
+    a = np.abs(v)
+    # log10 can miss the exponent by one next to a power of ten
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int8)
+    p, e = _exact_scaled(a, k)
+    step = (~_below(p, e, 1e17)).astype(np.int8) - _below(p, e, 1e16)
+    redo = np.flatnonzero(step)
+    if len(redo):
+        k[redo] += step[redo]
+        p[redo], e[redo] = _exact_scaled(a[redo], k[redo])
+    q = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    carry = q == 10 ** 17  # rounded up into the next decade
+    k += carry
+    q[carry] = 10 ** 16
+
+    # one group of rows per exponent, each laid out by slicing
+    order = np.argsort(k, kind="stable")
+    k, q = k[order], q[order]
+    hi = q // 10 ** 8
+    lo = (q - hi * 10 ** 8).astype(np.int32)
+    hi = hi.astype(np.int32)
+    lead = hi // 10 ** 8
+    mid = hi - lead * 10 ** 8
+    c1 = mid // 10 ** 4
+    c2 = mid - c1 * 10 ** 4
+    c3 = lo // 10 ** 4
+    c4 = lo - c3 * 10 ** 4
+    # q's digits as bytes 3..19 of five uint32 words: the leading digit,
+    # then four chunks, each blanked where every later chunk is 0000
+    chunks = _digit_chunks()
+    words = np.empty((len(q), 5), np.uint32)
+    words[:, 4] = chunks[c4 + 10000]
+    words[:, 3] = chunks[c3 + 10000 * (c4 == 0)]
+    words[:, 2] = chunks[c2 + 10000 * (lo == 0)]
+    words[:, 1] = chunks[c1 + 10000 * ((c2 == 0) & (lo == 0))]
+    digits = words.view(np.uint8)[:, 3:]
+    digits[:, 0] = lead + ord("0")
+
+    rows = np.zeros((len(q), _FIELD), np.uint8)
+    rows[:, 0] = (v[order] < 0) * ord("-")
+    starts = np.searchsorted(k, np.arange(-4, 18))
+    for exp in range(-4, 17):
+        group = slice(starts[exp + 4], starts[exp + 5])
+        d, out = digits[group], rows[group]
+        if not len(d):
+            continue
+        if exp < 0:  # 0.000ddd...
+            zeros = -exp - 1
+            out[:, 1:3 + zeros] = np.frombuffer(b"0." + b"0" * zeros, np.uint8)
+            out[:, 3 + zeros:20 + zeros] = d
+        else:  # the integer part keeps its zeros; a '.' only before a digit
+            np.maximum(d[:, :exp + 1], ord("0"), out=out[:, 1:exp + 2])
+            if exp < 16:
+                out[:, exp + 2] = (d[:, exp + 1] != 0) * ord(".")
+                out[:, exp + 3:19] = d[:, exp + 1:]
+    return order, rows
+
+
+def _format_17g(x: np.ndarray) -> bytes:
+    """The CSV text of a (rows, columns) float64 block: each value as
+    ``"%.17g" % value``, ',' between values and '\\n' after each row.
+
+    Values %.17g prints in fixed point come from `_fixed_point`; zeros,
+    non-finite values and |value| < 1e-4 or >= 1e17 take `%` one by one."""
+    flat = x.ravel()
+    a = np.abs(flat)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    fields = np.zeros((flat.size, _FIELD), np.uint8)
+    where = np.flatnonzero(fixed)
+    if len(where):
+        order, rows = _fixed_point(flat[where])
+        # moved as whole _FIELD-byte rows, back into the block's order
+        fields.view(f"V{_FIELD}")[where[order], 0] = rows.view(f"V{_FIELD}")[:, 0]
+    rest = np.flatnonzero(~fixed)
+    for i, value in zip(rest.tolist(), flat[rest].tolist()):
+        text = b"%.17g" % value
+        fields[i, :len(text)] = np.frombuffer(text, np.uint8)
+    ends = fields.reshape(*x.shape, _FIELD)[..., -1]
+    ends[:] = ord(",")
+    ends[:, -1] = ord("\n")
+    return fields.tobytes().translate(None, b"\0")
 
 
 def _write_matrix(fpath: Path, x: np.ndarray) -> bytes:
     """Write a (samples, channels) matrix as CSV, byte for byte what
     ``np.savetxt(fpath, x, fmt="%.17g", delimiter=",")`` writes (%.17g
-    round-trips float64 exactly), with one `%` per block of rows; return
-    the SHA-256 of the bytes written."""
-    row = ",".join(["%.17g"] * x.shape[1]) + "\n"
+    round-trips float64 exactly); return the SHA-256 of the bytes written.
+
+    The text is made by numpy a block of rows at a time (`_format_17g`).
+    For the values %.17g prints in fixed point, the 17 digits are computed
+    exactly: Dekker's error-free product gives |x| * 10**j as p + e with no
+    rounding, so round-half-even is decided on the exact product. The digits
+    come from a table of 4-digit chunks with the dropped trailing zeros as
+    NUL bytes, the '.' is placed per decimal exponent, and the NULs are
+    deleted. Every other value takes `%` one by one."""
     digest = hashlib.sha256()
     with open(fpath, "wb") as fh:
         for i in range(0, len(x), WRITE_BLOCK_ROWS):
-            block = x[i:i + WRITE_BLOCK_ROWS]
-            text = (row * len(block) % tuple(block.ravel().tolist())).encode()
+            text = _format_17g(x[i:i + WRITE_BLOCK_ROWS])
             digest.update(text)
             fh.write(text)
     return digest.digest()
@@ -277,6 +422,9 @@ def save_archive(trial_set: TrialSet, path) -> None:
     _check_unique(keys, "", "; they would be written to one file")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    # a save that fails part way over an older archive then leaves no
+    # meta.json, rather than one that reads old and new trials as one set
+    (path / "meta.json").unlink(missing_ok=True)
     sessions: dict[int, list[dict]] = {}
     csv_digests = []
     # sessions are nondecreasing, so this order is meta.json's entry order
@@ -412,10 +560,13 @@ def load_archive(path) -> TrialSet:
     if not entries:
         raise ArchiveError(f"{meta_path}: the archive holds no trials")
     _check_unique([(sid, index) for sid, index, _ in entries], f"{meta_path}: ")
-    files = []
+    files, named = [], set()
     rows = np.zeros((3, len(entries)), np.int64)  # labels, sessions, trial indices
     for row, (sid, index, entry) in enumerate(entries):
         fpath = path / entry["file"]
+        if fpath in named:
+            raise ArchiveError(f"{meta_path}: two trial entries name the file {fpath}")
+        named.add(fpath)
         if not fpath.exists():
             raise ArchiveError(f"missing trial file {fpath}")
         raw = entry["label"]

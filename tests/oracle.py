@@ -4,7 +4,8 @@ the stacked CSP fits in `mipipe.features`, the extractors in
 `mipipe.pipeline`, the stacked LDAs and bagging in `mipipe.classify` and the
 search in `mipipe.param_select` run on stacked arrays. The filters run one
 trial at a time through `mipipe.preprocess`; `scipy_zero_phase` is the
-filter's own reference, which it meets to a tolerance."""
+filter's own reference, which it meets to a tolerance. `percent_17g` is
+CPython's `%` formatting, the reference for the archive's CSV text."""
 
 from __future__ import annotations
 
@@ -31,6 +32,14 @@ from mipipe.preprocess import (
     _window_indices,
     lowpass_array,
 )
+
+
+def percent_17g(x: np.ndarray) -> bytes:
+    """The reference for `mipipe.data_model._format_17g`: CPython's
+    ``"%.17g" %`` of every value of a (rows, columns) block, ',' between
+    values and '\\n' after each row."""
+    row = ",".join(["%.17g"] * x.shape[1]) + "\n"
+    return (row * len(x) % tuple(x.ravel().tolist())).encode()
 
 
 def scipy_zero_phase(design, x: np.ndarray) -> np.ndarray:

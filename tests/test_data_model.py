@@ -2,11 +2,13 @@ import hashlib
 import json
 import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from mipipe import data_model
+from mipipe.cli import EXIT_IO, main
 from mipipe.data_model import (
     RECORDING_FILE,
     WRITE_BLOCK_ROWS,
@@ -25,7 +27,7 @@ from mipipe.errors import ArchiveError
 from mipipe.synthgen import SynthConfig, generate
 
 from conftest import as_trials, make_set, make_trial
-from oracle import session
+from oracle import percent_17g, session
 
 
 def test_trial_validation():
@@ -414,6 +416,99 @@ def test_matrix_file_bytes_equal_savetxt(tmp_path, x):
     _write_matrix(tmp_path / "fast.csv", x)
     np.savetxt(tmp_path / "ref.csv", x, fmt="%.17g", delimiter=",")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _decade_neighbours():
+    """The 10 floats on each side of every power of ten from 1e-5 to 1e17
+    (next to which log10 can miss the decimal exponent), and their negatives."""
+    values = []
+    for e in range(-5, 18):
+        down = up = float(f"1e{e}")
+        for _ in range(10):
+            down = np.nextafter(down, 0.0)
+            values += [down, up]
+            up = np.nextafter(up, np.inf)
+    return np.array(values).reshape(-1, 2) * [1.0, -1.0]
+
+
+def _half_way_values():
+    """Odd multiples m * 2**-s in [10**(17 - s), 10**(18 - s)): each one's
+    exact decimal has 18 significant digits ending in 5, so its 17-digit
+    rounding is a tie; 1e-4 <= each < 1e16."""
+    values = []
+    for s in range(2, 22):
+        first = int(np.ceil(10.0 ** (17 - s) * 2 ** s)) | 1
+        values += [m * 2.0 ** -s for m in range(first, first + 400, 2)]
+    return np.array(values).reshape(-1, 8)
+
+
+def _over_decades(shape, seed):
+    """Normal draws scaled by 10**-6 .. 10**18, so that a block mixes every
+    fixed-point exponent with values %.17g prints in exponent form."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 19, size=shape)
+
+
+def test_half_way_values_are_ties():
+    for value in _half_way_values().ravel().tolist():
+        digits = Decimal(value).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, value
+
+
+@pytest.mark.parametrize("x", [
+    _decade_neighbours(),
+    _half_way_values(),
+    -_half_way_values(),
+    np.array([[1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1)],
+              [1e17, np.nextafter(1e17, 0), np.nextafter(1e17, np.inf)],
+              [-1e-4, -np.nextafter(1e-4, 0), -np.nextafter(1e17, 0)]]),
+    np.array([[-0.0, 0.0, 5e-324, -np.nextafter(2.2250738585072014e-308, 0)],
+              [1e16, 1e16 + 2, 2.0 ** 54, 12345678901234568.0],
+              [99999999999999984.0, 2.0 ** 60, 1e22, -1e23]]),
+    np.array([[np.nan, 1.5, np.inf], [-np.inf, -0.25, np.nan]]),
+    _over_decades((300, 64), seed=2),
+    np.where(np.arange(2 * WRITE_BLOCK_ROWS + 3)[:, None] % 97 == 0, 0.0,
+             _over_decades((2 * WRITE_BLOCK_ROWS + 3, 1), seed=3)),
+], ids=["decade_neighbours", "half_way", "half_way_negative", "fixed_point_bounds",
+        "zero_subnormal_integers", "non_finite", "wide_64_channels", "one_channel_3_blocks"])
+def test_matrix_file_equals_percent_17g(tmp_path, x):
+    with np.errstate(all="raise"):  # the arithmetic raises no floating-point flag
+        _write_matrix(tmp_path / "m.csv", x)
+    assert (tmp_path / "m.csv").read_bytes() == percent_17g(x)
+
+
+def test_failed_save_over_an_archive_leaves_nothing_to_load(tmp_path, monkeypatch, capsys):
+    arch = tmp_path / "arch"
+    save_archive(generate(SynthConfig(n_channels=3, trials_per_session=20, seed=0)), arch)
+    write, calls = data_model._write_matrix, []
+
+    def failing(fpath, x):
+        calls.append(fpath)
+        if len(calls) == 8:
+            raise OSError("no space left on device")
+        return write(fpath, x)
+
+    monkeypatch.setattr(data_model, "_write_matrix", failing)
+    with pytest.raises(OSError, match="no space left"):
+        save_archive(generate(SynthConfig(n_channels=3, trials_per_session=20, seed=1)), arch)
+    # 7 new trial files beside 13 old ones, and no meta.json to join them
+    with pytest.raises(ArchiveError, match=re.escape(f"missing metadata file {arch / 'meta.json'}")):
+        load_archive(arch)
+    assert main(["crossval", "--data", str(arch), "--report", str(tmp_path / "cv.json")]) == EXIT_IO
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["s01_t000.csv", "./s01_t000.csv"])
+def test_two_entries_naming_one_file_is_an_archive_error(tmp_path, name):
+    save_archive(generate(SynthConfig(n_channels=3, trials_per_session=20, seed=0)),
+                 tmp_path / "arch")
+    meta_path = tmp_path / "arch" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sessions"][0]["trials"][1]["file"] = name
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"{meta_path}: two trial entries name the file {tmp_path / 'arch' / 's01_t000.csv'}")):
+        load_archive(tmp_path / "arch")
 
 
 def _dummy_set(n, sessions=1):

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mipipe.classify import BaggingEnsemble, bagging_predict_rows, fit_ldas
+from mipipe.data_model import _format_17g
 from mipipe.features import AR_FAILURES, ar_fits, csp_fits, trace_normalized, yule_walker
 from mipipe.param_select import class_balance_penalty, estimate_pdf
 
-from oracle import fit_ar, yule_walker_row
+from oracle import fit_ar, percent_17g, yule_walker_row
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -140,3 +141,9 @@ def test_lda_hyperplane_rescaling_preserves_predictions(seed):
     model, rescaled = (BaggingEnsemble(s * w, s * b, 0.5, 1, 0) for s in (1.0, 3.0))
     assert np.array_equal(bagging_predict_rows(model, probes),
                           bagging_predict_rows(rescaled, probes))
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 9)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_text_equals_percent_17g(x):
+    assert _format_17g(x) == percent_17g(x)
