@@ -422,14 +422,19 @@ def save_archive(trial_set: TrialSet, path) -> None:
     _check_unique(keys, "", "; they would be written to one file")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    names = [_trial_filename(sid, index) for sid, index in keys]
+    root, written = path.resolve(), set(names)
+    stale = [f for f in _named_trial_files(root) if f.parent != root or f.name not in written]
     # a save that fails part way over an older archive then leaves no
     # meta.json, rather than one that reads old and new trials as one set
     (path / "meta.json").unlink(missing_ok=True)
+    for fpath in stale:
+        fpath.unlink(missing_ok=True)
     sessions: dict[int, list[dict]] = {}
     csv_digests = []
     # sessions are nondecreasing, so this order is meta.json's entry order
-    for x, label, (sid, index) in zip(trial_set.data, trial_set.labels.tolist(), keys):
-        fname = _trial_filename(sid, index)
+    for x, label, (sid, index), fname in zip(trial_set.data, trial_set.labels.tolist(), keys,
+                                             names):
         label = None if label == 0 else f"{label:+d}"
         sessions.setdefault(sid, []).append({"file": fname, "label": label, "index": index})
         csv_digests.append(_write_matrix(path / fname, x.T))
@@ -444,6 +449,38 @@ def save_archive(trial_set: TrialSet, path) -> None:
         "recording_sha256": _recording_digest(csv_digests, trial_set.data),
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=2))
+
+
+def _named_trial_files(root: Path) -> list[Path]:
+    """The resolved trial files that a valid meta.json in the resolved
+    directory `root` names and that lie in it; none when it has no valid
+    meta.json."""
+    meta_path = root / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+        _check_meta(meta, meta_path)
+    except (OSError, ValueError):  # no meta.json, unparseable or malformed
+        return []
+    files = []
+    for session in meta["sessions"]:
+        for entry in session["trials"]:
+            try:
+                files.append(_trial_path(root, entry["file"], meta_path))
+            except ArchiveError:
+                pass
+    return files
+
+
+def _trial_path(root: Path, name: str, meta_path: Path) -> Path:
+    """The resolved file a trial entry names, refused unless it lies in the
+    resolved archive directory `root`: an entry such as
+    "../B/s01_t001.csv", or an absolute path, would read another archive's
+    trial."""
+    fpath = (root / name).resolve()
+    if fpath == root or not fpath.is_relative_to(root):
+        raise ArchiveError(f"{meta_path}: trial file {name!r} is not in the archive "
+                           f"directory {root}")
+    return fpath
 
 
 def _is_int(value) -> bool:
@@ -560,9 +597,10 @@ def load_archive(path) -> TrialSet:
     if not entries:
         raise ArchiveError(f"{meta_path}: the archive holds no trials")
     _check_unique([(sid, index) for sid, index, _ in entries], f"{meta_path}: ")
-    files, named = [], set()
+    files, named, root = [], set(), path.resolve()
     rows = np.zeros((3, len(entries)), np.int64)  # labels, sessions, trial indices
     for row, (sid, index, entry) in enumerate(entries):
+        _trial_path(root, entry["file"], meta_path)
         fpath = path / entry["file"]
         if fpath in named:
             raise ArchiveError(f"{meta_path}: two trial entries name the file {fpath}")

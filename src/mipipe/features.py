@@ -123,15 +123,39 @@ def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
     return filters, lam
 
 
-def projection_log_shares(projections: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Log variance share log(vH / (vH + vF)) of the class -1 projections, and
-    the total vH + vF, of (..., 2m, n_samples) CSP projections whose first m
-    rows are the class -1 filters'. Unchecked: pass both to
-    `check_csp_shares`."""
-    variances = projections.var(axis=-1)
+def trial_moments(x: np.ndarray) -> np.ndarray:
+    """Each trial's second moments of a (..., c, n) batch as one
+    (..., c + 1, c + 1) matrix: X Xᵀ bordered by the channel sums and n,
+    the X Xᵀ of X with a row of ones appended. Moments add: a window's are
+    the sum of its segments'."""
+    c, n = x.shape[-2:]
+    out = np.empty(x.shape[:-2] + (c + 1, c + 1))
+    out[..., :c, :c] = x @ x.swapaxes(-1, -2)
+    out[..., c, :c] = out[..., :c, c] = x.sum(axis=-1)
+    out[..., c, c] = n
+    return out
+
+
+def moment_log_shares(filters: np.ndarray, moments: np.ndarray,
+                      m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log variance share log(vH / (vH + vF)) of the class -1 filters, and
+    the total vH + vF, of each trial under each fit's filters, from its
+    `trial_moments` rather than its projections: over n samples with
+    channel means μ, filter f's variance is fᵀ(X Xᵀ / n − μ μᵀ) f.
+
+    filters (..., fits, 2m, c), the first m rows of each fit the class -1
+    filters'; moments (..., rows, c + 1, c + 1). Returns (..., fits, rows)
+    each. Unchecked: pass both to `check_csp_shares`."""
+    *lead, n_fit, _, c = filters.shape
+    n = moments[..., c, c, None]
+    mean = moments[..., :c, c] / n
+    cov = moments[..., :c, :c] / n[..., None] - mean[..., :, None] * mean[..., None, :]
+    # fᵀ C f of every filter and trial as one product: vec(f fᵀ) · vec(C)
+    outer = (filters[..., :, None] * filters[..., None, :]).reshape(*lead, n_fit * 2 * m, c * c)
+    variances = cov.reshape(*cov.shape[:-2], c * c) @ outer.swapaxes(-1, -2)
+    variances = variances.reshape(*variances.shape[:-1], n_fit, 2 * m).swapaxes(-2, -3)
     var_h = variances[..., :m].sum(axis=-1)
-    var_f = variances[..., m:].sum(axis=-1)
-    total = var_h + var_f
+    total = var_h + variances[..., m:].sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(var_h / total), total
 

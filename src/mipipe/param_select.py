@@ -20,16 +20,11 @@ from .errors import CriterionUndefinedError
 from .features import (
     check_csp_shares,
     csp_fits,
-    projection_log_shares,
+    moment_log_shares,
     trace_normalized,
+    trial_moments,
 )
-from .preprocess import (
-    BLOCK_VALUES,
-    Chain,
-    PreprocessConfig,
-    _window_indices,
-    preprocess_trials,
-)
+from .preprocess import Chain, PreprocessConfig, _window_indices, preprocess_trials
 
 N_BINS = 40
 FEASIBILITY_THRESHOLD = 0.15
@@ -129,74 +124,140 @@ def _check_shares(shares: np.ndarray, totals: np.ndarray, rows) -> None:
             check_csp_shares(share[r], total[r])
 
 
-def _fit_group(fits, train_x, normalized, m):
-    """The stacked CSP filters, train shares and unit-norm LDAs of `fits`. Each
-    fit is checked in a lone fit's order; the error may be any fit's."""
-    rows, neg, pos, held_out = zip(*fits)
-    filters, _ = csp_fits(*normalized, neg, pos, m)
-    shares, totals = projection_log_shares(filters[:, None] @ train_x, m)
+def _fit_stack(moments, n_train, fits, m):
+    """Every fit of `fits` on every window's `moments` (windows, rows, c + 1,
+    c + 1), the train rows first, as one stack: each row's shares and their
+    totals (windows, fits, rows), and the unit-norm LDAs w and b (windows,
+    fits). Each fit is checked in a lone fit's order; the error may be any
+    fit's."""
+    n_win, n_fit, c = len(moments), len(fits), moments.shape[-1] - 1
+    # fit f of window k is entry k * n_fit + f of the stack
+    rows, neg, pos, held_out = (part * n_win for part in zip(*fits))
+    unit, traces = trace_normalized(moments[:, :n_train, :c, :c].reshape(-1, c, c))
+    at = np.repeat(n_train * np.arange(n_win), n_fit)
+    filters, _ = csp_fits(unit, traces, [k + r for k, r in zip(at, neg)],
+                          [k + r for k, r in zip(at, pos)], m)
+    shares, totals = (a.reshape(n_win * n_fit, -1) for a in moment_log_shares(
+        filters.reshape(n_win, n_fit, 2 * m, c), moments, m))
     _check_shares(shares, totals, rows)
-    w, b = _unit_hyperplanes(*fit_ldas(shares[..., None], neg, pos))
+    w, b = _unit_hyperplanes(*fit_ldas(shares[:, :n_train, None], neg, pos))
     _check_shares(shares, totals, held_out)
-    return filters, shares, w, b
+    return (shares.reshape(n_win, n_fit, -1), totals.reshape(n_win, n_fit, -1),
+            w.reshape(n_win, n_fit), b.reshape(n_win, n_fit))
 
 
-def candidate_scores(train_x, test_x, normalized, fits, m) -> tuple[np.ndarray, np.ndarray]:
+def _stack_scores(moments, n_train, fits, m) -> tuple[np.ndarray, np.ndarray]:
+    """Out-of-fold train scores (windows, n_train) and full-fit test scores
+    (windows, n_test) of every window of `moments`, from one `_fit_stack`.
+    The error raised may be any fit's or window's."""
+    shares, totals, w, b = _fit_stack(moments, n_train, fits, m)
+    held_out = [fit[3] for fit in fits]
+    at = np.concatenate(held_out)
+    fit = np.repeat(np.arange(len(fits)), [len(r) for r in held_out])
+    train = np.empty((len(moments), n_train))
+    train[:, at] = shares[:, fit, at] * w[:, fit] + 0.0 + b[:, fit]
+    # the full fit, last, is scored on the test rows
+    test, test_totals = shares[:, -1, n_train:], totals[:, -1, n_train:]
+    _check_shares(test, test_totals, [slice(None)] * len(moments))
+    return train, test * w[:, -1, None] + 0.0 + b[:, -1, None]
+
+
+def candidate_scores(moments, n_train, fits, m) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold train scores and full-fit test scores for one candidate.
 
-    train_x and test_x are band-passed, cropped (n_trials, n_channels,
-    n_samples) batches; normalized is `trace_normalized` of the train
-    trials' X X^T; fits is `_fold_fits` of their labels. Fits are scored on
-    stacks, in groups whose train projections fit in BLOCK_VALUES values.
-    If a group fails, its fits are refitted alone in fold order, so the
-    error raised is the first that fitting the folds one by one meets.
+    moments is `trial_moments` (rows, c + 1, c + 1) of the candidate's
+    band-passed window of each train row, then each test row; fits is
+    `_fold_fits` of the train labels. The fits are scored as one stack. If
+    it fails, they are refitted alone in fold order, so the error raised is
+    the first that fitting the folds one by one meets.
     """
-    n = len(train_x)
-    group = max(1, BLOCK_VALUES // (n * 2 * m * train_x.shape[-1]))
-    train_scores = np.empty(n)
-    for g0 in range(0, len(fits), group):
-        part = fits[g0:g0 + group]
-        try:
-            filters, shares, w, b = _fit_group(part, train_x, normalized, m)
-        except ValueError:
-            for fit in part:
-                _fit_group([fit], train_x, normalized, m)
-            raise
-        held_out = [fit[3] for fit in part]
-        at = np.concatenate(held_out)
-        fit = np.repeat(np.arange(len(part)), [len(r) for r in held_out])
-        train_scores[at] = shares[fit, at] * w[fit] + 0.0 + b[fit]
-
-    # the last group ends with the full fit
-    shares, totals = projection_log_shares(filters[-1] @ test_x, m)
-    check_csp_shares(shares, totals)
-    return train_scores, shares * w[-1] + 0.0 + b[-1]
+    try:
+        train, test = _stack_scores(moments[None], n_train, fits, m)
+    except ValueError:
+        for fit in fits:
+            _fit_stack(moments[None], n_train, [fit], m)
+        raise
+    return train[0], test[0]
 
 
-def _candidate_rho(filtered, data, n_train, fs_hz, fits, band, window, channels, m):
-    """One candidate's table entries. `filtered` holds the band's batches of
-    `data` (train then test rows) by channel subset; a subset is band-passed when
-    first used, which filters only its rows and, as each row is filtered
-    alone, gives the bits of every channel filtered. The first error is the
-    one a per-trial pipeline meets: band, then window. The views of the batch
-    end with this call, so dropping `filtered` frees the band."""
-    if channels not in filtered:
-        filtered[channels] = preprocess_trials(data, fs_hz, Chain(channels=channels, band_hz=band))
-    x = filtered[channels]
-    i0, i1 = _window_indices(x.shape[-1], fs_hz, *window)
-    train_x, test_x = x[:n_train, ..., i0:i1], x[n_train:, ..., i0:i1]
-    contiguous = np.ascontiguousarray(train_x)
-    normalized = trace_normalized(contiguous @ contiguous.transpose(0, 2, 1))
-    tr_scores, te_scores = candidate_scores(train_x, test_x, normalized, fits, m)
-    pooled = np.r_[tr_scores, te_scores]
+def _window_moments(trials, fs_hz, chain, spans):
+    """`trial_moments` (windows, rows, c + 1, c + 1) of each window [i0, i1)
+    in `spans` of every row of `trials` through `chain`: each row's moments
+    of the segments between the windows' edges, summed. The rows are
+    filtered in `preprocess_trials`' blocks, so no more than a block of
+    filtered trials is alive at once."""
+    edges = sorted({i for span in spans for i in span})
+    segments = list(zip(edges, edges[1:]))
+
+    def segment_moments(x):
+        out = np.empty((len(x), len(segments), x.shape[1] + 1, x.shape[1] + 1))
+        for j, (i0, i1) in enumerate(segments):
+            out[:, j] = trial_moments(x[..., i0:i1])
+        return out
+
+    moments = preprocess_trials(trials, fs_hz, chain, segment_moments)
+    return np.array([moments[:, edges.index(i0):edges.index(i1)].sum(axis=1)
+                     for i0, i1 in spans])
+
+
+def _candidate_rho(train_scores, test_scores) -> dict:
+    """One candidate's table entries from its scores."""
+    pooled = np.r_[train_scores, test_scores]
     lo, hi = float(pooled.min()), float(pooled.max())
     if not hi > lo:
         raise CriterionUndefinedError("criterion undefined: all scores identical")
     rho = pdf_correlation(
-        estimate_pdf(tr_scores, (lo, hi)), estimate_pdf(te_scores, (lo, hi))
+        estimate_pdf(train_scores, (lo, hi)), estimate_pdf(test_scores, (lo, hi))
     )
-    penalty = class_balance_penalty(te_scores)
+    penalty = class_balance_penalty(test_scores)
     return {"rho": rho, "penalty": penalty, "feasible": penalty <= FEASIBILITY_THRESHOLD}
+
+
+def _failure(exc: ValueError) -> dict:
+    """A failed candidate's table entries, `failed` marking an error other
+    than an undefined criterion. Only the message is kept: a stored
+    exception would keep its frames, and a band's moments, alive."""
+    return {"error": str(exc), "failed": not isinstance(exc, CriterionUndefinedError)}
+
+
+def _window_spans(windows_s, n_samples: int, fs_hz: float) -> dict:
+    """Each window's sample span (i0, i1), or the `_failure` of a window
+    outside the trial, by window."""
+    spans = {}
+    for window in windows_s:
+        try:
+            spans[window] = _window_indices(n_samples, fs_hz, *window)
+        except ValueError as exc:
+            spans[window] = _failure(exc)
+    return spans
+
+
+def _score_band(trials, n_train, fs_hz, fits, band, channels, windows, m_values) -> dict:
+    """The table entries of each (window, m) candidate of one band and
+    channel subset, by (window, m). `windows` maps each window to its
+    sample span, or to the `_failure` of a window outside the trial. The
+    first error is the one a per-trial pipeline meets: band, then window.
+    Each m scores every window as one stack; if that fails, each window is
+    scored alone."""
+    valid = [w for w, span in windows.items() if isinstance(span, tuple)]
+    try:
+        moments = _window_moments(trials, fs_hz, Chain(channels=channels, band_hz=band),
+                                  [windows[w] for w in valid])
+    except ValueError as exc:
+        return dict.fromkeys(itertools.product(windows, m_values), _failure(exc))
+    out = {(w, m): windows[w] for w in windows if w not in valid for m in m_values}
+    for m in m_values if valid else ():
+        try:
+            scores = list(zip(*_stack_scores(moments, n_train, fits, m)))
+        except ValueError:
+            scores = [None] * len(valid)
+        for w, window_moments, outcome in zip(valid, moments, scores):
+            try:
+                out[w, m] = _candidate_rho(
+                    *(outcome or candidate_scores(window_moments, n_train, fits, m)))
+            except ValueError as exc:
+                out[w, m] = _failure(exc)
+    return out
 
 
 def grid_search(
@@ -212,8 +273,9 @@ def grid_search(
     (balance penalty <= FEASIBILITY_THRESHOLD) compete on rho; if none is feasible the
     fallback objective is rho - penalty. `data.labels` is never read. Ties
     break by enumeration order. The recording is band-passed one band at a
-    time; each row is filtered alone whatever block it shares, so the rows
-    are bitwise what filtering the train and test sets apart gives.
+    time and reduced to each window's moments (`_window_moments`); each row
+    is filtered alone whatever block it shares, so the rows are bitwise what
+    filtering the train and test sets apart gives.
     """
     if base is None:
         base = PipelineConfig()
@@ -229,11 +291,15 @@ def grid_search(
     # a None channel set means the base config's channels
     channel_sets = [base.channels if cs is None else cs for cs in space.channel_sets]
     trials, fs_hz = data.data, data.sampling_rate_hz
+    windows = _window_spans(space.windows_s, trials.shape[-1], fs_hz)
     fits = _fold_fits(labels)
     table = []
     failures = []
     for band in space.bands_hz:
-        filtered = {}  # this band's batches only: the last band's are freed before filtering
+        # this band's moments only: the last band's are freed before filtering
+        outcomes = {channels: _score_band(trials, n_train, fs_hz, fits, band, channels,
+                                          windows, space.m_values)
+                    for channels in dict.fromkeys(channel_sets)}
         for window, channels, m in itertools.product(
                 space.windows_s, channel_sets, space.m_values):
             row = {
@@ -241,14 +307,10 @@ def grid_search(
                 "channels": channels, "m": m,
                 "rho": None, "penalty": None, "feasible": False, "error": None,
             }
-            try:
-                row.update(_candidate_rho(filtered, trials, n_train, fs_hz, fits, band,
-                                          window, channels, m))
-            except CriterionUndefinedError as exc:
-                row["error"] = str(exc)
-            except ValueError as exc:
-                row["error"] = str(exc)
-                failures.append(f"band={band} window={window} channels={channels} m={m}: {exc}")
+            row.update(outcomes[channels][window, m])
+            if row.pop("failed", False):
+                failures.append(f"band={band} window={window} channels={channels} "
+                                f"m={m}: {row['error']}")
             table.append(row)
 
     scored = [(i, r) for i, r in enumerate(table) if r["rho"] is not None]

@@ -19,9 +19,10 @@ from .features import (
     check_csp_shares,
     csp_fits,
     fisher_scores,
-    projection_log_shares,
+    moment_log_shares,
     select_channels,
     trace_normalized,
+    trial_moments,
 )
 from .param_select import grid_search
 from .preprocess import Chain, preprocess_trials
@@ -89,10 +90,11 @@ class CspExtractor(_Part):
                            window_s=config.preprocess.window_s)
 
     def prepare(self, trials: np.ndarray, rows=None):
-        """The band-passed, cropped (n_trials, n_channels, n_samples) batch,
-        and each trial's X X^T divided by its trace, with the traces."""
-        x = preprocess_trials(trials, self.fs_hz, self.chain, rows=rows)
-        return x, trace_normalized(x @ x.transpose(0, 2, 1))
+        """Each band-passed, cropped trial's `trial_moments`, and its X X^T
+        divided by its trace, with the traces."""
+        moments = preprocess_trials(trials, self.fs_hz, self.chain, trial_moments, rows)
+        c = moments.shape[-1] - 1
+        return moments, trace_normalized(moments[:, :c, :c])
 
     def fit_rows(self, prepared, rows, labels):
         fit = labels[rows]
@@ -102,10 +104,8 @@ class CspExtractor(_Part):
         return self
 
     def transform_rows(self, prepared, rows) -> np.ndarray:
-        x, _ = prepared
-        # trial by trial, so the projections' temporaries stay one trial big
-        filters, m = self.model.filters, self.model.m
-        shares, totals = np.array([projection_log_shares(filters @ x[i], m) for i in rows]).T
+        (shares,), (totals,) = moment_log_shares(self.model.filters[None], prepared[0][rows],
+                                                 self.model.m)
         check_csp_shares(shares, totals)
         return shares[:, None]
 

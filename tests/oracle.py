@@ -17,15 +17,8 @@ import numpy as np
 from mipipe.classify import SHRINKAGE, BaggingEnsemble, check_hyperplanes
 from mipipe.data_model import Trial, TrialSet
 from mipipe.errors import NumericalError, RankDeficientError
-from mipipe.features import (
-    DEFAULT_AR_ORDER,
-    CspModel,
-    _eigh,
-    check_csp_shares,
-    projection_log_shares,
-)
+from mipipe.features import DEFAULT_AR_ORDER, CspModel, _eigh, check_csp_shares
 from mipipe.preprocess import (
-    BLOCK_VALUES,
     _baseline,
     _car,
     _crop,
@@ -51,6 +44,20 @@ def scipy_zero_phase(design, x: np.ndarray) -> np.ndarray:
     if x.ndim <= 2:
         return signal.filtfilt(design.b, design.a, x, method="gust", irlen=irlen)
     return np.array([scipy_zero_phase(design, t) for t in x])
+
+
+def projection_log_shares(projections: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reference for `mipipe.features.moment_log_shares`: the log
+    variance share log(vH / (vH + vF)) of the class -1 projections, and the
+    total vH + vF, of (..., 2m, n_samples) CSP projections whose first m
+    rows are the class -1 filters', each variance taken over the projected
+    samples. Unchecked."""
+    variances = projections.var(axis=-1)
+    var_h = variances[..., :m].sum(axis=-1)
+    var_f = variances[..., m:].sum(axis=-1)
+    total = var_h + var_f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(var_h / total), total
 
 
 def csp_log_shares(model: CspModel, x: np.ndarray):
@@ -252,37 +259,20 @@ def unit_lda(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, floa
     return w, b
 
 
-def candidate_scores(train_x, test_x, normalized, labels, fits, m, block_values=BLOCK_VALUES):
-    """`mipipe.param_select.candidate_scores` fit by fit: each fold, then
-    the full fit, gets its CSP, its checks and its LDA in that order, as if
-    fitted alone; only the projection of the train trials is shared, by as
-    many fits at once as keep it within `block_values` values. If a fold's
-    CSP raises, the earlier fits of its group are checked first. The full
-    fit, last, holds out no row."""
-    fits = [(rows, held_out) for rows, _, _, held_out in fits]
-    n = len(train_x)
-    group = max(1, block_values // (n * 2 * m * train_x.shape[-1]))
-    train_scores = np.empty(n)
-    for g0 in range(0, len(fits), group):
-        csps, error = [], None
-        for fit, _ in fits[g0:g0 + group]:
-            try:
-                csps.append(csp_from_normalized(
-                    normalized[0][fit], normalized[1][fit], labels[fit], m))
-            except ValueError as exc:
-                error = exc
-                break
-        if csps:
-            filters = np.stack([csp.filters for csp in csps])[:, None]
-            shares, totals = projection_log_shares(filters @ train_x, m)
-            for (fit, fold), share, total in zip(fits[g0:], shares, totals):
-                check_csp_shares(share[fit], total[fit])
-                w, b = unit_lda(share[fit], labels[fit])
-                check_csp_shares(share[fold], total[fold])
-                train_scores[fold] = share[fold, None] @ w + b
-        if error is not None:
-            raise error
-
-    shares, totals = csp_log_shares(csps[-1], test_x)
+def candidate_scores(train_x, test_x, normalized, labels, fits, m):
+    """`mipipe.param_select.candidate_scores` fit by fit, from projections:
+    each fold, then the full fit, gets its CSP, its checks and its LDA in
+    that order, as if fitted alone, and its shares are the variances of its
+    projections of the train trials. The full fit, last, holds out no row
+    and scores the test trials."""
+    train_scores = np.empty(len(train_x))
+    for fit, _, _, fold in fits:
+        csp = csp_from_normalized(normalized[0][fit], normalized[1][fit], labels[fit], m)
+        share, total = csp_log_shares(csp, train_x)
+        check_csp_shares(share[fit], total[fit])
+        w, b = unit_lda(share[fit], labels[fit])
+        check_csp_shares(share[fold], total[fold])
+        train_scores[fold] = share[fold, None] @ w + b
+    shares, totals = csp_log_shares(csp, test_x)
     check_csp_shares(shares, totals)
     return train_scores, shares[:, None] @ w + b

@@ -17,8 +17,9 @@ from mipipe.features import (
     ar_fits,
     check_csp_shares,
     csp_fits,
-    projection_log_shares,
+    moment_log_shares,
     trace_normalized,
+    trial_moments,
     yule_walker,
 )
 from mipipe.param_select import (
@@ -114,7 +115,7 @@ def test_criterion_03_lda_oracle():
 
 def test_criterion_04_variance_share_forced_values():
     x = np.array([orthogonal_trial([1.0, 1.0]), orthogonal_trial([np.sqrt(3.0), 1.0])])
-    shares, totals = projection_log_shares(np.eye(2) @ x, m=1)
+    (shares,), (totals,) = moment_log_shares(np.eye(2)[None], trial_moments(x), m=1)
     check_csp_shares(shares, totals)
     equal, skewed = shares
     ok = (abs(equal - np.log(0.5)) < 1e-12

@@ -511,6 +511,46 @@ def test_two_entries_naming_one_file_is_an_archive_error(tmp_path, name):
         load_archive(tmp_path / "arch")
 
 
+@pytest.mark.parametrize("form", ["relative", "absolute"])
+def test_trial_entry_outside_the_archive_is_an_archive_error(tmp_path, capsys, form):
+    # archive A's second entry names B's second trial: by "../B/..." or by
+    # B's absolute path
+    for name, seed in (("A", 0), ("B", 1)):
+        save_archive(generate(SynthConfig(n_channels=3, trials_per_session=4, seed=seed)),
+                     tmp_path / name)
+    name = {"relative": "../B/s01_t001.csv",
+            "absolute": str(tmp_path / "B" / "s01_t001.csv")}[form]
+    meta_path = tmp_path / "A" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sessions"][0]["trials"][1]["file"] = name
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"{meta_path}: trial file {name!r} is not in the archive directory")):
+        load_archive(tmp_path / "A")
+    report = tmp_path / "cv.json"
+    assert main(["crossval", "--data", str(tmp_path / "A"), "--report", str(report)]) == EXIT_IO
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_save_over_a_larger_archive_leaves_only_its_own_trials(tmp_path):
+    ts = generate(SynthConfig(n_channels=3, trials_per_session=40, seed=0))
+    arch, other = tmp_path / "arch", tmp_path / "other"
+    save_archive(ts, arch)
+    save_archive(ts[:2], other)
+    # an entry of the old meta.json naming a file outside the archive is not
+    # the save's to remove
+    meta = json.loads((arch / "meta.json").read_text())
+    meta["sessions"][0]["trials"].append(
+        {"file": "../other/s01_t001.csv", "label": None, "index": 40})
+    (arch / "meta.json").write_text(json.dumps(meta))
+    save_archive(ts[:10], arch)
+    assert sorted(f.name for f in arch.glob("*.csv")) == [f"s01_t{i:03d}.csv" for i in range(10)]
+    assert (other / "s01_t001.csv").exists()
+    loaded = load_archive(arch)
+    assert np.array_equal(loaded.data, ts.data[:10])
+
+
 def _dummy_set(n, sessions=1):
     per = n // sessions
     trials = [

@@ -12,9 +12,10 @@ from mipipe.features import (
     check_csp_shares,
     csp_fits,
     fisher_scores,
-    projection_log_shares,
+    moment_log_shares,
     select_channels,
     trace_normalized,
+    trial_moments,
     yule_walker,
 )
 
@@ -43,8 +44,9 @@ def one_csp(neg, pos, m):
 
 
 def csp_shares(model, x):
-    """Checked log variance shares of `model`'s projections of (n, c, s) trials."""
-    shares, totals = projection_log_shares(model.filters @ x, model.m)
+    """Checked log variance shares of `model`'s filters on (n, c, s) trials,
+    from the trials' moments."""
+    (shares,), (totals,) = moment_log_shares(model.filters[None], trial_moments(x), model.m)
     check_csp_shares(shares, totals)
     return shares
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -10,12 +11,13 @@ from mipipe.classify import fit_ldas
 from mipipe.config import PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, Trial, split_count, usable_folds
 from mipipe.errors import CriterionUndefinedError
-from mipipe.features import check_csp_shares, csp_stack, trace_normalized
+from mipipe.features import check_csp_shares, csp_stack, trace_normalized, trial_moments
 from mipipe.param_select import (
     FEASIBILITY_THRESHOLD,
     N_BINS,
     PdfEstimate,
     _fold_fits,
+    _stack_scores,
     _unit_hyperplanes,
     candidate_scores,
     class_balance_penalty,
@@ -23,7 +25,7 @@ from mipipe.param_select import (
     grid_search,
     pdf_correlation,
 )
-from mipipe.preprocess import Chain, _window_indices, bandpass_zero_phase, preprocess_trials
+from mipipe.preprocess import Chain, bandpass_zero_phase, preprocess_trials
 from mipipe.synthgen import SynthConfig, generate
 
 import oracle
@@ -270,20 +272,25 @@ class TestGridSearch:
             bands_hz=SPACE.bands_hz, windows_s=((0.5, 2.5), (1.0, 9.0), (1.0, 4.5)),
             channel_sets=(None, (0, 3)), m_values=(1, 2),
         )
-        batches = []  # (band, weak reference to the batch filtered under it)
+        batches = []  # (band, weak reference to a block or the moments filtered under it)
         real = param_select.preprocess_trials
 
-        def spy(rows, fs_hz, chain):
+        def spy(rows, fs_hz, chain, reduce):
             alive = [band for band, ref in batches if ref() is not None]
             assert set(alive) <= {chain.band_hz}, f"filtering {chain.band_hz}, {alive} alive"
-            batch = real(rows, fs_hz, chain)
-            batches.append((chain.band_hz, weakref.ref(batch)))
-            return batch
+
+            def keep(block):
+                batches.append((chain.band_hz, weakref.ref(block)))
+                return reduce(block)
+
+            moments = real(rows, fs_hz, chain, keep)
+            batches.append((chain.band_hz, weakref.ref(moments)))
+            return moments
 
         monkeypatch.setattr(param_select, "preprocess_trials", spy)
         result = grid_search(ts, labels, space)
         assert all(row["error"] for row in result.table if row["window_s"] == (1.0, 9.0))
-        assert len(batches) == 3 * 2
+        assert len(batches) == 3 * 2 * 2  # one block and its moments per band and subset
         assert [band for band, ref in batches if ref() is not None] == []
 
     def test_deterministic(self):
@@ -396,9 +403,8 @@ def test_csp_stack_raises_for_the_first_failing_fit():
         csp_stack(np.array([eye]), np.array([eye]), 2)
 
 
-def unbalanced_batches(channels):
-    """Cropped train and test batches, and `trace_normalized` of the train
-    trials' X X^T, of a planted set with 33 trials of
+def unbalanced_batches(channels, window=(0.5, 3.5)):
+    """Cropped train and test batches of a planted set with 33 trials of
     class -1 and 17 of class +1: ten folds whose fits hold 29 or 30 trials
     of class -1 and 15 or 16 of class +1, and the full fit 33 and 17."""
     ts, labels = planted_recording(seed=7, trials_per_session=200, fraction=0.4)
@@ -407,61 +413,77 @@ def unbalanced_batches(channels):
     keep.sort()
     fs = ts.sampling_rate_hz
     x = preprocess_trials(ts.data[np.r_[keep, len(labels):len(ts)]], fs,
-                          Chain(channels=channels, band_hz=(12.0, 14.0)))
-    i0, i1 = _window_indices(x.shape[-1], fs, 0.5, 3.5)
-    train_x, test_x = x[:len(keep), :, i0:i1], x[len(keep):, :, i0:i1]
+                          Chain(channels=channels, band_hz=(12.0, 14.0), window_s=window))
+    return (x[:len(keep)], x[len(keep):]), labels[keep]
+
+
+def score_inputs(train_x, test_x):
+    """What the projection oracle reads, `trace_normalized` of the train
+    trials' X X^T, and what the program reads, the `trial_moments` of the
+    train then the test trials."""
     contiguous = np.ascontiguousarray(train_x)
-    normalized = features.trace_normalized(contiguous @ contiguous.transpose(0, 2, 1))
-    return (train_x, test_x, normalized), labels[keep]
+    normalized = trace_normalized(contiguous @ contiguous.transpose(0, 2, 1))
+    return normalized, trial_moments(np.concatenate([train_x, test_x]))
 
 
-class TestStackedScoresMatchPerFit:
-    """`candidate_scores` against the fit-by-fit reference in `oracle`."""
+# Scores from moments against the oracle's from projections agree to this
+# fraction of the largest score's magnitude: at most 1.3e-13 seen, for m = 2
+SCORE_BOUND = 1e-12
+
+
+def assert_scores_near(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= SCORE_BOUND * np.max(np.abs(w))
+
+
+class TestScoresMatchPerFitReference:
+    """`candidate_scores`, and the window stack, against the fit-by-fit
+    projection reference in `oracle`."""
 
     @pytest.mark.parametrize("channels", [None, (0, 2, 3, 4)])
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("per_group", [None, 3])
-    def test_scores_equal_reference(self, monkeypatch, channels, m, per_group):
-        (train_x, test_x, normalized), labels = unbalanced_batches(channels)
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_scores_near_reference(self, channels, m, stacked):
+        (train_x, test_x), labels = unbalanced_batches(channels)
         fits = _fold_fits(labels)
         assert len(fits) == 11
         assert len({len(neg) for _, neg, _, _ in fits}) == 3
         assert len({len(pos) for _, _, pos, _ in fits}) == 3
-        block = param_select.BLOCK_VALUES
-        if per_group is not None:  # several groups: 3, 3, 3 and 2 fits
-            block = per_group * len(train_x) * 2 * m * train_x.shape[-1]
-            monkeypatch.setattr(param_select, "BLOCK_VALUES", block)
-        got = candidate_scores(train_x, test_x, normalized, fits, m)
-        want = oracle.candidate_scores(train_x, test_x, normalized, labels, fits, m, block)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        normalized, moments = score_inputs(train_x, test_x)
+        want = oracle.candidate_scores(train_x, test_x, normalized, labels, fits, m)
+        if stacked:  # the window between two others of one stack
+            stack = [score_inputs(*unbalanced_batches(channels, window)[0])[1]
+                     for window in ((0.5, 2.5), (1.0, 4.5))]
+            train, test = _stack_scores(np.array([stack[0], moments, stack[1]]),
+                                        len(train_x), fits, m)
+            got = train[1], test[1]
+        else:
+            got = candidate_scores(moments, len(train_x), fits, m)
+        assert_scores_near(got, want)
 
-    @pytest.mark.parametrize("broken", ["trial", "projection", "test trial"])
+    @pytest.mark.parametrize("broken", ["trial", "two trials", "test trial"])
     @pytest.mark.parametrize("flat_fold", [0, 4])
     @pytest.mark.parametrize("scale", [0.0, np.nan])
-    def test_first_error_equals_reference(self, monkeypatch, broken, flat_fold, scale):
+    def test_first_error_equals_reference(self, broken, flat_fold, scale):
         # one trial zeroed or made NaN: a train trial held out in fold 0 or
-        # in the second group of fits, in its trace and projections or in
-        # its projections only, or a test trial, which only the full fit in
-        # the last group projects
-        (train_x, test_x, normalized), labels = unbalanced_batches((0, 2, 3))
+        # in fold 4, that trial and one held out two folds later, or a test
+        # trial, which only the full fit scores
+        (train_x, test_x), labels = unbalanced_batches((0, 2, 3))
         fits = _fold_fits(labels)
         row = fits[flat_fold][3][0]
         train_x, test_x = train_x.copy(), test_x.copy()
-        unit, traces = (a.copy() for a in normalized)
         if broken == "test trial":
             test_x[row] *= scale
         else:
             train_x[row] *= scale
-        if broken == "trial":
-            unit[row] *= scale
-            traces[row] *= scale
-        block = 3 * len(train_x) * 2 * train_x.shape[-1]
-        monkeypatch.setattr(param_select, "BLOCK_VALUES", block)
+        if broken == "two trials":
+            train_x[fits[flat_fold + 2][3][0]] *= scale
+        normalized, moments = score_inputs(train_x, test_x)
         messages = []
-        for scores in (lambda: candidate_scores(train_x, test_x, (unit, traces), fits, 1),
+        for scores in (lambda: candidate_scores(moments, len(train_x), fits, 1),
                        lambda: oracle.candidate_scores(
-                           train_x, test_x, (unit, traces), labels, fits, 1, block)):
+                           train_x, test_x, normalized, labels, fits, 1)):
             with pytest.raises(ValueError) as exc:
                 scores()
             messages.append(str(exc.value))
@@ -474,29 +496,82 @@ class TestStackedScoresMatchPerFit:
         }
 
 
-def test_ten_fold_candidate_makes_two_eigendecompositions_per_fit(monkeypatch):
-    (train_x, test_x, normalized), labels = unbalanced_batches(None)
+def test_ten_fold_candidate_makes_two_dsyevr_calls_per_fit(monkeypatch):
+    (train_x, test_x), labels = unbalanced_batches(None, window=(0.5, 4.5))
+    _, moments = score_inputs(train_x, test_x)
     fits = _fold_fits(labels)
-    eigh_calls, projected = [], []
-    eigh, project = features._eigh, param_select.projection_log_shares
+    candidate_scores(moments, len(train_x), fits, 1)  # LAPACK loaded before tracing
+    calls = []
+    syevr_work = features._syevr_work
 
-    def counting_eigh(a):
-        eigh_calls.append(a.shape)
-        return eigh(a)
+    def counting_work(n):
+        dsyevr, lwork, liwork = syevr_work(n)
 
-    def counting_projection(projections, m):
-        projected.append(projections.shape)
-        return project(projections, m)
+        def counting(a, **kwargs):
+            calls.append(a.shape)
+            return dsyevr(a, **kwargs)
+        return counting, lwork, liwork
 
-    monkeypatch.setattr(features, "_eigh", counting_eigh)
-    monkeypatch.setattr(param_select, "projection_log_shares", counting_projection)
+    monkeypatch.setattr(features, "_syevr_work", counting_work)
     n, n_ch, n_samples = train_x.shape
-    monkeypatch.setattr(param_select, "BLOCK_VALUES", 4 * n * 2 * n_samples)
-    candidate_scores(train_x, test_x, normalized, fits, 1)
-    assert len(eigh_calls) == 22  # two dsyevr calls per fit, 10 folds and the full fit
-    # one projection per group of 4, 4 and 3 fits, then the test trials'
-    assert projected == [(4, n, 2, n_samples), (4, n, 2, n_samples),
-                         (3, n, 2, n_samples), (len(test_x), 2, n_samples)]
+    tracemalloc.start()
+    try:
+        candidate_scores(moments, n, fits, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [(n_ch, n_ch)] * 22  # two per fit, 10 folds and the full fit
+    # no train projection is formed: one fit's (n, 2, n_samples) projection
+    # of the train trials is larger than all that the scoring allocates
+    assert peak < n * 2 * n_samples * 8
+    calls.clear()
+    _stack_scores(np.array([moments] * 3), n, fits, 1)
+    assert len(calls) == 3 * 22
+
+
+def test_band_stack_table_equals_each_candidate_alone(monkeypatch):
+    # a window past the trial's end, m = 2 on two-channel subsets (2m >
+    # channels), and a train trial flat on the (0, 3) subset, held out in
+    # fold 3: fold 0's CSP fails on it, so each of that subset's stacks
+    # fails and its windows are scored alone
+    ts, labels = planted_recording(seed=6, trials_per_session=60, fraction=0.4)
+    row = int(usable_folds(labels, 10)[3][0])
+    trials = list(as_trials(ts))
+    data = trials[row].data.copy()
+    data[[0, 3]] = 0.0
+    trials[row] = trials[row].with_data(data)
+    ts = replace_trials(ts, trials)
+    space = SearchSpace(
+        bands_hz=((12.0, 14.0), (8.0, 30.0)),
+        windows_s=((0.5, 2.5), (1.0, 9.0), (1.0, 4.5), (2.0, 4.0)),
+        channel_sets=(None, (0, 3), (1, 2)), m_values=(1, 2),
+    )
+    alone_calls = []
+    alone = param_select.candidate_scores
+
+    def counting(moments, *args):
+        alone_calls.append(moments.shape[-1] - 1)
+        return alone(moments, *args)
+
+    monkeypatch.setattr(param_select, "candidate_scores", counting)
+    result = grid_search(ts, labels, space)
+    # only failed stacks fell back, each to its 3 windows: per band, the
+    # flat subset's two and m = 2 on (1, 2)
+    assert alone_calls == [2] * (2 * 3 * 3)
+    monkeypatch.setattr(param_select, "candidate_scores", alone)
+
+    fits, fs, n_samples = _fold_fits(labels), ts.sampling_rate_hz, ts.data.shape[-1]
+    errors = set()
+    for got in result.table:
+        window, m = got["window_s"], got["m"]
+        entries = param_select._score_band(
+            ts.data, len(labels), fs, fits, got["band_hz"], got["channels"],
+            param_select._window_spans([window], n_samples, fs), (m,))[window, m]
+        want = {"rho": None, "penalty": None, "feasible": False, "error": None}
+        want.update((k, v) for k, v in entries.items() if k != "failed")
+        assert {k: got[k] for k in want} == want
+        errors.add(got["error"] and got["error"].split(" ")[0])
+    assert errors == {None, "window", "trial", "2m"}
 
 
 def _oracle_prep(ts, band, window, channels):

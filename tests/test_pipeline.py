@@ -329,6 +329,12 @@ def _reference_cross_validate(ts, config, folds, seed):
     return float(np.mean(accuracies)), float(np.std(accuracies))
 
 
+# CSP shares from moments against projection shares, relative: at most
+# 4.2e-14 here (100 Hz, m = 1); CHANGES.md tabulates the deviation by band,
+# rate and window
+SHARE_BOUND = 1e-13
+
+
 @pytest.mark.parametrize("channels", [None, (0, 2)])
 @pytest.mark.parametrize("method", ["csp", "ar", "lrp", "combined"])
 def test_prepared_once_equals_per_trial_reference(method, channels):
@@ -344,7 +350,13 @@ def test_prepared_once_equals_per_trial_reference(method, channels):
                                      [trials[i] for i in fit],
                                      [trials[i].label for i in fit])
     expected = np.array([transform(t) for t in trials])
-    assert np.array_equal(extractor.transform_rows(prepared, np.arange(len(ts))), expected)
+    got = extractor.transform_rows(prepared, np.arange(len(ts)))
+    # the CSP share, the first column, comes from moments, the reference's
+    # from projections; the other columns and the predictions are bitwise
+    csp = int(method in ("csp", "combined"))
+    assert np.array_equal(got[:, csp:], expected[:, csp:])
+    deviation = np.abs(got[:, :csp] - expected[:, :csp]) / np.abs(expected[:, :csp])
+    assert got.shape == expected.shape and np.all(deviation <= SHARE_BOUND)
 
     assert cross_validate(ts, config, folds=5, seed=3) == \
         _reference_cross_validate(ts, config, 5, 3)

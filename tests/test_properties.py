@@ -7,10 +7,18 @@ from hypothesis.extra import numpy as hnp
 
 from mipipe.classify import BaggingEnsemble, bagging_predict_rows, fit_ldas
 from mipipe.data_model import _format_17g
-from mipipe.features import AR_FAILURES, ar_fits, csp_fits, trace_normalized, yule_walker
+from mipipe.features import (
+    AR_FAILURES,
+    ar_fits,
+    csp_fits,
+    moment_log_shares,
+    trace_normalized,
+    trial_moments,
+    yule_walker,
+)
 from mipipe.param_select import class_balance_penalty, estimate_pdf
 
-from oracle import fit_ar, percent_17g, yule_walker_row
+from oracle import fit_ar, percent_17g, projection_log_shares, yule_walker_row
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -117,6 +125,35 @@ def test_csp_diagonalizes_both_classes(n_channels, seed):
         assert np.max(np.abs(off)) < 1e-8
     shares = sum(np.diag(filters @ cov @ filters.T) for cov in class_covs)
     assert np.max(np.abs(shares - 1.0)) < 1e-8
+
+
+@given(st.integers(2, 8), st.integers(2, 600), st.booleans(),
+       st.floats(min_value=-6, max_value=6), st.floats(min_value=-3, max_value=4),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_moment_shares_near_projection_shares(n_channels, n, mixed, scale, offset, seed):
+    # trials of independent or mixed channels, with channel offsets up to
+    # 1e4 times the noise, through random filters. The moments' variance
+    # fᵀ(X Xᵀ / n − μ μᵀ) f cancels as the projection's mean square grows
+    # against its variance: with R = (Σ_c |f_c| rms_c)² / var(f X), which is
+    # mean²/var when the offsets dominate, each variance moves by about
+    # eps * (1 + R) and a share, a difference of two logs, by at most twice
+    # the largest of its filters'. Bound: 32 eps (1 + R); at most 5.6 eps
+    # (1 + R) seen over 20,000 draws.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n_channels // 2 + 1))
+    mix = rng.normal(size=(n_channels, n_channels)) if mixed else np.eye(n_channels)
+    x = 10.0 ** scale * (mix @ rng.normal(size=(3, n_channels, n))
+                         + 10.0 ** offset * rng.normal(size=(3, n_channels, 1)))
+    filters = rng.normal(size=(2 * m, n_channels))
+    (got,), (total,) = moment_log_shares(filters[None], trial_moments(x), m)
+    want, want_total = projection_log_shares(filters @ x, m)
+    variance = (filters @ x).var(axis=-1)
+    rms = np.sqrt((x * x).mean(axis=-1))
+    ratio = ((np.abs(filters) @ rms[..., None])[..., 0] ** 2 / variance).max(axis=-1)
+    bound = 32 * np.finfo(float).eps * (1 + ratio)
+    assert np.all(np.abs(got - want) <= bound)
+    assert np.all(np.abs(total - want_total) <= bound * want_total)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.floats(min_value=0.1, max_value=100))
