@@ -113,8 +113,9 @@ class TrialSet:
 
     def __post_init__(self, finite):
         rows = _checked_rows(*(getattr(self, name) for name in _ROW_FIELDS), finite)
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
+        if not 0 < self.sampling_rate_hz < math.inf:  # NaN included
+            raise ValueError(f"sampling_rate_hz must be positive and finite, "
+                             f"got {self.sampling_rate_hz}")
         channel_labels = tuple(self.channel_labels)
         if len(channel_labels) != rows[0].shape[1]:
             raise ValueError(

@@ -3,7 +3,6 @@ channel selection."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,7 +10,6 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import RankDeficientError
-from .preprocess import _scipy_module
 
 DEFAULT_AR_ORDER = 7
 # why an AR fit failed, by the code `yule_walker` gives it; 0 is a fit
@@ -60,57 +58,38 @@ def csp_fits(unit: np.ndarray, traces: np.ndarray, neg_rows, pos_rows, m: int = 
     return csp_stack(means[0], means[1], m)
 
 
-@functools.lru_cache(maxsize=64)
-def _syevr_work(n: int):
-    """LAPACK's `dsyevr` and its work sizes for an n x n matrix, queried
-    once. scipy.linalg's compiled LAPACK module is loaded here, at the first
-    CSP fit, so a process that fits none never loads it."""
-    flapack = _scipy_module("scipy.linalg._flapack")
-    work, iwork, info = flapack.dsyevr_lwork(n, lower=True)
-    if info != 0:
-        raise ValueError(f"Internal work array size computation failed: {info}")
-    return flapack.dsyevr, int(work), int(iwork)
-
-
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`linalg.eigh(a)` of a symmetric float matrix: the same `dsyevr` call,
-    with the work size queried once per size."""
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    dsyevr, lwork, liwork = _syevr_work(a.shape[0])
-    w, v, _, _, info = dsyevr(a, compute_v=1, lower=True, lwork=lwork,
-                              liwork=liwork, overwrite_a=False)
-    if info < -1:
-        raise LinAlgError(f"Illegal value in argument {-info} of internal dsyevr")
-    if info != 0:
-        raise LinAlgError("Internal Error.")
-    return w, v
-
-
 def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
     """CSP filters (fits, 2m, c) and their class -1 shares (fits, 2m) of
     stacked (fits, c, c) class covariances. Whitens each composite
     covariance, eigendecomposes the whitened class -1 covariance and keeps
     the top-m / bottom-m eigenvectors mapped back through the whitening
-    transform. Only these steps run fit by fit; the first failing fit raises.
+    transform. Each eigendecomposition is one np.linalg.eigh of the stack;
+    the first fit, in fit order, that fails a step raises as it would alone.
     """
-    n_fit, n_ch = cov_neg.shape[:2]
+    n_ch = cov_neg.shape[1]
     if 2 * m > n_ch:
         raise ValueError(f"2m = {2 * m} filters exceed {n_ch} channels")
     composite = cov_neg + cov_pos
-    scaled = np.empty((n_fit, n_ch, n_ch))  # u / sqrt(d), whose transpose whitens
-    lam = np.empty((n_fit, n_ch))
-    vecs = np.empty((n_fit, n_ch, n_ch))
-    for f in range(n_fit):
-        d, u = _eigh(composite[f])
-        if d[0] < 1e-10 * d[-1]:
+    # each fit's failure: 1 non-finite composite, 2 rank deficient, 3 non-finite
+    # whitened. A failed fit's steps run on the identity, so none warns on it.
+    code = np.where(np.isfinite(composite).all(axis=(1, 2)), 0, 1)
+    composite, cov_neg = (np.where(code[:, None, None], np.eye(n_ch), a)
+                          for a in (composite, cov_neg))
+    d, u = np.linalg.eigh(composite)
+    code[(code == 0) & (d[:, 0] < 1e-10 * d[:, -1])] = 2
+    scaled = u / np.sqrt(np.where(code[:, None], 1.0, d))[:, None, :]
+    whitened = scaled.transpose(0, 2, 1) @ cov_neg @ scaled  # scaled's transpose whitens
+    code[(code == 0) & ~np.isfinite(whitened).all(axis=(1, 2))] = 3
+    bad = np.flatnonzero(code)
+    if len(bad):
+        f = bad[0]
+        if code[f] == 2:
             raise RankDeficientError(
                 f"composite covariance is rank deficient (eigenvalue ratio "
-                f"{d[0] / d[-1]:.2e} below 1e-10)"
+                f"{d[f, 0] / d[f, -1]:.2e} below 1e-10)"
             )
-        scaled[f] = u / np.sqrt(d)
-        whitener = scaled[f].T
-        lam[f], vecs[f] = _eigh(whitener @ cov_neg[f] @ whitener.T)
+        raise ValueError("array must not contain infs or NaNs")
+    lam, vecs = np.linalg.eigh(whitened)
 
     order = np.argsort(lam, axis=-1)[:, ::-1]
     keep = np.r_[0:m, n_ch - m:n_ch]

@@ -387,8 +387,8 @@ def sweep_fractions(
     when a split first chooses it."""
     cache: dict = {}
     rows = []
-    for method in methods:
-        method_config = replace(config, method=method)
+    configs = [replace(config, method=method) for method in methods]  # each checked first
+    for method, method_config in zip(methods, configs):
         for fraction in fractions:
             n_train = split_count(data, SplitSpec(fraction, "prefix"))
             report = _run_blocks(data, n_train, [len(data)], ["static"], method_config, cache)

@@ -45,6 +45,9 @@ class SynthConfig:
             raise ConfigError("trials_per_session must be even and >= 2")
         if not 0 <= self.erd_depth <= 1:
             raise ConfigError("erd_depth must be in [0, 1]")
+        for name in ("fs_hz", "trial_duration_s"):
+            if not getattr(self, name) > 0:  # NaN included
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         center, width = self.rhythm_band_hz
         if not 0 < center - width / 2 < center + width / 2 < self.fs_hz / 2:
             raise ConfigError("rhythm band must lie strictly below Nyquist")
@@ -54,8 +57,6 @@ class SynthConfig:
             raise ConfigError("session_drift must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.fs_hz <= 0 or self.trial_duration_s <= 0:
-            raise ConfigError("fs_hz and trial_duration_s must be positive")
         # the trials are one float64 array, whose byte count numpy holds in 63 bits
         sizes = {"n_sessions x trials_per_session": self.n_sessions * self.trials_per_session,
                  "n_channels": self.n_channels,

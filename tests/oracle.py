@@ -17,7 +17,7 @@ import numpy as np
 from mipipe.classify import SHRINKAGE, BaggingEnsemble, check_hyperplanes
 from mipipe.data_model import Trial, TrialSet
 from mipipe.errors import NumericalError, RankDeficientError
-from mipipe.features import DEFAULT_AR_ORDER, CspModel, _eigh, check_csp_shares
+from mipipe.features import DEFAULT_AR_ORDER, CspModel, check_csp_shares
 from mipipe.preprocess import (
     _baseline,
     _car,
@@ -141,14 +141,24 @@ def session(trial_set: TrialSet, session_id: int) -> TrialSet:
     return trial_set[trial_set.sessions == session_id]
 
 
-def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -> CspModel:
-    """`mipipe.features.csp_stack` for one pair of class covariances."""
+def finite_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh` of a symmetric matrix, refusing non-finite entries
+    with `scipy.linalg.eigh`'s message."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.eigh(a)
+
+
+def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1,
+                         eigh=finite_eigh) -> CspModel:
+    """`mipipe.features.csp_stack` for one pair of class covariances, each
+    eigendecomposition by `eigh`."""
     n_ch = cov_neg.shape[0]
     if 2 * m > n_ch:
         raise ValueError(f"2m = {2 * m} filters exceed {n_ch} channels")
     composite = cov_neg + cov_pos
 
-    d, u = _eigh(composite)
+    d, u = eigh(composite)
     if d[0] < 1e-10 * d[-1]:
         raise RankDeficientError(
             f"composite covariance is rank deficient (eigenvalue ratio "
@@ -156,7 +166,7 @@ def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1) -
         )
     whitener = (u / np.sqrt(d)).T  # rows whiten the composite
 
-    lam, b = _eigh(whitener @ cov_neg @ whitener.T)
+    lam, b = eigh(whitener @ cov_neg @ whitener.T)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     filters = (b[:, order].T @ whitener)

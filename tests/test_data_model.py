@@ -75,6 +75,8 @@ def _set(n=3, **rows):
     ({"sampling_rate_hz": 0.0}, "sampling_rate_hz must be positive"),
     ({"channel_labels": ("a",)}, "channel_labels has 1 entries for 2 channels"),
     ({"sessions": [1, 2, 1]}, "session_ids must be nondecreasing"),
+    ({"sampling_rate_hz": np.nan}, "sampling_rate_hz must be positive and finite, got nan"),
+    ({"sampling_rate_hz": np.inf}, "sampling_rate_hz must be positive and finite, got inf"),
 ])
 def test_trialset_validates_the_whole_array(rows, message):
     with pytest.raises(ValueError, match=re.escape(message)):

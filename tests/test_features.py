@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from scipy import linalg
 from scipy.linalg import solve_toeplitz
 
 from mipipe.errors import RankDeficientError
 from mipipe.features import (
-    _eigh,
     AR_FAILURES,
     CspModel,
     ar_fits,
@@ -105,23 +103,6 @@ class TestCsp:
         model = one_csp(neg, pos, m=1)
         for row in model.filters:
             assert row[np.argmax(np.abs(row))] > 0
-
-
-def test_eigh_equals_scipy_bitwise(rng):
-    # SPD matrices of sizes 2-16, and whitened products that are symmetric
-    # only up to rounding, as `csp_from_covariances` forms them
-    for _ in range(100):
-        n = int(rng.integers(2, 17))
-        x = rng.normal(size=(n, 3 * n))
-        spd = x @ x.T
-        w = rng.normal(size=(n, n))
-        for a in (spd, w @ spd @ w.T):
-            got, want = _eigh(a), linalg.eigh(a)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-    spd[0, 1] = np.inf
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        _eigh(spd)
 
 
 class TestCspFeature:

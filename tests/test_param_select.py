@@ -376,21 +376,42 @@ class TestUnitLda:
                 unit_ldas(np.array(shares), neg, pos)
 
 
-def test_csp_stack_equals_each_fit_alone(rng):
-    # class covariances as the search forms them, of 2-8 channels, with
-    # m = 1 and 2; one stacked call per shape
-    for n_ch in range(2, 9):
+def class_covariance_stacks(rng, channel_counts):
+    """Class covariances as the search forms them, 12 fits per channel count
+    with m = 1 and 2 where they fit: (cov_neg, cov_pos, m) per stack."""
+    for n_ch in channel_counts:
         x = rng.normal(size=(40, n_ch, 60)) * rng.uniform(0.5, 2.0, size=(1, n_ch, 1))
         unit, _ = features.trace_normalized(x @ x.transpose(0, 2, 1))
         picks = [rng.permutation(40) for _ in range(12)]
         cov_neg = np.array([unit[p[:15]].mean(axis=0) for p in picks])
         cov_pos = np.array([unit[p[15:]].mean(axis=0) for p in picks])
         for m in (1, 2)[:n_ch // 2]:
-            filters, lam = csp_stack(cov_neg, cov_pos, m)
-            for f in range(12):
-                want = oracle.csp_from_covariances(cov_neg[f], cov_pos[f], m)
-                assert np.array_equal(filters[f], want.filters)
-                assert np.array_equal(lam[f], want.eigenvalues)
+            yield cov_neg, cov_pos, m
+
+
+def test_csp_stack_equals_each_fit_alone(rng):
+    # of 2-8 channels; one stacked call per shape
+    for cov_neg, cov_pos, m in class_covariance_stacks(rng, range(2, 9)):
+        filters, lam = csp_stack(cov_neg, cov_pos, m)
+        for f in range(12):
+            want = oracle.csp_from_covariances(cov_neg[f], cov_pos[f], m)
+            assert np.array_equal(filters[f], want.filters)
+            assert np.array_equal(lam[f], want.eigenvalues)
+
+
+def test_csp_stack_agrees_with_scipy_dsyevr(rng):
+    # scipy.linalg.eigh takes LAPACK's dsyevr where np.linalg.eigh takes
+    # dsyevd: the filters agree to 1e-10 of each filter's largest
+    # coefficient, the class -1 shares, all in [0, 1], to 1e-12
+    from scipy import linalg
+
+    for cov_neg, cov_pos, m in class_covariance_stacks(rng, range(2, 17)):
+        filters, lam = csp_stack(cov_neg, cov_pos, m)
+        for f in range(12):
+            want = oracle.csp_from_covariances(cov_neg[f], cov_pos[f], m, linalg.eigh)
+            scale = np.abs(want.filters).max(axis=1, keepdims=True)
+            assert np.all(np.abs(filters[f] - want.filters) <= 1e-10 * scale)
+            assert np.all(np.abs(lam[f] - want.eigenvalues) <= 1e-12)
 
 
 def test_csp_stack_raises_for_the_first_failing_fit():
@@ -401,6 +422,30 @@ def test_csp_stack_raises_for_the_first_failing_fit():
         csp_stack(np.array([eye, eye, rank_one]), np.array([eye, nan, rank_one]), 1)
     with pytest.raises(ValueError, match="^2m = 4 filters exceed 3 channels$"):
         csp_stack(np.array([eye]), np.array([eye]), 2)
+
+
+def test_csp_stack_raises_what_the_first_failing_fit_raises_alone():
+    # every stack of three fits of these kinds, which fail at each step: a
+    # non-finite composite, a rank-deficient or negative one, and a zero one
+    # whose whitened matrix is not finite
+    eye, zero, nan = np.eye(3) / 3, np.zeros((3, 3)), np.full((3, 3), np.nan)
+    inf = np.where(np.eye(3), np.inf, 0.0)
+    kinds = [(eye, eye), (eye, nan), (inf, eye), (np.diag([1.0, 0.0, 0.0]), eye),
+             (-eye, -eye), (zero, zero)]
+    for stack in itertools.product(kinds, repeat=3):
+        with np.errstate(all="ignore"):  # the zero composite divides by zero
+            try:
+                want = [oracle.csp_from_covariances(neg, pos) for neg, pos in stack]
+            except ValueError as exc:
+                want = exc
+            neg, pos = (np.array(part) for part in zip(*stack))
+            if isinstance(want, ValueError):
+                with pytest.raises(ValueError) as exc:
+                    csp_stack(neg, pos, 1)
+                assert (type(exc.value), str(exc.value)) == (type(want), str(want))
+            else:
+                filters, _ = csp_stack(neg, pos, 1)
+                assert np.array_equal(filters, [model.filters for model in want])
 
 
 def unbalanced_batches(channels, window=(0.5, 3.5)):
@@ -496,23 +541,18 @@ class TestScoresMatchPerFitReference:
         }
 
 
-def test_ten_fold_candidate_makes_two_dsyevr_calls_per_fit(monkeypatch):
+def test_ten_fold_candidate_makes_two_eigh_calls_per_stack(monkeypatch):
     (train_x, test_x), labels = unbalanced_batches(None, window=(0.5, 4.5))
     _, moments = score_inputs(train_x, test_x)
     fits = _fold_fits(labels)
-    candidate_scores(moments, len(train_x), fits, 1)  # LAPACK loaded before tracing
     calls = []
-    syevr_work = features._syevr_work
+    eigh = np.linalg.eigh
 
-    def counting_work(n):
-        dsyevr, lwork, liwork = syevr_work(n)
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
 
-        def counting(a, **kwargs):
-            calls.append(a.shape)
-            return dsyevr(a, **kwargs)
-        return counting, lwork, liwork
-
-    monkeypatch.setattr(features, "_syevr_work", counting_work)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     n, n_ch, n_samples = train_x.shape
     tracemalloc.start()
     try:
@@ -520,13 +560,14 @@ def test_ten_fold_candidate_makes_two_dsyevr_calls_per_fit(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [(n_ch, n_ch)] * 22  # two per fit, 10 folds and the full fit
+    # composites, then whitened class -1 covariances: 10 folds and the full fit
+    assert calls == [(11, n_ch, n_ch)] * 2
     # no train projection is formed: one fit's (n, 2, n_samples) projection
     # of the train trials is larger than all that the scoring allocates
     assert peak < n * 2 * n_samples * 8
     calls.clear()
     _stack_scores(np.array([moments] * 3), n, fits, 1)
-    assert len(calls) == 3 * 22
+    assert calls == [(3 * 11, n_ch, n_ch)] * 2
 
 
 def test_band_stack_table_equals_each_candidate_alone(monkeypatch):

@@ -143,6 +143,14 @@ def test_invalid_configs(kwargs):
         SynthConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["fs_hz", "trial_duration_s"])
+def test_nan_duration_or_rate_is_named(name):
+    # NaN passes a `<= 0` check; the later checks would blame the rhythm
+    # band or the array size
+    with pytest.raises(ConfigError, match=f"^{name} must be positive, got nan$"):
+        SynthConfig(**{name: float("nan")})
+
+
 def test_config_from_dict_roundtrip():
     cfg = synth_config_from_dict({
         "n_channels": 4, "trials_per_session": 6, "seed": 3,
