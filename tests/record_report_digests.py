@@ -1,7 +1,8 @@
 """Re-record `report_digests.json`: run every command of
-`test_report_digests.COMMANDS` and store the SHA-256 of each report and of
-each file of the archive they read, with the numpy, scipy and BLAS build
-that produced them.
+`test_report_digests.COMMANDS` and store the SHA-256 of each report, of
+each file of the archive they read and of each search table of
+`test_report_digests.TABLES`, with the numpy, scipy and BLAS build that
+produced them.
 
     PYTHONPATH=src python tests/record_report_digests.py
 """
@@ -13,10 +14,12 @@ from pathlib import Path
 from test_report_digests import (
     COMMANDS,
     DIGESTS,
+    TABLES,
     archive_digests,
     build,
     make_archive,
     report_digest,
+    table_digest,
 )
 
 
@@ -26,8 +29,9 @@ def main() -> None:
         archive = make_archive(root)
         files = archive_digests(archive)
         reports = {name: report_digest(archive, root, name) for name in COMMANDS}
-    DIGESTS.write_text(json.dumps({"build": build(), "archive": files, "reports": reports},
-                                  indent=2) + "\n")
+        tables = {name: table_digest(table(archive)) for name, table in TABLES.items()}
+    DIGESTS.write_text(json.dumps({"build": build(), "archive": files, "reports": reports,
+                                   "tables": tables}, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Every CLI report, byte for byte: the SHA-256 of one small `synth` archive's
-files and of each command's report on it against the digests in
-`report_digests.json`.
+files, of each command's report on it and of the `grid_search` tables in
+`TABLES` against the digests in `report_digests.json`.
 
 Manifests are left out (they hold paths). The digests are re-recorded with
 `python tests/record_report_digests.py`, and only by a change that states
@@ -9,6 +9,7 @@ which outputs it changes and why.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,11 @@ import pytest
 import scipy
 
 from mipipe.cli import EXIT_OK, main
-from mipipe.data_model import RECORDING_FILE
+from mipipe.config import pipeline_config_from_dict
+from mipipe.data_model import (RECORDING_FILE, SplitSpec, load_archive, split_count,
+                               usable_folds)
+from mipipe.param_select import grid_search
+from mipipe.synthgen import SynthConfig, generate
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 
@@ -45,6 +50,52 @@ COMMANDS = {
        for name, config in (("fig1", {}), ("fig1_search", SEARCH),
                             ("fig1_channel_search", CHANNEL_SEARCH))},
 }
+
+
+# a search that fails at every stage its table reports: a band past Nyquist, a
+# window past the 5 s trials' end and m = 2 on two-channel subsets, then fits
+# on the (0, 3) subset that meet a flat train trial and, on (1, 2), scores of
+# a flat test trial
+FAILING_SEARCH = {"bands_hz": [[12, 14], [45, 55], [8, 30]],
+                  "windows_s": [[0.5, 2.5], [3.0, 6.0], [1.0, 4.5]],
+                  "channel_sets": [None, [0, 3], [1, 2]], "m_values": [1, 2]}
+
+
+def failing_table(flat_fold: int) -> tuple:
+    """`FAILING_SEARCH`'s table on a recording whose train trial held out in
+    search fold `flat_fold` is zero on channels 0 and 3, and whose first test
+    trial is zero on channels 1 and 2."""
+    ts = generate(SynthConfig(n_channels=5, trials_per_session=60, seed=6))
+    labels = ts.labels[:24]
+    data = ts.data.copy()
+    data[usable_folds(labels, 10)[flat_fold][0], [0, 3]] = 0.0
+    data[len(labels), [1, 2]] = 0.0
+    space = pipeline_config_from_dict({"search": FAILING_SEARCH}).search
+    return grid_search(replace(ts, data=data), labels, space).table
+
+
+def channel_search_table(archive: Path) -> tuple:
+    """`CHANNEL_SEARCH`'s table on `archive`, trained on its first 20 %."""
+    ts = load_archive(archive)
+    labels = ts.labels[:split_count(ts, SplitSpec(0.2, "prefix"))]
+    return grid_search(ts, labels, pipeline_config_from_dict(CHANNEL_SEARCH).search).table
+
+
+# table name: the table, from the digest archive
+TABLES = {
+    "channel_search": channel_search_table,
+    "failing_fold0": lambda archive: failing_table(0),
+    "failing_fold3": lambda archive: failing_table(3),
+}
+
+
+def table_digest(table) -> str:
+    """SHA-256 of every row of a `grid_search` table, rho and penalty as
+    `float.hex`."""
+    rows = [[row["band_hz"], row["window_s"], row["channels"], row["m"],
+             *(None if row[k] is None else row[k].hex() for k in ("rho", "penalty")),
+             row["feasible"], row["error"]] for row in table]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def build() -> dict:
@@ -108,3 +159,8 @@ def test_archive_is_byte_identical_to_the_recording(archive):
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_report_is_byte_identical_to_the_recording(archive, tmp_path, name):
     check(f"{name} report", report_digest(archive, tmp_path, name), "reports", name)
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_search_table_is_bitwise_the_recording(archive, name):
+    check(f"{name} table", table_digest(TABLES[name](archive)), "tables", name)
