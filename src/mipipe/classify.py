@@ -8,20 +8,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, raise_first
 from .features import _by_count
 
 SHRINKAGE = 1e-6  # ridge on the pooled scatter, scaled by trace/dim
 
 
-def check_hyperplanes(w: np.ndarray, b: np.ndarray) -> None:
-    """Raise for the first hyperplane, normal w[f] and offset b[f], with an
-    all-zero normal or a non-finite parameter."""
-    bad = np.flatnonzero(~(np.isfinite(w).all(axis=1) & np.isfinite(b) & w.any(axis=1)))
-    if len(bad):
-        if not w[bad[0]].any():
-            raise ValueError("hyperplane normal must have a nonzero entry")
-        raise ValueError("non-finite LDA parameters")
+def hyperplane_codes(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each hyperplane's failure code, normal w[f] and offset b[f]: 10 an
+    all-zero normal, 11 a non-finite parameter, else 0."""
+    return np.where(~w.any(axis=1), 10,
+                    np.where(np.isfinite(w).all(axis=1) & np.isfinite(b), 0, 11))
 
 
 @dataclass(frozen=True)
@@ -47,17 +44,19 @@ class BaggingEnsemble:
             object.__setattr__(self, name, a)
 
 
-def fit_ldas(x: np.ndarray, neg_rows, pos_rows) -> tuple[np.ndarray, np.ndarray]:
+def fit_ldas(x: np.ndarray, neg_rows, pos_rows):
     """Fisher discriminants w = (S_w + ridge)^(-1) (mu+ - mu-), b at the
     midpoint, of the fits of x (fits, n, d) on rows neg_rows[f] and
-    pos_rows[f] of x[f]: w (fits, d) and b (fits,), bitwise each fit's alone.
-    Means and scatter sum per class row count (`_by_count`) in one fit's
-    order, then one stacked solve. The first failing fit raises; a singular
-    solve (features near the ends of the float range) raises for the stack."""
+    pos_rows[f] of x[f]: w (fits, d), b (fits,) and each fit's failure code
+    (7 an empty class, 8 no feature, 9 identical means, then
+    `hyperplane_codes`), bitwise each fit's alone. Means and scatter sum per
+    class row count (`_by_count`) in one fit's order, then one stacked solve,
+    which raises for a singular system; with one feature its pivot, S_w +
+    ridge, is positive or NaN, so it never does."""
     n_fit, d = x.shape[0], x.shape[-1]
     mu = np.empty((2, n_fit, d))
     scatter = np.zeros((n_fit, d, d))
-    with np.errstate(all="ignore"):  # a failed fit raises below
+    with np.errstate(all="ignore"):  # a failed fit gets its code below
         for c, rows in enumerate((neg_rows, pos_rows)):
             for fits, stacked in _by_count(rows):
                 block = x[fits[:, None], stacked]
@@ -69,15 +68,9 @@ def fit_ldas(x: np.ndarray, neg_rows, pos_rows) -> tuple[np.ndarray, np.ndarray]
         w = np.linalg.solve(scatter + ridge[:, None, None] * np.eye(d),
                             (mu[1] - mu[0])[..., None])[..., 0]
         b = -((w[:, None, :] @ (mu[1] + mu[0])[:, :, None])[:, 0, 0] / 2.0)
-    for f in np.flatnonzero(~(np.isfinite(w).all(axis=1) & np.isfinite(b) & w.any(axis=1))):
-        if not len(neg_rows[f]) or not len(pos_rows[f]):
-            raise ValueError("both classes must be present")
-        if d == 0:
-            raise ValueError("zero-dimension features")
-        if not np.any(w[f]):
-            raise NumericalError("classes have identical means: no discriminant direction")
-        check_hyperplanes(w[f:f + 1], b[f:f + 1])
-    return w, b
+    empty = [not (len(neg) and len(pos)) for neg, pos in zip(neg_rows, pos_rows)]
+    return w, b, np.where(empty, 7, 8 if d == 0 else
+                          np.where(w.any(axis=1), hyperplane_codes(w, b), 9))
 
 
 def fit_bagging(
@@ -106,8 +99,10 @@ def fit_bagging(
                 break
         else:
             break
-    w, b = fit_ldas(np.broadcast_to(x, (len(draws),) + x.shape),
-                    [idx[y[idx] == -1] for idx in draws], [idx[y[idx] == 1] for idx in draws])
+    w, b, codes = fit_ldas(np.broadcast_to(x, (len(draws),) + x.shape),
+                           [idx[y[idx] == -1] for idx in draws],
+                           [idx[y[idx] == 1] for idx in draws])
+    raise_first(codes)
     if len(draws) < rounds:
         raise NumericalError(
             f"round {len(draws)}: 100 consecutive single-class draws; data degenerate"

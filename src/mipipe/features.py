@@ -9,8 +9,6 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import RankDeficientError
-
 DEFAULT_AR_ORDER = 7
 # why an AR fit failed, by the code `yule_walker` gives it; 0 is a fit
 AR_FAILURES = (None, "constant series: cannot fit AR model",
@@ -45,51 +43,45 @@ def _by_count(rows):
 
 def csp_fits(unit: np.ndarray, traces: np.ndarray, neg_rows, pos_rows, m: int = 1):
     """`csp_stack` of fits over rows of one `trace_normalized` stack, fit f's
-    classes being rows neg_rows[f] and pos_rows[f]. Each class mean is one
-    np.add.reduce per row count, summing in one fit's np.mean order."""
+    classes being rows neg_rows[f] and pos_rows[f]; a fit on a row of zero
+    trace fails with code 1. Each class mean is one np.add.reduce per row
+    count, summing in one fit's np.mean order."""
     if not all(len(rows) for rows in (*neg_rows, *pos_rows)):
         raise ValueError("both classes must be nonempty")
-    if np.any(traces[np.concatenate([*neg_rows, *pos_rows])] <= 0):
-        raise ValueError("trial has zero total variance")
     means = np.empty((2, len(neg_rows)) + unit.shape[1:])
+    flat = np.zeros(len(neg_rows), dtype=bool)
     for c, rows in enumerate((neg_rows, pos_rows)):
         for fits, stacked in _by_count(rows):
             means[c, fits] = np.add.reduce(unit[stacked], axis=1) / stacked.shape[1]
-    return csp_stack(means[0], means[1], m)
+            flat[fits] |= (traces[stacked] <= 0).any(axis=1)
+    filters, lam, code, ratio = csp_stack(means[0], means[1], m)
+    return filters, lam, np.where(flat, 1, code), ratio
 
 
 def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
-    """CSP filters (fits, 2m, c) and their class -1 shares (fits, 2m) of
-    stacked (fits, c, c) class covariances. Whitens each composite
-    covariance, eigendecomposes the whitened class -1 covariance and keeps
-    the top-m / bottom-m eigenvectors mapped back through the whitening
-    transform. Each eigendecomposition is one np.linalg.eigh of the stack;
-    the first fit, in fit order, that fails a step raises as it would alone.
+    """CSP filters (fits, 2m, c) and class -1 shares (fits, 2m) of stacked
+    (fits, c, c) class covariances, each fit's failure code (2 more filters
+    than channels, 3 a non-finite composite or whitened matrix, 4 a
+    rank-deficient composite) and its composite's eigenvalue ratio, least to
+    greatest. Whitens each composite covariance, eigendecomposes the whitened
+    class -1 covariance and keeps the top-m / bottom-m eigenvectors mapped
+    back through the whitening transform. Each eigendecomposition is one
+    np.linalg.eigh of the stack; a failed fit's steps run on the identity.
     """
-    n_ch = cov_neg.shape[1]
+    n_fit, n_ch = cov_neg.shape[:2]
     if 2 * m > n_ch:
-        raise ValueError(f"2m = {2 * m} filters exceed {n_ch} channels")
+        return (np.zeros((n_fit, 2 * m, n_ch)), np.zeros((n_fit, 2 * m)),
+                np.full(n_fit, 2), np.ones(n_fit))
     composite = cov_neg + cov_pos
-    # each fit's failure: 1 non-finite composite, 2 rank deficient, 3 non-finite
-    # whitened. A failed fit's steps run on the identity, so none warns on it.
-    code = np.where(np.isfinite(composite).all(axis=(1, 2)), 0, 1)
+    code = np.where(np.isfinite(composite).all(axis=(1, 2)), 0, 3)
     composite, cov_neg = (np.where(code[:, None, None], np.eye(n_ch), a)
                           for a in (composite, cov_neg))
     d, u = np.linalg.eigh(composite)
-    code[(code == 0) & (d[:, 0] < 1e-10 * d[:, -1])] = 2
+    code[(code == 0) & (d[:, 0] < 1e-10 * d[:, -1])] = 4
     scaled = u / np.sqrt(np.where(code[:, None], 1.0, d))[:, None, :]
     whitened = scaled.transpose(0, 2, 1) @ cov_neg @ scaled  # scaled's transpose whitens
     code[(code == 0) & ~np.isfinite(whitened).all(axis=(1, 2))] = 3
-    bad = np.flatnonzero(code)
-    if len(bad):
-        f = bad[0]
-        if code[f] == 2:
-            raise RankDeficientError(
-                f"composite covariance is rank deficient (eigenvalue ratio "
-                f"{d[f, 0] / d[f, -1]:.2e} below 1e-10)"
-            )
-        raise ValueError("array must not contain infs or NaNs")
-    lam, vecs = np.linalg.eigh(whitened)
+    lam, vecs = np.linalg.eigh(np.where(code[:, None, None], np.eye(n_ch), whitened))
 
     order = np.argsort(lam, axis=-1)[:, ::-1]
     keep = np.r_[0:m, n_ch - m:n_ch]
@@ -99,7 +91,7 @@ def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
     # eigenvectors are sign-ambiguous; make each row's largest coefficient positive
     peak = np.take_along_axis(filters, np.abs(filters).argmax(axis=-1)[..., None], axis=-1)
     filters[peak[..., 0] < 0] *= -1
-    return filters, lam
+    return filters, lam, code, d[:, 0] / d[:, -1]
 
 
 def trial_moments(x: np.ndarray) -> np.ndarray:
@@ -124,7 +116,7 @@ def moment_log_shares(filters: np.ndarray, moments: np.ndarray,
 
     filters (..., fits, 2m, c), the first m rows of each fit the class -1
     filters'; moments (..., rows, c + 1, c + 1). Returns (..., fits, rows)
-    each. Unchecked: pass both to `check_csp_shares`."""
+    each. Unchecked: pass both to `share_codes`."""
     *lead, n_fit, _, c = filters.shape
     n = moments[..., c, c, None]
     mean = moments[..., :c, c] / n
@@ -139,13 +131,10 @@ def moment_log_shares(filters: np.ndarray, moments: np.ndarray,
         return np.log(var_h / total), total
 
 
-def check_csp_shares(shares: np.ndarray, totals: np.ndarray) -> None:
-    """Raise for the first trial with zero total variance or a non-finite share."""
-    bad = np.flatnonzero((totals <= 0) | ~np.isfinite(shares))
-    if len(bad):
-        if totals[bad[0]] <= 0:
-            raise ValueError("zero total variance after spatial filtering")
-        raise ValueError("feature vector contains non-finite values")
+def share_codes(shares: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Each trial's failure code of its share and total: 5 zero total
+    variance, 6 a non-finite share, else 0."""
+    return np.where(totals <= 0, 5, np.where(np.isfinite(shares), 0, 6))
 
 
 def yule_walker(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,15 +12,16 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from .classify import check_hyperplanes, fit_ldas
+from .classify import fit_ldas, hyperplane_codes
 from .config import PipelineConfig, SearchSpace
 from .data_model import TrialSet, usable_folds
-from .errors import CriterionUndefinedError
+from .errors import CriterionUndefinedError, failure, raise_first
 from .features import (
-    check_csp_shares,
     csp_fits,
     moment_log_shares,
+    share_codes,
     trace_normalized,
     trial_moments,
 )
@@ -40,13 +41,44 @@ class PdfEstimate:
         mass = np.asarray(self.mass, dtype=float)
         if edges.shape != (N_BINS + 1,) or mass.shape != (N_BINS,):
             raise ValueError("expected 41 edges and 40 masses")
-        widths = np.diff(edges)
-        if np.any(widths <= 0) or np.ptp(widths) > 1e-9 * widths[0]:
+        if _uneven(edges):
             raise ValueError("bin edges must be strictly increasing, equal width")
         if np.any(mass < 0) or abs(mass.sum() - 1.0) > 1e-12:
             raise ValueError("mass must be nonnegative and sum to 1")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "mass", mass)
+
+
+def _uneven(edges: np.ndarray) -> np.ndarray:
+    """Whether each row of edges (..., 41) fails to rise strictly in equal widths."""
+    widths = np.diff(edges)
+    return np.any(widths <= 0, axis=-1) | (np.ptp(widths, axis=-1) > 1e-9 * widths[..., 0])
+
+
+def _histograms(scores: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Bin edges (rows, 41) and 40-bin histograms (rows, 40) of each row of
+    scores (rows, n) over its [lo, hi], counted as np.histogram counts: scores
+    clip to the end bins, and only the last bin holds its right edge."""
+    edges = np.array([np.linspace(a, b, N_BINS + 1) for a, b in zip(lo, hi)])
+    x = np.clip(scores, lo[:, None], hi[:, None])[..., None]
+    # the scores below each edge, then those at or below the last
+    counts = np.diff(np.c_[(x < edges[:, None, :-1]).sum(axis=1),
+                           (x <= edges[:, None, -1:]).sum(axis=1)])
+    return edges, counts / counts.sum(axis=1, keepdims=True)
+
+
+def _correlations(train: np.ndarray, test: np.ndarray):
+    """The Pearson correlation of each row pair of histograms (rows, 40), as
+    np.corrcoef computes it, and each row's failure code: 14 a flat train
+    histogram, 15 a flat test one, else 0."""
+    x = np.stack([train, test], axis=1)
+    x = x - x.mean(axis=-1, keepdims=True)
+    cov = x @ x.swapaxes(-1, -2) * np.true_divide(1, N_BINS - 1)
+    std = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat histogram's is NaN
+        rho = np.clip(cov[:, 0, 1] / std[:, 0] / std[:, 1], -1, 1)
+    return rho, np.where(np.ptp(train, axis=1) == 0, 14,
+                         np.where(np.ptp(test, axis=1) == 0, 15, 0))
 
 
 def estimate_pdf(scores: Sequence[float], score_range: tuple[float, float]) -> PdfEstimate:
@@ -57,30 +89,26 @@ def estimate_pdf(scores: Sequence[float], score_range: tuple[float, float]) -> P
         raise ValueError("empty scores")
     if not hi > lo:
         raise ValueError(f"degenerate range ({lo}, {hi})")
-    edges = np.linspace(lo, hi, N_BINS + 1)
-    counts, _ = np.histogram(np.clip(scores, lo, hi), bins=edges)
-    return PdfEstimate(bin_edges=edges, mass=counts / counts.sum())
+    (edges,), (mass,) = _histograms(scores[None], np.array([lo]), np.array([hi]))
+    return PdfEstimate(bin_edges=edges, mass=mass)
 
 
-def class_balance_penalty(test_scores: Sequence[float]) -> float:
-    """|P(+1) - 0.5| where score 0 counts as +1, as a round votes in
-    `bagging_predict_rows`."""
+def class_balance_penalty(test_scores) -> float:
+    """|P(+1) - 0.5| of scores (..., n) where score 0 counts as +1, as a round
+    votes in `bagging_predict_rows`."""
     scores = np.asarray(test_scores, dtype=float)
-    if len(scores) == 0:
+    if scores.shape[-1] == 0:
         raise ValueError("empty scores")
-    return abs(float(np.mean(scores >= 0)) - 0.5)
+    return np.abs(np.mean(scores >= 0, axis=-1) - 0.5)
 
 
 def pdf_correlation(train: PdfEstimate, test: PdfEstimate) -> float:
     """Pearson correlation between the two histograms' bin masses."""
     if not np.allclose(train.bin_edges, test.bin_edges, rtol=0, atol=0):
         raise ValueError("histograms have different bin edges")
-    for pdf, name in ((train, "train"), (test, "test")):
-        if np.ptp(pdf.mass) == 0:
-            raise CriterionUndefinedError(
-                f"criterion undefined: {name} histogram is flat"
-            )
-    return float(np.corrcoef(train.mass, test.mass)[0, 1])
+    (rho,), codes = _correlations(train.mass[None], test.mass[None])
+    raise_first(codes)
+    return float(rho)
 
 
 @dataclass(frozen=True)
@@ -106,78 +134,66 @@ def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     return fits
 
 
-def _unit_hyperplanes(w: np.ndarray, b: np.ndarray):
-    """One-feature LDAs w (fits, 1), b (fits,) scaled to unit norm, so each
-    fit scores signed distances; the first that `check_hyperplanes` refuses
-    raises."""
-    with np.errstate(all="ignore"):  # a failed scaling raises below
+def _unit_hyperplanes(w: np.ndarray, b: np.ndarray, codes: np.ndarray):
+    """One-feature LDAs w (fits, 1), b (fits,) and their failure codes
+    scaled to unit norm, so each fit scores signed distances; a fit whose
+    scaling fails gets its `hyperplane_codes`."""
+    with np.errstate(all="ignore"):  # a failed scaling gets its code
         norm = np.sqrt(w[:, 0] * w[:, 0])
         w, b = w[:, 0] / norm, b / norm
-    check_hyperplanes(w[:, None], b)
-    return w, b
+    return w, b, np.where(codes != 0, codes, hyperplane_codes(w[:, None], b))
 
 
-def _check_shares(shares: np.ndarray, totals: np.ndarray, rows) -> None:
-    """`check_csp_shares` of each fit f's rows rows[f], in fit order."""
-    if not np.all((totals > 0) & np.isfinite(shares)):
-        for share, total, r in zip(shares, totals, rows):
-            check_csp_shares(share[r], total[r])
+def _first(codes: np.ndarray) -> np.ndarray:
+    """The first nonzero failure code along the last axis, else 0."""
+    return np.take_along_axis(codes, (codes != 0).argmax(axis=-1)[..., None], axis=-1)[..., 0]
 
 
-def _fit_stack(moments, n_train, fits, m):
-    """Every fit of `fits` on every window's `moments` (windows, rows, c + 1,
-    c + 1), the train rows first, as one stack: each row's shares and their
-    totals (windows, fits, rows), and the unit-norm LDAs w and b (windows,
-    fits). Each fit is checked in a lone fit's order; the error may be any
-    fit's."""
+def _stack_scores(moments, n_train, fits, m):
+    """Out-of-fold train scores (windows, n_train), full-fit test scores
+    (windows, n_test), failure code and first failed fit's eigenvalue ratio
+    of every window of `moments` (windows, rows, c + 1, c + 1), train rows
+    first, from one stack of every fit of `fits` on every window. A window
+    fails as its first failed fit, and a fit at its first failed step in a
+    lone fit's order: CSP, its train rows' shares, LDA, its held-out rows'
+    shares; the full fit's test rows' shares come last."""
     n_win, n_fit, c = len(moments), len(fits), moments.shape[-1] - 1
-    # fit f of window k is entry k * n_fit + f of the stack
-    rows, neg, pos, held_out = (part * n_win for part in zip(*fits))
+    _, neg, pos, held_out = zip(*fits)
+    neg, pos = neg * n_win, pos * n_win
     unit, traces = trace_normalized(moments[:, :n_train, :c, :c].reshape(-1, c, c))
+    # fit f of window k is entry k * n_fit + f of the stack
     at = np.repeat(n_train * np.arange(n_win), n_fit)
-    filters, _ = csp_fits(unit, traces, [k + r for k, r in zip(at, neg)],
-                          [k + r for k, r in zip(at, pos)], m)
-    shares, totals = (a.reshape(n_win * n_fit, -1) for a in moment_log_shares(
-        filters.reshape(n_win, n_fit, 2 * m, c), moments, m))
-    _check_shares(shares, totals, rows)
-    w, b = _unit_hyperplanes(*fit_ldas(shares[:, :n_train, None], neg, pos))
-    _check_shares(shares, totals, held_out)
-    return (shares.reshape(n_win, n_fit, -1), totals.reshape(n_win, n_fit, -1),
-            w.reshape(n_win, n_fit), b.reshape(n_win, n_fit))
-
-
-def _stack_scores(moments, n_train, fits, m) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-fold train scores (windows, n_train) and full-fit test scores
-    (windows, n_test) of every window of `moments`, from one `_fit_stack`.
-    The error raised may be any fit's or window's."""
-    shares, totals, w, b = _fit_stack(moments, n_train, fits, m)
-    held_out = [fit[3] for fit in fits]
+    filters, _, csp, ratio = csp_fits(unit, traces, [k + r for k, r in zip(at, neg)],
+                                      [k + r for k, r in zip(at, pos)], m)
+    shares, totals = moment_log_shares(filters.reshape(n_win, n_fit, 2 * m, c), moments, m)
+    w, b, lda = (a.reshape(n_win, n_fit) for a in _unit_hyperplanes(*fit_ldas(
+        shares.reshape(n_win * n_fit, -1)[:, :n_train, None], neg, pos)))
+    # each train row is held out by one fold: fit[i] holds out row at[i]
     at = np.concatenate(held_out)
-    fit = np.repeat(np.arange(len(fits)), [len(r) for r in held_out])
-    train = np.empty((len(moments), n_train))
+    fit = np.repeat(np.arange(n_fit), [len(r) for r in held_out])
+    held = np.zeros((n_fit, n_train), dtype=bool)
+    held[fit, at] = True
+    rows = share_codes(shares, totals)
+    failed = _first(np.stack([csp.reshape(n_win, n_fit),
+                              _first(np.where(held, 0, rows[..., :n_train])), lda,
+                              _first(np.where(held, rows[..., :n_train], 0))], axis=-1))
+    train = np.empty((n_win, n_train))
     train[:, at] = shares[:, fit, at] * w[:, fit] + 0.0 + b[:, fit]
     # the full fit, last, is scored on the test rows
-    test, test_totals = shares[:, -1, n_train:], totals[:, -1, n_train:]
-    _check_shares(test, test_totals, [slice(None)] * len(moments))
-    return train, test * w[:, -1, None] + 0.0 + b[:, -1, None]
+    test = shares[:, -1, n_train:] * w[:, -1, None] + 0.0 + b[:, -1, None]
+    return (train, test, _first(np.c_[failed, _first(rows[:, -1, n_train:])]),
+            ratio.reshape(n_win, n_fit)[np.arange(n_win), (failed != 0).argmax(axis=1)])
 
 
-def candidate_scores(moments, n_train, fits, m) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-fold train scores and full-fit test scores for one candidate.
-
-    moments is `trial_moments` (rows, c + 1, c + 1) of the candidate's
-    band-passed window of each train row, then each test row; fits is
-    `_fold_fits` of the train labels. The fits are scored as one stack. If
-    it fails, they are refitted alone in fold order, so the error raised is
-    the first that fitting the folds one by one meets.
-    """
-    try:
-        train, test = _stack_scores(moments[None], n_train, fits, m)
-    except ValueError:
-        for fit in fits:
-            _fit_stack(moments[None], n_train, [fit], m)
-        raise
-    return train[0], test[0]
+def _criterion(train: np.ndarray, test: np.ndarray):
+    """rho, balance penalty and failure code of the train (windows, n_train)
+    and test (windows, n_test) scores of each window."""
+    pooled = np.c_[train, test]
+    lo, hi = pooled.min(axis=1), pooled.max(axis=1)
+    (edges, train_pdf), (_, test_pdf) = (_histograms(s, lo, hi) for s in (train, test))
+    rho, flat = _correlations(train_pdf, test_pdf)
+    return (rho, class_balance_penalty(test),
+            np.where(hi > lo, np.where(_uneven(edges), 13, flat), 12))
 
 
 def _window_moments(trials, fs_hz, chain, spans):
@@ -198,19 +214,6 @@ def _window_moments(trials, fs_hz, chain, spans):
     moments = preprocess_trials(trials, fs_hz, chain, segment_moments)
     return np.array([moments[:, edges.index(i0):edges.index(i1)].sum(axis=1)
                      for i0, i1 in spans])
-
-
-def _candidate_rho(train_scores, test_scores) -> dict:
-    """One candidate's table entries from its scores."""
-    pooled = np.r_[train_scores, test_scores]
-    lo, hi = float(pooled.min()), float(pooled.max())
-    if not hi > lo:
-        raise CriterionUndefinedError("criterion undefined: all scores identical")
-    rho = pdf_correlation(
-        estimate_pdf(train_scores, (lo, hi)), estimate_pdf(test_scores, (lo, hi))
-    )
-    penalty = class_balance_penalty(test_scores)
-    return {"rho": rho, "penalty": penalty, "feasible": penalty <= FEASIBILITY_THRESHOLD}
 
 
 def _failure(exc: ValueError) -> dict:
@@ -236,9 +239,8 @@ def _score_band(trials, n_train, fs_hz, fits, band, channels, windows, m_values)
     """The table entries of each (window, m) candidate of one band and
     channel subset, by (window, m). `windows` maps each window to its
     sample span, or to the `_failure` of a window outside the trial. The
-    first error is the one a per-trial pipeline meets: band, then window.
-    Each m scores every window as one stack; if that fails, each window is
-    scored alone."""
+    first error is the one a per-trial pipeline meets: band, then window,
+    then the window's failure code. Each m scores every window as one stack."""
     valid = [w for w, span in windows.items() if isinstance(span, tuple)]
     try:
         moments = _window_moments(trials, fs_hz, Chain(channels=channels, band_hz=band),
@@ -248,15 +250,17 @@ def _score_band(trials, n_train, fs_hz, fits, band, channels, windows, m_values)
     out = {(w, m): windows[w] for w in windows if w not in valid for m in m_values}
     for m in m_values if valid else ():
         try:
-            scores = list(zip(*_stack_scores(moments, n_train, fits, m)))
-        except ValueError:
-            scores = [None] * len(valid)
-        for w, window_moments, outcome in zip(valid, moments, scores):
-            try:
-                out[w, m] = _candidate_rho(
-                    *(outcome or candidate_scores(window_moments, n_train, fits, m)))
-            except ValueError as exc:
-                out[w, m] = _failure(exc)
+            with np.errstate(all="ignore"):  # a failed fit's filler is never read
+                train, test, codes, ratio = _stack_scores(moments, n_train, fits, m)
+                rho, penalty, criterion = _criterion(train, test)
+        except LinAlgError as exc:  # a stacked eigh that does not converge
+            out.update(((w, m), _failure(exc)) for w in valid)
+            continue
+        for k, (w, code) in enumerate(zip(valid, np.where(codes, codes, criterion))):
+            out[w, m] = _failure(failure(code, ratio=ratio[k], filters=2 * m,
+                                         channels=moments.shape[-1] - 1)) if code else {
+                "rho": float(rho[k]), "penalty": float(penalty[k]),
+                "feasible": bool(penalty[k] <= FEASIBILITY_THRESHOLD)}
     return out
 
 

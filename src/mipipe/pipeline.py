@@ -11,16 +11,16 @@ import numpy as np
 from .classify import BaggingEnsemble, bagging_predict_rows, fit_bagging
 from .config import PipelineConfig
 from .data_model import SplitSpec, TrialSet, split_count, stratified_folds, usable_folds
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, raise_first
 from .features import (
     AR_FAILURES,
     CspModel,
     ar_fits,
-    check_csp_shares,
     csp_fits,
     fisher_scores,
     moment_log_shares,
     select_channels,
+    share_codes,
     trace_normalized,
     trial_moments,
 )
@@ -98,15 +98,17 @@ class CspExtractor(_Part):
 
     def fit_rows(self, prepared, rows, labels):
         fit = labels[rows]
-        filters, eigenvalues = csp_fits(*prepared[1], [rows[fit == -1]], [rows[fit == 1]],
-                                        self.config.m)
-        self.model = CspModel(filters=filters[0], eigenvalues=eigenvalues[0], m=self.config.m)
+        m = self.config.m
+        (filters,), (eigenvalues,), codes, (ratio,) = csp_fits(
+            *prepared[1], [rows[fit == -1]], [rows[fit == 1]], m)
+        raise_first(codes, ratio=ratio, filters=2 * m, channels=filters.shape[1])
+        self.model = CspModel(filters=filters, eigenvalues=eigenvalues, m=m)
         return self
 
     def transform_rows(self, prepared, rows) -> np.ndarray:
         (shares,), (totals,) = moment_log_shares(self.model.filters[None], prepared[0][rows],
                                                  self.model.m)
-        check_csp_shares(shares, totals)
+        raise_first(share_codes(shares, totals))
         return shares[:, None]
 
 

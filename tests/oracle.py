@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from mipipe.classify import SHRINKAGE, BaggingEnsemble, check_hyperplanes
+from mipipe.classify import SHRINKAGE, BaggingEnsemble, hyperplane_codes
 from mipipe.data_model import Trial, TrialSet
-from mipipe.errors import NumericalError, RankDeficientError
-from mipipe.features import DEFAULT_AR_ORDER, CspModel, check_csp_shares
+from mipipe.errors import (CriterionUndefinedError, NumericalError, RankDeficientError,
+                           raise_first)
+from mipipe.features import DEFAULT_AR_ORDER, CspModel, share_codes
 from mipipe.preprocess import (
     _baseline,
     _car,
@@ -222,7 +223,7 @@ def fit_lda(x: np.ndarray, labels) -> tuple[np.ndarray, float]:
     if not np.any(w):
         raise NumericalError("classes have identical means: no discriminant direction")
     b = -float(w @ (mu_pos + mu_neg) / 2.0)
-    check_hyperplanes(w[None], np.array([b]))
+    raise_first(hyperplane_codes(w[None], np.array([b])))
     return w, b
 
 
@@ -265,12 +266,13 @@ def unit_lda(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, floa
     w, b = fit_lda(features[:, None], labels)
     norm = float(np.linalg.norm(w))
     w, b = w / norm, b / norm
-    check_hyperplanes(w[None], np.array([b]))
+    raise_first(hyperplane_codes(w[None], np.array([b])))
     return w, b
 
 
 def candidate_scores(train_x, test_x, normalized, labels, fits, m):
-    """`mipipe.param_select.candidate_scores` fit by fit, from projections:
+    """`mipipe.param_select._stack_scores` of one window, fit by fit, from
+    projections, raising the window's failure:
     each fold, then the full fit, gets its CSP, its checks and its LDA in
     that order, as if fitted alone, and its shares are the variances of its
     projections of the train trials. The full fit, last, holds out no row
@@ -279,10 +281,32 @@ def candidate_scores(train_x, test_x, normalized, labels, fits, m):
     for fit, _, _, fold in fits:
         csp = csp_from_normalized(normalized[0][fit], normalized[1][fit], labels[fit], m)
         share, total = csp_log_shares(csp, train_x)
-        check_csp_shares(share[fit], total[fit])
+        raise_first(share_codes(share[fit], total[fit]))
         w, b = unit_lda(share[fit], labels[fit])
-        check_csp_shares(share[fold], total[fold])
+        raise_first(share_codes(share[fold], total[fold]))
         train_scores[fold] = share[fold, None] @ w + b
     shares, totals = csp_log_shares(csp, test_x)
-    check_csp_shares(shares, totals)
+    raise_first(share_codes(shares, totals))
     return train_scores, shares[:, None] @ w + b
+
+
+def candidate_rho(train_scores: np.ndarray, test_scores: np.ndarray) -> dict:
+    """`mipipe.param_select._criterion` of one window's scores from
+    np.histogram and np.corrcoef: its rho and balance penalty, or its error."""
+    pooled = np.r_[train_scores, test_scores]
+    lo, hi = float(pooled.min()), float(pooled.max())
+    if not hi > lo:
+        raise CriterionUndefinedError("criterion undefined: all scores identical")
+    edges = np.linspace(lo, hi, 41)
+    widths = np.diff(edges)
+    if np.any(widths <= 0) or np.ptp(widths) > 1e-9 * widths[0]:
+        raise ValueError("bin edges must be strictly increasing, equal width")
+    masses = []
+    for scores, name in ((train_scores, "train"), (test_scores, "test")):
+        counts, _ = np.histogram(np.clip(scores, lo, hi), bins=edges)
+        masses.append(counts / counts.sum())
+    for mass, name in zip(masses, ("train", "test")):
+        if np.ptp(mass) == 0:
+            raise CriterionUndefinedError(f"criterion undefined: {name} histogram is flat")
+    return {"rho": float(np.corrcoef(*masses)[0, 1]),
+            "penalty": abs(float(np.mean(test_scores >= 0)) - 0.5)}

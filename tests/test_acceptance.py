@@ -12,12 +12,12 @@ import pytest
 from mipipe.classify import bagging_predict_rows, fit_bagging, fit_ldas
 from mipipe.config import EnsembleConfig, PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, split_count
-from mipipe.errors import CriterionUndefinedError
+from mipipe.errors import CriterionUndefinedError, raise_first
 from mipipe.features import (
     ar_fits,
-    check_csp_shares,
     csp_fits,
     moment_log_shares,
+    share_codes,
     trace_normalized,
     trial_moments,
     yule_walker,
@@ -47,7 +47,8 @@ def orthogonal_trial(scales):
 
 def one_lda(x, y):
     """`fit_ldas` of one fit on all of x: w (d,) and b."""
-    w, b = fit_ldas(x[None], [np.flatnonzero(y == -1)], [np.flatnonzero(y == 1)])
+    w, b, codes = fit_ldas(x[None], [np.flatnonzero(y == -1)], [np.flatnonzero(y == 1)])
+    raise_first(codes)
     return w[0], b[0]
 
 
@@ -55,7 +56,7 @@ def test_criterion_01_csp_oracle():
     # class covariances diag(2/3, 1/3) and diag(1/3, 2/3) after normalization
     x = np.array([orthogonal_trial([np.sqrt(2.0), 1.0]), orthogonal_trial([1.0, np.sqrt(2.0)])])
     unit, traces = trace_normalized(x @ x.transpose(0, 2, 1))
-    filters, _ = csp_fits(unit, traces, [np.array([0])], [np.array([1])], m=1)
+    filters, *_ = csp_fits(unit, traces, [np.array([0])], [np.array([1])], m=1)
     w = filters[0]
     sigma_n, sigma_p = unit
     eigen_n = np.sort(np.diag(w @ sigma_n @ w.T))[::-1]
@@ -116,7 +117,7 @@ def test_criterion_03_lda_oracle():
 def test_criterion_04_variance_share_forced_values():
     x = np.array([orthogonal_trial([1.0, 1.0]), orthogonal_trial([np.sqrt(3.0), 1.0])])
     (shares,), (totals,) = moment_log_shares(np.eye(2)[None], trial_moments(x), m=1)
-    check_csp_shares(shares, totals)
+    raise_first(share_codes(shares, totals))
     equal, skewed = shares
     ok = (abs(equal - np.log(0.5)) < 1e-12
           and abs(skewed - np.log(0.75)) < 1e-12)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mipipe.classify import (
     fit_bagging,
     fit_ldas,
 )
-from mipipe.errors import NumericalError
+from mipipe.errors import NumericalError, raise_first
 
 import oracle
 
@@ -25,7 +27,8 @@ def symmetric_clusters(rng, n=50, separation=1.0, dim=2):
 def one_lda(x, y):
     """`fit_ldas` of one fit on all of x: w (d,) and b."""
     y = np.asarray(y)
-    w, b = fit_ldas(x[None], [np.flatnonzero(y == -1)], [np.flatnonzero(y == 1)])
+    w, b, codes = fit_ldas(x[None], [np.flatnonzero(y == -1)], [np.flatnonzero(y == 1)])
+    raise_first(codes)
     return w[0], b[0]
 
 
@@ -290,9 +293,28 @@ class TestStackedLdaEqualsLoopReference:
         x = np.array([[1.0, 2.0], [2.0, 3.0], [1.0, 2.0], [2.0, 3.0]])
         shared = np.broadcast_to(x, (3,) + x.shape)
         fine, same, none = np.array([0, 1]), np.array([2, 3]), np.array([], dtype=int)
+
+        def first_failure(*args):
+            raise_first(fit_ldas(*args)[2])
+
         with pytest.raises(NumericalError, match="identical means"):
-            fit_ldas(shared, [fine, fine, fine], [np.array([0, 0]), same, none])
+            first_failure(shared, [fine, fine, fine], [np.array([0, 0]), same, none])
         with pytest.raises(ValueError, match="both classes must be present"):
-            fit_ldas(shared, [fine, none, fine], [np.array([0, 0]), same, same])
+            first_failure(shared, [fine, none, fine], [np.array([0, 0]), same, same])
         with pytest.raises(ValueError, match="zero-dimension features"):
-            fit_ldas(np.zeros((2, 4, 0)), [fine, none], [same, same])
+            first_failure(np.zeros((2, 4, 0)), [fine, none], [same, same])
+        # each fit's own code, whatever the fits before it
+        assert fit_ldas(shared, [fine, fine, fine],
+                        [np.array([0, 0]), same, none])[2].tolist() == [0, 9, 7]
+        assert fit_ldas(np.zeros((2, 4, 0)), [fine, none], [same, same])[2].tolist() == [8, 7]
+
+    def test_one_feature_solve_is_never_singular(self):
+        # the search's one-feature LDA: its pivot, scatter + ridge, is
+        # positive or NaN, whatever finite, infinite or NaN features it fits
+        values = np.array([0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300, -1e300,
+                           np.inf, -np.inf, np.nan])
+        pairs = np.array(list(itertools.product(values, repeat=4)))[..., None]
+        w, b, codes = fit_ldas(pairs, [np.array([0, 1])] * len(pairs),
+                               [np.array([2, 3])] * len(pairs))
+        assert set(codes.tolist()) == {0, 9, 11}
+        assert np.isfinite(w[codes == 0]).all()

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_toeplitz
 
-from mipipe.errors import RankDeficientError
+from mipipe.errors import RankDeficientError, raise_first
 from mipipe.features import (
     AR_FAILURES,
     CspModel,
     ar_fits,
-    check_csp_shares,
     csp_fits,
     fisher_scores,
     moment_log_shares,
     select_channels,
+    share_codes,
     trace_normalized,
     trial_moments,
     yule_walker,
@@ -36,16 +36,17 @@ def one_csp(neg, pos, m):
     """`csp_fits` of one fit, classes -1 and +1 being the trials neg and pos."""
     x = np.concatenate([neg, pos])
     unit, traces = trace_normalized(x @ x.transpose(0, 2, 1))
-    filters, eigenvalues = csp_fits(unit, traces, [np.arange(len(neg))],
-                                    [np.arange(len(neg), len(x))], m)
-    return CspModel(filters=filters[0], eigenvalues=eigenvalues[0], m=m)
+    (filters,), (eigenvalues,), codes, (ratio,) = csp_fits(
+        unit, traces, [np.arange(len(neg))], [np.arange(len(neg), len(x))], m)
+    raise_first(codes, ratio=ratio, filters=2 * m, channels=x.shape[1])
+    return CspModel(filters=filters, eigenvalues=eigenvalues, m=m)
 
 
 def csp_shares(model, x):
     """Checked log variance shares of `model`'s filters on (n, c, s) trials,
     from the trials' moments."""
     (shares,), (totals,) = moment_log_shares(model.filters[None], trial_moments(x), model.m)
-    check_csp_shares(shares, totals)
+    raise_first(share_codes(shares, totals))
     return shares
 
 

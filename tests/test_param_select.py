@@ -10,16 +10,16 @@ from mipipe import features, param_select
 from mipipe.classify import fit_ldas
 from mipipe.config import PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, Trial, split_count, usable_folds
-from mipipe.errors import CriterionUndefinedError
-from mipipe.features import check_csp_shares, csp_stack, trace_normalized, trial_moments
+from mipipe.errors import CriterionUndefinedError, failure, raise_first
+from mipipe.features import csp_stack, share_codes, trace_normalized, trial_moments
 from mipipe.param_select import (
     FEASIBILITY_THRESHOLD,
     N_BINS,
     PdfEstimate,
+    _criterion,
     _fold_fits,
     _stack_scores,
     _unit_hyperplanes,
-    candidate_scores,
     class_balance_penalty,
     estimate_pdf,
     grid_search,
@@ -140,6 +140,84 @@ class TestPdfCorrelation:
         hi = max(a.max(), b.max())
         rho = pdf_correlation(estimate_pdf(a, (lo, hi)), estimate_pdf(b, (lo, hi)))
         assert rho >= 0.7
+
+
+def score_draws(rng, kind, shape):
+    """Scores of one kind: spread over many scales and offsets, one value
+    throughout (identical scores), 40 values one to a bin over their range
+    (a flat histogram when n is a multiple of 40), values inside that range,
+    small integers (scores on bin edges), within a few units in the last
+    place of 1 (uneven bin edges), or heavy-tailed."""
+    n = shape[-1]
+    return [lambda: rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8)
+            + rng.normal() * 10.0 ** rng.uniform(-3, 3),
+            lambda: np.full(shape, 0.3),
+            lambda: np.broadcast_to(np.resize(np.linspace(-0.975, 0.975, 40), n), shape),
+            lambda: rng.uniform(-0.9, 0.9, size=shape),
+            lambda: rng.integers(-3, 3, size=shape).astype(float),
+            lambda: 1.0 + rng.integers(0, 30, size=shape) * 2.0 ** -52,
+            lambda: rng.standard_t(2, size=shape)][kind]()
+
+
+def test_stacked_criterion_equals_each_candidate_alone(rng):
+    # 3,000-odd candidates in stacks of 1-12 windows, against np.histogram
+    # and np.corrcoef one candidate at a time, and against the public
+    # one-candidate functions
+    seen = []
+    for _ in range(500):
+        n_win = rng.integers(1, 13)
+        n_train, n_test = (rng.choice([rng.integers(2, 121), 40 * rng.integers(1, 4)]),
+                           rng.choice([rng.integers(1, 301), 40 * rng.integers(1, 4)]))
+        kinds = rng.integers(0, 7, size=2)
+        train = score_draws(rng, kinds[0], (n_win, n_train))
+        test = score_draws(rng, kinds[1], (n_win, n_test))
+        with np.errstate(all="ignore"):  # a failed window's rho is NaN
+            rho, penalty, codes = _criterion(train, test)
+        for k in range(n_win):
+            try:
+                want = oracle.candidate_rho(train[k], test[k])
+            except ValueError as exc:
+                got = failure(codes[k])
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                seen.append(str(exc))
+                continue
+            assert codes[k] == 0
+            assert rho[k].hex() == want["rho"].hex()
+            assert penalty[k].hex() == want["penalty"].hex()
+            lo, hi = min(train[k].min(), test[k].min()), max(train[k].max(), test[k].max())
+            pdfs = [estimate_pdf(s, (lo, hi)) for s in (train[k], test[k])]
+            assert pdf_correlation(*pdfs).hex() == want["rho"].hex()
+            assert class_balance_penalty(test[k]).hex() == want["penalty"].hex()
+            seen.append("rho")
+    assert len(seen) >= 3000
+    assert set(seen) == {"rho", "bin edges must be strictly increasing, equal width",
+                         *(f"criterion undefined: {why}" for why in (
+                             "all scores identical", "train histogram is flat",
+                             "test histogram is flat"))}
+
+
+def test_a_stack_whose_eigh_fails_marks_each_of_its_windows(monkeypatch):
+    ts, labels = planted_recording(seed=6, trials_per_session=60, fraction=0.4)
+    space = SearchSpace(bands_hz=((12.0, 14.0), (8.0, 30.0)),
+                        windows_s=((0.5, 2.5), (1.0, 4.5)), m_values=(1, 2))
+    eigh = np.linalg.eigh
+
+    def failing(a):
+        if len(a) == 2 * 11 and a.shape[-1] == 5 and failing.calls == 0:
+            failing.calls += 1
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    failing.calls = 0
+    want = grid_search(ts, labels, space).table
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    got = grid_search(ts, labels, space).table
+    # the first stack is the first band's for m = 1: both its windows fail
+    for row, other in zip(got, want):
+        if row["band_hz"] == (12.0, 14.0) and row["m"] == 1:
+            assert row["error"] == "Eigenvalues did not converge"
+        else:
+            assert row == other
 
 
 def planted_recording(seed, trials_per_session=280, fraction=0.2):
@@ -307,8 +385,11 @@ class TestGridSearch:
 
 def unit_ldas(shares, neg_rows, pos_rows):
     """The search's unit-norm LDAs of one feature, fit f's classes being
-    shares[f, neg_rows[f]] and shares[f, pos_rows[f]]."""
-    return _unit_hyperplanes(*fit_ldas(shares[..., None], neg_rows, pos_rows))
+    shares[f, neg_rows[f]] and shares[f, pos_rows[f]]; the first failed fit
+    raises."""
+    w, b, codes = _unit_hyperplanes(*fit_ldas(shares[..., None], neg_rows, pos_rows))
+    raise_first(codes)
+    return w, b
 
 
 def unit_lda(features, labels):
@@ -389,10 +470,19 @@ def class_covariance_stacks(rng, channel_counts):
             yield cov_neg, cov_pos, m
 
 
+def raising_csp_stack(cov_neg, cov_pos, m):
+    """`csp_stack`'s filters and shares, raising its first failed fit's
+    failure as the one-fit path does."""
+    filters, lam, codes, ratio = csp_stack(cov_neg, cov_pos, m)
+    raise_first(codes, ratio=ratio[np.argmax(codes != 0)], filters=2 * m,
+                channels=cov_neg.shape[1])
+    return filters, lam
+
+
 def test_csp_stack_equals_each_fit_alone(rng):
     # of 2-8 channels; one stacked call per shape
     for cov_neg, cov_pos, m in class_covariance_stacks(rng, range(2, 9)):
-        filters, lam = csp_stack(cov_neg, cov_pos, m)
+        filters, lam = raising_csp_stack(cov_neg, cov_pos, m)
         for f in range(12):
             want = oracle.csp_from_covariances(cov_neg[f], cov_pos[f], m)
             assert np.array_equal(filters[f], want.filters)
@@ -406,7 +496,7 @@ def test_csp_stack_agrees_with_scipy_dsyevr(rng):
     from scipy import linalg
 
     for cov_neg, cov_pos, m in class_covariance_stacks(rng, range(2, 17)):
-        filters, lam = csp_stack(cov_neg, cov_pos, m)
+        filters, lam = raising_csp_stack(cov_neg, cov_pos, m)
         for f in range(12):
             want = oracle.csp_from_covariances(cov_neg[f], cov_pos[f], m, linalg.eigh)
             scale = np.abs(want.filters).max(axis=1, keepdims=True)
@@ -417,21 +507,24 @@ def test_csp_stack_agrees_with_scipy_dsyevr(rng):
 def test_csp_stack_raises_for_the_first_failing_fit():
     eye, rank_one, nan = np.eye(3) / 3, np.diag([1.0, 0.0, 0.0]), np.full((3, 3), np.nan)
     with pytest.raises(ValueError, match="rank deficient"):
-        csp_stack(np.array([eye, rank_one, eye]), np.array([eye, rank_one, nan]), 1)
+        raising_csp_stack(np.array([eye, rank_one, eye]), np.array([eye, rank_one, nan]), 1)
     with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-        csp_stack(np.array([eye, eye, rank_one]), np.array([eye, nan, rank_one]), 1)
+        raising_csp_stack(np.array([eye, eye, rank_one]), np.array([eye, nan, rank_one]), 1)
     with pytest.raises(ValueError, match="^2m = 4 filters exceed 3 channels$"):
-        csp_stack(np.array([eye]), np.array([eye]), 2)
+        raising_csp_stack(np.array([eye]), np.array([eye]), 2)
+    # each fit's own code, whatever the fits before it
+    codes = csp_stack(np.array([eye, rank_one, eye]), np.array([eye, rank_one, nan]), 1)[2]
+    assert codes.tolist() == [0, 4, 3]
 
 
 def test_csp_stack_raises_what_the_first_failing_fit_raises_alone():
     # every stack of three fits of these kinds, which fail at each step: a
-    # non-finite composite, a rank-deficient or negative one, and a zero one
-    # whose whitened matrix is not finite
+    # non-finite composite, a rank-deficient or negative one, a zero one
+    # whose whitened matrix is not finite, and infinities that cancel
     eye, zero, nan = np.eye(3) / 3, np.zeros((3, 3)), np.full((3, 3), np.nan)
     inf = np.where(np.eye(3), np.inf, 0.0)
     kinds = [(eye, eye), (eye, nan), (inf, eye), (np.diag([1.0, 0.0, 0.0]), eye),
-             (-eye, -eye), (zero, zero)]
+             (-eye, -eye), (zero, zero), (inf, -inf)]
     for stack in itertools.product(kinds, repeat=3):
         with np.errstate(all="ignore"):  # the zero composite divides by zero
             try:
@@ -441,10 +534,10 @@ def test_csp_stack_raises_what_the_first_failing_fit_raises_alone():
             neg, pos = (np.array(part) for part in zip(*stack))
             if isinstance(want, ValueError):
                 with pytest.raises(ValueError) as exc:
-                    csp_stack(neg, pos, 1)
+                    raising_csp_stack(neg, pos, 1)
                 assert (type(exc.value), str(exc.value)) == (type(want), str(want))
             else:
-                filters, _ = csp_stack(neg, pos, 1)
+                filters, _ = raising_csp_stack(neg, pos, 1)
                 assert np.array_equal(filters, [model.filters for model in want])
 
 
@@ -482,9 +575,18 @@ def assert_scores_near(got, want):
         assert np.max(np.abs(g - w)) <= SCORE_BOUND * np.max(np.abs(w))
 
 
+def window_scores(moments, n_train, fits, m):
+    """One window's train and test scores from a one-window `_stack_scores`,
+    raising its failure as the search's table reports it."""
+    with np.errstate(all="ignore"):  # a failed fit's filler
+        train, test, codes, ratio = _stack_scores(moments[None], n_train, fits, m)
+    raise_first(codes, ratio=ratio[0], filters=2 * m, channels=moments.shape[-1] - 1)
+    return train[0], test[0]
+
+
 class TestScoresMatchPerFitReference:
-    """`candidate_scores`, and the window stack, against the fit-by-fit
-    projection reference in `oracle`."""
+    """A one-window stack, and a window between two others of one stack,
+    against the fit-by-fit projection reference in `oracle`."""
 
     @pytest.mark.parametrize("channels", [None, (0, 2, 3, 4)])
     @pytest.mark.parametrize("m", [1, 2])
@@ -500,11 +602,12 @@ class TestScoresMatchPerFitReference:
         if stacked:  # the window between two others of one stack
             stack = [score_inputs(*unbalanced_batches(channels, window)[0])[1]
                      for window in ((0.5, 2.5), (1.0, 4.5))]
-            train, test = _stack_scores(np.array([stack[0], moments, stack[1]]),
-                                        len(train_x), fits, m)
+            train, test, codes, _ = _stack_scores(np.array([stack[0], moments, stack[1]]),
+                                                  len(train_x), fits, m)
+            assert not codes.any()
             got = train[1], test[1]
         else:
-            got = candidate_scores(moments, len(train_x), fits, m)
+            got = window_scores(moments, len(train_x), fits, m)
         assert_scores_near(got, want)
 
     @pytest.mark.parametrize("broken", ["trial", "two trials", "test trial"])
@@ -526,7 +629,7 @@ class TestScoresMatchPerFitReference:
             train_x[fits[flat_fold + 2][3][0]] *= scale
         normalized, moments = score_inputs(train_x, test_x)
         messages = []
-        for scores in (lambda: candidate_scores(moments, len(train_x), fits, 1),
+        for scores in (lambda: window_scores(moments, len(train_x), fits, 1),
                        lambda: oracle.candidate_scores(
                            train_x, test_x, normalized, labels, fits, 1)):
             with pytest.raises(ValueError) as exc:
@@ -539,6 +642,45 @@ class TestScoresMatchPerFitReference:
             "zero total variance after spatial filtering",
             "feature vector contains non-finite values",
         }
+
+
+def test_mixed_stack_fails_each_window_as_that_window_alone():
+    # windows whose fits fail at different steps, or at none, share one
+    # stack: a train trial zeroed or made NaN, held out in fold 0 (its
+    # held-out shares) or in fold 4 (fold 0's CSP), or a test trial zeroed
+    # or made NaN (the full fit's test shares). Each window fails as the
+    # fit-by-fit reference does on that window alone; a window that fails
+    # nowhere scores bitwise as it does alone.
+    (train_x, test_x), labels = unbalanced_batches((0, 2, 3))
+    fits = _fold_fits(labels)
+    cases = [(None, 1.0), (0, 0.0), (4, 0.0), ("test", 0.0), (4, np.nan), (0, np.nan),
+             ("test", np.nan), (None, 1.0)]
+    stack, wants = [], []
+    for where, scale in cases:
+        train, test = train_x.copy(), test_x.copy()
+        if where == "test":
+            test[0] *= scale
+        elif where is not None:
+            train[fits[where][3][0]] *= scale
+        normalized, moments = score_inputs(train, test)
+        stack.append(moments)
+        try:
+            wants.append(oracle.candidate_scores(train, test, normalized, labels, fits, 1))
+        except ValueError as exc:
+            wants.append(str(exc))
+    with np.errstate(all="ignore"):  # the failed fits' filler
+        train, test, codes, ratio = _stack_scores(np.array(stack), len(train_x), fits, 1)
+    for k, want in enumerate(wants):
+        if isinstance(want, str):
+            assert str(failure(codes[k], ratio=ratio[k], filters=2, channels=3)) == want
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                window_scores(stack[k], len(train_x), fits, 1)
+        else:
+            assert codes[k] == 0
+            assert_scores_near((train[k], test[k]), want)
+            alone = window_scores(stack[k], len(train_x), fits, 1)
+            assert np.array_equal(train[k], alone[0]) and np.array_equal(test[k], alone[1])
+    assert set(codes.tolist()) == {0, 1, 3, 5, 6}
 
 
 def test_ten_fold_candidate_makes_two_eigh_calls_per_stack(monkeypatch):
@@ -556,7 +698,7 @@ def test_ten_fold_candidate_makes_two_eigh_calls_per_stack(monkeypatch):
     n, n_ch, n_samples = train_x.shape
     tracemalloc.start()
     try:
-        candidate_scores(moments, n, fits, 1)
+        _stack_scores(moments[None], n, fits, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -573,8 +715,8 @@ def test_ten_fold_candidate_makes_two_eigh_calls_per_stack(monkeypatch):
 def test_band_stack_table_equals_each_candidate_alone(monkeypatch):
     # a window past the trial's end, m = 2 on two-channel subsets (2m >
     # channels), and a train trial flat on the (0, 3) subset, held out in
-    # fold 3: fold 0's CSP fails on it, so each of that subset's stacks
-    # fails and its windows are scored alone
+    # fold 3: fold 0's CSP fails on it in every window of that subset's
+    # stacks
     ts, labels = planted_recording(seed=6, trials_per_session=60, fraction=0.4)
     row = int(usable_folds(labels, 10)[3][0])
     trials = list(as_trials(ts))
@@ -587,19 +729,20 @@ def test_band_stack_table_equals_each_candidate_alone(monkeypatch):
         windows_s=((0.5, 2.5), (1.0, 9.0), (1.0, 4.5), (2.0, 4.0)),
         channel_sets=(None, (0, 3), (1, 2)), m_values=(1, 2),
     )
-    alone_calls = []
-    alone = param_select.candidate_scores
+    stacks = []
+    csp_stack = features.csp_stack
 
-    def counting(moments, *args):
-        alone_calls.append(moments.shape[-1] - 1)
-        return alone(moments, *args)
+    def counting(cov_neg, cov_pos, m):
+        stacks.append((len(cov_neg), cov_neg.shape[-1], m))
+        return csp_stack(cov_neg, cov_pos, m)
 
-    monkeypatch.setattr(param_select, "candidate_scores", counting)
+    monkeypatch.setattr(features, "csp_stack", counting)
     result = grid_search(ts, labels, space)
-    # only failed stacks fell back, each to its 3 windows: per band, the
-    # flat subset's two and m = 2 on (1, 2)
-    assert alone_calls == [2] * (2 * 3 * 3)
-    monkeypatch.setattr(param_select, "candidate_scores", alone)
+    # one stack of the 3 windows inside the trial by 11 fits per band, subset
+    # and m, whether its windows fail (the flat subset's, and m = 2 on
+    # (1, 2)) or not
+    assert stacks == [(3 * 11, c, m) for _ in range(2) for c in (5, 2, 2) for m in (1, 2)]
+    monkeypatch.setattr(features, "csp_stack", csp_stack)
 
     fits, fs, n_samples = _fold_fits(labels), ts.sampling_rate_hz, ts.data.shape[-1]
     errors = set()
@@ -632,7 +775,7 @@ def _oracle_fit_and_score(train_trials, train_labels, score_trials, m):
 
     def feature(t):
         share, total = oracle.csp_log_shares(model, t.data)
-        check_csp_shares(np.atleast_1d(share), np.atleast_1d(total))
+        raise_first(share_codes(np.atleast_1d(share), np.atleast_1d(total)))
         return np.atleast_1d(share)
 
     w, b = oracle.unit_lda(np.array([feature(t)[0] for t in train_trials]), labels)

@@ -257,7 +257,8 @@ class TestRunAdaptive:
 
 def _reference_transform(method, config, fs, trials, labels):
     """Fit one method trial by trial; return its transform (Trial -> array)."""
-    from mipipe.features import (check_csp_shares, fisher_scores, select_channels,
+    from mipipe.errors import raise_first
+    from mipipe.features import (fisher_scores, select_channels, share_codes,
                                  trace_normalized)
     from mipipe.preprocess import bandpass_zero_phase
     from oracle import (ar_feature, baseline_correct, common_average_reference, crop,
@@ -285,7 +286,7 @@ def _reference_transform(method, config, fs, trials, labels):
 
         def transform(t):
             share, total = csp_log_shares(model, prep(t).data)
-            check_csp_shares(np.atleast_1d(share), np.atleast_1d(total))
+            raise_first(share_codes(np.atleast_1d(share), np.atleast_1d(total)))
             return np.atleast_1d(share)
         return transform
     if method == "ar":

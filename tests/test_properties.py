@@ -116,7 +116,7 @@ def test_csp_diagonalizes_both_classes(n_channels, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(8, n_channels, 60))  # trials 0-3 are class -1, 4-7 class +1
     unit, traces = trace_normalized(x @ x.transpose(0, 2, 1))
-    filters, _ = csp_fits(unit, traces, [np.arange(4)], [np.arange(4, 8)], m=1)
+    filters, *_ = csp_fits(unit, traces, [np.arange(4)], [np.arange(4, 8)], m=1)
     filters = filters[0]
     class_covs = (unit[:4].mean(axis=0), unit[4:].mean(axis=0))
     for cov in class_covs:
@@ -162,7 +162,7 @@ def test_lda_predictions_invariant_to_feature_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     x = np.vstack([rng.normal(-1.0, 1.0, size=(10, 3)),
                    rng.normal(1.0, 1.0, size=(10, 3))])
-    w, b = fit_ldas(np.array([x, scale * x]), [np.arange(10)] * 2, [np.arange(10, 20)] * 2)
+    w, b, _ = fit_ldas(np.array([x, scale * x]), [np.arange(10)] * 2, [np.arange(10, 20)] * 2)
     base, scaled = (BaggingEnsemble(w[f:f + 1], b[f:f + 1], 0.5, 1, 0) for f in (0, 1))
     probes = rng.normal(size=(20, 3))
     assert np.array_equal(bagging_predict_rows(base, probes),
