@@ -99,6 +99,8 @@ class PipelineConfig:
             raise ConfigError("ar_order must be >= 1")
         if self.n_select < 1:
             raise ConfigError("n_select must be >= 1")
+        if not self.lrp_lowpass_hz > 0:  # NaN included; Nyquist is checked at filter design
+            raise ConfigError(f"lrp_lowpass_hz must be positive, got {self.lrp_lowpass_hz}")
         for name in ("ar_band_hz", "lrp_baseline_window_s", "lrp_feature_window_s"):
             pair = getattr(self, name)
             if not pair[0] < pair[1]:

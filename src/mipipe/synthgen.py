@@ -51,10 +51,9 @@ class SynthConfig:
         center, width = self.rhythm_band_hz
         if not 0 < center - width / 2 < center + width / 2 < self.fs_hz / 2:
             raise ConfigError("rhythm band must lie strictly below Nyquist")
-        if self.noise_sigma_uv < 0:
-            raise ConfigError("noise_sigma_uv must be >= 0")
-        if self.session_drift < 0:
-            raise ConfigError("session_drift must be >= 0")
+        for name in ("noise_sigma_uv", "session_drift"):
+            if not getattr(self, name) >= 0:  # NaN included
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # the trials are one float64 array, whose byte count numpy holds in 63 bits

@@ -126,6 +126,17 @@ class TestSynth:
 
 
 class TestCrossval:
+    @pytest.mark.parametrize("method", ["lrp", "csp"])
+    def test_nonpositive_lrp_cutoff_refused_before_the_archive_is_read(
+            self, tmp_path, capsys, method):
+        # an archive that is not there: the config is refused first
+        cfg = write_json(tmp_path / "c.json", {"method": method, "lrp_lowpass_hz": -1.0})
+        code = main(["crossval", "--data", str(tmp_path / "missing"), "--config", cfg,
+                     "--report", str(tmp_path / "cv.json")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "lrp_lowpass_hz must be positive, got -1.0" in err
+
     def test_report_schema_and_accuracy(self, archive, tmp_path, fast_config):
         report = tmp_path / "cv.json"
         code = main(["crossval", "--data", str(archive), "--folds", "5",

@@ -72,6 +72,8 @@ def test_search_optional_fields_default():
      "lrp_feature_window_s must be a number, got '1.5'"),
     ({"lrp_lowpass_hz": "1.5"}, "lrp_lowpass_hz must be a number, got '1.5'"),
     ({"lrp_lowpass_hz": None}, "lrp_lowpass_hz must be a number, got None"),
+    ({"lrp_lowpass_hz": -1.0}, "lrp_lowpass_hz must be positive, got -1.0"),
+    ({"method": "csp", "lrp_lowpass_hz": 0}, "lrp_lowpass_hz must be positive, got 0.0"),
     ({"ensemble": {"subset_fraction": "1.5"}},
      "ensemble.subset_fraction must be a number, got '1.5'"),
     ({"ensemble": {"subset_fraction": True}},
@@ -89,6 +91,11 @@ def test_fields_the_pipeline_cannot_honour_rejected_by_name(doc, message):
     with pytest.raises(ConfigError) as info:
         pipeline_config_from_dict(doc)
     assert str(info.value) == message
+
+
+def test_nan_lrp_cutoff_is_named():
+    with pytest.raises(ConfigError, match="^lrp_lowpass_hz must be positive, got nan$"):
+        PipelineConfig(lrp_lowpass_hz=float("nan"))
 
 
 def test_number_fields_keep_their_values():

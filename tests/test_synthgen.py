@@ -151,6 +151,14 @@ def test_nan_duration_or_rate_is_named(name):
         SynthConfig(**{name: float("nan")})
 
 
+@pytest.mark.parametrize("name", ["noise_sigma_uv", "session_drift"])
+def test_nan_noise_or_drift_is_named(name):
+    # NaN passes a `< 0` check: a NaN noise level generated noise-free
+    # trials, and a NaN drift ended in an overflow message naming other fields
+    with pytest.raises(ConfigError, match=f"^{name} must be >= 0, got nan$"):
+        SynthConfig(**{name: float("nan")})
+
+
 def test_config_from_dict_roundtrip():
     cfg = synth_config_from_dict({
         "n_channels": 4, "trials_per_session": 6, "seed": 3,
