@@ -75,7 +75,7 @@ def _correlations(train: np.ndarray, test: np.ndarray):
     x = x - x.mean(axis=-1, keepdims=True)
     cov = x @ x.swapaxes(-1, -2) * np.true_divide(1, N_BINS - 1)
     std = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a flat histogram's is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat histogram's rho is NaN
         rho = np.clip(cov[:, 0, 1] / std[:, 0] / std[:, 1], -1, 1)
     return rho, np.where(np.ptp(train, axis=1) == 0, 14,
                          np.where(np.ptp(test, axis=1) == 0, 15, 0))
@@ -122,21 +122,21 @@ class SearchResult:
 
 def _fold_fits(labels: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Each search fold's fit, then the full fit, which holds out no row and
-    is scored on the test set, as (rows, class -1 rows, class +1 rows,
-    held-out rows); one list serves every candidate of a search."""
+    is scored on the test set, as (class -1 rows, class +1 rows, held-out
+    rows); one list serves every candidate of a search."""
     folds = usable_folds(labels, 10)
     if not folds:
         raise ValueError("too few labeled trials per class for cross-validation")
     fits = []
     for fold in folds + [np.array([], dtype=np.intp)]:
         rows = np.setdiff1d(np.arange(len(labels)), fold)
-        fits.append((rows, rows[labels[rows] == -1], rows[labels[rows] == 1], fold))
+        fits.append((rows[labels[rows] == -1], rows[labels[rows] == 1], fold))
     return fits
 
 
 def _unit_hyperplanes(w: np.ndarray, b: np.ndarray, codes: np.ndarray):
-    """One-feature LDAs w (fits, 1), b (fits,) and their failure codes
-    scaled to unit norm, so each fit scores signed distances; a fit whose
+    """One-feature LDAs w (fits, 1), b (fits,) scaled to unit norm, so each
+    fit scores signed distances, with their failure `codes`; a fit whose
     scaling fails gets its `hyperplane_codes`."""
     with np.errstate(all="ignore"):  # a failed scaling gets its code
         norm = np.sqrt(w[:, 0] * w[:, 0])
@@ -158,7 +158,7 @@ def _stack_scores(moments, n_train, fits, m):
     lone fit's order: CSP, its train rows' shares, LDA, its held-out rows'
     shares; the full fit's test rows' shares come last."""
     n_win, n_fit, c = len(moments), len(fits), moments.shape[-1] - 1
-    _, neg, pos, held_out = zip(*fits)
+    neg, pos, held_out = zip(*fits)
     neg, pos = neg * n_win, pos * n_win
     unit, traces = trace_normalized(moments[:, :n_train, :c, :c].reshape(-1, c, c))
     # fit f of window k is entry k * n_fit + f of the stack

@@ -271,14 +271,14 @@ def unit_lda(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def candidate_scores(train_x, test_x, normalized, labels, fits, m):
-    """`mipipe.param_select._stack_scores` of one window, fit by fit, from
-    projections, raising the window's failure:
-    each fold, then the full fit, gets its CSP, its checks and its LDA in
-    that order, as if fitted alone, and its shares are the variances of its
-    projections of the train trials. The full fit, last, holds out no row
-    and scores the test trials."""
+    """`mipipe.param_select._stack_scores` of one window fit by fit, from
+    projections, raising the window's failure: each fold, then the full fit,
+    gets its CSP, its checks and its LDA in that order, as if fitted alone,
+    and its shares are the variances of its projections of the train
+    trials. The full fit, last, holds out no row and scores the test trials."""
     train_scores = np.empty(len(train_x))
-    for fit, _, _, fold in fits:
+    for neg, pos, fold in fits:
+        fit = np.sort(np.r_[neg, pos])
         csp = csp_from_normalized(normalized[0][fit], normalized[1][fit], labels[fit], m)
         share, total = csp_log_shares(csp, train_x)
         raise_first(share_codes(share[fit], total[fit]))

@@ -595,8 +595,8 @@ class TestScoresMatchPerFitReference:
         (train_x, test_x), labels = unbalanced_batches(channels)
         fits = _fold_fits(labels)
         assert len(fits) == 11
-        assert len({len(neg) for _, neg, _, _ in fits}) == 3
-        assert len({len(pos) for _, _, pos, _ in fits}) == 3
+        assert len({len(neg) for neg, _, _ in fits}) == 3
+        assert len({len(pos) for _, pos, _ in fits}) == 3
         normalized, moments = score_inputs(train_x, test_x)
         want = oracle.candidate_scores(train_x, test_x, normalized, labels, fits, m)
         if stacked:  # the window between two others of one stack
@@ -619,14 +619,14 @@ class TestScoresMatchPerFitReference:
         # trial, which only the full fit scores
         (train_x, test_x), labels = unbalanced_batches((0, 2, 3))
         fits = _fold_fits(labels)
-        row = fits[flat_fold][3][0]
+        row = fits[flat_fold][2][0]
         train_x, test_x = train_x.copy(), test_x.copy()
         if broken == "test trial":
             test_x[row] *= scale
         else:
             train_x[row] *= scale
         if broken == "two trials":
-            train_x[fits[flat_fold + 2][3][0]] *= scale
+            train_x[fits[flat_fold + 2][2][0]] *= scale
         normalized, moments = score_inputs(train_x, test_x)
         messages = []
         for scores in (lambda: window_scores(moments, len(train_x), fits, 1),
@@ -661,7 +661,7 @@ def test_mixed_stack_fails_each_window_as_that_window_alone():
         if where == "test":
             test[0] *= scale
         elif where is not None:
-            train[fits[where][3][0]] *= scale
+            train[fits[where][2][0]] *= scale
         normalized, moments = score_inputs(train, test)
         stack.append(moments)
         try:
