@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, raise_first
+from .errors import raise_first
 from .features import _by_count
 
 SHRINKAGE = 1e-6  # ridge on the pooled scatter, scaled by trace/dim
@@ -102,11 +102,7 @@ def fit_bagging(
     w, b, codes = fit_ldas(np.broadcast_to(x, (len(draws),) + x.shape),
                            [idx[y[idx] == -1] for idx in draws],
                            [idx[y[idx] == 1] for idx in draws])
-    raise_first(codes)
-    if len(draws) < rounds:
-        raise NumericalError(
-            f"round {len(draws)}: 100 consecutive single-class draws; data degenerate"
-        )
+    raise_first([*codes, 18 if len(draws) < rounds else 0], round=len(draws))
     return BaggingEnsemble(
         w=w,
         b=b,

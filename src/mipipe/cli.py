@@ -119,6 +119,8 @@ def cmd_synth(args) -> int:
 def cmd_crossval(args) -> int:
     seed = _resolve_seed(args.seed)
     config, data = _load_inputs(args, seed)
+    if config.search is not None:
+        raise ConfigError("crossval runs no search: remove search from the config")
     labeled = np.count_nonzero(data.labels)
     # the unlabelled trials are left out by row, not copied out
     rows = None if labeled == len(data) else np.flatnonzero(data.labels)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .data_model import _is_int
+from .data_model import _is_int, _is_number
 from .errors import ConfigError
 from .features import DEFAULT_AR_ORDER
 from .preprocess import PreprocessConfig
@@ -117,11 +116,7 @@ def json_int(value, name: str) -> int:
 
 def json_number(value, name: str):
     """`value` if it is a finite JSON number (not a bool), else a ConfigError."""
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an integer past float range
-        finite = False
-    if not finite:
+    if not _is_number(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return value
 

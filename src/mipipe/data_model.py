@@ -488,6 +488,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        return False
+
+
 def _check_meta(meta, meta_path: Path) -> None:
     """Raise ArchiveError naming `meta_path` unless `meta` has every key of
     the archive format, each of the right JSON type, and any
@@ -503,12 +510,7 @@ def _check_meta(meta, meta_path: Path) -> None:
     need(isinstance(labels, list) and all(isinstance(c, str) for c in labels),
          "channel_labels must be a list of strings")
     rate = meta.get("sampling_rate_hz")
-    try:
-        rate_ok = (isinstance(rate, (int, float)) and not isinstance(rate, bool)
-                   and math.isfinite(rate) and rate > 0)
-    except OverflowError:  # an integer past float range
-        rate_ok = False
-    need(rate_ok, "sampling_rate_hz must be a positive number")
+    need(_is_number(rate) and rate > 0, "sampling_rate_hz must be a positive number")
     sessions = meta.get("sessions")
     need(isinstance(sessions, list), "sessions must be a list")
     for session in sessions:

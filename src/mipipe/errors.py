@@ -23,8 +23,9 @@ class CriterionUndefinedError(ValueError):
 
 
 # why a fit failed, by failure code (0 is a fit): the exception and its message,
-# which may name the fit's eigenvalue `ratio` and its CSP's `filters` and
-# `channels`. Codes 1-4 are CSP's, 5-6 its shares', 7-11 LDA's, 12-15 rho's.
+# which may name the fit's eigenvalue `ratio`, its CSP's `filters` and
+# `channels`, its AR fit's `channel` or its bagging `round`. Codes 1-4 are
+# CSP's, 5-6 its shares', 7-11 LDA's, 12-15 rho's, 16-17 AR's, 18 bagging's.
 FAILURES = (
     None,
     (ValueError, "trial has zero total variance"),
@@ -43,6 +44,9 @@ FAILURES = (
     (ValueError, "bin edges must be strictly increasing, equal width"),
     (CriterionUndefinedError, "criterion undefined: train histogram is flat"),
     (CriterionUndefinedError, "criterion undefined: test histogram is flat"),
+    (NumericalError, "channel {channel}: constant series: cannot fit AR model"),
+    (NumericalError, "channel {channel}: singular autocovariance system: Singular matrix"),
+    (NumericalError, "round {round}: 100 consecutive single-class draws; data degenerate"),
 )
 
 

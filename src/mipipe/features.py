@@ -10,9 +10,6 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 DEFAULT_AR_ORDER = 7
-# why an AR fit failed, by the code `yule_walker` gives it; 0 is a fit
-AR_FAILURES = (None, "constant series: cannot fit AR model",
-               "singular autocovariance system: Singular matrix")
 
 
 @dataclass(frozen=True)
@@ -62,11 +59,12 @@ def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
     """CSP filters (fits, 2m, c) and class -1 shares (fits, 2m) of stacked
     (fits, c, c) class covariances, each fit's failure code (2 more filters
     than channels, 3 a non-finite composite or whitened matrix, 4 a
-    rank-deficient composite) and its composite's eigenvalue ratio, least to
-    greatest. Whitens each composite covariance, eigendecomposes the whitened
-    class -1 covariance and keeps the top-m / bottom-m eigenvectors mapped
-    back through the whitening transform. Each eigendecomposition is one
-    np.linalg.eigh of the stack; a failed fit's steps run on the identity.
+    rank-deficient or all-zero composite) and its composite's eigenvalue
+    ratio, least to greatest (0 where the greatest is 0). Whitens each
+    composite covariance, eigendecomposes the whitened class -1 covariance
+    and keeps the top-m / bottom-m eigenvectors mapped back through the
+    whitening transform. Each eigendecomposition is one np.linalg.eigh of
+    the stack; a failed fit's steps run on the identity.
     """
     n_fit, n_ch = cov_neg.shape[:2]
     if 2 * m > n_ch:
@@ -77,7 +75,7 @@ def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
     composite, cov_neg = (np.where(code[:, None, None], np.eye(n_ch), a)
                           for a in (composite, cov_neg))
     d, u = np.linalg.eigh(composite)
-    code[(code == 0) & (d[:, 0] < 1e-10 * d[:, -1])] = 4
+    code[(code == 0) & ~(d[:, 0] > 1e-10 * d[:, -1])] = 4
     scaled = u / np.sqrt(np.where(code[:, None], 1.0, d))[:, None, :]
     whitened = scaled.transpose(0, 2, 1) @ cov_neg @ scaled  # scaled's transpose whitens
     code[(code == 0) & ~np.isfinite(whitened).all(axis=(1, 2))] = 3
@@ -91,7 +89,8 @@ def csp_stack(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1):
     # eigenvectors are sign-ambiguous; make each row's largest coefficient positive
     peak = np.take_along_axis(filters, np.abs(filters).argmax(axis=-1)[..., None], axis=-1)
     filters[peak[..., 0] < 0] *= -1
-    return filters, lam, code, d[:, 0] / d[:, -1]
+    return filters, lam, code, np.divide(d[:, 0], d[:, -1], out=np.zeros(n_fit),
+                                         where=d[:, -1] != 0)
 
 
 def trial_moments(x: np.ndarray) -> np.ndarray:
@@ -141,12 +140,12 @@ def yule_walker(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Yule-Walker fits of stacked autocovariances r(0..p), (rows, p + 1):
     the parameters [a_1..a_p, sigma^2] (rows, p + 1) of
     x(n) = -sum_k a_k x(n-k) + u(n), sigma^2 clamped at 0, and each row's
-    failure code, an index into AR_FAILURES (0 for a fit). A failed row's
-    parameters are NaN. A row with r(0) <= 0 is set aside; the rest are one
-    stacked solve, which falls back to a solve per row only if one of its
-    systems is singular."""
+    failure code (16 a constant series, r(0) <= 0; 17 a singular system; 0
+    for a fit). A failed row's parameters are NaN. A row with r(0) <= 0 is
+    set aside; the rest are one stacked solve, which falls back to a solve
+    per row only if one of its systems is singular."""
     p = r.shape[1] - 1
-    codes = (r[:, 0] <= 0).astype(np.int8)
+    codes = np.where(r[:, 0] <= 0, 16, 0).astype(np.int8)
     fit = np.flatnonzero(codes == 0)
     lags = np.arange(p)
     toeplitz = r[fit][:, np.abs(lags[:, None] - lags)]
@@ -159,7 +158,7 @@ def yule_walker(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             try:
                 a[i] = np.linalg.solve(toeplitz[i], rhs[i])
             except LinAlgError:
-                codes[row] = 2
+                codes[row] = 17
     sigma2 = r[fit, 0] - (a.transpose(0, 2, 1) @ rhs)[:, 0, 0]
     params = np.full(r.shape, np.nan)
     params[fit, :p] = -a[..., 0]

@@ -42,7 +42,7 @@ class PdfEstimate:
         if edges.shape != (N_BINS + 1,) or mass.shape != (N_BINS,):
             raise ValueError("expected 41 edges and 40 masses")
         if _uneven(edges):
-            raise ValueError("bin edges must be strictly increasing, equal width")
+            raise failure(13)  # bin edges must be strictly increasing, equal width
         if np.any(mass < 0) or abs(mass.sum() - 1.0) > 1e-12:
             raise ValueError("mass must be nonnegative and sum to 1")
         object.__setattr__(self, "bin_edges", edges)

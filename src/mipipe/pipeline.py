@@ -11,9 +11,8 @@ import numpy as np
 from .classify import BaggingEnsemble, bagging_predict_rows, fit_bagging
 from .config import PipelineConfig
 from .data_model import SplitSpec, TrialSet, split_count, stratified_folds, usable_folds
-from .errors import ConfigError, NumericalError, raise_first
+from .errors import ConfigError, failure, raise_first
 from .features import (
-    AR_FAILURES,
     CspModel,
     ar_fits,
     csp_fits,
@@ -158,8 +157,8 @@ class ArExtractor(_Part):
         if len(bad):
             for c, code in zip(self.selected, codes[rows[bad[0]], self.selected]):
                 if code:
-                    raise NumericalError(f"channel {c}: {AR_FAILURES[code]}")
-            raise ValueError("feature vector contains non-finite values")
+                    raise failure(code, channel=c)
+            raise failure(6)  # feature vector contains non-finite values
         return values
 
 
@@ -333,8 +332,6 @@ def _fit_predict(data: TrialSet, labels: np.ndarray, test_rows: np.ndarray,
     if fold_list:
         cv = _cross_validate(extractor, prepared, labels, fold_list, config)
     ensemble = _fit_rows(extractor, prepared, np.arange(len(labels)), labels, config)
-    if not len(test_rows):  # an extractor transforms one row or more
-        return np.array([], dtype=int), cv
     return bagging_predict_rows(ensemble, extractor.transform_rows(prepared, test_rows)), cv
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_model import Trial
-from .errors import ConfigError
+from .errors import ConfigError, failure
 
 BANDPASS_ORDER = 4  # transfer-function order; doubled by forward-backward pass
 LOWPASS_ORDER = 4
@@ -166,7 +166,7 @@ def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
         w[:m, :order] = s_r
         w[m:, order:] = obs_r
     if not np.isfinite(big_m).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise failure(3)  # array must not contain infs or NaNs
     u, sv, vt = np.linalg.svd(big_m, full_matrices=False)
     kept = sv > np.finfo(np.float64).eps * sv[0]
     matrices = big_m, w, u[:, kept], 1.0 / sv[kept], vt[kept]
@@ -193,7 +193,7 @@ def _gust_block(design: FilterDesign, rows: np.ndarray, m: int) -> np.ndarray:
         delta = np.concatenate((y_bf[:, :m] - y_fb[:, :m], y_bf[:, -m:] - y_fb[:, -m:]),
                                axis=-1)
     if not np.isfinite(delta).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise failure(3)  # array must not contain infs or NaNs
     # each row's least-squares initial conditions, M⁺ delta through the
     # cached factors, and their W product, into delta's buffer: a stacked
     # product per row, so a row's bits do not depend on the rows beside it

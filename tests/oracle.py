@@ -160,10 +160,10 @@ def csp_from_covariances(cov_neg: np.ndarray, cov_pos: np.ndarray, m: int = 1,
     composite = cov_neg + cov_pos
 
     d, u = eigh(composite)
-    if d[0] < 1e-10 * d[-1]:
+    if not d[0] > 1e-10 * d[-1]:  # an all-zero composite too
         raise RankDeficientError(
             f"composite covariance is rank deficient (eigenvalue ratio "
-            f"{d[0] / d[-1]:.2e} below 1e-10)"
+            f"{d[0] / d[-1] if d[-1] else 0.0:.2e} below 1e-10)"
         )
     whitener = (u / np.sqrt(d)).T  # rows whiten the composite
 

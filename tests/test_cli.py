@@ -344,6 +344,16 @@ class TestConfigAgainstArchive:
         assert "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
 
+    def test_crossval_refuses_a_search(self, archive, tmp_path, capsys):
+        # crossval fits the configured parameters and never searches, so a
+        # search it was given, here one that `run` refuses, is not dropped
+        search = {"bands_hz": [[60, 70]], "windows_s": [[0.5, 9.5]]}
+        code = self.run(archive, tmp_path, {"search": search}, command="crossval")
+        assert code == EXIT_CONFIG
+        assert one_line_error(capsys) == (
+            "config error: crossval runs no search: remove search from the config\n")
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("method", ["csp", "combined"])
     def test_missing_csp_parameters(self, archive, tmp_path, capsys, method):
         code = self.run(archive, tmp_path, {"method": method, "preprocess": {}})

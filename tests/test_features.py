@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_toeplitz
 
-from mipipe.errors import RankDeficientError, raise_first
+from mipipe.errors import FAILURES, NumericalError, RankDeficientError, failure, raise_first
 from mipipe.features import (
-    AR_FAILURES,
     CspModel,
     ar_fits,
     csp_fits,
@@ -195,8 +194,21 @@ class TestAr:
 
     def test_constant_series_errors(self):
         params, codes = ar_fits(np.ones((1, 1000)), p=3)
-        assert AR_FAILURES[codes[0]] == "constant series: cannot fit AR model"
+        assert str(failure(codes[0], channel=0)) == (
+            "channel 0: constant series: cannot fit AR model")
         assert np.isnan(params).all()
+
+    def test_failed_fits_raise_their_own_failures(self):
+        # AR codes index the one failure table, where code 1 is CSP's "trial
+        # has zero total variance"
+        _, codes = ar_fits(np.ones((1, 200)), 3)
+        with pytest.raises(NumericalError,
+                           match="^channel 5: constant series: cannot fit AR model$"):
+            raise_first(codes, channel=5)
+        _, codes = yule_walker(np.array([[1.0, 1.0, 1.0]]))  # a rank-one Toeplitz system
+        with pytest.raises(NumericalError, match="^channel 0: singular autocovariance system: "
+                                                 "Singular matrix$"):
+            raise_first(codes, channel=0)
 
     def test_too_short_errors(self, rng):
         # the one bound on the window: AR order 7 needs more than 70 samples
@@ -352,3 +364,14 @@ class TestSelectChannels:
             select_channels(np.array([1.0, 2.0]), 0)
         with pytest.raises(ValueError):
             select_channels(np.array([1.0, 2.0]), 3)
+
+
+def test_every_failure_formats_with_the_keys_its_callers_pass():
+    # a CSP fit's failure names its ratio, filters and channels, an AR fit's
+    # its channel, a bagging draw's its round; every other caller names none
+    keys = {**dict.fromkeys(range(1, 5), {"ratio": 1e-12, "filters": 4, "channels": 3}),
+            16: {"channel": 2}, 17: {"channel": 2}, 18: {"round": 0}}
+    assert FAILURES[0] is None
+    for code in range(1, len(FAILURES)):
+        exc = failure(code, **keys.get(code, {}))
+        assert isinstance(exc, ValueError) and str(exc) and "{" not in str(exc)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -10,7 +11,7 @@ from mipipe import features, param_select
 from mipipe.classify import fit_ldas
 from mipipe.config import PipelineConfig, SearchSpace
 from mipipe.data_model import SplitSpec, Trial, split_count, usable_folds
-from mipipe.errors import CriterionUndefinedError, failure, raise_first
+from mipipe.errors import CriterionUndefinedError, RankDeficientError, failure, raise_first
 from mipipe.features import csp_stack, share_codes, trace_normalized, trial_moments
 from mipipe.param_select import (
     FEASIBILITY_THRESHOLD,
@@ -517,16 +518,30 @@ def test_csp_stack_raises_for_the_first_failing_fit():
     assert codes.tolist() == [0, 4, 3]
 
 
+def test_csp_stack_zero_composite_is_rank_deficient_without_a_warning():
+    # 0 < 1e-10 * 0 is false: the zero composite must not reach the
+    # whitening, which would divide by sqrt(0); warnings are errors here
+    zero = np.zeros((1, 3, 3))
+    _, _, codes, ratio = csp_stack(zero, zero, 1)
+    assert codes.tolist() == [4] and ratio.tolist() == [0.0]
+    want = ("composite covariance is rank deficient (eigenvalue ratio 0.00e+00 "
+            "below 1e-10)")
+    with pytest.raises(RankDeficientError, match=re.escape(want)):
+        raising_csp_stack(zero, zero, 1)
+    with pytest.raises(RankDeficientError, match=re.escape(want)):
+        oracle.csp_from_covariances(zero[0], zero[0])
+
+
 def test_csp_stack_raises_what_the_first_failing_fit_raises_alone():
     # every stack of three fits of these kinds, which fail at each step: a
-    # non-finite composite, a rank-deficient or negative one, a zero one
-    # whose whitened matrix is not finite, and infinities that cancel
+    # non-finite composite, a rank-deficient, negative or zero one, and
+    # infinities that cancel
     eye, zero, nan = np.eye(3) / 3, np.zeros((3, 3)), np.full((3, 3), np.nan)
     inf = np.where(np.eye(3), np.inf, 0.0)
     kinds = [(eye, eye), (eye, nan), (inf, eye), (np.diag([1.0, 0.0, 0.0]), eye),
              (-eye, -eye), (zero, zero), (inf, -inf)]
     for stack in itertools.product(kinds, repeat=3):
-        with np.errstate(all="ignore"):  # the zero composite divides by zero
+        with np.errstate(all="ignore"):  # inf + -inf is NaN
             try:
                 want = [oracle.csp_from_covariances(neg, pos) for neg, pos in stack]
             except ValueError as exc:

@@ -446,7 +446,7 @@ def test_ar_table_and_codes_do_not_depend_on_the_block_size(monkeypatch, rng):
     part = ArExtractor(quiet_config("ar"), 100.0)
     table, codes = part.prepare(trials)
     assert codes.shape == (9, 4) and table.shape == (9, 4, part.config.ar_order + 2)
-    assert (codes[::3, 2:] == 1).all() and codes.sum() == 6
+    assert (codes[::3, 2:] == 16).all() and np.count_nonzero(codes) == 6  # constant series
     assert np.isnan(table[::3, 2:, 1:]).all() and np.isfinite(table[codes == 0]).all()
     rows = np.array([4, 0, 3, 8])
     for block_values in (1, 4 * 500 * 2):
