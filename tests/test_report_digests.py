@@ -45,6 +45,8 @@ COMMANDS = {
     "run_channel_search": (CHANNEL_SEARCH, ["run", "--train-fraction", "0.2"]),
     "run_adapt": ({}, ["run", "--train-fraction", "0.2", "--adapt"]),
     "run_adapt_search": (SEARCH, ["run", "--train-fraction", "0.2", "--adapt"]),
+    "run_adapt_search_combined": ({**SEARCH, "method": "combined"},
+                                  ["run", "--train-fraction", "0.2", "--adapt"]),
     **{name: (config, ["fig1", "--fractions", "0.3,0.5",
                        "--methods", "csp,ar,lrp,combined"])
        for name, config in (("fig1", {}), ("fig1_search", SEARCH),
