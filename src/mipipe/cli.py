@@ -121,10 +121,10 @@ def cmd_crossval(args) -> int:
     config, data = _load_inputs(args, seed)
     if config.search is not None:
         raise ConfigError("crossval runs no search: remove search from the config")
-    labeled = np.count_nonzero(data.labels)
-    # the unlabelled trials are left out by row, not copied out
-    rows = None if labeled == len(data) else np.flatnonzero(data.labels)
-    mean, std = cross_validate(data, config, folds=args.folds, seed=seed or 0, rows=rows)
+    # a fully labelled archive is prepared in place, without a copy
+    if not data.labels.all():
+        data = data[np.flatnonzero(data.labels)]
+    mean, std = cross_validate(data, config, folds=args.folds, seed=seed or 0)
     doc = {
         "mean": mean,
         "std": std,
@@ -234,7 +234,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # every non-finite value numpy warns of ends in a failure code or a
+        # finiteness check, which prints the one line, so the warnings would
+        # only add lines before it; library callers still see them
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -106,44 +106,28 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be increasing, got {pair}")
 
 
-def json_int(value, name: str) -> int:
-    """`value` if it is a JSON integer (a bool is not), else a ConfigError
-    naming the field."""
-    if not _is_int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def json_number(value, name: str):
-    """`value` if it is a finite JSON number (not a bool), else a ConfigError."""
-    if not _is_number(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def json_pair(value, name: str) -> tuple[float, float]:
-    """`value`, a list of two JSON numbers, as floats; else a ConfigError."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
-    return (float(json_number(value[0], name)), float(json_number(value[1], name)))
-
-
 def _json_value(value, hint, name: str):
     """`value` read as a field annotated `hint`, else a ConfigError naming
     the field `name`. An annotation with no JSON reading is a TypeError."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType) and len(args) == 2 and args[1] is type(None):
         return None if value is None else _json_value(value, args[0], name)
-    if hint is int:
-        return json_int(value, name)
-    if hint is float:
-        return float(json_number(value, name))
+    if hint is int:  # a JSON integer, which a bool is not
+        if not _is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return value
+    if hint is float:  # a finite JSON number, which a bool is not
+        if not _is_number(value):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        return float(value)
     if hint is str:  # only `method`, which PipelineConfig checks
         return value
     if is_dataclass(hint):
         return config_from_dict(hint, value, name, name + ".")
     if origin is tuple and args == (float, float):
-        return json_pair(value, name)
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
+        return tuple(_json_value(item, float, name) for item in value)
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         if not isinstance(value, list):
             kind = "list of integers" if args[0] is int else "list"

@@ -48,8 +48,8 @@ def evaluate(predicted: Sequence[int], true: Sequence[int]):
 
 class _Part:
     """One feature chain, in two steps. `prepare` runs the chain once over a
-    (n_trials, n_channels, n_samples) array, or over its `rows` when given,
-    and keeps per trial what any fit needs, reading no label.
+    (n_trials, n_channels, n_samples) array and keeps per trial what any fit
+    needs, reading no label.
     `fit_rows(prepared, rows, labels)`, with `labels` indexed by row, and
     `transform_rows(prepared, rows)` then work on row indices of what
     `prepare` returned, so every cross-validation fold, fit and prediction
@@ -88,10 +88,10 @@ class CspExtractor(_Part):
         self.chain = Chain(channels=config.channels, band_hz=config.preprocess.band_hz,
                            window_s=config.preprocess.window_s)
 
-    def prepare(self, trials: np.ndarray, rows=None):
+    def prepare(self, trials: np.ndarray):
         """Each band-passed, cropped trial's `trial_moments`, and its X X^T
         divided by its trace, with the traces."""
-        moments = preprocess_trials(trials, self.fs_hz, self.chain, trial_moments, rows)
+        moments = preprocess_trials(trials, self.fs_hz, self.chain, trial_moments)
         c = moments.shape[-1] - 1
         return moments, trace_normalized(moments[:, :c, :c])
 
@@ -124,7 +124,7 @@ class ArExtractor(_Part):
     def part_key(self):
         return type(self), self.chain, self.config.ar_order
 
-    def prepare(self, trials: np.ndarray, rows=None):
+    def prepare(self, trials: np.ndarray):
         """Per trial and channel, the log band power followed by
         [a_1..a_p, sigma^2]: (n_trials, n_channels, p + 2), and each AR fit's
         failure code (n_trials, n_channels). Where a fit fails its parameters
@@ -144,7 +144,7 @@ class ArExtractor(_Part):
             return np.concatenate([power[..., None],
                                    params.reshape(n_trials, n_channels, -1)], axis=2)
 
-        table = preprocess_trials(trials, self.fs_hz, self.chain, fit_block, rows)
+        table = preprocess_trials(trials, self.fs_hz, self.chain, fit_block)
         return table, np.concatenate(codes)
 
     def fit_rows(self, prepared, rows, labels):
@@ -173,16 +173,18 @@ class LrpExtractor(_Part):
                            baseline_s=config.lrp_baseline_window_s,
                            window_s=config.lrp_feature_window_s)
 
-    def prepare(self, trials: np.ndarray, rows=None) -> np.ndarray:
+    def prepare(self, trials: np.ndarray) -> np.ndarray:
         """Each channel's mean over the feature window: (n_trials, n_channels)."""
-        return preprocess_trials(trials, self.fs_hz, self.chain,
-                                 lambda x: x.mean(axis=2), rows)
+        return preprocess_trials(trials, self.fs_hz, self.chain, lambda x: x.mean(axis=2))
 
     def fit_rows(self, prepared, rows, labels):
         return self._pick_channels(prepared[rows], labels[rows])
 
     def transform_rows(self, prepared, rows) -> np.ndarray:
-        return prepared[np.ix_(rows, self.selected)]
+        values = prepared[np.ix_(rows, self.selected)]
+        if not np.isfinite(values).all():
+            raise failure(6)  # feature vector contains non-finite values
+        return values
 
 
 # each method's parts, in the order of its feature columns
@@ -200,14 +202,14 @@ class Extractor:
     def __init__(self, config: PipelineConfig, fs_hz: float):
         self.parts = [part(config, fs_hz) for part in _PARTS[config.method]]
 
-    def prepare(self, trials: np.ndarray, rows=None, cache: dict | None = None) -> list:
-        """Each part's `prepare(trials, rows)`, made once per distinct part:
-        `cache`, when given, holds preparations of these same trials and rows
-        by `part_key`."""
+    def prepare(self, trials: np.ndarray, cache: dict | None = None) -> list:
+        """Each part's `prepare(trials)`, made once per distinct part:
+        `cache`, when given, holds preparations of these same trials by
+        `part_key`."""
         cache = {} if cache is None else cache
         for part in self.parts:
             if part.part_key() not in cache:
-                cache[part.part_key()] = part.prepare(trials, rows)
+                cache[part.part_key()] = part.prepare(trials)
         return [cache[part.part_key()] for part in self.parts]
 
     def fit_rows(self, prepared, rows, labels):
@@ -256,19 +258,17 @@ def _cross_validate(extractor, prepared, labels, fold_list, config) -> tuple[flo
 
 
 def cross_validate(
-    train: TrialSet, config: PipelineConfig, folds: int = 10, seed: int = 0, rows=None
+    train: TrialSet, config: PipelineConfig, folds: int = 10, seed: int = 0
 ) -> tuple[float, float]:
-    """Stratified k-fold over `rows` of `train` (all of them by default),
-    which must be labelled, with the full pipeline refit inside every fold.
-    Those rows are prepared once, and each fold fits and predicts on its
-    rows."""
-    labels = train.labels if rows is None else train.labels[rows]
-    if not labels.all():
+    """Stratified k-fold over `train`, which must be fully labelled, with
+    the full pipeline refit inside every fold. The trials are prepared once,
+    and each fold fits and predicts on its rows."""
+    if not train.labels.all():
         raise ValueError("cross-validation needs a fully labeled set")
-    fold_list = _cv_folds(labels, folds, seed)
+    fold_list = _cv_folds(train.labels, folds, seed)
     extractor = Extractor(config, train.sampling_rate_hz)
-    prepared = extractor.prepare(train.data, rows)
-    return _cross_validate(extractor, prepared, labels, fold_list, config)
+    prepared = extractor.prepare(train.data)
+    return _cross_validate(extractor, prepared, train.labels, fold_list, config)
 
 
 @dataclass
@@ -340,22 +340,21 @@ def _run_blocks(data: TrialSet, k: int, ends: Sequence[int], phases: Sequence[st
     """Cross-validate and fit rows [0, k) of `data` under their labels, and
     predict up to `ends[0]`; then fit each later block on every row before
     it, under the labels and the earlier blocks' frozen predictions. With a
-    `search`, each block first searches its fit rows against its own rows,
-    and one that ends before `data` prepares `data[:end]`, not via `cache`."""
+    `search`, each block first searches its fit rows against its own rows.
+    Every block prepares all of `data` through `cache`, so each chain is
+    prepared once per recording however many blocks choose it."""
     report = EvalReport(method=config.method)
     labels = data.labels[:k]
     if not labels.all():
         raise ValueError("training set contains unlabeled trials")
     for end, phase in zip(ends, phases):
-        block_config, fit_data, fit_cache = config, data, cache
+        block_config = config
         if config.search is not None:
             result = grid_search(data[:end], labels, config.search, base=config)
             block_config = result.config
             report.chosen.append(_chosen_entry(phase, result))
-            if end < len(data):
-                fit_data, fit_cache = data[:end], {}
-        predicted, cv = _fit_predict(fit_data, labels, np.arange(len(labels), end),
-                                     block_config, fit_cache, folds)
+        predicted, cv = _fit_predict(data, labels, np.arange(len(labels), end),
+                                     block_config, cache, folds)
         if cv is not None:
             report.train_accuracy_mean, report.train_accuracy_std = cv
         labels = np.concatenate([labels, predicted])

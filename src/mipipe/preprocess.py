@@ -333,21 +333,19 @@ def preprocess(x: np.ndarray, fs_hz: float, chain: Chain) -> np.ndarray:
 
 
 def preprocess_trials(trials: np.ndarray, fs_hz: float, chain: Chain,
-                      reduce=None, rows=None) -> np.ndarray:
-    """Each trial of a (n_trials, n_channels, n_samples) array, or its `rows`
-    in that order when given, through the chain, written into one
-    preallocated array with one entry per trial. Trials go through the chain
-    in blocks of about BLOCK_VALUES values, so only one block's temporaries
-    (and rows gathered) are alive at once. `reduce`, when given, maps each
-    preprocessed block to one entry per trial of it."""
-    n = len(trials) if rows is None else len(rows)
+                      reduce=None) -> np.ndarray:
+    """Each trial of a (n_trials, n_channels, n_samples) array through the
+    chain, written into one preallocated array with one entry per trial.
+    Trials go through the chain in blocks of about BLOCK_VALUES values, so
+    only one block's temporaries are alive at once. `reduce`, when given,
+    maps each preprocessed block to one entry per trial of it."""
+    n = len(trials)
     if not n:
         raise ValueError("no trials to preprocess")
     step = max(1, BLOCK_VALUES // trials[0].size)
     out = None
     for i0 in range(0, n, step):
-        block = trials[i0:i0 + step] if rows is None else trials[rows[i0:i0 + step]]
-        block = preprocess(block, fs_hz, chain)
+        block = preprocess(trials[i0:i0 + step], fs_hz, chain)
         if reduce is not None:
             block = reduce(block)
         if out is None:

@@ -4,14 +4,17 @@ import json
 import shutil
 import tempfile
 from copy import deepcopy
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mipipe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from mipipe.data_model import load_archive, save_archive
+from mipipe.synthgen import SynthConfig, generate
 
 from conftest import (as_trials, count_filtered_trials, fresh_interpreter, replace_trials,
                       with_label)
@@ -48,6 +51,26 @@ def multisession_archive(tmp_path_factory):
     out = root / "arch"
     assert main(["synth", "--out", str(out), "--config", cfg]) == EXIT_OK
     return out
+
+
+# peaks of trial 45 near float64's limit: at 1e305 products of its samples
+# overflow, and at 1.7e308 its filtering does too
+NEAR_LIMIT_PEAKS = (1e305, 1.7e308)
+
+
+@pytest.fixture(scope="module")
+def near_limit_archives(tmp_path_factory):
+    """An archive per peak of `NEAR_LIMIT_PEAKS`: three sessions of 20 trials,
+    with trial 45, in session 3, scaled to that peak."""
+    root = tmp_path_factory.mktemp("near_limit")
+    ts = generate(SynthConfig(n_channels=4, n_sessions=3, trials_per_session=20, seed=1))
+    archives = {}
+    for peak in NEAR_LIMIT_PEAKS:
+        data = ts.data.copy()
+        data[45] *= peak / np.abs(data[45]).max()
+        archives[peak] = root / f"peak_{peak}"
+        save_archive(replace(ts, data=data), archives[peak])
+    return archives
 
 
 @pytest.fixture
@@ -633,7 +656,19 @@ class TestTypedErrors:
 
 
 class TestNumericalFailures:
-    """A fit the data cannot support exits 4 with one line."""
+    """A fit the data cannot support exits 4 with one line, and features it
+    cannot compute exit 2."""
+
+    def test_overflowing_lrp_features(self, near_limit_archives, tmp_path, capsys):
+        # trial 45's LRP features overflow in the low-pass's edge fit: the
+        # test trial is refused, as CSP and AR refuse theirs, not voted on
+        cfg = write_json(tmp_path / "cfg.json", {**FAST_PIPELINE_DOC, "method": "lrp"})
+        code = main(["run", "--data", str(near_limit_archives[1.7e308]), "--config", cfg,
+                     "--train-fraction", "0.25", "--report", str(tmp_path / "run.json")])
+        assert code == EXIT_CONFIG
+        assert one_line_error(capsys) == ("config error: feature vector contains "
+                                          "non-finite values\n")
+        assert not (tmp_path / "run.json").exists()
 
     def test_single_class_draws(self, archive, tmp_path, capsys):
         # two train trials, one of each class: every bootstrap draw of one row
@@ -782,6 +817,28 @@ def _one_line_exit(args) -> int:
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL)
     assert len(err.getvalue().splitlines()) == (code != EXIT_OK), err.getvalue()
     return code
+
+
+ONE_BAND_SEARCH = {"search": {"bands_hz": [[12, 14]], "windows_s": [[0.5, 4.5]]}}
+# command name: (config, command arguments after --data and --config)
+NEAR_LIMIT_COMMANDS = {
+    "crossval": ({}, ["crossval"]),
+    "run": ({}, ["run", "--train-fraction", "0.25"]),
+    "run_adapt": ({}, ["run", "--train-fraction", "0.25", "--adapt"]),
+    "run_sweep": (ONE_BAND_SEARCH, ["run", "--train-fraction", "0.25", "--sweep"]),
+    "fig1": ({}, ["fig1"]),
+}
+
+
+@pytest.mark.parametrize("peak", NEAR_LIMIT_PEAKS)
+@pytest.mark.parametrize("name", list(NEAR_LIMIT_COMMANDS))
+def test_overflow_near_the_float_limit_exits_2_with_one_line(near_limit_archives, tmp_path,
+                                                             name, peak):
+    # each command fails with its one message line, and no numpy warning
+    config, args = NEAR_LIMIT_COMMANDS[name]
+    cfg = write_json(tmp_path / "cfg.json", {**FAST_PIPELINE_DOC, **config})
+    assert _one_line_exit([args[0], "--data", str(near_limit_archives[peak]), "--config", cfg,
+                           *args[1:], "--report", str(tmp_path / "out.json")]) == EXIT_CONFIG
 
 
 FUZZ_SYNTH_FIELDS = ["n_channels", "n_sessions", "trials_per_session", "fs_hz",

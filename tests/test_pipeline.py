@@ -454,7 +454,7 @@ def test_ar_table_and_codes_do_not_depend_on_the_block_size(monkeypatch, rng):
         small_table, small_codes = part.prepare(trials)
         assert np.array_equal(small_table, table, equal_nan=True)
         assert np.array_equal(small_codes, codes)
-        row_table, row_codes = part.prepare(trials, rows)
+        row_table, row_codes = part.prepare(trials[rows])
         assert np.array_equal(row_table, table[rows], equal_nan=True)
         assert np.array_equal(row_codes, codes[rows])
 
@@ -537,10 +537,12 @@ def test_no_path_builds_a_trial_per_row(monkeypatch, tmp_path):
     assert built == [1]
 
 
-def test_cli_paths_preprocess_the_recording_in_place(monkeypatch):
-    from mipipe import param_select, pipeline, preprocess
+def test_cli_paths_preprocess_the_recording_in_place(monkeypatch, tmp_path):
+    from mipipe import cli, param_select, pipeline, preprocess
+    from mipipe.data_model import save_archive
 
     seen = []
+    loaded = []
     prepared_rows = []
     preprocess_trials = pipeline.preprocess_trials
     preprocess_block = preprocess.preprocess
@@ -553,22 +555,40 @@ def test_cli_paths_preprocess_the_recording_in_place(monkeypatch):
         prepared_rows.append(len(block))
         return preprocess_block(block, *args, **kwargs)
 
+    def crossval(trial_set, name):
+        """`mipipe crossval` on `trial_set`, saved as `name`: its report, and
+        the set the command loaded."""
+        save_archive(trial_set, tmp_path / name)
+        (tmp_path / "quiet.json").write_text(json.dumps({"ensemble": {
+            "rounds": 5, "subset_fraction": 0.5, "seed": 0}}))
+        report = tmp_path / f"{name}.json"
+        assert cli.main(["crossval", "--data", str(tmp_path / name), "--config",
+                         str(tmp_path / "quiet.json"), "--folds", "5",
+                         "--report", str(report)]) == 0
+        return json.loads(report.read_text()), loaded[-1]
+
     # the archive is made first: synth filters through `preprocess` too
     ts = easy_set(seed=15, n_sessions=2, trials_per_session=20, lrp_slope_uv_per_s=2.0)
+    partly = replace_trials(ts, [with_label(as_trials(ts)[0], None)] + list(as_trials(ts)[1:]))
     monkeypatch.setattr(pipeline, "preprocess_trials", recording)
     monkeypatch.setattr(param_select, "preprocess_trials", recording)
     monkeypatch.setattr(preprocess, "preprocess", counting)
+    load_archive = cli.load_archive
+    monkeypatch.setattr(cli, "load_archive",
+                        lambda path: loaded.append(load_archive(path)) or loaded[-1])
     space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
-    partly = replace_trials(ts, [with_label(as_trials(ts)[0], None)] + list(as_trials(ts)[1:]))
-    # crossval's unlabelled trials are skipped by row, not copied out, and
-    # only the labelled rows are prepared
+    # crossval copies out the labelled rows of a partly labelled archive, and
+    # prepares only those
+    doc, _ = crossval(partly, "partly")
     labeled = np.flatnonzero(partly.labels)
-    assert cross_validate(partly, quiet_config(), folds=5, rows=labeled) == \
-        cross_validate(partly[1:], quiet_config(), folds=5)
+    assert (doc["mean"], doc["std"]) == cross_validate(partly[1:], quiet_config(), folds=5)
     assert prepared_rows == [len(labeled), len(labeled)]
     with pytest.raises(ValueError, match="cross-validation needs a fully labeled set"):
-        cross_validate(partly, quiet_config(), folds=5, rows=np.arange(len(partly)))
-    assert seen[0] is partly.data
+        cross_validate(partly, quiet_config(), folds=5)
+    # and prepares a fully labelled one in place
+    seen.clear()
+    _, full = crossval(ts, "full")
+    assert seen[0] is full.data
     seen.clear()
     run_static(ts, SplitSpec(0.25, "prefix"), quiet_config("combined", search=space), folds=5)
     sweep_fractions(ts, quiet_config(), ["csp", "combined"], [0.3, 0.6])
@@ -576,6 +596,29 @@ def test_cli_paths_preprocess_the_recording_in_place(monkeypatch):
     run_adaptive(ts, SplitSpec(0.25, "prefix"), quiet_config("ar"), folds=5)
     assert len(seen) > 10
     assert all(np.shares_memory(x, ts.data) for x in seen)
+
+
+@pytest.mark.parametrize("method, chains", [("csp", 1), ("combined", 3)])
+def test_searched_adaptive_run_prepares_each_chain_once(monkeypatch, method, chains):
+    # every block of a one-band search chooses the same CSP chain, and no
+    # choice changes the AR or LRP chain: each is prepared once, over the
+    # whole recording, however many blocks fit on it
+    from mipipe import pipeline
+
+    calls = []
+    preprocess_trials = pipeline.preprocess_trials
+
+    def recording(trials, *args, **kwargs):
+        calls.append(len(trials))
+        return preprocess_trials(trials, *args, **kwargs)
+
+    ts = easy_set(seed=17, n_sessions=4, trials_per_session=20, lrp_slope_uv_per_s=2.0)
+    monkeypatch.setattr(pipeline, "preprocess_trials", recording)
+    space = SearchSpace(bands_hz=((12.0, 14.0),), windows_s=((0.5, 4.5),))
+    report = run_adaptive(ts, SplitSpec(0.15, "prefix"), quiet_config(method, search=space),
+                          folds=3)
+    assert len(report.chosen) == 4
+    assert calls == [len(ts)] * chains
 
 
 def test_cli_run_goes_through_the_public_search_and_run(monkeypatch, tmp_path):

@@ -363,7 +363,7 @@ def test_each_row_filtered_alone(channels, block_values, seed):
     rows = rng.permutation(len(trials))
     chain = preprocess.Chain(channels=tuple(channels), band_hz=(12.0, 14.0))
     with mock.patch.object(preprocess, "BLOCK_VALUES", block_values):
-        subset = preprocess.preprocess_trials(trials, FS, chain, rows=rows)
+        subset = preprocess.preprocess_trials(trials[rows], FS, chain)
     assert np.array_equal(subset, every[rows][:, channels])
 
 
