@@ -28,8 +28,13 @@ from .errors import ConfigError, failure
 BANDPASS_ORDER = 4  # transfer-function order; doubled by forward-backward pass
 LOWPASS_ORDER = 4
 # values (trials x channels x samples) that `preprocess_trials` puts through a
-# chain at once: a chain's temporaries come to about six blocks (some 25 MB)
-BLOCK_VALUES = 1 << 19
+# chain at once, and that `synthgen.generate` makes at once: 256 KB of
+# float64, whose chain temporaries (four to six blocks, 1.0-1.45 MB) fit a
+# core's 2 MB L2 cache. Chosen by measurement: glibc reuses temporaries this
+# small from its heap, block after block, while larger ones are mapped and
+# zeroed again for every block (`run --sweep` took 27k minor page faults
+# here, 115k at 1 << 16 and 89k at 1 << 17)
+BLOCK_VALUES = 1 << 15
 
 
 def _scipy_module(name: str):
@@ -332,6 +337,12 @@ def preprocess(x: np.ndarray, fs_hz: float, chain: Chain) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
+def block_trials(trial_values: int) -> int:
+    """Trials of `trial_values` values each that make a block of about
+    BLOCK_VALUES values, at least one."""
+    return max(1, BLOCK_VALUES // trial_values)
+
+
 def preprocess_trials(trials: np.ndarray, fs_hz: float, chain: Chain,
                       reduce=None) -> np.ndarray:
     """Each trial of a (n_trials, n_channels, n_samples) array through the
@@ -342,7 +353,7 @@ def preprocess_trials(trials: np.ndarray, fs_hz: float, chain: Chain,
     n = len(trials)
     if not n:
         raise ValueError("no trials to preprocess")
-    step = max(1, BLOCK_VALUES // trials[0].size)
+    step = block_trials(trials[0].size)
     out = None
     for i0 in range(0, n, step):
         block = preprocess(trials[i0:i0 + step], fs_hz, chain)

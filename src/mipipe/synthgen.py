@@ -16,7 +16,7 @@ import numpy as np
 from .config import config_from_dict
 from .data_model import TrialSet
 from .errors import ConfigError
-from .preprocess import Chain, preprocess_trials
+from .preprocess import Chain, block_trials, preprocess_trials
 
 IMAGERY_ONSET_S = 0.5
 RHYTHM_AMPLITUDE_UV = 10.0
@@ -78,8 +78,9 @@ def _rotation(n: int, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _rhythm_sources(band_noise, envelope_noise, fs, lo, hi):
     """Band-limited noise with a slow positive envelope: amplitude-modulated
-    rhythm sources, one per row of the (trials, sources, n) noise arrays.
-    Each row is filtered as it would be alone."""
+    rhythm sources, one per row of a block's (trials, sources, n) noise
+    arrays. Each row is filtered as it would be alone, so the sources do not
+    depend on the trials that share their block."""
     band = preprocess_trials(band_noise, fs, Chain(band_hz=(lo, hi)))
     band /= np.maximum(band.std(axis=-1, keepdims=True), 1e-12)
     env_cut = min(1.0, fs / 4)
@@ -107,38 +108,43 @@ def generate(config: SynthConfig) -> TrialSet:
     center, width = config.rhythm_band_hz
     lo, hi = center - width / 2, center + width / 2
 
-    # every random draw first, in the order of a trial-by-trial generator:
-    # per trial, band then envelope noise of each rhythm source, then the
-    # sensor noise (held in the output until the trial is mixed); the sources
-    # of all trials are then filtered together
-    n_trials = config.n_sessions * config.trials_per_session
-    band_noise = np.empty((n_trials, 2, n))
-    envelope_noise = np.empty((n_trials, 2, n))
-    data = np.empty((n_trials, n_ch, n))
-    for trial in range(n_trials):
-        for i in (0, 1):
-            band_noise[trial, i] = rng.normal(size=n)
-            envelope_noise[trial, i] = rng.normal(size=n)
-        if config.noise_sigma_uv > 0:
-            data[trial] = rng.normal(size=(n_ch, n))
-    rhythms = RHYTHM_AMPLITUDE_UV * _rhythm_sources(band_noise, envelope_noise, fs, lo, hi)
-
     # trials alternate class -1, +1 within each session
+    n_trials = config.n_sessions * config.trials_per_session
     labels = np.tile([-1, 1], n_trials // 2)
     sessions, indices = np.divmod(np.arange(n_trials), config.trials_per_session)
     session_mixing = [_rotation(n_ch, float(config.session_drift) * s, u, v) @ mixing
                       for s in range(config.n_sessions)]
-    for trial, (label, session) in enumerate(zip(labels.tolist(), sessions.tolist())):
-        src = np.empty((3, n))
-        src[:2] = rhythms[trial]
-        src[0 if label == -1 else 1, imagery] *= 1.0 - config.erd_depth
-        src[2] = label * config.lrp_slope_uv_per_s * np.clip(
-            t - IMAGERY_ONSET_S, 0.0, None
-        )
-        mixed = session_mixing[session] @ src
-        if config.noise_sigma_uv > 0:
-            mixed = mixed + config.noise_sigma_uv * data[trial]
-        data[trial] = mixed
+
+    # a block of trials at a time, so only the recording and one block's
+    # sources are alive: first the block's random draws, in the order of a
+    # trial-by-trial generator (per trial, band then envelope noise of each
+    # rhythm source, then the sensor noise, held in the output until the
+    # trial is mixed), then its rhythm sources, then its trials' mixing
+    data = np.empty((n_trials, n_ch, n))
+    step = block_trials(n_ch * n)
+    for i0 in range(0, n_trials, step):
+        block = range(i0, min(i0 + step, n_trials))
+        band_noise = np.empty((len(block), 2, n))
+        envelope_noise = np.empty((len(block), 2, n))
+        for row, trial in enumerate(block):
+            for i in (0, 1):
+                band_noise[row, i] = rng.normal(size=n)
+                envelope_noise[row, i] = rng.normal(size=n)
+            if config.noise_sigma_uv > 0:
+                data[trial] = rng.normal(size=(n_ch, n))
+        rhythms = RHYTHM_AMPLITUDE_UV * _rhythm_sources(band_noise, envelope_noise, fs, lo, hi)
+        for trial, rhythm in zip(block, rhythms):
+            label = int(labels[trial])
+            src = np.empty((3, n))
+            src[:2] = rhythm
+            src[0 if label == -1 else 1, imagery] *= 1.0 - config.erd_depth
+            src[2] = label * config.lrp_slope_uv_per_s * np.clip(
+                t - IMAGERY_ONSET_S, 0.0, None
+            )
+            mixed = session_mixing[sessions[trial]] @ src
+            if config.noise_sigma_uv > 0:
+                mixed = mixed + config.noise_sigma_uv * data[trial]
+            data[trial] = mixed
 
     if not np.isfinite(data).all():
         raise ConfigError("lrp_slope_uv_per_s or noise_sigma_uv is too large: the trial "

@@ -2,6 +2,7 @@ import itertools
 import re
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -340,9 +341,21 @@ class TestGridSearch:
             channel_sets=(None, (0, 3)), m_values=(1, 2),
         )
         filtered = count_filtered_trials(monkeypatch)
+        sums = {}  # trials filtered, by (band, channel set)
+        real = param_select.preprocess_trials
+
+        def spy(rows, fs_hz, chain, reduce):
+            start = len(filtered)
+            moments = real(rows, fs_hz, chain, reduce)
+            key = (chain.band_hz, chain.channels)
+            sums[key] = sums.get(key, 0) + sum(filtered[start:])
+            return moments
+
+        monkeypatch.setattr(param_select, "preprocess_trials", spy)
         grid_search(ts, labels, space)
-        # one call per (band, channel set), over the train and test rows
-        assert filtered == [len(ts)] * (3 * 2)
+        # the train and test rows, in blocks, once per (band, channel set)
+        assert sums == {(band, channels): len(ts) for band in space.bands_hz
+                        for channels in space.channel_sets}
 
     def test_one_band_of_filtered_trials_is_alive_at_a_time(self, monkeypatch):
         # a window past the trial's end makes some candidates fail after the crop
@@ -351,26 +364,32 @@ class TestGridSearch:
             bands_hz=SPACE.bands_hz, windows_s=((0.5, 2.5), (1.0, 9.0), (1.0, 4.5)),
             channel_sets=(None, (0, 3)), m_values=(1, 2),
         )
-        batches = []  # (band, weak reference to a block or the moments filtered under it)
+        # (band, subset, kind, weak reference to a block or the moments filtered under it)
+        batches = []
         real = param_select.preprocess_trials
 
         def spy(rows, fs_hz, chain, reduce):
-            alive = [band for band, ref in batches if ref() is not None]
+            alive = [band for band, _, _, ref in batches if ref() is not None]
             assert set(alive) <= {chain.band_hz}, f"filtering {chain.band_hz}, {alive} alive"
 
             def keep(block):
-                batches.append((chain.band_hz, weakref.ref(block)))
+                batches.append((chain.band_hz, chain.channels, "block", weakref.ref(block)))
                 return reduce(block)
 
             moments = real(rows, fs_hz, chain, keep)
-            batches.append((chain.band_hz, weakref.ref(moments)))
+            batches.append((chain.band_hz, chain.channels, "moments", weakref.ref(moments)))
             return moments
 
         monkeypatch.setattr(param_select, "preprocess_trials", spy)
         result = grid_search(ts, labels, space)
         assert all(row["error"] for row in result.table if row["window_s"] == (1.0, 9.0))
-        assert len(batches) == 3 * 2 * 2  # one block and its moments per band and subset
-        assert [band for band, ref in batches if ref() is not None] == []
+        kinds = Counter((band, subset, kind) for band, subset, kind, _ in batches)
+        pairs = [(band, subset) for band in space.bands_hz for subset in space.channel_sets]
+        # one moments entry and at least one block per band and subset
+        assert {key[:2] for key in kinds} == set(pairs)
+        assert all(kinds[(*pair, "moments")] == 1 and kinds[(*pair, "block")] >= 1
+                   for pair in pairs)
+        assert [band for band, _, _, ref in batches if ref() is not None] == []
 
     def test_deterministic(self):
         ts, labels = planted_recording(seed=5, trials_per_session=80)

@@ -549,10 +549,11 @@ def test_cli_paths_preprocess_the_recording_in_place(monkeypatch, tmp_path):
 
     def recording(trials, *args, **kwargs):
         seen.append(trials)
+        prepared_rows.append([])
         return preprocess_trials(trials, *args, **kwargs)
 
     def counting(block, *args, **kwargs):
-        prepared_rows.append(len(block))
+        prepared_rows[-1].append(len(block))
         return preprocess_block(block, *args, **kwargs)
 
     def crossval(trial_set, name):
@@ -582,7 +583,8 @@ def test_cli_paths_preprocess_the_recording_in_place(monkeypatch, tmp_path):
     doc, _ = crossval(partly, "partly")
     labeled = np.flatnonzero(partly.labels)
     assert (doc["mean"], doc["std"]) == cross_validate(partly[1:], quiet_config(), folds=5)
-    assert prepared_rows == [len(labeled), len(labeled)]
+    # rows prepared in each preparation's blocks
+    assert [sum(blocks) for blocks in prepared_rows] == [len(labeled), len(labeled)]
     with pytest.raises(ValueError, match="cross-validation needs a fully labeled set"):
         cross_validate(partly, quiet_config(), folds=5)
     # and prepares a fully labelled one in place

@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -347,6 +348,24 @@ def test_preprocess_trials_blocks_equal_one_at_a_time(monkeypatch, rng):
         for block_values in (1, 4 * 500 * 3):
             monkeypatch.setattr(preprocess, "BLOCK_VALUES", block_values)
             assert np.array_equal(preprocess.preprocess_trials(trials, FS, chain), alone)
+
+
+def test_a_reduced_chain_holds_one_cache_sized_block(rng):
+    # over a recording of 20 blocks, only the reduced output and one block's
+    # temporaries are alive, and those fit a core's 2 MB L2 cache
+    from mipipe import preprocess
+    from mipipe.features import trial_moments
+
+    trials = rng.normal(size=(20 * preprocess.BLOCK_VALUES // 2000, 4, 500))
+    chain = preprocess.Chain(band_hz=(8.0, 30.0), window_s=(0.5, 4.5))
+    preprocess.preprocess_trials(trials[:1], FS, chain, trial_moments)  # the cached design
+    tracemalloc.start()
+    try:
+        moments = preprocess.preprocess_trials(trials, FS, chain, trial_moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 << 20) + moments.nbytes
 
 
 @given(channels=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),

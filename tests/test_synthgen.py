@@ -1,6 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mipipe import preprocess
 from mipipe.config import EnsembleConfig, PipelineConfig
 from mipipe.data_model import SplitSpec
 from mipipe.errors import ConfigError
@@ -46,6 +50,41 @@ def test_different_seeds_differ():
     a = generate(SynthConfig(seed=1, **base))
     b = generate(SynthConfig(seed=2, **base))
     assert not np.array_equal(a.data[0], b.data[0])
+
+
+def test_generate_holds_the_recording_and_one_block():
+    # archive_fig1's recording, 240 trials of 8 x 1,250: beside it, only one
+    # block of trials' noise, sources and temporaries is alive at a time,
+    # and then the overflow check's one byte a value of the recording
+    config = SynthConfig(n_channels=8, n_sessions=2, trials_per_session=120, fs_hz=250.0,
+                         lrp_slope_uv_per_s=2.0, seed=3)
+    generate(replace(config, n_sessions=1, trials_per_session=2))  # the cached filters
+    tracemalloc.start()
+    try:
+        ts = generate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ts.data.nbytes + ts.data.size + 4 * preprocess.BLOCK_VALUES * 8
+
+
+def test_generate_is_bitwise_the_same_in_any_block_size(monkeypatch):
+    # 24 trials of 5 x 1,250 values: blocks of one trial, of the default
+    # size (five trials, the last block four) and of the whole recording
+    config = SynthConfig(n_channels=5, n_sessions=2, trials_per_session=12, fs_hz=250.0,
+                         lrp_slope_uv_per_s=2.0, session_drift=0.3, seed=7)
+    trial_values = 5 * 1250
+    sets = []
+    for block_values in (trial_values, preprocess.BLOCK_VALUES, 24 * trial_values):
+        monkeypatch.setattr(preprocess, "BLOCK_VALUES", block_values)
+        sets.append(generate(config))
+    first = sets[0]
+    for ts in sets[1:]:
+        assert ts.data.tobytes() == first.data.tobytes()
+        for name in ("labels", "sessions", "trial_indices"):
+            assert np.array_equal(getattr(ts, name), getattr(first, name))
+        assert (ts.sampling_rate_hz, ts.channel_labels) == (first.sampling_rate_hz,
+                                                            first.channel_labels)
 
 
 def test_rhythm_sources_of_a_batch_equal_each_source_alone():
