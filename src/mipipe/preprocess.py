@@ -3,11 +3,13 @@
 All filters are Butterworth, applied forward-backward for zero phase with
 Gustafsson's initial conditions, so interior samples are free of edge
 transients. The design is a numpy port of scipy's `signal.butter`, with its
-bits; the filter takes `signal.filtfilt(method="gust")`'s steps, each pass
-in scipy's own compiled loop, `signal._sigtools._linear_filter`, loaded by
-`_scipy_module` without scipy.signal's package import. Gustafsson's
-least-squares matrix depends only on the design and the trial length, so it
-is factored once, and each row comes out bitwise as it would alone.
+bits; the filter solves `signal.filtfilt(method="gust")`'s problem, each
+pass in scipy's own compiled loop, `signal._sigtools._linear_filter`, loaded
+by `_scipy_module` without scipy.signal's package import. Gustafsson's
+initial conditions are a fixed linear map of the input, of rank 2 * order,
+that depends only on the design and the trial length: it is formed once, so
+a row takes two passes and a small product, and comes out bitwise as it
+would alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ BANDPASS_ORDER = 4  # transfer-function order; doubled by forward-backward pass
 LOWPASS_ORDER = 4
 # values (trials x channels x samples) that `preprocess_trials` puts through a
 # chain at once, and that `synthgen.generate` makes at once: 256 KB of
-# float64, whose chain temporaries (four to six blocks, 1.0-1.45 MB) fit a
+# float64, whose chain temporaries (two to four blocks, 0.5-0.96 MB) fit a
 # core's 2 MB L2 cache. Chosen by measurement: glibc reuses temporaries this
 # small from its heap, block after block, while larger ones are mapped and
 # zeroed again for every block (`run --sweep` took 27k minor page faults
@@ -145,12 +147,20 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi=None) -> np.ndarray
     return kernel(b, a, x, -1) if zi is None else kernel(b, a, x, -1, zi)[0]
 
 
+def _fb(b, a, rows: np.ndarray) -> np.ndarray:
+    """The zero-state forward-backward filter of each row: two passes."""
+    return _lfilter(b, a, _lfilter(b, a, rows)[:, ::-1])[:, ::-1]
+
+
 @functools.lru_cache(maxsize=64)
-def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
-    """Gustafsson's M and W (`signal._filtfilt_gust`) for m edge samples,
-    over the whole signal when `whole`, with M's thin SVD U, 1/s and Vᵀ;
-    read-only, shared by all callers. Singular values <= eps * s_max are
-    dropped, the cut-off of scipy's `lstsq`."""
+def _gust_matrices(b: tuple, a: tuple, m: int, n: int):
+    """Gustafsson's M and W (`signal._filtfilt_gust`) for m edge samples of
+    n, and G = D·Eᵀ·U·S⁻¹·Vᵀ (n, 2 * order), read-only and shared by all
+    callers: a row times G is its least-squares initial conditions. A row's
+    backward-forward less forward-backward output is the row times D =
+    T·Tᵀ − Tᵀ·T, T the filter's matrix; E picks the m edge samples at each
+    end; U, S, Vᵀ is M's thin SVD, without singular values <= eps * s_max
+    (the cut-off of scipy's `lstsq`)."""
     order = len(a) - 1
     # Obs propagates an initial state to the output under zero input
     obs = np.zeros((m, order))
@@ -160,64 +170,54 @@ def _gust_matrices(b: tuple, a: tuple, m: int, whole: bool):
     obs_r = obs[::-1]
     s = _lfilter(b, a, obs_r.T).T
     s_r = s[::-1]
-    if whole:
-        big_m = np.hstack((s_r - obs, obs_r - s))
-        w = np.hstack((s_r, obs_r))
-    else:
-        big_m = np.zeros((2 * m, 2 * order))
-        big_m[:m, :order] = s_r - obs
-        big_m[m:, order:] = obs_r - s
-        w = np.zeros((2 * m, 2 * order))
-        w[:m, :order] = s_r
-        w[m:, order:] = obs_r
+    # the first m rows take the start's states, the last m the end's
+    big_m, w = np.zeros((2, m if m == n else 2 * m, 2 * order))
+    big_m[:m, :order], big_m[-m:, order:] = s_r - obs, obs_r - s
+    w[:m, :order], w[-m:, order:] = s_r, obs_r
     if not np.isfinite(big_m).all():
         raise failure(3)  # array must not contain infs or NaNs
     u, sv, vt = np.linalg.svd(big_m, full_matrices=False)
     kept = sv > np.finfo(np.float64).eps * sv[0]
-    matrices = big_m, w, u[:, kept], 1.0 / sv[kept], vt[kept]
+    # D on U's columns by the four passes, in long double: those columns lie
+    # in the pass band, so their two outputs nearly cancel
+    edges = np.zeros((np.count_nonzero(kept), n), np.longdouble)  # (Eᵀ·U)ᵀ
+    edges[:, :m], edges[:, n - m:] = u[:m, kept].T, u[-m:, kept].T
+    b, a = np.asarray(b, np.longdouble), np.asarray(a, np.longdouble)
+    d_edges = (_fb(b, a, edges[:, ::-1])[:, ::-1] - _fb(b, a, edges)).astype(np.float64)
+    g = (d_edges.T / sv[kept]) @ vt[kept]
+    if not np.isfinite(g).all():
+        raise failure(3)  # array must not contain infs or NaNs
+    matrices = big_m, w, g
     for matrix in matrices:
         matrix.flags.writeable = False
     return matrices
 
 
 def _gust_block(design: FilterDesign, rows: np.ndarray, m: int) -> np.ndarray:
-    """Gustafsson's forward-backward filter of each row of (rows, samples)."""
-    b, a, _ = design
-    r, n = rows.shape
+    """Gustafsson's forward-backward filter of each row of (rows, samples):
+    the two zero-state passes, plus W times the row's initial conditions."""
+    (b, a, _), n = design, rows.shape[-1]
     # before the passes: a first call's cached arrays then sit below the
     # block's temporaries on the heap, which can shrink once they are freed
-    _, w, u, inv_s, vt = _gust_matrices(tuple(b), tuple(a), m, m == n)
-    # forward passes of x and of x reversed as one call, then the second
-    # passes of both: the top half is y_fb reversed, the bottom half y_bf
-    buf = _lfilter(b, a, np.concatenate((rows, rows[:, ::-1])))
-    buf = _lfilter(b, a, buf[:, ::-1])
-    y_fb, y_bf = buf[:r, ::-1].copy(), buf[r:]
-    if m == n:
-        delta = y_bf - y_fb
-    else:
-        delta = np.concatenate((y_bf[:, :m] - y_fb[:, :m], y_bf[:, -m:] - y_fb[:, -m:]),
-                               axis=-1)
-    if not np.isfinite(delta).all():
+    _, w, g = _gust_matrices(tuple(b), tuple(a), m, n)
+    y = np.ascontiguousarray(_fb(b, a, rows))
+    if not np.isfinite(y).all():
         raise failure(3)  # array must not contain infs or NaNs
-    # each row's least-squares initial conditions, M⁺ delta through the
-    # cached factors, and their W product, into delta's buffer: a stacked
-    # product per row, so a row's bits do not depend on the rows beside it
-    rhs = delta[:, None]
-    np.matmul(((rhs @ u) * inv_s) @ vt, w.T, out=rhs)
-    if m == n:
-        y_fb += delta
-    else:
-        y_fb[:, :m] += delta[:, :m]
-        y_fb[:, -m:] += delta[:, m:]
-    return y_fb
+    # stacked products per row: a row's bits do not depend on its neighbours
+    wic = (np.ascontiguousarray(rows)[:, None] @ g) @ w.T
+    y[:, :m] += wic[:, 0, :m]
+    if m < n:
+        y[:, -m:] += wic[:, 0, m:]
+    return y
 
 
 def _zero_phase(design: FilterDesign, x: np.ndarray) -> np.ndarray:
     """Gustafsson's zero-phase filter (`signal.filtfilt(b, a, row,
-    method="gust", irlen=...)`'s steps) of every row of `x` along its last
-    axis, as a C-contiguous array. Each row comes out bitwise as it would
-    alone. All of `x` is filtered at once: `preprocess_trials` sizes the
-    blocks.
+    method="gust", irlen=...)`, to its least-squares problem's conditioning)
+    of every row of `x` along its last axis, as a C-contiguous array. Each
+    row comes out bitwise as it would alone. All of `x` is filtered at once,
+    two passes over it (`preprocess_trials` sizes the blocks); the passes
+    that form `_gust_matrices` run once per design and length.
     """
     b, a, settle = design
     n = x.shape[-1]
